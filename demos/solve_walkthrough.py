@@ -34,7 +34,7 @@ print("legal moves here:", format_moves(legal_moves(start)))
 result = solve_optimal(start)
 print("\noptimal length:", result.psi)
 print("witness:", format_moves(result.seq))
-print("states expanded:", result.expanded)
+print("nodes expanded:", result.expanded)
 
 # replay the witness and land on the goal
 end = apply_seq(start, result.seq)

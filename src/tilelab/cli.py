@@ -40,7 +40,7 @@ from .search import (
     NotFound,
     ResourceLimit,
     Unsolvable,
-    candidate_sequences,
+    candidate_rank,
     enumerate_reachable,
     exhaust_sequences,
     solve_optimal,
@@ -135,16 +135,10 @@ def _cmd_puzzle_solve(args) -> int:
             return DOMAIN_NEGATIVE
         # candidates probed until the winner; the empty-sequence
         # pre-check is not a candidate and does not count
-        probes = 0
-        if seq:
-            for cand in candidate_sequences(args.kmax):
-                probes += 1
-                if cand == seq:
-                    break
         doc = {
             "psi": len(seq),
             "seq": format_moves(seq),
-            "expanded": probes,
+            "expanded": candidate_rank(seq),
             "decisions": ledger.decisions,
         }
         _emit(doc, args)

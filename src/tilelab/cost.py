@@ -15,7 +15,7 @@ whose branch structure mirrors the case statements that define the moves:
 Per legal move the chained tallies obey offset <= 4, relocate chain <= 17,
 swap chain <= 22 and guard chain <= 27, with equality at arm 4, and a
 k-move verification runs in at most n^2 + 27k + 1 decisions.  All ceilings
-are asserted per call.
+are checked per call; a breach raises CeilingExceeded.
 """
 
 from __future__ import annotations
@@ -33,6 +33,15 @@ MOVE_DECISION_CEILINGS = {
     "swap_chain": 22,       # 1 + 4 + 17
     "guard_chain": 27,      # 5 + 22
 }
+ILLEGAL_MOVE_CEILING = 5  # guard arms 1..4 plus the failed bounds test
+
+
+class CeilingExceeded(RuntimeError):
+    """A metered call spent more decisions than its proven ceiling."""
+
+
+def _breach(name: str, ceiling: int, spent: int) -> CeilingExceeded:
+    return CeilingExceeded(f"{name} ceiling {ceiling} exceeded: {spent} decisions")
 
 
 @dataclass
@@ -86,17 +95,24 @@ def instrumented_apply(g: TileGrid, m: Move, ledger: CostLedger) -> TileGrid:
     ledger.add("guard", k + 1)  # direction arm scan plus the bounds test
     j = move_target(g, m)
     if j is None:
-        assert ledger.decisions - before <= 5
+        spent = ledger.decisions - before
+        if spent > ILLEGAL_MOVE_CEILING:
+            raise _breach("illegal_move", ILLEGAL_MOVE_CEILING, spent)
         return g
     ledger.add("swap", 1)
     ledger.add("offset", k)
     ledger.add("relocate", 1)
     ledger.add("reverse_offset", k * k)
     spent = ledger.decisions - before
-    assert k <= MOVE_DECISION_CEILINGS["offset"]
-    assert 1 + k * k <= MOVE_DECISION_CEILINGS["relocate_chain"]
-    assert 2 + k + k * k <= MOVE_DECISION_CEILINGS["swap_chain"]
-    assert spent <= MOVE_DECISION_CEILINGS["guard_chain"]
+    ceil = MOVE_DECISION_CEILINGS
+    if k > ceil["offset"]:
+        raise _breach("offset", ceil["offset"], k)
+    if 1 + k * k > ceil["relocate_chain"]:
+        raise _breach("relocate_chain", ceil["relocate_chain"], 1 + k * k)
+    if 2 + k + k * k > ceil["swap_chain"]:
+        raise _breach("swap_chain", ceil["swap_chain"], 2 + k + k * k)
+    if spent > ceil["guard_chain"]:
+        raise _breach("guard_chain", ceil["guard_chain"], spent)
     lst = list(g.cells)
     lst[g.blank_index], lst[j] = lst[j], lst[g.blank_index]
     return TileGrid(g.n, tuple(lst), j)
@@ -121,7 +137,9 @@ def instrumented_verify(g: TileGrid, seq: Iterable[Move], ledger: CostLedger) ->
             ok = False
     ledger.add("compare", 1)  # final accept decision
     spent = ledger.decisions - before
-    assert spent <= budget("verify", g.n, k).ceiling
+    ceiling = budget("verify", g.n, k).ceiling
+    if spent > ceiling:
+        raise _breach("verify", ceiling, spent)
     return ok
 
 

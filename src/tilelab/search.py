@@ -2,10 +2,12 @@
 
 enumerate_reachable runs breadth-first search outward from the goal and is
 the ground truth every closed-form claim is checked against.  solve_optimal
-returns a provably minimal solution (BFS for n <= 3, iterative-deepening
-A* with the Manhattan heuristic for n = 4).  exhaust_sequences is the
-brute-force enumerator over raw move strings; it exists to be metered, not
-to be fast.
+returns a provably minimal solution by iterative-deepening A* with the
+Manhattan heuristic (BFS stays available on request for n <= 3); both
+return the length-then-lexicographic first optimal witness.
+exhaust_sequences is the brute-force enumerator over raw move strings; it
+exists to be metered, so it compares every candidate, but it walks them as
+a tree and shares each prefix instead of replaying it.
 """
 
 from __future__ import annotations
@@ -15,10 +17,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .grid import (
-    BLANK, MOVES, Move, MoveSeq, TileGrid, apply_seq, goal, grids_equal,
-    inverse_move, legal_moves, move_target,
-)
+from .grid import BLANK, MOVES, MoveSeq, TileGrid, goal
 
 DEFAULT_STATE_CAP = 2_000_000
 
@@ -39,7 +38,7 @@ class NotFound(Exception):
 class SearchResult:
     psi: int            # minimal number of moves
     seq: MoveSeq        # one optimal witness
-    expanded: int       # states expanded while searching
+    expanded: int       # states (BFS) or nodes (IDA*) expanded while searching
 
 
 @dataclass
@@ -75,18 +74,23 @@ def decode(code: int, n: int) -> tuple[int, ...]:
     return tuple((code >> (b * i)) & mask for i in range(n * n))
 
 
-def _neighbor_indices(n: int) -> list[list[int]]:
-    """neighbors[i] = row-major targets of the blank at i, in U < D < R < L order."""
+def _move_targets(n: int) -> list[list[int]]:
+    """targets[i][k] = row-major target of move k (U, D, R, L) for the blank
+    at i, or -1 where that move leaves the board."""
     out = []
     for i in range(n * n):
         r, c = divmod(i, n)
-        cand = []
+        row = []
         for m in MOVES:
             nr, nc = r + m.dr, c + m.dc
-            if 0 <= nr < n and 0 <= nc < n:
-                cand.append(nr * n + nc)
-        out.append(cand)
+            row.append(nr * n + nc if 0 <= nr < n and 0 <= nc < n else -1)
+        out.append(row)
     return out
+
+
+def _neighbor_indices(n: int) -> list[list[int]]:
+    """neighbors[i] = row-major targets of the blank at i, in U < D < R < L order."""
+    return [[j for j in row if j >= 0] for row in _move_targets(n)]
 
 
 def enumerate_reachable(n: int, depth_limit: int | None = None,
@@ -200,61 +204,81 @@ def _solve_bfs(g: TileGrid) -> SearchResult:
     raise Unsolvable("goal not reachable from this grid")
 
 
+_FOUND = -1  # _solve_ida's dfs reached the goal
+_NO_CHILD = 1 << 62  # best f before any child is seen; larger than any f
+
+
 def _solve_ida(g: TileGrid) -> SearchResult:
+    """Korf's IDA*: depth-first passes in U < D < R < L order under a rising
+    f = g + h bound.  Manhattan distance is consistent, so the pass at the
+    optimal bound meets the length-lex first optimal witness first.
+
+    A node counts as expanded when its f is within the bound and it is not
+    the goal.  Children over the bound, and the goal child, are settled by
+    the parent without a call.  g must be solvable (solve_optimal checks
+    parity first): every node has a child, so the bound rises forever on
+    the other component.
+    """
     n = g.n
     dist = _manhattan_table(n)
+    # per blank cell: (move index, target, inverse move index); k ^ 1 swaps
+    # U <-> D and R <-> L
+    steps = [tuple((k, j, k ^ 1) for k, j in enumerate(row) if j >= 0)
+             for row in _move_targets(n)]
     cells = list(g.cells)
-    bi = g.blank_index
     h0 = sum(dist[v][i] for i, v in enumerate(cells) if v != BLANK)
-    goal_cells = list(goal(n).cells)
+    if h0 == 0:  # every tile home, so the blank is too
+        return SearchResult(0, (), 0)
+    path: list[int] = []  # move indices, appended as the search unwinds
     expanded = 0
-    path: list[Move] = []
-
-    def dfs(bi: int, gcost: int, h: int, bound: int, last: Move | None) -> int | bool:
-        nonlocal expanded
-        f = gcost + h
-        if f > bound:
-            return f
-        if h == 0 and cells == goal_cells:
-            return True
-        expanded += 1
-        nxt_bound = None
-        r, c = divmod(bi, n)
-        for m in MOVES:
-            if last is not None and m is inverse_move(last):
-                continue
-            nr, nc = r + m.dr, c + m.dc
-            if not (0 <= nr < n and 0 <= nc < n):
-                continue
-            j = nr * n + nc
-            v = cells[j]
-            dh = dist[v][bi] - dist[v][j]  # tile v moves from j to bi
-            cells[bi], cells[j] = v, BLANK
-            path.append(m)
-            t = dfs(j, gcost + 1, h + dh, bound, m)
-            if t is True:
-                return True
-            cells[bi], cells[j] = BLANK, v
-            path.pop()
-            if nxt_bound is None or (t is not False and t < nxt_bound):
-                nxt_bound = t
-        return nxt_bound if nxt_bound is not None else False
-
     bound = h0
+
+    def dfs(bi: int, gcost: int, h: int, back: int) -> int:
+        """_FOUND, or the smallest f over the bound below this node."""
+        nonlocal expanded
+        expanded += 1
+        gcost += 1
+        best = _NO_CHILD
+        for k, j, inv in steps[bi]:
+            if k == back:
+                continue
+            v = cells[j]
+            dv = dist[v]
+            hj = h + dv[bi] - dv[j]  # tile v slides from j to bi
+            f = gcost + hj
+            if f > bound:
+                if f < best:
+                    best = f
+                continue
+            if hj == 0:
+                path.append(k)
+                return _FOUND
+            cells[bi] = v
+            cells[j] = BLANK
+            t = dfs(j, gcost, hj, inv)
+            if t == _FOUND:
+                path.append(k)
+                return _FOUND
+            cells[j] = v
+            cells[bi] = BLANK
+            if t < best:
+                best = t
+        return best
+
     while True:
-        t = dfs(bi, 0, h0, bound, None)
-        if t is True:
-            return SearchResult(len(path), tuple(path), expanded)
-        if t is False:
-            raise Unsolvable("goal not reachable from this grid")
+        t = dfs(g.blank_index, 0, h0, -1)
+        if t == _FOUND:
+            return SearchResult(len(path), tuple(MOVES[k] for k in reversed(path)), expanded)
         bound = t
 
 
 def solve_optimal(g: TileGrid, algo: str = "auto") -> SearchResult:
     """Minimal solution from g; raises Unsolvable off the goal's component.
 
-    "auto" picks BFS for n <= 3 and IDA* with the Manhattan heuristic for
-    n = 4; "bfs" and "ida" force one of the two.
+    "auto" and "ida" run IDA* with the Manhattan heuristic; "bfs" forces
+    breadth-first search (n <= 3).  Both return the same witness, the first
+    optimal sequence in length-then-lexicographic (U < D < R < L) order, and
+    differ only in `expanded`: BFS counts states, IDA* counts nodes.
     """
     if algo not in ("auto", "bfs", "ida"):
         raise ValueError(f'algo must be "auto", "bfs" or "ida", got {algo!r}')
@@ -262,8 +286,6 @@ def solve_optimal(g: TileGrid, algo: str = "auto") -> SearchResult:
         raise ValueError("optimal solving is supported for n <= 4")
     if not is_solvable(g):
         raise Unsolvable("parity test failed: grid is outside the goal's component")
-    if algo == "auto":
-        algo = "bfs" if g.n <= 3 else "ida"
     if algo == "bfs" and g.n >= 4:
         raise ValueError("BFS is capped at n <= 3; use ida for n = 4")
     return _solve_bfs(g) if algo == "bfs" else _solve_ida(g)
@@ -276,30 +298,71 @@ def candidate_sequences(k_max: int) -> Iterator[MoveSeq]:
             yield cand
 
 
+def candidate_rank(seq: MoveSeq) -> int:
+    """1-based position of seq in candidate_sequences order; 0 for the empty
+    sequence, which is not a candidate.
+
+    (4^L - 4) / 3 shorter candidates come first, then seq's letters read as
+    a base-4 number (U = 0, D = 1, R = 2, L = 3).
+    """
+    within = 0
+    for m in seq:
+        within = within * 4 + m.arm - 1
+    return (4 ** len(seq) - 4) // 3 + within + 1
+
+
 def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
     """First sequence (length-then-lex, U < D < R < L) whose total-mode
     application reaches goal; the empty sequence is checked first.
 
-    Theta(4^k) probes; raises NotFound when no candidate works.  With a
-    ledger, each candidate costs one probe decision and the winning sequence
-    is replayed through the instrumented verifier, which keeps the whole run
-    inside budget("search", n, k_max).
+    Theta(4^k) probes; raises NotFound when no candidate works.  Each length
+    is one depth-first walk of the candidate tree: a move is applied to a
+    mutable cell list on the way down and undone on the way back, so every
+    candidate is compared against the goal without replaying its prefix.
+    With a ledger, each candidate costs one probe decision and the winning
+    sequence is replayed through the instrumented verifier, which keeps the
+    whole run inside budget("search", n, k_max).
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    target = goal(g.n)
+    targets = _move_targets(g.n)
+    cells = list(g.cells)
+    goal_cells = list(goal(g.n).cells)
+    path: list[int] = []  # move indices, appended as the walk unwinds
 
-    def probe(result: TileGrid) -> bool:
-        if ledger is not None:
-            ledger.add("compare", 1)
-        return grids_equal(result, target)
+    def walk(bi: int, left: int) -> bool:
+        """True when some candidate extending the current prefix by `left`
+        moves reaches goal; tries them in lexicographic order."""
+        for k, j in enumerate(targets[bi]):
+            if j < 0:  # total mode: the boundary move changes nothing
+                hit = walk(bi, left - 1) if left > 1 else cells == goal_cells
+            else:
+                v = cells[j]
+                cells[bi] = v
+                cells[j] = BLANK
+                hit = walk(j, left - 1) if left > 1 else cells == goal_cells
+                cells[j] = v
+                cells[bi] = BLANK
+            if hit:
+                path.append(k)
+                return True
+        return False
 
-    if probe(g):
-        return ()
-    for cand in candidate_sequences(k_max):
-        if probe(apply_seq(g, cand, total=True)):
-            if ledger is not None:
-                from .cost import instrumented_verify
-                instrumented_verify(g, cand, ledger)
-            return cand
-    raise NotFound(f"no sequence of length <= {k_max} reaches goal")
+    found = cells == goal_cells
+    length = 0
+    while not found and length < k_max:
+        length += 1
+        found = walk(g.blank_index, length)
+    seq = tuple(MOVES[k] for k in reversed(path))
+    if ledger is not None:
+        # the walk stops at the first hit in length-lex order, so it has
+        # compared candidate_rank(seq) candidates, or all of them, plus
+        # the empty sequence
+        probed = candidate_rank(seq) if found else (4 ** (k_max + 1) - 4) // 3
+        ledger.add("compare", 1 + probed)
+        if found and seq:
+            from .cost import instrumented_verify
+            instrumented_verify(g, seq, ledger)
+    if not found:
+        raise NotFound(f"no sequence of length <= {k_max} reaches goal")
+    return seq

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tilelab.cost
 from tilelab import (
     MOVE_DECISION_CEILINGS,
     MOVES,
+    CeilingExceeded,
     CostLedger,
     Move,
     PRIMITIVES,
@@ -87,6 +92,44 @@ class TestInstrumentedApply:
             out = instrumented_apply(g, m, ledger)
             assert grids_equal(out, apply_move_total(g, m))
             g = out
+
+
+class TestCeilingChecks:
+    """A breached ceiling raises CeilingExceeded naming it, also under -O."""
+
+    def test_move_chain_ceiling_raises(self, monkeypatch):
+        monkeypatch.setitem(MOVE_DECISION_CEILINGS, "guard_chain", 26)
+        instrumented_apply(goal(2), Move.UP, CostLedger())  # 6 decisions
+        with pytest.raises(CeilingExceeded, match="guard_chain ceiling 26 exceeded: 27"):
+            instrumented_apply(goal(2), Move.LEFT, CostLedger())
+
+    def test_illegal_move_ceiling_raises(self, monkeypatch):
+        monkeypatch.setattr(tilelab.cost, "ILLEGAL_MOVE_CEILING", 4)
+        corner = new_grid(2, [None, 1, 2, 3])  # U and L fall off the board
+        instrumented_apply(corner, Move.UP, CostLedger())
+        with pytest.raises(CeilingExceeded, match="illegal_move ceiling 4 exceeded: 5"):
+            instrumented_apply(corner, Move.LEFT, CostLedger())
+
+    def test_verify_budget_raises(self, monkeypatch, example_grid):
+        from tilelab import parse_moves
+        real = tilelab.cost.budget
+        monkeypatch.setattr(tilelab.cost, "budget",
+                            lambda kind, n, k: real(kind, n, 0))
+        with pytest.raises(CeilingExceeded, match="verify ceiling 17 exceeded: 86"):
+            instrumented_verify(example_grid, parse_moves("RDDRD"), CostLedger())
+
+    def test_checks_survive_optimize_flag(self):
+        code = ("import tilelab.cost as c\n"
+                "c.MOVE_DECISION_CEILINGS['offset'] = 3\n"
+                "try:\n"
+                "    c.instrumented_apply(c.goal(2), c.Move.LEFT, c.CostLedger())\n"
+                "except c.CeilingExceeded as exc:\n"
+                "    print(exc)\n")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "offset ceiling 3 exceeded: 4 decisions"
 
 
 class TestInstrumentedVerify:

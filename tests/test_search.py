@@ -11,18 +11,65 @@ from tilelab import (
     Unsolvable,
     apply_seq,
     budget,
+    candidate_rank,
     candidate_sequences,
     decode,
     encode,
     enumerate_reachable,
+    exhaust_sequences,
     format_moves,
     goal,
+    grids_equal,
+    instrumented_verify,
+    inverse_move,
     is_solvable,
+    legal_moves,
     new_grid,
     parse_moves,
+    reverse_seq,
     solve_optimal,
     verify_solution,
 )
+
+# the 31-move 3x3 grid  6 4 7 / 8 5 _ / 3 2 1
+DEEPEST3 = (6, 4, 7, 8, 5, 0, 3, 2, 1)
+
+
+def lex_first_optimal(g, table):
+    """Reference witness: from g, repeatedly take the first move in
+    U < D < R < L order that lowers the exact census depth."""
+    out = []
+    depth = table.depth_of(g)
+    while depth:
+        for m in legal_moves(g):
+            nxt = apply_seq(g, (m,))
+            if table.depth_of(nxt) == depth - 1:
+                out.append(m)
+                g, depth = nxt, depth - 1
+                break
+    return tuple(out)
+
+
+def exhaust_reference(g, k_max, ledger):
+    """Reference enumerator: replay every candidate from g in
+    candidate_sequences order, one compare decision each."""
+    target = goal(g.n)
+    ledger.add("compare", 1)
+    if grids_equal(g, target):
+        return ()
+    for cand in candidate_sequences(k_max):
+        ledger.add("compare", 1)
+        if grids_equal(apply_seq(g, cand, total=True), target):
+            instrumented_verify(g, cand, ledger)
+            return cand
+    raise NotFound
+
+
+def outcome(search, g, k_max, ledger):
+    try:
+        return search(g, k_max, ledger)
+    except NotFound:
+        return None
 
 
 class TestCensus:
@@ -104,6 +151,8 @@ class TestSolveOptimal:
             res = solve_optimal(g)
             assert res.psi == depth == len(res.seq)
             assert verify_solution(g, res.seq)
+            want = lex_first_optimal(g, table2)
+            assert res.seq == solve_optimal(g, algo="bfs").seq == want
 
     def test_goal_is_zero_moves(self):
         res = solve_optimal(goal(3))
@@ -130,6 +179,33 @@ class TestSolveOptimal:
     def test_unsolvable_raises(self):
         with pytest.raises(Unsolvable):
             solve_optimal(new_grid(2, [2, 1, 3, None]))
+
+    def test_depth_stratified_n3_gives_lex_first_witness(self, table3):
+        by_depth = {}
+        for code, depth in sorted(table3.states.items()):
+            by_depth.setdefault(depth, []).append(code)
+        assert len(by_depth[31]) == 2
+        rng = random.Random(31)
+        codes = list(by_depth[31])
+        for depth in range(31):
+            codes += rng.sample(by_depth[depth], min(2, len(by_depth[depth])))
+        for code in codes:
+            g = new_grid(3, decode(code, 3))
+            want = lex_first_optimal(g, table3)
+            res = solve_optimal(g)
+            assert (res.psi, res.seq) == (len(want), want)
+            if table3.states[code] <= 14:
+                assert solve_optimal(g, algo="bfs").seq == want
+
+    def test_expanded_counts_are_pinned(self, example_grid):
+        res = solve_optimal(new_grid(3, DEEPEST3))
+        assert res.psi == 31
+        assert format_moves(res.seq) == "ULDRDLULDRUURDDLULURRDLLURRDLDR"
+        assert res.expanded == 18212  # IDA* nodes; BFS expands 181 399 states
+        assert solve_optimal(example_grid, algo="ida").expanded == 5
+        witness = parse_moves("DLDLURDRRDLLLUUURRDRDDLUULULDDRRRD")
+        res = solve_optimal(apply_seq(goal(4), reverse_seq(witness)))
+        assert (res.seq, res.expanded) == (witness, 26894)
 
     def test_algo_validation(self, example_grid):
         with pytest.raises(ValueError):
@@ -179,6 +255,34 @@ class TestExhaust:
             seq = exhaust_sequences(g, depth, ledger)
             assert len(seq) == depth
             assert ledger.decisions <= budget("search", 2, depth).ceiling
+
+    def test_candidate_rank_is_position(self):
+        assert candidate_rank(()) == 0
+        for pos, cand in enumerate(candidate_sequences(5), start=1):
+            assert candidate_rank(cand) == pos
+        assert candidate_rank(parse_moves("RDDRD")) == 942
+
+    def test_matches_per_candidate_reference(self):
+        rng = random.Random(41)
+        outcomes = {"found": 0, "not_found": 0}
+        for n in (2, 3, 4):
+            starts = []
+            for walk in (0, 2, 4, 6, 8):
+                g, last = goal(n), None
+                for _ in range(walk):
+                    m = rng.choice([m for m in legal_moves(g) if m is not last])
+                    g, last = apply_seq(g, (m,)), inverse_move(m)
+                starts.append(g)
+            for g in starts:
+                for k_max in range(7):
+                    want_ledger, got_ledger = CostLedger(), CostLedger()
+                    want = outcome(exhaust_reference, g, k_max, want_ledger)
+                    got = outcome(exhaust_sequences, g, k_max, got_ledger)
+                    assert got == want
+                    assert got_ledger.snapshot() == want_ledger.snapshot()
+                    assert outcome(exhaust_sequences, g, k_max, None) == got
+                    outcomes["found" if got is not None else "not_found"] += 1
+        assert outcomes["found"] > 0 and outcomes["not_found"] > 0
 
     def test_returns_shortest_then_lex_first(self):
         # depth-1 state: both U...U paddings and the exact move exist; the
