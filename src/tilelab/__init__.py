@@ -17,7 +17,6 @@ from .grid import (
     Move,
     MOVES,
     MultipleBlanks,
-    TensorGrid,
     TileGrid,
     ValueOutOfRange,
     apply_move,
@@ -35,15 +34,13 @@ from .grid import (
     load_grid,
     move_target,
     new_grid,
-    new_tensor_grid,
     parse_grid_text,
     parse_moves,
     reverse_seq,
-    tensor_apply,
-    tensor_goal,
 )
 from .search import (
     DEFAULT_STATE_CAP,
+    EXHAUST_CANDIDATE_CAP,
     NotFound,
     ReachabilityTable,
     ResourceLimit,

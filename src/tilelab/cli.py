@@ -9,17 +9,12 @@ error.  Exit codes separate "the answer is no" from "could not answer":
        sequence found, no real roots, no factorization shape solved)
     2  usage error (bad flags, malformed input)
     3  resource limit hit
-
-TILELAB_THREADS, when set, must be an integer >= 1.  It caps the worker
-count; every current code path is single-worker, so its only observable
-effect is validation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .cost import CostLedger, budget, instrumented_apply, instrumented_verify
@@ -133,6 +128,8 @@ def _cmd_puzzle_solve(args) -> int:
         except NotFound:
             _emit({"found": False, "kmax": args.kmax}, args)
             return DOMAIN_NEGATIVE
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
         # candidates probed until the winner; the empty-sequence
         # pre-check is not a candidate and does not count
         doc = {
@@ -144,7 +141,7 @@ def _cmd_puzzle_solve(args) -> int:
         _emit(doc, args)
         return 0
     try:
-        res = solve_optimal(g, algo=args.algo)
+        res = solve_optimal(g)
     except Unsolvable as exc:
         _emit({"solvable": False, "reason": str(exc)}, args)
         return DOMAIN_NEGATIVE
@@ -181,8 +178,11 @@ def _cmd_puzzle_verify(args) -> int:
 
 
 def _cmd_puzzle_enumerate(args) -> int:
-    table = enumerate_reachable(args.n, depth_limit=args.depth_limit,
-                                max_states=args.state_cap)
+    try:
+        table = enumerate_reachable(args.n, depth_limit=args.depth_limit,
+                                    max_states=args.state_cap)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     doc = {
         "n": table.n,
         "count": table.count,
@@ -222,10 +222,15 @@ def _cmd_puzzle_cost(args) -> int:
 def _cmd_puzzle_exhaust(args) -> int:
     g = _load_grid_arg(args.infile)
     ledger = CostLedger()
-    cap = budget("search", g.n, args.kmax)
     try:
         seq = exhaust_sequences(g, args.kmax, ledger)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     except NotFound:
+        seq = None
+    # after the walk, whose cap keeps a huge --kmax out of 4^k arithmetic
+    cap = budget("search", g.n, args.kmax)
+    if seq is None:
         doc = {
             "found": False,
             "kmax": args.kmax,
@@ -327,7 +332,10 @@ def _cmd_roots_verify(args) -> int:
 
 
 def _cmd_roots_cases(args) -> int:
-    pats = enumerate_patterns(args.degree, args.mode, args.order)
+    try:
+        pats = enumerate_patterns(args.degree, args.mode, args.order)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     doc = {
         "degree": args.degree,
         "mode": args.mode,
@@ -428,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = pz.add_parser("solve", help="optimal solution for a grid")
     p_solve.add_argument("--in", dest="infile", required=True,
                          help="grid file (text or JSON); - for stdin")
-    p_solve.add_argument("--algo", choices=("auto", "bfs", "ida", "exhaust"),
+    p_solve.add_argument("--algo", choices=("auto", "exhaust"),
                          default="auto")
     p_solve.add_argument("--kmax", type=int, default=8,
                          help="sequence length cap for --algo exhaust (default 8)")
@@ -514,23 +522,10 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _validate_threads() -> None:
-    raw = os.environ.get("TILELAB_THREADS")
-    if raw is None:
-        return
-    try:
-        val = int(raw)
-    except ValueError:
-        raise _UsageError(f"TILELAB_THREADS must be an integer, got {raw!r}")
-    if val < 1:
-        raise _UsageError(f"TILELAB_THREADS must be >= 1, got {val}")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _validate_threads()
         return args.func(args)
     except _UsageError as exc:
         print(f"tilelab: error: {exc}", file=sys.stderr)

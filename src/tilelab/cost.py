@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .grid import BLANK, Move, TileGrid, goal, move_target
+from .grid import Move, TileGrid, _swap, goal, move_target
 
 PRIMITIVES = ("guard", "swap", "offset", "relocate", "reverse_offset", "compare")
 
@@ -113,9 +113,7 @@ def instrumented_apply(g: TileGrid, m: Move, ledger: CostLedger) -> TileGrid:
         raise _breach("swap_chain", ceil["swap_chain"], 2 + k + k * k)
     if spent > ceil["guard_chain"]:
         raise _breach("guard_chain", ceil["guard_chain"], spent)
-    lst = list(g.cells)
-    lst[g.blank_index], lst[j] = lst[j], lst[g.blank_index]
-    return TileGrid(g.n, tuple(lst), j)
+    return _swap(g, j)
 
 
 def instrumented_verify(g: TileGrid, seq: Iterable[Move], ledger: CostLedger) -> bool:

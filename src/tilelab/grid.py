@@ -252,8 +252,13 @@ def grid_to_json(g: TileGrid) -> dict:
 
 def grid_from_json(doc: dict | str) -> TileGrid:
     if isinstance(doc, str):
-        doc = json.loads(doc)
-    if not isinstance(doc, dict) or "n" not in doc or "cells" not in doc:
+        try:
+            doc = json.loads(doc)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError("grid JSON is nested too deeply") from None
+    # type() rather than isinstance(): a bool n is malformed, not 0 or 1
+    if (not isinstance(doc, dict) or type(doc.get("n")) is not int
+            or not isinstance(doc.get("cells"), list)):
         raise ValueError('grid JSON must be {"n": int, "cells": [...]}')
     return new_grid(doc["n"], doc["cells"])
 
@@ -264,76 +269,3 @@ def load_grid(text: str) -> TileGrid:
         return grid_from_json(text)
     return parse_grid_text(text)
 
-
-# ---------------------------------------------------------------------------
-# order-d generalization (d = 2 reduces to TileGrid semantics)
-
-@dataclass(frozen=True)
-class TensorGrid:
-    """Order-d cube of side n; cells are lexicographic with 0 for the blank."""
-
-    n: int
-    d: int
-    cells: tuple[int, ...]
-    blank_index: int
-
-    @property
-    def blank_pos(self) -> tuple[int, ...]:
-        """1-indexed coordinate tuple of the blank."""
-        idx = self.blank_index
-        coords = []
-        for _ in range(self.d):
-            idx, rem = divmod(idx, self.n)
-            coords.append(rem + 1)
-        return tuple(reversed(coords))
-
-
-def tensor_goal(n: int, d: int) -> TensorGrid:
-    if n < 2:
-        raise ValueError(f"side must be at least 2, got {n}")
-    if d < 2:
-        raise ValueError(f"order must be at least 2, got {d}")
-    size = n ** d
-    return TensorGrid(n, d, tuple(range(1, size)) + (BLANK,), size - 1)
-
-
-def new_tensor_grid(n: int, d: int, entries: Sequence[int | None]) -> TensorGrid:
-    size = n ** d
-    cells = tuple(BLANK if v is None else v for v in entries)
-    if len(cells) != size:
-        raise ValueError(f"expected {size} entries, got {len(cells)}")
-    blanks = [i for i, v in enumerate(cells) if v == BLANK]
-    if not blanks:
-        raise MissingBlank("grid has no blank cell")
-    if len(blanks) > 1:
-        raise MultipleBlanks(f"grid has {len(blanks)} blank cells")
-    seen = set()
-    for v in cells:
-        if not isinstance(v, int) or v < 0 or v >= size:
-            raise ValueOutOfRange(f"cell value {v!r} outside 1..{size - 1}")
-        if v != BLANK and v in seen:
-            raise DuplicateTile(f"tile {v} appears more than once")
-        seen.add(v)
-    return TensorGrid(n, d, cells, blanks[0])
-
-
-def tensor_apply(g: TensorGrid, axis: int, direction: int, total: bool = False) -> TensorGrid:
-    """Move the blank one step along `axis` (1-based); direction is +1 or -1.
-
-    On a 2-cube, axis 1 matches U/D and axis 2 matches R/L.
-    """
-    if not 1 <= axis <= g.d:
-        raise ValueError(f"axis must be in 1..{g.d}, got {axis}")
-    if direction not in (-1, 1):
-        raise ValueError(f"direction must be +1 or -1, got {direction}")
-    stride = g.n ** (g.d - axis)
-    coord = (g.blank_index // stride) % g.n
-    nc = coord + direction
-    if not 0 <= nc < g.n:
-        if total:
-            return g
-        raise IllegalMove(Move.UP if direction < 0 else Move.DOWN)
-    j = g.blank_index + direction * stride
-    lst = list(g.cells)
-    lst[g.blank_index], lst[j] = lst[j], lst[g.blank_index]
-    return TensorGrid(g.n, g.d, tuple(lst), j)

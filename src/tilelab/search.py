@@ -3,8 +3,7 @@
 enumerate_reachable runs breadth-first search outward from the goal and is
 the ground truth every closed-form claim is checked against.  solve_optimal
 returns a provably minimal solution by iterative-deepening A* with the
-Manhattan heuristic (BFS stays available on request for n <= 3); both
-return the length-then-lexicographic first optimal witness.
+Manhattan heuristic: the length-then-lexicographic first optimal witness.
 exhaust_sequences is the brute-force enumerator over raw move strings; it
 exists to be metered, so it compares every candidate, but it walks them as
 a tree and shares each prefix instead of replaying it.
@@ -20,6 +19,7 @@ from typing import Iterator
 from .grid import BLANK, MOVES, MoveSeq, TileGrid, goal
 
 DEFAULT_STATE_CAP = 2_000_000
+EXHAUST_CANDIDATE_CAP = 2 ** 24  # k_max <= 11; each further length costs ~4x
 
 
 class Unsolvable(Exception):
@@ -27,7 +27,7 @@ class Unsolvable(Exception):
 
 
 class ResourceLimit(Exception):
-    """A configured state or depth cap was exceeded."""
+    """A configured state, depth or candidate cap was exceeded."""
 
 
 class NotFound(Exception):
@@ -38,7 +38,7 @@ class NotFound(Exception):
 class SearchResult:
     psi: int            # minimal number of moves
     seq: MoveSeq        # one optimal witness
-    expanded: int       # states (BFS) or nodes (IDA*) expanded while searching
+    expanded: int       # IDA* nodes expanded while searching
 
 
 @dataclass
@@ -165,45 +165,6 @@ def _manhattan_table(n: int) -> list[list[int]]:
     return table
 
 
-def _solve_bfs(g: TileGrid) -> SearchResult:
-    n = g.n
-    b = _bits(n)
-    nbrs = _neighbor_indices(n)
-    move_of = {}  # packed state -> (parent code, parent blank, move letter index)
-    code0 = encode(g.cells, n)
-    target = encode(goal(n).cells, n)
-    if code0 == target:
-        return SearchResult(0, (), 0)
-    seen = {code0}
-    frontier = deque([(code0, g.blank_index)])
-    expanded = 0
-    while frontier:
-        code, bi = frontier.popleft()
-        expanded += 1
-        r, c = divmod(bi, n)
-        for m in MOVES:
-            nr, nc = r + m.dr, c + m.dc
-            if not (0 <= nr < n and 0 <= nc < n):
-                continue
-            j = nr * n + nc
-            v = (code >> (b * j)) & ((1 << b) - 1)
-            nxt = code - (v << (b * j)) + (v << (b * bi))
-            if nxt in seen:
-                continue
-            seen.add(nxt)
-            move_of[nxt] = (code, bi, m)
-            if nxt == target:
-                seq = []
-                cur = nxt
-                while cur != code0:
-                    cur, _, mv = move_of[cur]
-                    seq.append(mv)
-                seq.reverse()
-                return SearchResult(len(seq), tuple(seq), expanded)
-            frontier.append((nxt, j))
-    raise Unsolvable("goal not reachable from this grid")
-
-
 _FOUND = -1  # _solve_ida's dfs reached the goal
 _NO_CHILD = 1 << 62  # best f before any child is seen; larger than any f
 
@@ -272,23 +233,18 @@ def _solve_ida(g: TileGrid) -> SearchResult:
         bound = t
 
 
-def solve_optimal(g: TileGrid, algo: str = "auto") -> SearchResult:
-    """Minimal solution from g; raises Unsolvable off the goal's component.
+def solve_optimal(g: TileGrid) -> SearchResult:
+    """Minimal solution from g by IDA* with the Manhattan heuristic; raises
+    Unsolvable off the goal's component and ValueError for n > 4.
 
-    "auto" and "ida" run IDA* with the Manhattan heuristic; "bfs" forces
-    breadth-first search (n <= 3).  Both return the same witness, the first
-    optimal sequence in length-then-lexicographic (U < D < R < L) order, and
-    differ only in `expanded`: BFS counts states, IDA* counts nodes.
+    The witness is the first optimal sequence in length-then-lexicographic
+    (U < D < R < L) order; `expanded` counts IDA* nodes.
     """
-    if algo not in ("auto", "bfs", "ida"):
-        raise ValueError(f'algo must be "auto", "bfs" or "ida", got {algo!r}')
     if g.n > 4:
         raise ValueError("optimal solving is supported for n <= 4")
     if not is_solvable(g):
         raise Unsolvable("parity test failed: grid is outside the goal's component")
-    if algo == "bfs" and g.n >= 4:
-        raise ValueError("BFS is capped at n <= 3; use ida for n = 4")
-    return _solve_bfs(g) if algo == "bfs" else _solve_ida(g)
+    return _solve_ida(g)
 
 
 def candidate_sequences(k_max: int) -> Iterator[MoveSeq]:
@@ -315,7 +271,9 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
     """First sequence (length-then-lex, U < D < R < L) whose total-mode
     application reaches goal; the empty sequence is checked first.
 
-    Theta(4^k) probes; raises NotFound when no candidate works.  Each length
+    Theta(4^k) probes; raises NotFound when no candidate works, and
+    ResourceLimit before the walk when there are more than
+    EXHAUST_CANDIDATE_CAP candidates of length 1..k_max.  Each length
     is one depth-first walk of the candidate tree: a move is applied to a
     mutable cell list on the way down and undone on the way back, so every
     candidate is compared against the goal without replaying its prefix.
@@ -325,6 +283,12 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    candidates = 0
+    for length in range(1, k_max + 1):  # stops early, so a huge k_max is cheap
+        candidates += 4 ** length
+        if candidates > EXHAUST_CANDIDATE_CAP:
+            raise ResourceLimit(f"k_max {k_max} gives more than "
+                                f"{EXHAUST_CANDIDATE_CAP} candidate sequences")
     targets = _move_targets(g.n)
     cells = list(g.cells)
     goal_cells = list(goal(g.n).cells)
@@ -358,7 +322,7 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
         # the walk stops at the first hit in length-lex order, so it has
         # compared candidate_rank(seq) candidates, or all of them, plus
         # the empty sequence
-        probed = candidate_rank(seq) if found else (4 ** (k_max + 1) - 4) // 3
+        probed = candidate_rank(seq) if found else candidates
         ledger.add("compare", 1 + probed)
         if found and seq:
             from .cost import instrumented_verify

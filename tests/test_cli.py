@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,11 +15,9 @@ CORPUS = "# norm-check corpus\n1,1\n1,1\n\n0,0,1\npi,1,1\n"
 
 
 def run(*argv, stdin=None):
-    env = dict(os.environ)
-    env.pop("TILELAB_THREADS", None)
     proc = subprocess.run(
         [sys.executable, "-m", "tilelab.cli", *argv],
-        input=stdin, capture_output=True, text=True, env=env, timeout=120)
+        input=stdin, capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -340,23 +337,33 @@ class TestOutputPlumbing:
         assert lines["psi"] == "5"
         assert lines["seq"] == '"RDDRD"'
 
-    def test_threads_env_validation(self, grid_file):
-        env = dict(os.environ, TILELAB_THREADS="abc")
-        proc = subprocess.run(
-            [sys.executable, "-m", "tilelab.cli", "puzzle", "solve",
-             "--in", grid_file],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        env["TILELAB_THREADS"] = "0"
-        proc = subprocess.run(
-            [sys.executable, "-m", "tilelab.cli", "puzzle", "solve",
-             "--in", grid_file],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 2
-        env["TILELAB_THREADS"] = "4"
-        proc = subprocess.run(
-            [sys.executable, "-m", "tilelab.cli", "puzzle", "solve",
-             "--in", grid_file],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0
+
+@pytest.mark.parametrize("argv, stdin, code, stderr_line", [
+    # malformed grid JSON
+    (("puzzle", "solve", "--in", "-"),
+     '{"n": "3", "cells": [1, 2, 3, 4, 5, 6, 7, 8, null]}', 2, "tilelab: error:"),
+    (("puzzle", "solve", "--in", "-"), '{"n": null, "cells": []}', 2, "tilelab: error:"),
+    (("puzzle", "solve", "--in", "-"), '{"n": 2, "cells": 5}', 2, "tilelab: error:"),
+    # out-of-range numeric flags
+    (("puzzle", "exhaust", "--in", "-", "--kmax", "-1"), EXAMPLE_GRID, 2, "tilelab: error:"),
+    (("puzzle", "solve", "--in", "-", "--algo", "exhaust", "--kmax", "-1"),
+     EXAMPLE_GRID, 2, "tilelab: error:"),
+    (("puzzle", "enumerate", "--n", "1"), None, 2, "tilelab: error:"),
+    (("puzzle", "enumerate", "--n", "4"), None, 2, "tilelab: error:"),
+    (("roots", "cases", "--degree", "0"), None, 2, "tilelab: error:"),
+    # the exhaust candidate cap
+    (("puzzle", "exhaust", "--in", "-", "--kmax", "12"), EXAMPLE_GRID, 3,
+     "tilelab: resource limit:"),
+    # IDA* is the only optimal solver
+    (("puzzle", "solve", "--in", "-", "--algo", "bfs"), EXAMPLE_GRID, 2,
+     "tilelab puzzle solve: error:"),
+    (("puzzle", "solve", "--in", "-", "--algo", "ida"), EXAMPLE_GRID, 2,
+     "tilelab puzzle solve: error:"),
+], ids=["json-n-text", "json-n-null", "json-cells-int", "exhaust-kmax-negative",
+        "solve-kmax-negative", "enumerate-n1", "enumerate-n4-unlimited", "cases-degree0",
+        "exhaust-kmax-over-cap", "algo-bfs", "algo-ida"])
+def test_rejected_input_gives_exit_code_and_one_error_line(argv, stdin, code, stderr_line):
+    got, out, err = run(*argv, stdin=stdin)
+    assert (got, out) == (code, "")
+    assert "Traceback" not in err
+    assert sum(ln.startswith(stderr_line) for ln in err.splitlines()) == 1

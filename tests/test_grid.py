@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tilelab import (
     BLANK,
@@ -29,12 +29,9 @@ from tilelab import (
     load_grid,
     move_target,
     new_grid,
-    new_tensor_grid,
     parse_grid_text,
     parse_moves,
     reverse_seq,
-    tensor_apply,
-    tensor_goal,
 )
 
 
@@ -216,55 +213,41 @@ class TestSerialization:
             load_grid(json.dumps(grid_to_json(example_grid))), example_grid)
 
 
-class TestTensorGrid:
-    def test_goal_blank_position(self):
-        g = tensor_goal(2, 3)
-        assert g.cells == (1, 2, 3, 4, 5, 6, 7, BLANK)
-        assert g.blank_pos == (2, 2, 2)
 
-    def test_validation_mirrors_square_grid(self):
-        with pytest.raises(MissingBlank):
-            new_tensor_grid(2, 2, [1, 2, 3, 3])
-        with pytest.raises(ValueOutOfRange):
-            new_tensor_grid(2, 2, [1, 2, 9, None])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats() | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+CELLS = st.lists(st.none() | st.booleans() | st.integers(-1, 16), max_size=17)
 
-    def test_d2_matches_tile_grid(self):
-        # axis 1 with direction -1/+1 is U/D; axis 2 is L/R
-        pairs = [((1, -1), Move.UP), ((1, 1), Move.DOWN),
-                 ((2, 1), Move.RIGHT), ((2, -1), Move.LEFT)]
-        rng = random.Random(11)
-        for _ in range(50):
-            flat = random_grid(3, rng)
-            cube = new_tensor_grid(3, 2, flat.cells)
-            for (axis, direction), move in pairs:
-                j = move_target(flat, move)
-                if j is None:
-                    with pytest.raises(IllegalMove):
-                        tensor_apply(cube, axis, direction)
-                    assert tensor_apply(cube, axis, direction, total=True) is cube
-                else:
-                    stepped = tensor_apply(cube, axis, direction)
-                    assert stepped.cells == apply_move(flat, move).cells
 
-    def test_d3_axis_strides(self):
-        g = tensor_goal(2, 3)  # blank at flat index 7 = (2, 2, 2)
-        assert tensor_apply(g, 1, -1).blank_index == 3
-        assert tensor_apply(g, 2, -1).blank_index == 5
-        assert tensor_apply(g, 3, -1).blank_index == 6
+def raises_only_value_error(parse, text):
+    try:
+        parse(text)
+    except ValueError:  # GridError subclasses it
+        pass
 
-    def test_d3_round_trip(self):
-        g = tensor_goal(3, 3)
-        walked = g
-        path = [(1, -1), (2, -1), (3, -1), (1, 1)]
-        for axis, direction in path:
-            walked = tensor_apply(walked, axis, direction)
-        for axis, direction in reversed(path):
-            walked = tensor_apply(walked, axis, -direction)
-        assert walked.cells == g.cells
 
-    def test_invalid_axis_and_direction(self):
-        g = tensor_goal(2, 2)
-        with pytest.raises(ValueError):
-            tensor_apply(g, 0, 1)
-        with pytest.raises(ValueError):
-            tensor_apply(g, 1, 2)
+class TestMalformedInput:
+    """Parsers of outside input reject it with ValueError and nothing else."""
+
+    @given(st.text() | st.text().map(lambda s: "{" + s))
+    @example('{"n": ' + "[" * 100_000)
+    def test_load_grid_text(self, text):
+        raises_only_value_error(load_grid, text)
+
+    @given(n=st.integers(-2, 5) | JSON_VALUES, cells=CELLS | JSON_VALUES)
+    @example(n="3", cells=[1, 2, 3, 4, 5, 6, 7, 8, None])
+    @example(n=None, cells=[])
+    @example(n=2, cells=5)
+    def test_load_grid_json(self, n, cells):
+        raises_only_value_error(load_grid, json.dumps({"n": n, "cells": cells}))
+
+    def test_bool_side_is_rejected(self):
+        with pytest.raises(ValueError, match="grid JSON must be"):
+            grid_from_json({"n": True, "cells": [1, None]})
+
+    @given(st.text())
+    def test_parse_moves(self, text):
+        raises_only_value_error(parse_moves, text)

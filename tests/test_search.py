@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 
 from tilelab import (
+    EXHAUST_CANDIDATE_CAP,
     CostLedger,
     Move,
     NotFound,
@@ -152,7 +153,7 @@ class TestSolveOptimal:
             assert res.psi == depth == len(res.seq)
             assert verify_solution(g, res.seq)
             want = lex_first_optimal(g, table2)
-            assert res.seq == solve_optimal(g, algo="bfs").seq == want
+            assert res.seq == want
 
     def test_goal_is_zero_moves(self):
         res = solve_optimal(goal(3))
@@ -169,10 +170,10 @@ class TestSolveOptimal:
         codes = rng.sample(sorted(table3.states), 12)
         for code in codes:
             g = new_grid(3, decode(code, 3))
-            assert solve_optimal(g, algo="ida").psi == table3.states[code]
+            assert solve_optimal(g).psi == table3.states[code]
 
     def test_ida_on_n4(self, example_grid):
-        res = solve_optimal(example_grid, algo="ida")
+        res = solve_optimal(example_grid)
         assert res.psi == 5
         assert verify_solution(example_grid, res.seq)
 
@@ -194,24 +195,20 @@ class TestSolveOptimal:
             want = lex_first_optimal(g, table3)
             res = solve_optimal(g)
             assert (res.psi, res.seq) == (len(want), want)
-            if table3.states[code] <= 14:
-                assert solve_optimal(g, algo="bfs").seq == want
 
     def test_expanded_counts_are_pinned(self, example_grid):
         res = solve_optimal(new_grid(3, DEEPEST3))
         assert res.psi == 31
         assert format_moves(res.seq) == "ULDRDLULDRUURDDLULURRDLLURRDLDR"
-        assert res.expanded == 18212  # IDA* nodes; BFS expands 181 399 states
-        assert solve_optimal(example_grid, algo="ida").expanded == 5
+        assert res.expanded == 18212
+        assert solve_optimal(example_grid).expanded == 5
         witness = parse_moves("DLDLURDRRDLLLUUURRDRDDLUULULDDRRRD")
         res = solve_optimal(apply_seq(goal(4), reverse_seq(witness)))
         assert (res.seq, res.expanded) == (witness, 26894)
 
     def test_algo_validation(self, example_grid):
-        with pytest.raises(ValueError):
-            solve_optimal(goal(2), algo="dfs")
-        with pytest.raises(ValueError):
-            solve_optimal(example_grid, algo="bfs")
+        with pytest.raises(TypeError):  # IDA* is the only solver
+            solve_optimal(example_grid, "bfs")
         with pytest.raises(ValueError):
             solve_optimal(goal(5))
 
@@ -246,6 +243,16 @@ class TestExhaust:
         from tilelab import exhaust_sequences
         with pytest.raises(ValueError):
             exhaust_sequences(goal(2), -1)
+
+    def test_candidate_cap(self):
+        # (4^(k+1) - 4) / 3 candidates of length 1..k: k_max 11 fits, 12 does not
+        assert (4 ** 12 - 4) // 3 <= EXHAUST_CANDIDATE_CAP < (4 ** 13 - 4) // 3
+        assert exhaust_sequences(goal(2), 11) == ()
+        ledger = CostLedger()
+        for k_max in (12, 10 ** 9):
+            with pytest.raises(ResourceLimit):
+                exhaust_sequences(goal(2), k_max, ledger)
+        assert ledger.decisions == 0  # raised before the walk
 
     def test_ledgered_run_stays_inside_budget(self, table2):
         from tilelab import exhaust_sequences
