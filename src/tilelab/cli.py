@@ -83,6 +83,8 @@ def _load_poly_arg(args) -> Poly:
         return parse_poly_text(text)
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot load polynomial from {path}: {exc}") from exc
+    except RecursionError:  # the JSON decoder recurses once per nesting level
+        raise _UsageError(f"cannot load polynomial from {path}: JSON is nested too deeply") from None
 
 
 def _parse_seq(text: str):

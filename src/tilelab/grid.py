@@ -114,7 +114,8 @@ def new_grid(n: int, entries: Sequence[int | None]) -> TileGrid:
     if len(blanks) > 1:
         raise MultipleBlanks(f"grid has {len(blanks)} blank cells")
     for v in cells:
-        if not isinstance(v, int) or v < 0 or v >= n * n:
+        # a bool is an int to isinstance(), but never a tile or the blank
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0 or v >= n * n:
             raise ValueOutOfRange(f"cell value {v!r} outside 1..{n * n - 1}")
     seen = set()
     for v in cells:

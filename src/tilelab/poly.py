@@ -15,8 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .search import ResourceLimit
+
 RATIONAL = "rational"
 COMPLEX = "complex"
+# largest exact coefficient the parser builds, in bits of numerator plus
+# denominator: far past any float's range, yet cheap for the chain and Horner
+# arithmetic.  Powers are judged before they are computed.
+EXACT_BITS_CAP = 2 ** 16
 
 
 class KindMismatch(TypeError):
@@ -313,13 +319,30 @@ def _parse_atom(tok: str):
         return math.pi ** int(m.group(1))
     m = re.match(r"^(\d+(\.\d+)?)\^(\d+)$", tok)
     if m:
-        base = Fraction(m.group(1)) if "." not in m.group(1) else float(m.group(1))
-        return base ** int(m.group(3))
+        exponent = int(m.group(3))
+        if "." in m.group(1):
+            return float(m.group(1)) ** exponent
+        base = int(m.group(1))
+        # base < 2^bits, so the power needs at most exponent * bits bits
+        if exponent * base.bit_length() > EXACT_BITS_CAP:
+            raise ResourceLimit(f"{tok!r} exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients")
+        return Fraction(base ** exponent)
     raise ValueError(f"bad coefficient factor {tok!r}")
 
 
+def _capped(text: str, x):
+    """x itself, or ResourceLimit when x is exact and over EXACT_BITS_CAP bits."""
+    if isinstance(x, Fraction) and x.numerator.bit_length() + x.denominator.bit_length() > EXACT_BITS_CAP:
+        raise ResourceLimit(f"{text!r} exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients")
+    return x
+
+
 def parse_scalar(text: str):
-    """One coefficient: products/quotients of numbers and pi powers."""
+    """One coefficient: products/quotients of numbers and pi powers.
+
+    Raises ValueError on malformed text, a zero divisor or a float overflow,
+    and ResourceLimit on an exact power or product over EXACT_BITS_CAP bits.
+    """
     s = text.strip().replace(" ", "")
     if not s:
         raise ValueError("empty coefficient")
@@ -331,12 +354,15 @@ def parse_scalar(text: str):
     if not s:
         raise ValueError(f"bad coefficient {text!r}")
     value = None
-    for part in s.split("*"):
-        pieces = part.split("/")
-        v = _parse_atom(pieces[0])
-        for den in pieces[1:]:
-            v = v / _parse_atom(den)
-        value = v if value is None else value * v
+    try:
+        for part in s.split("*"):
+            pieces = part.split("/")
+            v = _parse_atom(pieces[0])
+            for den in pieces[1:]:
+                v = _capped(text, v / _parse_atom(den))
+            value = v if value is None else _capped(text, value * v)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"coefficient {text!r} has no finite value: {exc}") from None
     if isinstance(value, Fraction):
         return sign * value
     return sign * float(value)
@@ -349,8 +375,12 @@ def parse_poly_text(text: str) -> Poly:
     if not parts or not text.strip():
         raise ValueError("empty polynomial text")
     values = [parse_scalar(p) for p in parts]
-    exact = all(isinstance(v, Fraction) for v in values)
-    return poly(values, RATIONAL if exact else COMPLEX)
+    if all(isinstance(v, Fraction) for v in values):
+        return poly(values, RATIONAL)
+    try:
+        return poly(values, COMPLEX)
+    except OverflowError as exc:  # an exact coefficient beyond the float range
+        raise ValueError(f"coefficient too large for a float polynomial: {exc}") from None
 
 
 def format_poly_text(p: Poly) -> str:
@@ -373,11 +403,14 @@ def poly_to_json(p: Poly) -> dict:
 
 
 def poly_from_json(doc: dict) -> Poly:
-    if not isinstance(doc, dict) or "coeffs" not in doc or "kind" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("coeffs"), list) or "kind" not in doc:
         raise ValueError('polynomial JSON must be {"coeffs": [...], "kind": ...}')
     kind = doc["kind"]
     if kind == RATIONAL:
-        return poly([Fraction(c) for c in doc["coeffs"]], RATIONAL)
+        try:
+            return poly([Fraction(c) for c in doc["coeffs"]], RATIONAL)
+        except TypeError as exc:  # a list or object where a coefficient belongs
+            raise ValueError(f"bad rational coefficient: {exc}") from None
     if kind == COMPLEX:
         return poly([complex(str(c).replace(" ", "")) for c in doc["coeffs"]], COMPLEX)
     raise ValueError(f"unknown coefficient kind {kind!r}")

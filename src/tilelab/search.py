@@ -11,7 +11,6 @@ a tree and shares each prefix instead of replaying it.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
@@ -27,7 +26,8 @@ class Unsolvable(Exception):
 
 
 class ResourceLimit(Exception):
-    """A configured state, depth or candidate cap was exceeded."""
+    """A configured cap was exceeded: states, depth, exhaust candidates or the
+    size of an exact coefficient (poly.EXACT_BITS_CAP)."""
 
 
 class NotFound(Exception):
@@ -97,38 +97,43 @@ def enumerate_reachable(n: int, depth_limit: int | None = None,
                         max_states: int = DEFAULT_STATE_CAP) -> ReachabilityTable:
     """BFS from goal(n) over legal moves; exact depths for every reachable state.
 
-    Full enumeration is desk-scale for n in {2, 3}; larger n requires a
-    depth_limit.  Raises ResourceLimit when max_states is exceeded.
+    The search runs level by level: every state of depth d is expanded, in
+    the order it was discovered, before any state of depth d + 1, so states
+    maps each packed state to its depth in discovery order and the depth
+    histogram is the size of each level.  Full enumeration is desk-scale for
+    n in {2, 3}; larger n requires a depth_limit.  Raises ResourceLimit when
+    max_states is exceeded.
     """
     if n >= 4 and depth_limit is None:
         raise ValueError("full enumeration beyond n = 3 needs an explicit depth_limit")
     b = _bits(n)
-    nbrs = _neighbor_indices(n)
+    mask = (1 << b) - 1
+    # moves[i] = (target, target shift, blank shift) for each move of the blank at i
+    moves = [[(j, b * j, b * i) for j in row] for i, row in enumerate(_neighbor_indices(n))]
     start = goal(n)
     code0 = encode(start.cells, n)
     depths = {code0: 0}
-    frontier: deque[tuple[int, int]] = deque([(code0, start.blank_index)])
-    diameter = 0
+    level = [(code0, start.blank_index)]
     hist = [1]
-    while frontier:
-        code, bi = frontier.popleft()
-        d = depths[code]
-        if depth_limit is not None and d >= depth_limit:
-            continue
-        for j in nbrs[bi]:
-            v = (code >> (b * j)) & ((1 << b) - 1)
-            nxt = code - (v << (b * j)) + (v << (b * bi))  # blank contributes 0
-            if nxt not in depths:
-                if len(depths) >= max_states:
-                    raise ResourceLimit(f"state cap {max_states} exceeded at depth {d + 1}")
-                depths[nxt] = d + 1
-                if d + 1 > diameter:
-                    diameter = d + 1
-                    hist.append(0)
-                hist[d + 1] += 1
-                frontier.append((nxt, j))
+    d = 0
+    while depth_limit is None or d < depth_limit:
+        d += 1
+        nxt_level = []
+        for code, bi in level:
+            for j, sj, sb in moves[bi]:
+                v = (code >> sj) & mask
+                nxt = code - (v << sj) + (v << sb)  # blank contributes 0
+                if nxt not in depths:
+                    if len(depths) >= max_states:
+                        raise ResourceLimit(f"state cap {max_states} exceeded at depth {d}")
+                    depths[nxt] = d
+                    nxt_level.append((nxt, j))
+        if not nxt_level:
+            break
+        hist.append(len(nxt_level))
+        level = nxt_level
     return ReachabilityTable(n=n, states=depths, count=len(depths),
-                             diameter=diameter, depth_histogram=hist)
+                             diameter=len(hist) - 1, depth_histogram=hist)
 
 
 def is_solvable(g: TileGrid) -> bool:

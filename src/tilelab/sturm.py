@@ -2,17 +2,30 @@
 
 This module deliberately shares no machinery with the Vieta-system solver
 beyond the Poly container; it is the second route in every dual-route root
-check.  Rational-kind input runs the whole chain in exact arithmetic.
-Counting uses half-open intervals (a, b], so every root lands in exactly
-one side of a split; multiple roots collapse the chain at gcd(p, p') and
-are still counted once, which is what makes the count "distinct roots".
+check.  Rational-kind input runs the whole chain in exact arithmetic: the
+chain is built in Fractions, each element is scaled by the lcm of its
+denominators to integer coefficients, and signs at a rational point p/q are
+read off homogeneous Horner sums in integers alone.  Counting uses
+half-open intervals (a, b], so every root lands in exactly one side of a
+split; multiple roots collapse the chain at gcd(p, p') and are still
+counted once, which is what makes the count "distinct roots".
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from .poly import COMPLEX, RATIONAL, Poly, RootSet, eval_horner, max_norm, multiplicity
+from .poly import (
+    COMPLEX,
+    RATIONAL,
+    NotARoot,
+    Poly,
+    RootSet,
+    eval_horner,
+    max_norm,
+    multiplicity,
+)
 
 BISECT_WIDTH = 1e-12
 
@@ -102,6 +115,51 @@ def _variations(chain: list[list], x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _integer_chain(chain: list[list]) -> list[list[int]]:
+    """Each exact chain element times the lcm of its denominators.
+
+    The scale is positive, so every sign the chain takes is kept.
+    """
+    out = []
+    for coeffs in chain:
+        den = math.lcm(*(c.denominator for c in coeffs))
+        out.append([c.numerator * (den // c.denominator) for c in coeffs])
+    return out
+
+
+def _q_powers(q: int, d: int) -> list[int]:
+    out = [1]
+    for _ in range(d):
+        out.append(out[-1] * q)
+    return out
+
+
+def _int_eval(coeffs: list[int], p: int, q_pow: list[int]) -> int:
+    """q^d * P(p/q) for d = len(coeffs) - 1: the sign of P(p/q), as q > 0."""
+    acc = 0
+    for c, qk in zip(reversed(coeffs), q_pow):
+        acc = acc * p + c * qk
+    return acc
+
+
+def _int_variations(chain: list[list[int]], p: int, q: int) -> int:
+    """_variations for an integer chain at p/q (q > 0), without Fractions.
+
+    q = 0 with p = +-1 gives the count at +-infinity: there each
+    element's homogeneous value is its leading coefficient times p^d.
+    """
+    q_pow = _q_powers(q, len(chain[0]) - 1)
+    changes = 0
+    last = 0
+    for coeffs in chain:
+        v = _int_eval(coeffs, p, q_pow)
+        if v:
+            if last and (v > 0) != (last > 0):
+                changes += 1
+            last = v
+    return changes
+
+
 def _degenerate_at(chain: list[list], x, exact: bool) -> bool:
     """True when x sits on a root of p itself.
 
@@ -110,9 +168,9 @@ def _degenerate_at(chain: list[list], x, exact: bool) -> bool:
     simple-root hit makes the endpoint count ambiguous.  Counting points
     must dodge these.
     """
-    v = _eval(chain[0], x)
     if exact:
-        return v == 0
+        return _int_eval(chain[0], x.numerator, _q_powers(x.denominator, len(chain[0]) - 1)) == 0
+    v = _eval(chain[0], x)
     ax = max(1.0, abs(float(x)))
     scale = 0.0
     for c in reversed(chain[0]):
@@ -141,7 +199,18 @@ def count_real_roots_in(p: Poly, lo, hi) -> int:
     if len(coeffs) <= 1:
         return 0
     chain = _sturm_chain(coeffs, exact)
+    if exact:
+        chain = _integer_chain(chain)
+        return _int_variations(chain, *_homogeneous(lo)) - _int_variations(chain, *_homogeneous(hi))
     return _variations(chain, lo) - _variations(chain, hi)
+
+
+def _homogeneous(x) -> tuple[int, int]:
+    """(p, q) with x = p/q exactly; an infinite x is (+-1, 0)."""
+    if x in (math.inf, -math.inf):
+        return (1 if x > 0 else -1), 0
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def root_bound(p: Poly) -> float:
@@ -164,6 +233,12 @@ def oracle_real_roots(p: Poly, refine_width: float = BISECT_WIDTH) -> RootSet:
     if len(coeffs) <= 1:
         return RootSet((), 0)
     chain = _sturm_chain(coeffs, exact)
+    variations = _variations
+    if exact:
+        chain = _integer_chain(chain)
+
+        def variations(chain, x):
+            return _int_variations(chain, x.numerator, x.denominator)
 
     bound = root_bound(p)
     if exact:
@@ -172,34 +247,34 @@ def oracle_real_roots(p: Poly, refine_width: float = BISECT_WIDTH) -> RootSet:
     else:
         lo, hi = -bound - 1.0, bound + 1.0
 
-    def count(a, b) -> int:
-        return _variations(chain, a) - _variations(chain, b)
-
-    total = count(lo, hi)
+    # each entry carries the variation counts at its ends, so every point's
+    # count is computed once; (a, b] holds v_a - v_b distinct roots
     intervals: list[tuple] = []
-    stack = [(lo, hi, total)]
+    stack = [(lo, hi, variations(chain, lo), variations(chain, hi))]
     while stack:
-        a, b, k = stack.pop()
+        a, b, va, vb = stack.pop()
+        k = va - vb
         if k <= 0:
             continue
         # below float resolution a claimed multi-root cluster is one root
         if k == 1 or float(b - a) < 1e-10 * max(1.0, abs(float(a)), abs(float(b))):
-            intervals.append((a, b))
+            intervals.append((a, b, va))
             continue
         mid = _split_point(chain, a, b, exact)
-        left = count(a, mid)
-        stack.append((a, mid, left))
-        stack.append((mid, b, k - left))
-    intervals.sort(key=lambda ab: float(ab[0]))
+        vm = variations(chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
+    intervals.sort(key=lambda iv: float(iv[0]))
 
     centers = []
-    for a, b in intervals:
+    for a, b, va in intervals:
         while float(b - a) > refine_width:
             mid = _split_point(chain, a, b, exact)
-            if count(a, mid) >= 1:
+            vm = variations(chain, mid)
+            if va - vm >= 1:
                 b = mid
             else:
-                a = mid
+                a, va = mid, vm
         centers.append(float((a + b) / 2))
 
     work = p if p.kind == COMPLEX else Poly(tuple(map(complex, p.coeffs)), COMPLEX)
@@ -219,7 +294,7 @@ def oracle_real_roots(p: Poly, refine_width: float = BISECT_WIDTH) -> RootSet:
             r, mult = _refine_float_root(work, r, max_shift)
             try:
                 mult = multiplicity(work, r, tol=1e-6)  # deflation at the polished point
-            except Exception:
+            except NotARoot:
                 pass  # isolation proved a root is here; keep the scan's answer
             residual = abs(eval_horner(work, r))
         roots.append((r, mult, residual))

@@ -359,9 +359,21 @@ class TestOutputPlumbing:
      "tilelab puzzle solve: error:"),
     (("puzzle", "solve", "--in", "-", "--algo", "ida"), EXAMPLE_GRID, 2,
      "tilelab puzzle solve: error:"),
+    # a bool is not a tile
+    (("puzzle", "solve", "--in", "-"), '{"n": 2, "cells": [true, 2, 3, false]}', 2,
+     "tilelab: error:"),
+    # the cap on exact powers, and float powers that overflow
+    (("roots", "verify", "--poly=9^999999999,1", "--root", "1"), None, 3,
+     "tilelab: resource limit:"),
+    (("roots", "verify", "--poly=pi^999999,1", "--root", "1"), None, 2, "tilelab: error:"),
+    (("roots", "verify", "--poly=2.5^99999,1", "--root", "1"), None, 2, "tilelab: error:"),
+    # polynomial JSON nested deeper than the decoder's recursion limit
+    (("roots", "find", "--in", "-"), '{"coeffs": ' + "[" * 100_000, 2, "tilelab: error:"),
 ], ids=["json-n-text", "json-n-null", "json-cells-int", "exhaust-kmax-negative",
         "solve-kmax-negative", "enumerate-n1", "enumerate-n4-unlimited", "cases-degree0",
-        "exhaust-kmax-over-cap", "algo-bfs", "algo-ida"])
+        "exhaust-kmax-over-cap", "algo-bfs", "algo-ida", "json-cells-bool",
+        "poly-power-over-cap", "poly-pi-power-overflow", "poly-float-power-overflow",
+        "poly-json-deep"])
 def test_rejected_input_gives_exit_code_and_one_error_line(argv, stdin, code, stderr_line):
     got, out, err = run(*argv, stdin=stdin)
     assert (got, out) == (code, "")

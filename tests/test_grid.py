@@ -75,6 +75,8 @@ class TestConstruction:
             new_grid(2, [1, 2, 4, None])
         with pytest.raises(ValueOutOfRange):
             new_grid(2, [1, 2, -1, None])
+        with pytest.raises(ValueOutOfRange):  # True == 1 and False == 0, but neither is a cell
+            new_grid(2, [True, 2, 3, False])
 
     def test_duplicate_tile(self):
         with pytest.raises(DuplicateTile):

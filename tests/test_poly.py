@@ -2,14 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from tilelab import (
     COMPLEX,
+    EXACT_BITS_CAP,
     KindMismatch,
     NotARoot,
     Poly,
     RATIONAL,
+    ResourceLimit,
     RootSet,
     add,
     complex_poly,
@@ -275,6 +277,51 @@ class TestSerialization:
             poly_from_json({"coeffs": ["1"]})
         with pytest.raises(ValueError):
             poly_from_json({"coeffs": ["1"], "kind": "decimal"})
+        with pytest.raises(ValueError):
+            poly_from_json({"coeffs": 5, "kind": "rational"})
+        with pytest.raises(ValueError):
+            poly_from_json({"coeffs": [[1]], "kind": "rational"})
+
+    def test_exact_size_cap(self):
+        assert parse_scalar("2^32768") == 2 ** 32768  # 2 bits a factor: at the cap
+        for big in ("9^999999999", "2^32769", "9^10000*9^10000*9^10000", "1/3^30000/3^30000"):
+            with pytest.raises(ResourceLimit, match=f"{EXACT_BITS_CAP}-bit cap"):
+                parse_scalar(big)
+
+    def test_overflow_and_zero_division_are_value_errors(self):
+        for bad in ("pi^999999", "2.5^99999", "1/0", "1.5/0", "2^2000*1.5", "2^2000/pi"):
+            with pytest.raises(ValueError):
+                parse_scalar(bad)
+        with pytest.raises(ValueError):
+            parse_poly_text("2^1100, 1.5")  # exact, but past the float range
+
+
+SCALAR_TEXT = st.text(alphabet="0123456789.^*/+-pi ", max_size=30) | st.text()
+
+
+def raises_only_value_error_or_limit(parse, text):
+    try:
+        parse(text)
+    except (ValueError, ResourceLimit):
+        pass
+
+
+class TestMalformedText:
+    """The poly parsers reject outside input with ValueError, or with
+    ResourceLimit when an exact coefficient is too large, and nothing else."""
+
+    @given(SCALAR_TEXT)
+    @example("9^999999999")
+    @example("pi^999999")
+    @example("1/0")
+    @example("2^2000*1.5")
+    def test_parse_scalar(self, text):
+        raises_only_value_error_or_limit(parse_scalar, text)
+
+    @given(st.lists(SCALAR_TEXT, max_size=6).map(",".join))
+    @example("2^1100,1.5")
+    def test_parse_poly_text(self, text):
+        raises_only_value_error_or_limit(parse_poly_text, text)
 
 
 class TestRootSet:

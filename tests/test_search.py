@@ -1,4 +1,5 @@
 import random
+from collections import deque
 from itertools import permutations
 
 import pytest
@@ -66,6 +67,39 @@ def exhaust_reference(g, k_max, ledger):
     raise NotFound
 
 
+def enumerate_reference(n, depth_limit=None, max_states=2_000_000):
+    """Reference census: the per-state deque BFS that enumerate_reachable
+    replaced, with the depth read back from the dict for every state."""
+    from tilelab.search import _bits, _neighbor_indices
+
+    b = _bits(n)
+    nbrs = _neighbor_indices(n)
+    start = goal(n)
+    code0 = encode(start.cells, n)
+    depths = {code0: 0}
+    frontier = deque([(code0, start.blank_index)])
+    diameter = 0
+    hist = [1]
+    while frontier:
+        code, bi = frontier.popleft()
+        d = depths[code]
+        if depth_limit is not None and d >= depth_limit:
+            continue
+        for j in nbrs[bi]:
+            v = (code >> (b * j)) & ((1 << b) - 1)
+            nxt = code - (v << (b * j)) + (v << (b * bi))
+            if nxt not in depths:
+                if len(depths) >= max_states:
+                    raise ResourceLimit(f"state cap {max_states} exceeded at depth {d + 1}")
+                depths[nxt] = d + 1
+                if d + 1 > diameter:
+                    diameter = d + 1
+                    hist.append(0)
+                hist[d + 1] += 1
+                frontier.append((nxt, j))
+    return depths, hist, diameter
+
+
 def outcome(search, g, k_max, ledger):
     try:
         return search(g, k_max, ledger)
@@ -99,6 +133,22 @@ class TestCensus:
     def test_state_cap_raises(self):
         with pytest.raises(ResourceLimit):
             enumerate_reachable(3, max_states=1000)
+
+    @pytest.mark.parametrize("n, limit", [(2, None), (3, None)] + [(4, d) for d in range(13)])
+    def test_matches_deque_reference(self, n, limit, table3):
+        t = table3 if n == 3 else enumerate_reachable(n, depth_limit=limit)
+        states, hist, diameter = enumerate_reference(n, depth_limit=limit)
+        assert list(t.states.items()) == list(states.items())  # insertion order too
+        assert (t.count, t.depth_histogram, t.diameter) == (len(states), hist, diameter)
+
+    @pytest.mark.parametrize("n, limit", [(3, None), (4, 12)])
+    @pytest.mark.parametrize("cap", [10, 1000])
+    def test_state_cap_depth_matches_reference(self, n, limit, cap):
+        with pytest.raises(ResourceLimit) as got:
+            enumerate_reachable(n, depth_limit=limit, max_states=cap)
+        with pytest.raises(ResourceLimit) as want:
+            enumerate_reference(n, depth_limit=limit, max_states=cap)
+        assert str(got.value) == str(want.value)
 
     def test_n4_requires_depth_limit(self):
         with pytest.raises(ValueError):

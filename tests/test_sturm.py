@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from tilelab import sturm
 from tilelab import (
     complex_poly,
     count_real_roots_in,
@@ -178,3 +179,102 @@ class TestRandomizedRecovery:
         assert a == b
         values = [v for v, _, _ in a.roots]
         assert values == sorted(values)
+
+
+# ---------------------------------------------------------------------------
+# the integer evaluation of exact chains against the Fraction evaluator it
+# replaced
+
+
+def ref_eval(coeffs, x):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def ref_variations(chain, x):
+    signs = []
+    for coeffs in chain:
+        v = ref_eval(coeffs, x)
+        if v > 0:
+            signs.append(1)
+        elif v < 0:
+            signs.append(-1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def ref_degenerate_at(chain, x, exact):
+    assert exact
+    return ref_eval(chain[0], x) == 0
+
+
+CORPUS_VALUES = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(-3 * q, 3 * q + 1)})
+
+
+def corpus_poly(rng, degree):
+    """Rational roots with multiplicities, degree 4-14, and now and then an
+    irrational pair from x^2 - 2 or x^2 - 3."""
+    k = rng.randint(max(3, math.ceil(degree / 4)), min(degree, 8))
+    mults = [1] * k
+    for _ in range(degree - k):
+        mults[rng.choice([j for j in range(k) if mults[j] < 4])] += 1
+    roots = list(zip(sorted(rng.sample(CORPUS_VALUES, k)), mults))
+    p = poly_from_roots(roots, True)
+    if rng.random() < 0.3:
+        p = mul(p, poly([-rng.choice((2, 3)), 0, 1]))
+    return p, [r for r, _ in roots]
+
+
+class TestIntegerChain:
+    def test_variations_match_fraction_evaluator(self):
+        rng = random.Random(4141)
+        vanished = 0
+        for i in range(60):
+            p, roots = corpus_poly(rng, 4 + i % 11)
+            chain = sturm._sturm_chain(list(p.coeffs), True)
+            ichain = sturm._integer_chain(chain)
+            assert all(type(c) is int for coeffs in ichain for c in coeffs)
+            points = list(roots)  # every chain element vanishes at a multiple root
+            points += [(a + b) / 2 for a, b in zip(roots, roots[1:])]
+            points += [Fraction(rng.randint(-400, 400), rng.randint(1, 60)) for _ in range(12)]
+            for x in points:
+                vals = [ref_eval(coeffs, x) for coeffs in chain]
+                vanished += any(v == 0 for v in vals[1:])
+                assert sturm._int_variations(ichain, x.numerator, x.denominator) == \
+                    ref_variations(chain, x)
+                assert sturm._degenerate_at(ichain, x, True) == (vals[0] == 0)
+                for coeffs, icoeffs in zip(chain, ichain):
+                    v = sturm._int_eval(icoeffs, x.numerator,
+                                        sturm._q_powers(x.denominator, len(icoeffs) - 1))
+                    assert (v > 0) - (v < 0) == (ref_eval(coeffs, x) > 0) - (ref_eval(coeffs, x) < 0)
+        assert vanished > 50  # the sample does reach points where chain elements vanish
+
+    def test_oracle_matches_fraction_reference(self, monkeypatch):
+        rng = random.Random(5252)
+        polys = [corpus_poly(rng, 4 + i % 11)[0] for i in range(22)]
+        got = [oracle_real_roots(p) for p in polys]
+        # the reference oracle: the same bisection on the Fraction chain and
+        # the Fraction evaluator
+        monkeypatch.setattr(sturm, "_integer_chain", lambda chain: chain)
+        monkeypatch.setattr(sturm, "_int_variations",
+                            lambda chain, p, q: ref_variations(chain, Fraction(p, q)))
+        monkeypatch.setattr(sturm, "_degenerate_at", ref_degenerate_at)
+        want = [oracle_real_roots(p) for p in polys]
+        assert [repr(rs) for rs in got] == [repr(rs) for rs in want]
+
+    def test_float_endpoint_is_counted_exactly(self):
+        p = poly([-1, 3])  # root 1/3
+        assert count_real_roots_in(p, 0, Fraction(1, 3)) == 1
+        # the float 1/3 lies just below the root; rounded, 3 * (1/3) was 1
+        assert Fraction(1 / 3) < Fraction(1, 3)
+        assert count_real_roots_in(p, 0, 1 / 3) == 0
+
+    def test_infinite_endpoints(self):
+        inf = math.inf
+        p = poly_from_roots([(-2, 1), (Fraction(1, 2), 2), (3, 1)], True)
+        assert count_real_roots_in(p, -inf, inf) == 3
+        assert count_real_roots_in(p, 0, inf) == 2
+        assert count_real_roots_in(p, -inf, 0) == 1
+        assert count_real_roots_in(mul(p, poly([0, -1])), -inf, inf) == 4  # negative lead
+        assert count_real_roots_in(poly([1, 0, 1]), -inf, inf) == 0
