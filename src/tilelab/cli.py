@@ -14,7 +14,9 @@ error.  Exit codes separate "the answer is no" from "could not answer":
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 
 from .cost import CostLedger, budget, instrumented_apply, instrumented_verify
@@ -261,6 +263,14 @@ def _cmd_puzzle_exhaust(args) -> int:
 
 
 def _solve_config(args) -> SolveConfig:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise _UsageError(f"--tol must be finite and greater than 0, got {args.tol}")
+    if not (math.isfinite(args.cluster_radius) and args.cluster_radius >= 0):
+        raise _UsageError(
+            f"--cluster-radius must be finite and at least 0, got {args.cluster_radius}")
+    for flag, value in (("--starts", args.starts), ("--max-iters", args.max_iters)):
+        if value < 1:
+            raise _UsageError(f"{flag} must be at least 1, got {value}")
     return SolveConfig(
         tol=args.tol,
         max_iters=args.max_iters,
@@ -276,6 +286,8 @@ def _cmd_roots_find(args) -> int:
     cfg = _solve_config(args)
     try:
         rep = find_roots_report(p, mode=args.mode, config=cfg, order=args.order)
+    except ValueError as exc:  # coefficients outside the mode's or the float domain
+        raise _UsageError(str(exc)) from exc
     except NoPatternSolved as exc:
         doc = {
             "roots": [],
@@ -292,6 +304,8 @@ def _cmd_roots_find(args) -> int:
 
 
 def _cmd_roots_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise _UsageError(f"--tol must be finite and at least 0, got {args.tol}")
     p = _load_poly_arg(args)
     try:
         native = parse_scalar(args.root)
@@ -301,6 +315,8 @@ def _cmd_roots_verify(args) -> int:
         except ValueError as exc:
             raise _UsageError(f"cannot parse root value {args.root!r}") from exc
     value = complex(native)
+    if not cmath.isfinite(value):
+        raise _UsageError(f"root value {args.root!r} is not finite")
     if value.imag == 0:
         value = value.real
     residual = abs(complex(eval_horner(p, value)))
@@ -388,7 +404,10 @@ def _cmd_report(args) -> int:
                 entry["tau"] = 0
                 entry["roots"] = []
             else:
-                found = oracle_real_roots(p)
+                try:
+                    found = oracle_real_roots(p)
+                except ValueError as exc:
+                    raise _UsageError(f"bad corpus line {text!r}: {exc}") from exc
                 entry["tau"] = found.count
                 entry["roots"] = found.to_json()["roots"]
             polynomials.append(entry)

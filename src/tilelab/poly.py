@@ -407,10 +407,11 @@ def poly_from_json(doc: dict) -> Poly:
         raise ValueError('polynomial JSON must be {"coeffs": [...], "kind": ...}')
     kind = doc["kind"]
     if kind == RATIONAL:
-        try:
-            return poly([Fraction(c) for c in doc["coeffs"]], RATIONAL)
-        except TypeError as exc:  # a list or object where a coefficient belongs
-            raise ValueError(f"bad rational coefficient: {exc}") from None
+        # a JSON float or bool is not an exact value; "3/4" and "0.1" are
+        for c in doc["coeffs"]:
+            if isinstance(c, bool) or not isinstance(c, (int, str)):
+                raise ValueError(f"rational coefficients are integers or strings, got {c!r}")
+        return poly([Fraction(c) for c in doc["coeffs"]], RATIONAL)
     if kind == COMPLEX:
         return poly([complex(str(c).replace(" ", "")) for c in doc["coeffs"]], COMPLEX)
     raise ValueError(f"unknown coefficient kind {kind!r}")

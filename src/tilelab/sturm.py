@@ -2,10 +2,14 @@
 
 This module deliberately shares no machinery with the Vieta-system solver
 beyond the Poly container; it is the second route in every dual-route root
-check.  Rational-kind input runs the whole chain in exact arithmetic: the
-chain is built in Fractions, each element is scaled by the lcm of its
-denominators to integer coefficients, and signs at a rational point p/q are
-read off homogeneous Horner sums in integers alone.  Counting uses
+check.  Every input runs the same exact chain.  A float coefficient is read
+as the simplest rational that rounds to it, so 0.1 is 1/10 and pi is
+245850922/78256779.  The chain is built in Fractions, each element is
+scaled by the lcm of its denominators to integer coefficients, and signs at
+a rational point p/q are read off homogeneous Horner sums in integers
+alone.  A chain read from floats is kept at unit scale and drops remainder
+terms below _REM_DUST, so a root the floats repeat only up to rounding,
+such as pi in pi^2 - 2 pi x + x^2, keeps its multiplicity.  Counting uses
 half-open intervals (a, b], so every root lands in exactly one side of a
 split; multiple roots collapse the chain at gcd(p, p') and are still
 counted once, which is what makes the count "distinct roots".
@@ -30,31 +34,67 @@ from .poly import (
 BISECT_WIDTH = 1e-12
 
 
-def _as_real_coeffs(p: Poly) -> tuple[list, bool]:
-    """Low-first real coefficients; exact flag says Fractions were kept."""
+def _read_float(x: float) -> Fraction:
+    """The simplest rational that rounds to the finite float x.
+
+    A value halfway to a neighbour rounds to the even one of the two, so
+    the rounding interval holds its ends exactly when x is even, which is
+    when float() takes the lower end to x.  Above the largest float the
+    upper end is where rounding overflows.  The continued-fraction walk
+    (the Stern-Brocot descent) takes the smallest integer in the interval
+    if there is one, and otherwise goes on with the reciprocal of the part
+    above the integer part.
+    """
+    if x < 0:
+        return -_read_float(-x)
+    if x == 0:
+        return Fraction(0)
+    v, below, above = Fraction(x), Fraction(math.nextafter(x, 0.0)), math.nextafter(x, math.inf)
+    lo = (below + v) / 2
+    hi = (v + Fraction(above)) / 2 if above < math.inf else v + (v - below) / 2
+    lo_in = hi_in = float(lo) == x
+    # the interval is ln/ld .. hn/hd in integers; hd = 0 stands for infinity
+    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    terms = []
+    while True:
+        n = ln // ld
+        k = n if lo_in and ln == n * ld else n + 1  # the smallest integer in the interval, if any
+        if hd == 0 or k * hd < hn or (hi_in and k * hd == hn):
+            break
+        terms.append(n)
+        # on to 1 / (value - n): its ends are 1 / (hi - n) and 1 / (lo - n)
+        ln, ld, hn, hd = hd, hn - n * hd, ld, ln - n * ld
+        lo_in, hi_in = hi_in, lo_in
+    num, den = k, 1
+    for n in reversed(terms):
+        num, den = n * num + den, num
+    return Fraction(num, den)
+
+
+def _as_real_coeffs(p: Poly) -> tuple[list[Fraction], bool]:
+    """Low-first exact coefficients, and whether they were read from floats."""
     if p.is_zero():
         raise ValueError("the zero polynomial has no root set")
     if p.kind == RATIONAL:
-        return list(p.coeffs), True
+        return list(p.coeffs), False
     out = []
     scale = float(max_norm(p))
     for c in p.coeffs:
         c = complex(c)
         if abs(c.imag) > 1e-12 * max(1.0, scale):
             raise ValueError("real-root oracle needs real coefficients")
-        out.append(c.real)
-    return out, False
+        if not math.isfinite(c.real):
+            raise ValueError("real-root oracle needs finite coefficients")
+        out.append(_read_float(c.real))
+    return out, True
 
 
-_REM_DUST = 1e-11  # float chain elements are unit-scaled; smaller is roundoff
+_REM_DUST = 1e-11  # chains read from floats are unit-scaled; smaller is roundoff
 
 
-def _trim(coeffs: list, exact: bool) -> list:
-    if exact:
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        return coeffs
-    while coeffs and abs(coeffs[-1]) <= _REM_DUST:
+def _trim(coeffs: list, from_float: bool) -> list:
+    dust = _REM_DUST if from_float else 0
+    while coeffs and abs(coeffs[-1]) <= dust:
         coeffs.pop()
     return coeffs
 
@@ -65,8 +105,8 @@ def _unit_scale(coeffs: list) -> list:
     return coeffs if top == 0 else [c / top for c in coeffs]
 
 
-def _poly_rem(a: list, b: list, exact: bool) -> list:
-    """Remainder of a by b, low-first; float mode trims roundoff dust."""
+def _poly_rem(a: list, b: list, from_float: bool) -> list:
+    """Remainder of a by b, low-first; a chain read from floats trims dust."""
     a = list(a)
     lead = b[-1]
     while len(a) >= len(b):
@@ -75,48 +115,28 @@ def _poly_rem(a: list, b: list, exact: bool) -> list:
         for i, bc in enumerate(b):
             a[shift + i] -= factor * bc
         a.pop()  # leading term cancels by construction
-        a = _trim(a, exact)
+        a = _trim(a, from_float)
         if not a:
             break
     return a
 
 
-def _sturm_chain(coeffs: list, exact: bool) -> list[list]:
-    first = list(coeffs) if exact else _unit_scale(list(coeffs))
-    chain = [first]
-    deriv = [i * c for i, c in enumerate(first)][1:]
+def _sturm_chain(coeffs: list, from_float: bool) -> list[list]:
+    scale = _unit_scale if from_float else list
+    chain = [scale(list(coeffs))]
+    deriv = [i * c for i, c in enumerate(chain[0])][1:]
     if deriv:
-        chain.append(deriv if exact else _unit_scale(deriv))
+        chain.append(scale(deriv))
     while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1], exact)
+        rem = _poly_rem(chain[-2], chain[-1], from_float)
         if not rem:
             break
-        if not exact:
-            rem = _unit_scale(rem)
-        chain.append([-c for c in rem])
+        chain.append([-c for c in scale(rem)])
     return chain
 
 
-def _eval(coeffs: list, x):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-def _variations(chain: list[list], x) -> int:
-    signs = []
-    for coeffs in chain:
-        v = _eval(coeffs, x)
-        if v > 0:
-            signs.append(1)
-        elif v < 0:
-            signs.append(-1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def _integer_chain(chain: list[list]) -> list[list[int]]:
-    """Each exact chain element times the lcm of its denominators.
+    """Each chain element times the lcm of its denominators.
 
     The scale is positive, so every sign the chain takes is kept.
     """
@@ -143,7 +163,7 @@ def _int_eval(coeffs: list[int], p: int, q_pow: list[int]) -> int:
 
 
 def _int_variations(chain: list[list[int]], p: int, q: int) -> int:
-    """_variations for an integer chain at p/q (q > 0), without Fractions.
+    """Sign changes along an integer chain at p/q (q > 0).
 
     q = 0 with p = +-1 gives the count at +-infinity: there each
     element's homogeneous value is its leading coefficient times p^d.
@@ -160,7 +180,7 @@ def _int_variations(chain: list[list[int]], p: int, q: int) -> int:
     return changes
 
 
-def _degenerate_at(chain: list[list], x, exact: bool) -> bool:
+def _degenerate_at(chain: list[list[int]], x: Fraction) -> bool:
     """True when x sits on a root of p itself.
 
     Every chain element is divisible by gcd(p, p'), so at a multiple root
@@ -168,41 +188,27 @@ def _degenerate_at(chain: list[list], x, exact: bool) -> bool:
     simple-root hit makes the endpoint count ambiguous.  Counting points
     must dodge these.
     """
-    if exact:
-        return _int_eval(chain[0], x.numerator, _q_powers(x.denominator, len(chain[0]) - 1)) == 0
-    v = _eval(chain[0], x)
-    ax = max(1.0, abs(float(x)))
-    scale = 0.0
-    for c in reversed(chain[0]):
-        scale = scale * ax + abs(c)
-    return abs(v) <= 1e-9 * max(scale, 1e-300)
+    return _int_eval(chain[0], x.numerator, _q_powers(x.denominator, len(chain[0]) - 1)) == 0
 
 
-def _split_point(chain: list[list], a, b, exact: bool):
+def _split_point(chain: list[list[int]], a: Fraction, b: Fraction) -> Fraction:
     """A counting point strictly inside (a, b), never on a root of p."""
     span = b - a
     for j in range(33):
         # offsets around the midpoint; more candidates than p has roots
-        if exact:
-            t = Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021)
-        else:
-            t = 0.5 + ((-1) ** j) * ((j + 1) // 2) / 1021.0
-        x = a + span * t
-        if not _degenerate_at(chain, x, exact):
+        x = a + span * (Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021))
+        if not _degenerate_at(chain, x):
             return x
-    return a + span / 2  # give up; float callers tolerate junk counts
+    return a + span / 2  # only a polynomial of degree 33 or more gets here
 
 
 def count_real_roots_in(p: Poly, lo, hi) -> int:
     """Distinct real roots of p in the half-open interval (lo, hi]."""
-    coeffs, exact = _as_real_coeffs(p)
+    coeffs, from_float = _as_real_coeffs(p)
     if len(coeffs) <= 1:
         return 0
-    chain = _sturm_chain(coeffs, exact)
-    if exact:
-        chain = _integer_chain(chain)
-        return _int_variations(chain, *_homogeneous(lo)) - _int_variations(chain, *_homogeneous(hi))
-    return _variations(chain, lo) - _variations(chain, hi)
+    chain = _integer_chain(_sturm_chain(coeffs, from_float))
+    return _int_variations(chain, *_homogeneous(lo)) - _int_variations(chain, *_homogeneous(hi))
 
 
 def _homogeneous(x) -> tuple[int, int]:
@@ -215,42 +221,44 @@ def _homogeneous(x) -> tuple[int, int]:
 
 def root_bound(p: Poly) -> float:
     """Cauchy bound: every root has magnitude below 1 + max|a_i| / |a_d|."""
-    coeffs, _ = _as_real_coeffs(p)
-    lead = abs(coeffs[-1])
-    rest = [abs(c) for c in coeffs[:-1]]
-    return 1.0 + (float(max(rest)) / float(lead) if rest else 0.0)
+    return _cauchy_bound(_as_real_coeffs(p)[0])
 
 
-def oracle_real_roots(p: Poly, refine_width: float = BISECT_WIDTH) -> RootSet:
+def _cauchy_bound(coeffs: list[Fraction]) -> float:
+    try:
+        rest = max((float(abs(c)) for c in coeffs[:-1]), default=0.0)
+        bound = 1.0 + rest / float(abs(coeffs[-1]))
+    except (OverflowError, ZeroDivisionError):  # a coefficient above or a lead below the range
+        bound = math.inf
+    if bound == math.inf:
+        raise ValueError("a coefficient or the root bound lies past the float range")
+    return bound
+
+
+def oracle_real_roots(p: Poly) -> RootSet:
     """All distinct real roots with multiplicities, ascending, deterministic.
 
     Sturm counting isolates each distinct root, count-driven bisection
-    shrinks every bracket below refine_width (sign-based bisection would
+    shrinks every bracket below BISECT_WIDTH (sign-based bisection would
     miss even-multiplicity roots), and repeated synthetic deflation
-    recovers the multiplicity.
+    recovers the multiplicity.  Raises ValueError when a coefficient or
+    the root bound lies past the float range.
     """
-    coeffs, exact = _as_real_coeffs(p)
+    coeffs, from_float = _as_real_coeffs(p)
     if len(coeffs) <= 1:
         return RootSet((), 0)
-    chain = _sturm_chain(coeffs, exact)
-    variations = _variations
-    if exact:
-        chain = _integer_chain(chain)
+    chain = _integer_chain(_sturm_chain(coeffs, from_float))
 
-        def variations(chain, x):
-            return _int_variations(chain, x.numerator, x.denominator)
+    def variations(x: Fraction) -> int:
+        return _int_variations(chain, x.numerator, x.denominator)
 
-    bound = root_bound(p)
-    if exact:
-        lo = Fraction(bound).limit_denominator(1) + 1
-        lo, hi = -lo, lo
-    else:
-        lo, hi = -bound - 1.0, bound + 1.0
+    hi = Fraction(_cauchy_bound(coeffs)).limit_denominator(1) + 1
+    lo = -hi
 
     # each entry carries the variation counts at its ends, so every point's
     # count is computed once; (a, b] holds v_a - v_b distinct roots
     intervals: list[tuple] = []
-    stack = [(lo, hi, variations(chain, lo), variations(chain, hi))]
+    stack = [(lo, hi, variations(lo), variations(hi))]
     while stack:
         a, b, va, vb = stack.pop()
         k = va - vb
@@ -260,17 +268,17 @@ def oracle_real_roots(p: Poly, refine_width: float = BISECT_WIDTH) -> RootSet:
         if k == 1 or float(b - a) < 1e-10 * max(1.0, abs(float(a)), abs(float(b))):
             intervals.append((a, b, va))
             continue
-        mid = _split_point(chain, a, b, exact)
-        vm = variations(chain, mid)
+        mid = _split_point(chain, a, b)
+        vm = variations(mid)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
     intervals.sort(key=lambda iv: float(iv[0]))
 
     centers = []
     for a, b, va in intervals:
-        while float(b - a) > refine_width:
-            mid = _split_point(chain, a, b, exact)
-            vm = variations(chain, mid)
+        while float(b - a) > BISECT_WIDTH:
+            mid = _split_point(chain, a, b)
+            vm = variations(mid)
             if va - vm >= 1:
                 b = mid
             else:
@@ -286,7 +294,7 @@ def oracle_real_roots(p: Poly, refine_width: float = BISECT_WIDTH) -> RootSet:
         max_shift = min(gaps) / 4 if gaps else 0.05 * max(1.0, abs(r))
         max_shift = max(max_shift, 1e-6 * max(1.0, abs(r)))
         near_int = abs(r - round(r)) <= 1e-9 * max(1.0, abs(r))
-        if exact and near_int and eval_horner(p, Fraction(round(r))) == 0:
+        if p.kind == RATIONAL and near_int and eval_horner(p, Fraction(round(r))) == 0:
             mult = multiplicity(p, Fraction(round(r)))
             r = float(round(r))
             residual = 0.0

@@ -244,16 +244,21 @@ class VietaSystem:
 
 
 def _target_vector(target: Poly, mode: str) -> np.ndarray:
+    try:
+        values = [complex(v) for v in target.coeffs]
+    except OverflowError:
+        raise ValueError("a coefficient lies past the float range") from None
+    if not all(cmath.isfinite(z) for z in values):
+        raise ValueError("coefficients must be finite")
     if mode == REAL_MODE:
-        out = np.empty(len(target.coeffs), dtype=np.float64)
-        scale = max((abs(complex(v)) for v in target.coeffs), default=0.0)
-        for i, v in enumerate(target.coeffs):
-            z = complex(v)
+        out = np.empty(len(values), dtype=np.float64)
+        scale = max((abs(z) for z in values), default=0.0)
+        for i, z in enumerate(values):
             if abs(z.imag) > 1e-12 * max(1.0, scale):
                 raise ValueError("real mode requires real coefficients")
             out[i] = z.real
         return out
-    return np.array([complex(v) for v in target.coeffs], dtype=np.complex128)
+    return np.array(values, dtype=np.complex128)
 
 
 def build_system(pattern: MultiplicityPattern, target: Poly, mode: str = REAL_MODE) -> VietaSystem:

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,14 @@ class TestRootsFind:
         assert code == 0
         assert json.loads(out)["tau"] == 2
 
+    @pytest.mark.parametrize("text, mult", [("pi^2,-2*pi,1", 2), ("-pi^3,3*pi^2,-3*pi,1", 3)])
+    def test_root_repeated_up_to_rounding(self, text, mult):
+        code, out, _ = run("roots", "find", f"--poly={text}")
+        assert code == 0
+        doc = json.loads(out)
+        assert [(r["value"], r["mult"]) for r in doc["roots"]] == [
+            (pytest.approx(math.pi), mult)]
+
     def test_requires_poly_or_file(self):
         code, out, _ = run("roots", "find")
         assert code == 2
@@ -309,6 +318,17 @@ class TestReport:
         assert first["norm_product"] == 1.0
         assert first["multiplicative"] is False
 
+    def test_float_spelling_keeps_double_root(self, tmp_path):
+        # x(x-1)(x-2)(x-7)^2 in floats: the float chain once lost the double root
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("0.0,98.0,-175.0,93.0,-17.0,1.0\n")
+        code, out, _ = run("report", "--poly-corpus", str(corpus))
+        assert code == 0
+        (entry,) = json.loads(out)["polynomials"]
+        assert entry["tau"] == 4
+        assert [r["mult"] for r in entry["roots"]] == [1, 1, 1, 2]
+        assert entry["roots"][-1]["value"] == pytest.approx(7.0)
+
     def test_default_size(self):
         code, out, _ = run("report")
         assert code == 0
@@ -369,11 +389,32 @@ class TestOutputPlumbing:
     (("roots", "verify", "--poly=2.5^99999,1", "--root", "1"), None, 2, "tilelab: error:"),
     # polynomial JSON nested deeper than the decoder's recursion limit
     (("roots", "find", "--in", "-"), '{"coeffs": ' + "[" * 100_000, 2, "tilelab: error:"),
+    # coefficients the real mode or the float range cannot take
+    (("roots", "find", "--in", "-"), '{"coeffs": ["1j", "1"], "kind": "complex"}', 2,
+     "tilelab: error:"),
+    (("roots", "find", "--poly=2^2000,1"), None, 2, "tilelab: error:"),
+    (("roots", "find", "--poly=2^2000,1", "--mode", "complex"), None, 2, "tilelab: error:"),
+    (("report", "--poly-corpus", "-"), "2^2000,1\n", 2, "tilelab: error:"),
+    # numeric flags of roots
+    (("roots", "verify", "--poly=-1,1", "--root", "nan"), None, 2, "tilelab: error:"),
+    (("roots", "verify", "--poly=-1,1", "--root", "inf"), None, 2, "tilelab: error:"),
+    (("roots", "verify", "--poly=-1,1", "--root", "1", "--tol", "nan"), None, 2,
+     "tilelab: error:"),
+    (("roots", "find", "--poly=-1,1", "--tol", "nan"), None, 2, "tilelab: error:"),
+    (("roots", "find", "--poly=-1,1", "--cluster-radius", "-1"), None, 2, "tilelab: error:"),
+    (("roots", "find", "--poly=-1,1", "--starts", "0"), None, 2, "tilelab: error:"),
+    (("roots", "find", "--poly=-1,1", "--max-iters", "-1"), None, 2, "tilelab: error:"),
+    # a rational document holds exact values only
+    (("roots", "find", "--in", "-"), '{"coeffs": [true, 1.5], "kind": "rational"}', 2,
+     "tilelab: error:"),
 ], ids=["json-n-text", "json-n-null", "json-cells-int", "exhaust-kmax-negative",
         "solve-kmax-negative", "enumerate-n1", "enumerate-n4-unlimited", "cases-degree0",
         "exhaust-kmax-over-cap", "algo-bfs", "algo-ida", "json-cells-bool",
         "poly-power-over-cap", "poly-pi-power-overflow", "poly-float-power-overflow",
-        "poly-json-deep"])
+        "poly-json-deep", "find-imaginary-coeffs-real-mode", "find-coeff-past-float-range",
+        "find-coeff-past-float-range-complex", "report-coeff-past-float-range", "verify-root-nan",
+        "verify-root-inf", "verify-tol-nan", "find-tol-nan", "find-cluster-radius-negative",
+        "find-starts-zero", "find-max-iters-negative", "poly-json-rational-bool-float"])
 def test_rejected_input_gives_exit_code_and_one_error_line(argv, stdin, code, stderr_line):
     got, out, err = run(*argv, stdin=stdin)
     assert (got, out) == (code, "")

@@ -282,6 +282,13 @@ class TestSerialization:
         with pytest.raises(ValueError):
             poly_from_json({"coeffs": [[1]], "kind": "rational"})
 
+    def test_json_rational_rejects_bool_and_float(self):
+        for coeffs in ([True, 1], [1, 1.5], [1, False]):
+            with pytest.raises(ValueError):
+                poly_from_json({"coeffs": coeffs, "kind": "rational"})
+        assert poly_from_json({"coeffs": [1, "3/4", "0.1"], "kind": "rational"}).coeffs == (
+            1, Fraction(3, 4), Fraction(1, 10))
+
     def test_exact_size_cap(self):
         assert parse_scalar("2^32768") == 2 ** 32768  # 2 bits a factor: at the cap
         for big in ("9^999999999", "2^32769", "9^10000*9^10000*9^10000", "1/3^30000/3^30000"):

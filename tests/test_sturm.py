@@ -1,8 +1,10 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from tilelab import sturm
 from tilelab import (
@@ -204,8 +206,7 @@ def ref_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def ref_degenerate_at(chain, x, exact):
-    assert exact
+def ref_degenerate_at(chain, x):
     return ref_eval(chain[0], x) == 0
 
 
@@ -232,7 +233,7 @@ class TestIntegerChain:
         vanished = 0
         for i in range(60):
             p, roots = corpus_poly(rng, 4 + i % 11)
-            chain = sturm._sturm_chain(list(p.coeffs), True)
+            chain = sturm._sturm_chain(list(p.coeffs), False)
             ichain = sturm._integer_chain(chain)
             assert all(type(c) is int for coeffs in ichain for c in coeffs)
             points = list(roots)  # every chain element vanishes at a multiple root
@@ -243,7 +244,7 @@ class TestIntegerChain:
                 vanished += any(v == 0 for v in vals[1:])
                 assert sturm._int_variations(ichain, x.numerator, x.denominator) == \
                     ref_variations(chain, x)
-                assert sturm._degenerate_at(ichain, x, True) == (vals[0] == 0)
+                assert sturm._degenerate_at(ichain, x) == (vals[0] == 0)
                 for coeffs, icoeffs in zip(chain, ichain):
                     v = sturm._int_eval(icoeffs, x.numerator,
                                         sturm._q_powers(x.denominator, len(icoeffs) - 1))
@@ -278,3 +279,47 @@ class TestIntegerChain:
         assert count_real_roots_in(p, -inf, 0) == 1
         assert count_real_roots_in(mul(p, poly([0, -1])), -inf, inf) == 4  # negative lead
         assert count_real_roots_in(poly([1, 0, 1]), -inf, inf) == 0
+
+
+# ---------------------------------------------------------------------------
+# float coefficients are read as the simplest rational that rounds to them
+
+
+class TestReadFloat:
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(2.0 ** 53 + 2)  # both ends of its interval round to an even neighbour
+    @example(sys.float_info.max)  # its upper neighbour is infinity
+    @example(5e-324)
+    @example(0.1)
+    @example(-0.0)
+    def test_simplest_rational_that_rounds_back(self, x):
+        r = sturm._read_float(x)
+        assert float(r) == x
+        # the nearest p/q below and above x: if any p/q rounds to x, one of
+        # these does, as the values that round to x form an interval
+        for q in range(1, min(r.denominator, 1000)):
+            p = math.floor(Fraction(x) * q)
+            assert float(Fraction(p, q)) != x
+            assert float(Fraction(p + 1, q)) != x
+
+    def test_pi_reading(self):
+        assert sturm._read_float(math.pi) == Fraction(245850922, 78256779)
+
+
+class TestFloatSpelling:
+    def test_float_spelling_matches_exact_spelling(self):
+        rng = random.Random(6161)
+        for i in range(66):
+            p, _ = corpus_poly(rng, 4 + i % 11)
+            exact = oracle_real_roots(p)
+            spelled = oracle_real_roots(complex_poly([float(c) for c in p.coeffs]))
+            assert spelled.count == exact.count
+            assert [m for _, m, _ in spelled.roots] == [m for _, m, _ in exact.roots]
+            for (got, _, _), (want, _, _) in zip(spelled.roots, exact.roots):
+                assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
+
+    def test_coefficients_past_the_float_range(self):
+        for p in (poly([2 ** 2000, 1]), poly([1, Fraction(1, 2 ** 2000)]),
+                  complex_poly([float("inf"), 1])):
+            with pytest.raises(ValueError):
+                oracle_real_roots(p)
