@@ -319,8 +319,13 @@ def _cmd_roots_verify(args) -> int:
         raise _UsageError(f"root value {args.root!r} is not finite")
     if value.imag == 0:
         value = value.real
-    residual = abs(complex(eval_horner(p, value)))
-    scale = max(1.0, float(max_norm(p)))
+    try:
+        residual = abs(complex(eval_horner(p, value)))
+        scale = max(1.0, float(max_norm(p)))
+    except OverflowError:  # an exact coefficient past the float range
+        raise _UsageError("a coefficient lies past the float range") from None
+    if not math.isfinite(residual):
+        raise _UsageError(f"the polynomial's value at {args.root} lies past the float range")
     is_root = residual <= args.tol * scale
     mult = None
     if is_root:

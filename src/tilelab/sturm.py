@@ -121,6 +121,17 @@ def _poly_rem(a: list, b: list, from_float: bool) -> list:
     return a
 
 
+def _poly_quo(a: list, b: list) -> list:
+    """Quotient of a by b, low-first; the remainder is dropped."""
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(out) - 1, -1, -1):
+        factor = out[shift] = a[shift + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            a[shift + i] -= factor * bc
+    return out
+
+
 def _sturm_chain(coeffs: list, from_float: bool) -> list[list]:
     scale = _unit_scale if from_float else list
     chain = [scale(list(coeffs))]
@@ -207,7 +218,13 @@ def count_real_roots_in(p: Poly, lo, hi) -> int:
     coeffs, from_float = _as_real_coeffs(p)
     if len(coeffs) <= 1:
         return 0
-    chain = _integer_chain(_sturm_chain(coeffs, from_float))
+    chain = _sturm_chain(coeffs, from_float)
+    if len(chain[-1]) > 1:
+        # the last element is gcd(p, p'), which vanishes with the whole chain
+        # at a multiple root; an endpoint there is only counted right on the
+        # square-free part p / gcd(p, p')
+        chain = _sturm_chain(_poly_quo(chain[0], chain[-1]), from_float)
+    chain = _integer_chain(chain)
     return _int_variations(chain, *_homogeneous(lo)) - _int_variations(chain, *_homogeneous(hi))
 
 

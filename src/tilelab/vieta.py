@@ -21,10 +21,13 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .poly import COMPLEX, RATIONAL, Poly, RootSet, complex_poly, eval_horner
+from .search import ResourceLimit
 from .sturm import oracle_real_roots
 
 REAL_MODE = "real"
@@ -36,6 +39,10 @@ NO_CONVERGENCE = "no_convergence"
 
 # golden-ratio conjugate: start parameters fill the unit interval evenly
 _PHI = 0.6180339887498949
+
+# Gauss-Newton iterations one find_roots_report call may spend, a start
+# counting as at least one; past it the search raises ResourceLimit
+GN_WORK_CAP = 100_000
 
 
 class DegreeMismatch(ValueError):
@@ -147,25 +154,32 @@ class VietaSystem:
     target: Poly
     mode: str
 
-    @property
+    @cached_property
     def degree(self) -> int:
         return self.pattern.total
 
-    @property
+    @cached_property
     def k(self) -> int:
         return self.pattern.k
 
-    @property
+    @cached_property
     def cofactor_degree(self) -> int:
         return self.pattern.cofactor_degree
 
-    @property
+    @cached_property
     def n_unknowns(self) -> int:
         return self.k + 1 + self.cofactor_degree
 
-    @property
+    @cached_property
     def dtype(self):
         return np.float64 if self.mode == REAL_MODE else np.complex128
+
+    @cached_property
+    def _one(self) -> np.ndarray:
+        # the product's empty start; read-only, so every call can share it
+        one = np.ones(1, dtype=self.dtype)
+        one.flags.writeable = False
+        return one
 
     def target_vector(self) -> np.ndarray:
         return _target_vector(self.target, self.mode)
@@ -176,70 +190,63 @@ class VietaSystem:
 
     def _product(self, u: np.ndarray) -> np.ndarray:
         """Monic part: prod (x - r_i)^{m_i} * q(x), coefficients low to high."""
-        roots, _, b = self._split(u)
-        acc = np.ones(1, dtype=self.dtype)
-        for r, m in zip(roots, self.pattern.mults):
-            lin = np.array([-r, 1.0], dtype=self.dtype)
-            for _ in range(m):
+        dtype = self.dtype
+        acc = self._one
+        for i, m in enumerate(self.pattern.mults):
+            lin = np.array([-u[i], 1.0], dtype=dtype)
+            # np.convolve([1], lin) adds each entry to 0.0: it is lin + 0.0 bit for bit
+            acc = lin + 0.0 if i == 0 else np.convolve(acc, lin)
+            for _ in range(m - 1):
                 acc = np.convolve(acc, lin)
         if self.cofactor_degree:
-            q = np.concatenate([b, np.ones(1, dtype=self.dtype)])
-            acc = np.convolve(acc, q)
+            acc = np.convolve(acc, np.concatenate([u[self.k + 1:], self._one]))
         return acc
 
     def coeffs(self, u: np.ndarray) -> np.ndarray:
         """Coefficient vector of the expanded shape at unknowns u."""
         u = np.asarray(u, dtype=self.dtype)
-        _, c, _ = self._split(u)
-        return c * self._product(u)
+        return u[self.k] * self._product(u)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.coeffs(u) - self.target_vector()
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         """Analytic Jacobian of the coefficient map, one column per unknown."""
-        u = np.asarray(u, dtype=self.dtype)
-        roots, c, b = self._split(u)
-        d1 = self.degree + 1
-        cols = np.zeros((d1, self.n_unknowns), dtype=self.dtype)
-        factors = []
-        for r, m in zip(roots, self.pattern.mults):
-            lin = np.array([-r, 1.0], dtype=self.dtype)
-            f = np.ones(1, dtype=self.dtype)
+        dtype, one, k = self.dtype, self._one, self.k
+        u = np.asarray(u, dtype=dtype)
+        c = u[k]
+        cols = np.zeros((self.degree + 1, self.n_unknowns), dtype=dtype)
+        factors = []  # (x - r_i)^{m_i}, its stub (x - r_i)^{m_i - 1}, m_i
+        for i, m in enumerate(self.pattern.mults):
+            lin = np.array([-u[i], 1.0], dtype=dtype)
+            f = one
             for _ in range(m):
-                f = np.convolve(f, lin)
-            factors.append((lin, f, m))
+                stub, f = f, np.convolve(f, lin)
+            factors.append((f, stub, m))
+        # prefix[i] = f_0 * ... * f_{i-1}; prefix[k] is the whole root product
+        prefix = [one]
+        for f, _, _ in factors:
+            prefix.append(np.convolve(prefix[-1], f))
         q = None
+        full = prefix[-1]
         if self.cofactor_degree:
-            q = np.concatenate([b, np.ones(1, dtype=self.dtype)])
-        full = np.ones(1, dtype=self.dtype)
-        for _, f, _ in factors:
-            full = np.convolve(full, f)
-        if q is not None:
+            q = np.concatenate([u[k + 1:], one])
             full = np.convolve(full, q)
-        cols[: full.size, self.k] = full  # d/dc
-        for i, (lin, _, m) in enumerate(factors):
+        cols[: full.size, k] = full  # d/dc
+        for i, (_, stub, m) in enumerate(factors):
             # d/dr_i of (x - r_i)^m is -m (x - r_i)^{m-1}
-            part = np.ones(1, dtype=self.dtype)
-            for j, (lin_j, f_j, _) in enumerate(factors):
-                if j == i:
-                    continue
+            part = prefix[i]
+            for f_j, _, _ in factors[i + 1:]:
                 part = np.convolve(part, f_j)
-            stub = np.ones(1, dtype=self.dtype)
-            for _ in range(m - 1):
-                stub = np.convolve(stub, lin)
             col = -m * c * np.convolve(part, stub)
             if q is not None:
                 col = np.convolve(col, q)
             cols[: col.size, i] = col
         if q is not None:
-            base = np.ones(1, dtype=self.dtype)
-            for _, f, _ in factors:
-                base = np.convolve(base, f)
-            base = c * base
+            base = c * prefix[-1]
             for t in range(self.cofactor_degree):
                 # d/db_t multiplies the root product by x^t
-                cols[t : t + base.size, self.k + 1 + t] = base
+                cols[t : t + base.size, k + 1 + t] = base
         return cols
 
 
@@ -388,14 +395,14 @@ def _fmt(v) -> str:
     return f"{z.real:.6g}" if z.imag == 0 else f"{z.real:.6g}{z.imag:+.6g}j"
 
 
-def _start_battery(system: VietaSystem, cfg: SolveConfig) -> list[np.ndarray]:
-    """Deterministic initial guesses spread over the root bound disk."""
+def _start_battery(system: VietaSystem, cfg: SolveConfig):
+    """Deterministic initial guesses spread over the root bound disk, made
+    one at a time as the solver asks for them."""
     tvec = system.target_vector()
     lead = abs(complex(tvec[-1]))
     radius = 1.0 + max(abs(complex(v)) for v in tvec[:-1]) / lead if tvec.size > 1 else 1.0
     k, e = system.k, system.cofactor_degree
     c0 = tvec[-1]
-    outs = []
     for t in range(cfg.starts):
         u = np.zeros(system.n_unknowns, dtype=system.dtype)
         for i in range(k):
@@ -407,24 +414,43 @@ def _start_battery(system: VietaSystem, cfg: SolveConfig) -> list[np.ndarray]:
                 u[i] = radius * rho * cmath.exp(2j * math.pi * (frac + t * _PHI * _PHI))
         u[k] = c0
         # cofactor starts at x^e (all b zero)
-        outs.append(u)
-    return outs
+        yield u
 
 
-def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, cfg: SolveConfig):
+class _WorkMeter:
+    """Gauss-Newton work left for one request, out of GN_WORK_CAP."""
+
+    def __init__(self):
+        self.cap = self.left = GN_WORK_CAP
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise ResourceLimit(
+                f"root search passed the cap of {self.cap} Gauss-Newton iterations "
+                "(a start counts as at least one)")
+
+
+def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, cfg: SolveConfig,
+                  work: _WorkMeter):
     """Damped Gauss-Newton; returns (u, max-residual, status, iterations).
 
     status is "converged", "stalled" (no descent direction made progress,
-    i.e. a stationary point of the squared residual), or "maxiter".
+    i.e. a stationary point of the squared residual), or "maxiter".  The
+    caller pays for the first iteration with the start; each later one
+    spends a unit of work.
     """
+    k, product, vdot = system.k, system._product, np.vdot
     u = np.array(u0, dtype=system.dtype)
-    res = system.coeffs(u) - tvec
-    f = float(np.real(np.vdot(res, res)))
+    res = u[k] * product(u) - tvec
+    f = float(vdot(res, res).real)
     if float(np.max(np.abs(res))) < cfg.tol:
         return u, float(np.max(np.abs(res))), "converged", 0
     status = "maxiter"
     iters = 0
     for it in range(cfg.max_iters):
+        if it:
+            work.spend()
         iters = it + 1
         jac = system.jacobian(u)
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
@@ -435,8 +461,8 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, cfg: So
         moved = False
         for _ in range(30):
             cand = u + lam * step
-            r2 = system.coeffs(cand) - tvec
-            f2 = float(np.real(np.vdot(r2, r2)))
+            r2 = cand[k] * product(cand) - tvec
+            f2 = float(vdot(r2, r2).real)
             if f2 < f:
                 u, res, f = cand, r2, f2
                 moved = True
@@ -532,9 +558,14 @@ def solve_case(system: VietaSystem, config: SolveConfig | None = None,
     roots, nonzero leading scalar, root-free cofactor).  Inconsistent means
     an exact contradiction, or every start certifiably ran out of descent
     (stationary point) or violated a constraint.  Anything weaker, such as
-    a start still moving at the iteration cap, is NoConvergence.
+    a start still moving at the iteration cap, is NoConvergence.  Work past
+    GN_WORK_CAP raises ResourceLimit.
     """
-    cfg = config or SolveConfig()
+    return _solve_case(system, config or SolveConfig(), warm_starts, _WorkMeter())
+
+
+def _solve_case(system: VietaSystem, cfg: SolveConfig, warm_starts: tuple,
+                work: _WorkMeter) -> CaseOutcome:
     tvec = system.target_vector()
     pre = _presolve(system, tvec)
     if pre is not None:
@@ -545,11 +576,12 @@ def solve_case(system: VietaSystem, config: SolveConfig | None = None,
     best_violation: tuple[float, str, tuple | None] | None = None
     saw_maxiter = False
     best_resid = math.inf
-    battery = [np.asarray(w, dtype=system.dtype) for w in warm_starts]
-    battery += _start_battery(system, cfg)
+    battery = chain((np.asarray(w, dtype=system.dtype) for w in warm_starts),
+                    _start_battery(system, cfg))
     for u0 in battery:
+        work.spend()
         starts_used += 1
-        u, resid, status, iters = _gauss_newton(system, u0, tvec, cfg)
+        u, resid, status, iters = _gauss_newton(system, u0, tvec, cfg, work)
         total_iters += iters
         best_resid = min(best_resid, resid)
         if status == "converged":
@@ -638,17 +670,20 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, config: SolveConfig | None
     oracle; disagreement demotes the case to no-convergence and the walk
     continues.  A collision hint re-dispatches the merged shape with the
     collided values as a warm start before moving on.  If nothing is
-    accepted the walk ends in NoPatternSolved carrying all outcomes.
+    accepted the walk ends in NoPatternSolved carrying all outcomes.  The
+    whole walk shares one GN_WORK_CAP; past it the walk raises
+    ResourceLimit.
     """
     d = p.degree
     if d is None or d < 1:
         raise ValueError("target must have degree at least 1")
     cfg = config or SolveConfig()
+    work = _WorkMeter()
     oracle = oracle_real_roots(p) if mode == REAL_MODE else None
     outcomes: list[CaseOutcome] = []
     for pattern in enumerate_patterns(d, mode, order):
         system = build_system(pattern, p, mode)
-        outcome = solve_case(system, cfg)
+        outcome = _solve_case(system, cfg, (), work)
         if outcome.status != SOLVED and outcome.collision is not None:
             outcomes.append(outcome)
             merged_pat, merged_vals = outcome.collision
@@ -657,7 +692,7 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, config: SolveConfig | None
             for i, v in enumerate(merged_vals):
                 warm[i] = v if mode == COMPLEX_MODE else complex(v).real
             warm[merged_sys.k] = merged_sys.target_vector()[-1]
-            outcome = solve_case(merged_sys, cfg, warm_starts=(warm,))
+            outcome = _solve_case(merged_sys, cfg, (warm,), work)
         outcomes.append(outcome)
         if outcome.status != SOLVED:
             continue

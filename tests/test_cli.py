@@ -395,6 +395,8 @@ class TestOutputPlumbing:
     (("roots", "find", "--poly=2^2000,1"), None, 2, "tilelab: error:"),
     (("roots", "find", "--poly=2^2000,1", "--mode", "complex"), None, 2, "tilelab: error:"),
     (("report", "--poly-corpus", "-"), "2^2000,1\n", 2, "tilelab: error:"),
+    (("roots", "verify", "--poly=2^2000,1", "--root", "1"), None, 2, "tilelab: error:"),
+    (("roots", "verify", "--poly=1,0,0,1", "--root", "1e200"), None, 2, "tilelab: error:"),
     # numeric flags of roots
     (("roots", "verify", "--poly=-1,1", "--root", "nan"), None, 2, "tilelab: error:"),
     (("roots", "verify", "--poly=-1,1", "--root", "inf"), None, 2, "tilelab: error:"),
@@ -412,7 +414,8 @@ class TestOutputPlumbing:
         "exhaust-kmax-over-cap", "algo-bfs", "algo-ida", "json-cells-bool",
         "poly-power-over-cap", "poly-pi-power-overflow", "poly-float-power-overflow",
         "poly-json-deep", "find-imaginary-coeffs-real-mode", "find-coeff-past-float-range",
-        "find-coeff-past-float-range-complex", "report-coeff-past-float-range", "verify-root-nan",
+        "find-coeff-past-float-range-complex", "report-coeff-past-float-range", "verify-coeff-past-float-range",
+        "verify-value-past-float-range", "verify-root-nan",
         "verify-root-inf", "verify-tol-nan", "find-tol-nan", "find-cluster-radius-negative",
         "find-starts-zero", "find-max-iters-negative", "poly-json-rational-bool-float"])
 def test_rejected_input_gives_exit_code_and_one_error_line(argv, stdin, code, stderr_line):

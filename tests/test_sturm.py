@@ -115,6 +115,25 @@ class TestCounting:
     def test_constant_has_no_roots(self):
         assert count_real_roots_in(poly([7]), -10, 10) == 0
 
+    def test_multiple_root_endpoint(self):
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        p = poly_from_roots([(third, 2), (half, 1)], True)
+        assert count_real_roots_in(p, 0, third) == 1
+        assert count_real_roots_in(p, third, half) == 1
+
+    @given(st.lists(st.tuples(st.fractions(-3, 3, max_denominator=4), st.integers(1, 3)),
+                    min_size=1, max_size=4),
+           st.lists(st.fractions(-4, 4, max_denominator=4), max_size=4))
+    def test_counts_on_a_partition_add_up(self, root_mults, cuts):
+        roots = {r for r, _ in root_mults}
+        p = poly_from_roots(root_mults, True)
+        # cut at some of the roots themselves as well as elsewhere
+        points = [-math.inf] + sorted(set(cuts) | set(list(roots)[::2])) + [math.inf]
+        counts = [count_real_roots_in(p, a, b) for a, b in zip(points, points[1:])]
+        assert counts == [sum(1 for r in roots if a < r <= b)
+                          for a, b in zip(points, points[1:])]
+        assert sum(counts) == len(roots)
+
 
 class TestRootBound:
     def test_cauchy_value(self):

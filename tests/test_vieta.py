@@ -1,10 +1,16 @@
+import itertools
+import json
 import math
 import random
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tilelab import vieta
+from tilelab.cli import main
+from tilelab.search import ResourceLimit
 from tilelab import (
     COMPLEX_MODE,
     DegreeMismatch,
@@ -378,3 +384,155 @@ class TestRoundTrips:
                 assert got == pytest.approx(want, abs=1e-6)
             ok += 1
         assert ok == 50
+
+
+# ---------------------------------------------------------------------------
+# the Gauss-Newton kernel keeps the bits of the straightforward expansion
+
+DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def ref_product(system, u):
+    """The plain expansion: every factor convolved in from [1]."""
+    k = system.k
+    b = u[k + 1:]
+    acc = np.ones(1, dtype=system.dtype)
+    for r, m in zip(u[:k], system.pattern.mults):
+        lin = np.array([-r, 1.0], dtype=system.dtype)
+        for _ in range(m):
+            acc = np.convolve(acc, lin)
+    if system.cofactor_degree:
+        acc = np.convolve(acc, np.concatenate([b, np.ones(1, dtype=system.dtype)]))
+    return acc
+
+
+def ref_coeffs(system, u):
+    u = np.asarray(u, dtype=system.dtype)
+    return u[system.k] * ref_product(system, u)
+
+
+def ref_jacobian(system, u):
+    """The plain Jacobian: every product rebuilt from [1] for every column."""
+    dt = system.dtype
+    u = np.asarray(u, dtype=dt)
+    k = system.k
+    roots, c, b = u[:k], u[k], u[k + 1:]
+    cols = np.zeros((system.degree + 1, system.n_unknowns), dtype=dt)
+    factors = []
+    for r, m in zip(roots, system.pattern.mults):
+        lin = np.array([-r, 1.0], dtype=dt)
+        f = np.ones(1, dtype=dt)
+        for _ in range(m):
+            f = np.convolve(f, lin)
+        factors.append((lin, f, m))
+    q = None
+    if system.cofactor_degree:
+        q = np.concatenate([b, np.ones(1, dtype=dt)])
+    full = np.ones(1, dtype=dt)
+    for _, f, _ in factors:
+        full = np.convolve(full, f)
+    if q is not None:
+        full = np.convolve(full, q)
+    cols[: full.size, k] = full
+    for i, (lin, _, m) in enumerate(factors):
+        part = np.ones(1, dtype=dt)
+        for j, (_, f_j, _) in enumerate(factors):
+            if j != i:
+                part = np.convolve(part, f_j)
+        stub = np.ones(1, dtype=dt)
+        for _ in range(m - 1):
+            stub = np.convolve(stub, lin)
+        col = -m * c * np.convolve(part, stub)
+        if q is not None:
+            col = np.convolve(col, q)
+        cols[: col.size, i] = col
+    if q is not None:
+        base = np.ones(1, dtype=dt)
+        for _, f, _ in factors:
+            base = np.convolve(base, f)
+        base = c * base
+        for t in range(system.cofactor_degree):
+            cols[t : t + base.size, k + 1 + t] = base
+    return cols
+
+
+class TestKernelBits:
+    def test_coeffs_and_jacobian_match_reference_bytes(self):
+        rng = random.Random(7007)
+
+        def entry():
+            return rng.choice((0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-1e-3, 1e-3)))
+
+        zeros = 0
+        for _ in range(2000):
+            d = rng.randint(1, 7)
+            mode = rng.choice((REAL_MODE, COMPLEX_MODE))
+            pat = rng.choice(enumerate_patterns(d, mode))
+            system = build_system(pat, poly([0] * d + [1]), mode)
+            if mode == REAL_MODE:
+                u = np.array([entry() for _ in range(system.n_unknowns)])
+            else:
+                u = np.array([complex(entry(), entry()) for _ in range(system.n_unknowns)])
+            zeros += int(np.any(np.signbit(u.real) & (u.real == 0)))
+            for got, want in ((system.coeffs(u), ref_coeffs(system, u)),
+                              (system.jacobian(u), ref_jacobian(system, u))):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+        assert zeros > 500  # -0.0 entries were exercised
+
+    def test_first_linear_step_is_plus_zero(self):
+        values = (0.0, -0.0, 1.5, -2.0)
+        for a, b in itertools.product(values, repeat=2):
+            lin = np.array([a, b])
+            want = np.convolve(np.ones(1), lin)
+            assert want.tobytes() == (lin + 0.0).tobytes()
+        for parts in itertools.product(values, repeat=4):
+            lin = np.array([complex(*parts[:2]), complex(*parts[2:])])
+            want = np.convolve(np.ones(1, dtype=np.complex128), lin)
+            assert want.tobytes() == (lin + 0.0).tobytes()
+
+    @pytest.mark.parametrize("argv, pin", [
+        (("--poly=pi/2,-pi^2,0,2",), "roots_find_pi_cubic.json"),
+        (("--poly=196,14,-111/4,-1,1", "--mode", "complex"), "roots_find_quartic_complex.json"),
+    ])
+    def test_roots_find_document_is_pinned(self, capsys, argv, pin):
+        assert main(["roots", "find", *argv]) == 0
+        want = (DATA_DIR / pin).read_text()
+        assert capsys.readouterr().out == want
+        doc = json.loads(want)
+        assert sum(o["iterations"] for o in doc["outcomes"]) > 1000  # Gauss-Newton ran
+
+
+class TestWorkCap:
+    def test_cap_counts_iterations_and_zero_iteration_starts(self, monkeypatch):
+        target = parse_poly_text(CUBIC)
+        want = find_roots_report(target).to_json()
+        # 1 366 iterations over 33 starts, each start iterating at least once
+        assert sum(o["iterations"] for o in want["outcomes"]) == 1366
+        monkeypatch.setattr(vieta, "GN_WORK_CAP", 1366)
+        assert find_roots_report(target).to_json() == want
+        monkeypatch.setattr(vieta, "GN_WORK_CAP", 1365)
+        with pytest.raises(ResourceLimit):
+            find_roots_report(target)
+
+    def test_a_start_without_iterations_costs_one(self, monkeypatch):
+        system = build_system(MultiplicityPattern((2, 1)), poly([-2, 5, -4, 1]))
+        warm = (np.array([1.0, 2.0, 1.0]),)
+        monkeypatch.setattr(vieta, "GN_WORK_CAP", 1)
+        assert solve_case(system, warm_starts=warm).status == SOLVED
+        monkeypatch.setattr(vieta, "GN_WORK_CAP", 0)
+        with pytest.raises(ResourceLimit):
+            solve_case(system, warm_starts=warm)
+
+    def test_huge_battery_is_built_lazily(self, monkeypatch):
+        monkeypatch.setattr(vieta, "GN_WORK_CAP", 50)
+        cfg = SolveConfig(starts=10 ** 9, max_iters=1)
+        with pytest.raises(ResourceLimit):
+            find_roots_report(parse_poly_text(CUBIC), config=cfg)
+
+    def test_cli_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(vieta, "GN_WORK_CAP", 50)
+        assert main(["roots", "find", "--poly=" + CUBIC.replace(" ", "")]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("tilelab: resource limit: root search passed the cap of 50")
