@@ -265,18 +265,10 @@ def _cmd_puzzle_exhaust(args) -> int:
 def _solve_config(args) -> SolveConfig:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise _UsageError(f"--tol must be finite and greater than 0, got {args.tol}")
-    if not (math.isfinite(args.cluster_radius) and args.cluster_radius >= 0):
-        raise _UsageError(
-            f"--cluster-radius must be finite and at least 0, got {args.cluster_radius}")
     for flag, value in (("--starts", args.starts), ("--max-iters", args.max_iters)):
         if value < 1:
             raise _UsageError(f"{flag} must be at least 1, got {value}")
-    return SolveConfig(
-        tol=args.tol,
-        max_iters=args.max_iters,
-        starts=args.starts,
-        cluster_radius=args.cluster_radius,
-    )
+    return SolveConfig(tol=args.tol, max_iters=args.max_iters, starts=args.starts)
 
 
 def _cmd_roots_find(args) -> int:
@@ -517,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="coefficient residual tolerance (default 1e-10)")
     r_find.add_argument("--max-iters", type=int, default=100)
     r_find.add_argument("--starts", type=int, default=32)
-    r_find.add_argument("--cluster-radius", type=float, default=1e-6)
     _add_common(r_find)
     r_find.set_defaults(func=_cmd_roots_find)
 

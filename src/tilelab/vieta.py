@@ -139,7 +139,6 @@ class SolveConfig:
     tol: float = 1e-10            # max-norm bound on the coefficient residual
     max_iters: int = 100          # Gauss-Newton iterations per start
     starts: int = 32              # deterministic multi-start battery size
-    cluster_radius: float = 1e-6  # roots closer than this are a collision
 
 
 @dataclass(frozen=True)
@@ -483,39 +482,33 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, cfg: So
 def _check_constraints(system: VietaSystem, u: np.ndarray, cfg: SolveConfig):
     """Returns (ok, reason, collision) for a converged candidate.
 
-    Two roots collide when they sit inside the clustering radius, or when
-    welding both onto their midpoint would move the coefficients by less
-    than the residual the fit already tolerates: such a pair is numerically
-    indistinguishable from one root of the summed multiplicity.
+    For each root pair, the roots within the pair's gap of its midpoint form
+    a cluster.  Welding the cluster onto its multiplicity-weighted centroid
+    and expanding through the coefficient map shows whether the fit can tell
+    those roots apart: the pair collides when the weld moves the
+    coefficients by at most 10 * tol * max(1, max|target|).  A collided
+    cluster is numerically indistinguishable from one root of the summed
+    multiplicity.
     """
     roots, c, b = system._split(u)
     scale = float(np.max(np.abs(system.target_vector())))
     if abs(complex(c)) <= 1e-12 * max(1.0, scale):
         return False, "leading scalar collapsed to zero", None
     mults = system.pattern.mults
-    collided_gap = 0.0
+    fitted = system.coeffs(u)
+    bound = 10.0 * cfg.tol * max(1.0, scale)
+    clusters = []
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
-            ri, rj = complex(roots[i]), complex(roots[j])
-            gap = abs(ri - rj)
-            if gap <= cfg.cluster_radius * max(1.0, abs(ri), abs(rj)):
-                collided_gap = max(collided_gap, gap)
-                continue
-            mid = (ri + rj) / 2
-            weld_cost = abs(complex(c)) * (gap / 2) ** (mults[i] + mults[j])
-            for l in range(len(roots)):
-                if l != i and l != j:
-                    weld_cost *= abs(mid - complex(roots[l])) ** mults[l]
-            if system.cofactor_degree:
-                q = list(b) + [1.0]
-                acc = q[-1]
-                for v in reversed(q[:-1]):
-                    acc = acc * mid + v
-                weld_cost *= abs(acc)
-            if weld_cost <= 10.0 * cfg.tol:
-                collided_gap = max(collided_gap, gap)
-    if collided_gap > 0.0:
-        merged = _merge_collision(system.pattern, roots, collided_gap)
+            mid, gap = (roots[i] + roots[j]) / 2, abs(roots[i] - roots[j])
+            members = [l for l in range(len(roots)) if abs(roots[l] - mid) <= gap]
+            welded = u.copy()
+            welded[members] = (sum(mults[l] * roots[l] for l in members)
+                               / sum(mults[l] for l in members))
+            if float(np.max(np.abs(system.coeffs(welded) - fitted))) <= bound:
+                clusters.append(set(members))
+    if clusters:
+        merged = _merge_collision(system.pattern, roots, clusters)
         return False, "roots collided inside the clustering radius", merged
     if system.cofactor_degree and system.mode == REAL_MODE:
         probe = complex_poly([float(np.real(v)) for v in b] + [1.0])
@@ -525,26 +518,21 @@ def _check_constraints(system: VietaSystem, u: np.ndarray, cfg: SolveConfig):
     return True, None, None
 
 
-def _merge_collision(pattern: MultiplicityPattern, roots: np.ndarray, gap: float):
-    """Cluster roots within the observed collision gap and propose the
-    merged shape plus warm values."""
-    items = sorted(zip([complex(r) for r in roots], pattern.mults), key=lambda t: (t[0].real, t[0].imag))
-    radius = gap * (1.0 + 1e-9)
-    clusters: list[list[tuple[complex, int]]] = []
-    for val, m in items:
-        if clusters:
-            prev = clusters[-1][-1][0]
-            if abs(val - prev) <= radius:
-                clusters[-1].append((val, m))
-                continue
-        clusters.append([(val, m)])
-    if len(clusters) == len(items):
-        return None
+def _merge_collision(pattern: MultiplicityPattern, roots: np.ndarray, clusters: list[set[int]]):
+    """Join overlapping collided clusters and propose the merged shape, each
+    group one root of summed multiplicity at its centroid, plus warm values."""
+    groups: list[set[int]] = []
+    for members in clusters + [{l} for l in range(len(roots))]:
+        for g in [g for g in groups if g & members]:
+            members = members | g
+            groups.remove(g)
+        groups.append(members)
     merged = []
-    for group in clusters:
-        tot = sum(m for _, m in group)
-        mean = sum(v * m for v, m in group) / tot
-        merged.append((mean, tot))
+    for group in groups:
+        items = sorted(((complex(roots[l]), pattern.mults[l]) for l in group),
+                       key=lambda t: (t[0].real, t[0].imag))
+        tot = sum(m for _, m in items)
+        merged.append((sum(v * m for v, m in items) / tot, tot))
     merged.sort(key=lambda t: (-t[1], t[0].real, t[0].imag))
     new_pat = MultiplicityPattern(tuple(m for _, m in merged), pattern.cofactor_degree)
     return new_pat, tuple(v for v, _ in merged)

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -360,7 +361,7 @@ class TestConfig:
         assert cfg.tol == 1e-10
         assert cfg.max_iters == 100
         assert cfg.starts == 32
-        assert cfg.cluster_radius == 1e-6
+        assert [f.name for f in fields(cfg)] == ["tol", "max_iters", "starts"]
 
 
 class TestRoundTrips:
