@@ -39,6 +39,9 @@ NO_CONVERGENCE = "no_convergence"
 
 # golden-ratio conjugate: start parameters fill the unit interval evenly
 _PHI = 0.6180339887498949
+# complex starts turn by sqrt(2) - 1 each; a step of _PHI^2 would cancel the
+# t * _PHI above (_PHI + _PHI^2 = 1) and leave every start at one angle
+_TURN = math.sqrt(2) - 1
 
 # Gauss-Newton iterations one find_roots_report call may spend, a start
 # counting as at least one; past it the search raises ResourceLimit
@@ -410,7 +413,7 @@ def _start_battery(system: VietaSystem, cfg: SolveConfig):
                 u[i] = radius * math.cos(math.pi * frac)
             else:
                 rho = 0.3 + 0.7 * ((t % 5) + 1) / 5.0
-                u[i] = radius * rho * cmath.exp(2j * math.pi * (frac + t * _PHI * _PHI))
+                u[i] = radius * rho * cmath.exp(2j * math.pi * (frac + t * _TURN))
         u[k] = c0
         # cofactor starts at x^e (all b zero)
         yield u
