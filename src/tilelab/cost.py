@@ -91,19 +91,17 @@ def budget(kind: str, n: int, k: int) -> Budget:
 def instrumented_apply(g: TileGrid, m: Move, ledger: CostLedger) -> TileGrid:
     """Total-mode application that meters every case-arm evaluation."""
     k = m.arm
-    before = ledger.decisions
-    ledger.add("guard", k + 1)  # direction arm scan plus the bounds test
+    counts = ledger.per_primitive
+    counts["guard"] += k + 1  # direction arm scan plus the bounds test
     j = move_target(g, m)
     if j is None:
-        spent = ledger.decisions - before
-        if spent > ILLEGAL_MOVE_CEILING:
-            raise _breach("illegal_move", ILLEGAL_MOVE_CEILING, spent)
+        if k + 1 > ILLEGAL_MOVE_CEILING:
+            raise _breach("illegal_move", ILLEGAL_MOVE_CEILING, k + 1)
         return g
-    ledger.add("swap", 1)
-    ledger.add("offset", k)
-    ledger.add("relocate", 1)
-    ledger.add("reverse_offset", k * k)
-    spent = ledger.decisions - before
+    counts["swap"] += 1
+    counts["offset"] += k
+    counts["relocate"] += 1
+    counts["reverse_offset"] += k * k
     ceil = MOVE_DECISION_CEILINGS
     if k > ceil["offset"]:
         raise _breach("offset", ceil["offset"], k)
@@ -111,8 +109,8 @@ def instrumented_apply(g: TileGrid, m: Move, ledger: CostLedger) -> TileGrid:
         raise _breach("relocate_chain", ceil["relocate_chain"], 1 + k * k)
     if 2 + k + k * k > ceil["swap_chain"]:
         raise _breach("swap_chain", ceil["swap_chain"], 2 + k + k * k)
-    if spent > ceil["guard_chain"]:
-        raise _breach("guard_chain", ceil["guard_chain"], spent)
+    if 3 + 2 * k + k * k > ceil["guard_chain"]:
+        raise _breach("guard_chain", ceil["guard_chain"], 3 + 2 * k + k * k)
     return _swap(g, j)
 
 
@@ -127,13 +125,9 @@ def instrumented_verify(g: TileGrid, seq: Iterable[Move], ledger: CostLedger) ->
     for m in seq:
         g = instrumented_apply(g, m, ledger)
         k += 1
-    target = goal(g.n)
-    ok = True
-    for a, b in zip(g.cells, target.cells):  # no short-circuit: one decision per cell
-        ledger.add("compare", 1)
-        if a != b:
-            ok = False
-    ledger.add("compare", 1)  # final accept decision
+    # no short-circuit: one decision per cell, plus the final accept decision
+    ledger.per_primitive["compare"] += g.n * g.n + 1
+    ok = g.cells == goal(g.n).cells
     spent = ledger.decisions - before
     ceiling = budget("verify", g.n, k).ceiling
     if spent > ceiling:
