@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -46,6 +46,10 @@ _TURN = math.sqrt(2) - 1
 # Gauss-Newton iterations one find_roots_report call may spend, a start
 # counting as at least one; past it the search raises ResourceLimit
 GN_WORK_CAP = 100_000
+
+# shapes one enumeration may list (degree 36 has 84 250 in real mode, degree
+# 37 has 102 793); past it enumerate_patterns raises ResourceLimit
+SHAPE_CAP = 100_000
 
 
 class DegreeMismatch(ValueError):
@@ -117,7 +121,8 @@ def enumerate_patterns(d: int, mode: str = REAL_MODE, order: str | None = None) 
     descending s.  Within a group, "merged" order puts fewer distinct roots
     first (descending lex) and "generic" order puts the all-simple shape
     first (ascending lex).  The default is merged order in real mode and
-    generic order in complex mode.
+    generic order in complex mode.  More than SHAPE_CAP shapes raise
+    ResourceLimit before the rest are built.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -130,7 +135,9 @@ def enumerate_patterns(d: int, mode: str = REAL_MODE, order: str | None = None) 
     sums = [d] if mode == COMPLEX_MODE else [d] + list(range(d - 2, -1, -1))
     out: list[MultiplicityPattern] = []
     for s in sums:
-        group = list(_partitions_desc(s))
+        group = list(islice(_partitions_desc(s), SHAPE_CAP + 1 - len(out)))
+        if len(out) + len(group) > SHAPE_CAP:
+            raise ResourceLimit(f"degree {d} has more than {SHAPE_CAP} shapes in {mode} mode")
         if order == "generic":
             group.reverse()
         out.extend(MultiplicityPattern(p, d - s) for p in group)
@@ -662,17 +669,18 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, config: SolveConfig | None
     continues.  A collision hint re-dispatches the merged shape with the
     collided values as a warm start before moving on.  If nothing is
     accepted the walk ends in NoPatternSolved carrying all outcomes.  The
-    whole walk shares one GN_WORK_CAP; past it the walk raises
-    ResourceLimit.
+    whole walk shares one GN_WORK_CAP; past it, or past SHAPE_CAP shapes,
+    the walk raises ResourceLimit.
     """
     d = p.degree
     if d is None or d < 1:
         raise ValueError("target must have degree at least 1")
+    patterns = enumerate_patterns(d, mode, order)
     cfg = config or SolveConfig()
     work = _WorkMeter()
     oracle = oracle_real_roots(p) if mode == REAL_MODE else None
     outcomes: list[CaseOutcome] = []
-    for pattern in enumerate_patterns(d, mode, order):
+    for pattern in patterns:
         system = build_system(pattern, p, mode)
         outcome = _solve_case(system, cfg, (), work)
         if outcome.status != SOLVED and outcome.collision is not None:

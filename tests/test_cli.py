@@ -382,6 +382,9 @@ class TestOutputPlumbing:
     # a bool is not a tile
     (("puzzle", "solve", "--in", "-"), '{"n": 2, "cells": [true, 2, 3, false]}', 2,
      "tilelab: error:"),
+    # the cap on shapes, listed or walked
+    (("roots", "cases", "--degree", "60"), None, 3, "tilelab: resource limit:"),
+    (("roots", "find", "--poly=1" + ",0" * 59 + ",1"), None, 3, "tilelab: resource limit:"),
     # the cap on exact powers, and float powers that overflow
     (("roots", "verify", "--poly=9^999999999,1", "--root", "1"), None, 3,
      "tilelab: resource limit:"),
@@ -403,6 +406,7 @@ class TestOutputPlumbing:
     (("roots", "verify", "--poly=-1,1", "--root", "1", "--tol", "nan"), None, 2,
      "tilelab: error:"),
     (("roots", "find", "--poly=-1,1", "--tol", "nan"), None, 2, "tilelab: error:"),
+    # no clustering radius to set: argparse rejects the unknown flag
     (("roots", "find", "--poly=-1,1", "--cluster-radius", "-1"), None, 2, "tilelab: error:"),
     (("roots", "find", "--poly=-1,1", "--starts", "0"), None, 2, "tilelab: error:"),
     (("roots", "find", "--poly=-1,1", "--max-iters", "-1"), None, 2, "tilelab: error:"),
@@ -412,7 +416,8 @@ class TestOutputPlumbing:
 ], ids=["json-n-text", "json-n-null", "json-cells-int", "exhaust-kmax-negative",
         "solve-kmax-negative", "enumerate-n1", "enumerate-n4-unlimited", "cases-degree0",
         "exhaust-kmax-over-cap", "algo-bfs", "algo-ida", "json-cells-bool",
-        "poly-power-over-cap", "poly-pi-power-overflow", "poly-float-power-overflow",
+        "cases-degree-over-shape-cap", "find-degree-over-shape-cap", "poly-power-over-cap",
+        "poly-pi-power-overflow", "poly-float-power-overflow",
         "poly-json-deep", "find-imaginary-coeffs-real-mode", "find-coeff-past-float-range",
         "find-coeff-past-float-range-complex", "report-coeff-past-float-range", "verify-coeff-past-float-range",
         "verify-value-past-float-range", "verify-root-nan",
