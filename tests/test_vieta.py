@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
@@ -122,6 +123,15 @@ class TestEnumeration:
         for d in range(1, 7):
             assert all(p.cofactor_degree == 0
                        for p in enumerate_patterns(d, COMPLEX_MODE))
+
+    def test_shape_cap_bounds_the_list(self, capsys, monkeypatch):
+        assert main(["roots", "cases", "--degree", "30"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cases"]) == 24_064
+        monkeypatch.setattr(vieta, "SHAPE_CAP", 24_064)
+        assert len(enumerate_patterns(30)) == 24_064
+        monkeypatch.setattr(vieta, "SHAPE_CAP", 24_063)
+        with pytest.raises(ResourceLimit, match="more than 24063 shapes in real mode"):
+            enumerate_patterns(30)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -353,6 +363,38 @@ class TestFindRoots:
         assert doc["case"] == "1,1,1"
         assert len(doc["outcomes"]) == 3
         assert {o["case"] for o in doc["outcomes"]} == {"3", "2,1", "1,1,1"}
+
+
+# every monic integer-root polynomial of degree 2 with roots in [-3, 3] and
+# of degree 3 with roots in [-2, 2], repeats allowed: 28 + 35 root multisets
+SMALL_INTEGER_ROOTS = [
+    *itertools.combinations_with_replacement(range(-3, 4), 2),
+    *itertools.combinations_with_replacement(range(-2, 3), 3),
+]
+
+
+class TestIntegerRootSweep:
+    """An exhaustive gate: easy inputs answer exactly, never NoPatternSolved."""
+
+    @pytest.mark.parametrize("mode", [REAL_MODE, COMPLEX_MODE])
+    def test_every_small_integer_root_polynomial_answers(self, mode):
+        assert len(SMALL_INTEGER_ROOTS) == 63
+        failed = []
+        for roots in SMALL_INTEGER_ROOTS:
+            target = poly([1])
+            for r in roots:
+                target = mul(target, poly([-r, 1]))
+            want = sorted(Counter(roots).items())
+            try:
+                got = [(complex(v), m) for v, m, _ in find_roots(target, mode=mode).roots]
+            except NoPatternSolved:
+                failed.append((roots, "NoPatternSolved"))
+                continue
+            if len(got) != len(want) or any(
+                    abs(g - w) > 1e-6 * max(1, abs(w)) or gm != wm
+                    for (g, gm), (w, wm) in zip(got, want)):
+                failed.append((roots, got))
+        assert failed == []
 
 
 class TestConfig:
