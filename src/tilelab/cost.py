@@ -125,7 +125,8 @@ def instrumented_verify(g: TileGrid, seq: Iterable[Move], ledger: CostLedger) ->
     for m in seq:
         g = instrumented_apply(g, m, ledger)
         k += 1
-    # no short-circuit: one decision per cell, plus the final accept decision
+    # the metered compare never short-circuits: one decision per cell, plus
+    # the final accept decision
     ledger.per_primitive["compare"] += g.n * g.n + 1
     ok = g.cells == goal(g.n).cells
     spent = ledger.decisions - before
