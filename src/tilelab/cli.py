@@ -18,6 +18,8 @@ import cmath
 import json
 import math
 import sys
+from contextlib import ExitStack
+from itertools import chain
 
 from .cost import CostLedger, budget, instrumented_apply, instrumented_verify
 from .grid import GridError, format_moves, load_grid, parse_moves
@@ -107,16 +109,37 @@ def _flat(doc, prefix=""):
         yield f"{prefix} = {json.dumps(doc)}"
 
 
+def _blocks(chunks, size: int = 4096):
+    """Join consecutive chunks into blocks of at least size characters."""
+    block, length = [], 0
+    for chunk in chunks:
+        block.append(chunk)
+        length += len(chunk)
+        if length >= size:
+            yield "".join(block)
+            block, length = [], 0
+    if block:
+        yield "".join(block)
+
+
 def _emit(doc: dict, args) -> None:
+    """Write doc to stdout, and to --out when given, block by block, so a
+    large document is never held as one string."""
     if args.format == "json":
-        payload = json.dumps(doc, indent=2) + "\n"
+        chunks = chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
     else:
-        payload = "\n".join(_flat(doc)) + "\n"
-    sys.stdout.write(payload)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        chunks = (line + "\n" for line in _flat(doc))
+    sinks = [sys.stdout]
+    with ExitStack() as stack:
+        out = getattr(args, "out", None)
+        if out:
+            try:
+                sinks.append(stack.enter_context(open(out, "w", encoding="utf-8")))
+            except OSError as exc:
+                raise _UsageError(f"cannot write {out}: {exc}") from exc
+        for block in _blocks(chunks):
+            for sink in sinks:
+                sink.write(block)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,12 @@ a tree and shares each prefix instead of replaying it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterator
+
+import numpy as np
 
 from .grid import BLANK, MOVES, MoveSeq, TileGrid, goal
 
@@ -41,15 +44,32 @@ class SearchResult:
     expanded: int       # IDA* nodes expanded while searching
 
 
-@dataclass
+@dataclass(eq=False)
 class ReachabilityTable:
-    """Exact census of the goal's component: packed state -> optimal depth."""
+    """Exact census of the goal's component.
+
+    codes holds every packed state in discovery order: level by level, and
+    within a level by parent, then U < D < R < L.  The packed state ->
+    depth dict, states, is built from codes and depth_histogram only when
+    first read, with the same insertion order.
+    """
 
     n: int
-    states: dict[int, int]
-    count: int = 0
-    diameter: int = 0
-    depth_histogram: list[int] = field(default_factory=list)
+    codes: np.ndarray           # uint64 packed states, discovery order
+    depth_histogram: list[int]  # states per depth, from depth 0
+
+    @property
+    def count(self) -> int:
+        return len(self.codes)
+
+    @property
+    def diameter(self) -> int:
+        return len(self.depth_histogram) - 1
+
+    @cached_property
+    def states(self) -> dict[int, int]:
+        depths = np.repeat(np.arange(len(self.depth_histogram)), self.depth_histogram)
+        return dict(zip(self.codes.tolist(), depths.tolist()))
 
     def depth_of(self, g: TileGrid) -> int | None:
         return self.states.get(encode(g.cells, self.n))
@@ -88,52 +108,74 @@ def _move_targets(n: int) -> list[list[int]]:
     return out
 
 
-def _neighbor_indices(n: int) -> list[list[int]]:
-    """neighbors[i] = row-major targets of the blank at i, in U < D < R < L order."""
-    return [[j for j in row if j >= 0] for row in _move_targets(n)]
-
-
 def enumerate_reachable(n: int, depth_limit: int | None = None,
                         max_states: int = DEFAULT_STATE_CAP) -> ReachabilityTable:
     """BFS from goal(n) over legal moves; exact depths for every reachable state.
 
-    The search runs level by level: every state of depth d is expanded, in
-    the order it was discovered, before any state of depth d + 1, so states
-    maps each packed state to its depth in discovery order and the depth
-    histogram is the size of each level.  Full enumeration is desk-scale for
-    n in {2, 3}; larger n requires a depth_limit.  Raises ResourceLimit when
-    max_states is exceeded.
+    The search runs a whole level at a time on uint64 packed states, which
+    fit for n <= 4 (ValueError beyond).  Every state of depth d is expanded
+    at once, except for the move straight back to its parent.  The children
+    are sorted and only the earliest-discovered copy of each run of equal
+    codes is kept, so discovery order (parent, then U < D < R < L) survives.
+    Each move flips the colour of the blank's square on a chessboard, so a
+    child of a depth-d state has depth d - 1 or d + 1: only level d - 1 is
+    searched (searchsorted on its sorted codes) for states already seen.
+    Full enumeration is desk-scale for n in {2, 3}; n = 4 requires a
+    depth_limit.  Raises ResourceLimit, at the depth that crosses it, when
+    more than max_states states are found.
     """
-    if n >= 4 and depth_limit is None:
+    if n > 4:
+        raise ValueError("enumeration is supported for n <= 4")
+    if n == 4 and depth_limit is None:
         raise ValueError("full enumeration beyond n = 3 needs an explicit depth_limit")
+    if depth_limit is not None and depth_limit < 0:
+        raise ValueError(f"depth_limit must be nonnegative, got {depth_limit}")
+    if max_states < 1:
+        raise ValueError(f"max_states must be at least 1, got {max_states}")
     b = _bits(n)
-    mask = (1 << b) - 1
-    # moves[i] = (target, target shift, blank shift) for each move of the blank at i
-    moves = [[(j, b * j, b * i) for j in row] for i, row in enumerate(_neighbor_indices(n))]
+    mask = np.uint64((1 << b) - 1)
+    targets = np.array(_move_targets(n))
     start = goal(n)
-    code0 = encode(start.cells, n)
-    depths = {code0: 0}
-    level = [(code0, start.blank_index)]
-    hist = [1]
+    level = np.array([encode(start.cells, n)], dtype=np.uint64)
+    blank = np.array([start.blank_index])
+    back = np.array([-1])  # the blank's cell in each state's parent
+    levels = [level]
+    prev_sorted, cur_sorted = level[:0], level  # the level before `level`, and `level`
+    total = 1
     d = 0
     while depth_limit is None or d < depth_limit:
         d += 1
-        nxt_level = []
-        for code, bi in level:
-            for j, sj, sb in moves[bi]:
-                v = (code >> sj) & mask
-                nxt = code - (v << sj) + (v << sb)  # blank contributes 0
-                if nxt not in depths:
-                    if len(depths) >= max_states:
-                        raise ResourceLimit(f"state cap {max_states} exceeded at depth {d}")
-                    depths[nxt] = d
-                    nxt_level.append((nxt, j))
-        if not nxt_level:
+        moves = targets[blank]
+        moves[moves == back[:, None]] = -1  # the parent is never new
+        moves = moves.ravel()
+        at = np.flatnonzero(moves >= 0)  # parent-major, U < D < R < L within
+        j = moves[at]
+        rows = at >> 2  # four moves per parent
+        parents, bi = level[rows], blank[rows]
+        sj = (j * b).astype(np.uint64)
+        v = (parents >> sj) & mask
+        children = parents - (v << sj) + (v << (bi * b).astype(np.uint64))  # blank contributes 0
+        order = np.argsort(children)
+        ranked = children[order]
+        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+        earliest = np.minimum.reduceat(order, starts)  # first discovered copy of each run
+        ranked = ranked[starts]
+        if len(prev_sorted):
+            pos = np.minimum(np.searchsorted(prev_sorted, ranked), len(prev_sorted) - 1)
+            new = prev_sorted[pos] != ranked
+            ranked, earliest = ranked[new], earliest[new]
+        if not len(ranked):
             break
-        hist.append(len(nxt_level))
-        level = nxt_level
-    return ReachabilityTable(n=n, states=depths, count=len(depths),
-                             diameter=len(hist) - 1, depth_histogram=hist)
+        total += len(ranked)
+        if total > max_states:
+            raise ResourceLimit(f"state cap {max_states} exceeded at depth {d}")
+        prev_sorted, cur_sorted = cur_sorted, ranked
+        keep = np.zeros(len(children), dtype=bool)
+        keep[earliest] = True
+        level, blank, back = children[keep], j[keep], bi[keep]
+        levels.append(level)
+    return ReachabilityTable(n=n, codes=np.concatenate(levels),
+                             depth_histogram=[len(lv) for lv in levels])
 
 
 def is_solvable(g: TileGrid) -> bool:

@@ -349,6 +349,19 @@ class TestOutputPlumbing:
                         "--out", str(dest))
         assert dest.read_text() == out
 
+    def test_large_document_streams_identical_bytes(self, tmp_path):
+        dest = tmp_path / "cases.json"
+        code, out, _ = run("roots", "cases", "--degree", "30", "--out", str(dest))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert dest.read_text() == out
+
+    def test_unwritable_out_is_usage_error(self, grid_file, tmp_path):
+        code, out, err = run("puzzle", "solve", "--in", grid_file,
+                             "--out", str(tmp_path / "missing" / "doc.json"))
+        assert (code, out) == (2, "")
+        assert err.startswith("tilelab: error: cannot write")
+
     def test_text_format(self, grid_file):
         code, out, _ = run("puzzle", "solve", "--in", grid_file,
                            "--format", "text")
@@ -370,6 +383,9 @@ class TestOutputPlumbing:
      EXAMPLE_GRID, 2, "tilelab: error:"),
     (("puzzle", "enumerate", "--n", "1"), None, 2, "tilelab: error:"),
     (("puzzle", "enumerate", "--n", "4"), None, 2, "tilelab: error:"),
+    (("puzzle", "enumerate", "--n", "5", "--depth-limit", "3"), None, 2, "tilelab: error:"),
+    (("puzzle", "enumerate", "--n", "3", "--depth-limit", "-1"), None, 2, "tilelab: error:"),
+    (("puzzle", "enumerate", "--n", "3", "--state-cap", "-5"), None, 2, "tilelab: error:"),
     (("roots", "cases", "--degree", "0"), None, 2, "tilelab: error:"),
     # the exhaust candidate cap
     (("puzzle", "exhaust", "--in", "-", "--kmax", "12"), EXAMPLE_GRID, 3,
@@ -414,7 +430,8 @@ class TestOutputPlumbing:
     (("roots", "find", "--in", "-"), '{"coeffs": [true, 1.5], "kind": "rational"}', 2,
      "tilelab: error:"),
 ], ids=["json-n-text", "json-n-null", "json-cells-int", "exhaust-kmax-negative",
-        "solve-kmax-negative", "enumerate-n1", "enumerate-n4-unlimited", "cases-degree0",
+        "solve-kmax-negative", "enumerate-n1", "enumerate-n4-unlimited", "enumerate-n5",
+        "enumerate-depth-limit-negative", "enumerate-state-cap-negative", "cases-degree0",
         "exhaust-kmax-over-cap", "algo-bfs", "algo-ida", "json-cells-bool",
         "cases-degree-over-shape-cap", "find-degree-over-shape-cap", "poly-power-over-cap",
         "poly-pi-power-overflow", "poly-float-power-overflow",

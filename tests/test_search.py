@@ -70,10 +70,10 @@ def exhaust_reference(g, k_max, ledger):
 def enumerate_reference(n, depth_limit=None, max_states=2_000_000):
     """Reference census: the per-state deque BFS that enumerate_reachable
     replaced, with the depth read back from the dict for every state."""
-    from tilelab.search import _bits, _neighbor_indices
+    from tilelab.search import _bits, _move_targets
 
     b = _bits(n)
-    nbrs = _neighbor_indices(n)
+    nbrs = [[j for j in row if j >= 0] for row in _move_targets(n)]
     start = goal(n)
     code0 = encode(start.cells, n)
     depths = {code0: 0}
@@ -134,7 +134,7 @@ class TestCensus:
         with pytest.raises(ResourceLimit):
             enumerate_reachable(3, max_states=1000)
 
-    @pytest.mark.parametrize("n, limit", [(2, None), (3, None)] + [(4, d) for d in range(13)])
+    @pytest.mark.parametrize("n, limit", [(2, None), (3, None)] + [(4, d) for d in range(16)])
     def test_matches_deque_reference(self, n, limit, table3):
         t = table3 if n == 3 else enumerate_reachable(n, depth_limit=limit)
         states, hist, diameter = enumerate_reference(n, depth_limit=limit)
@@ -149,6 +149,16 @@ class TestCensus:
         with pytest.raises(ResourceLimit) as want:
             enumerate_reference(n, depth_limit=limit, max_states=cap)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kwargs", [{"depth_limit": -1}, {"max_states": 0},
+                                        {"max_states": -5}])
+    def test_negative_limits_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            enumerate_reachable(3, **kwargs)
+
+    def test_packed_states_stop_at_n4(self):
+        with pytest.raises(ValueError):
+            enumerate_reachable(5, depth_limit=1)
 
     def test_n4_requires_depth_limit(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from tilelab import (
     DomainError,
     claim_report,
     configuration_count,
+    enumerate_reachable,
     goal,
     new_grid,
     optimal_moves_log_bound,
@@ -110,6 +111,13 @@ class TestClaimReport:
         }
         assert rep.mobility_bound == 8
         assert rep.quadratic_move_bound == 16
+
+    def test_report_leaves_the_state_dict_unbuilt(self):
+        table = enumerate_reachable(3)
+        claim_report(3, table)
+        assert "states" not in table.__dict__
+        assert table.depth_of(goal(3)) == 0
+        assert table.depth_of(new_grid(3, [6, 4, 7, 8, 5, None, 3, 2, 1])) == 31
 
     def test_report_builds_own_table_when_omitted(self):
         rep = claim_report(2)
