@@ -118,7 +118,6 @@ from .vieta import (
     FindReport,
     MultiplicityPattern,
     NoPatternSolved,
-    SolveConfig,
     VietaSystem,
     build_system,
     enumerate_patterns,

@@ -19,14 +19,18 @@ import json
 import math
 import sys
 from contextlib import ExitStack
+from fractions import Fraction
 from itertools import chain
 
 from .cost import CostLedger, budget, instrumented_apply, instrumented_verify
 from .grid import GridError, format_moves, load_grid, parse_moves
 from .poly import (
+    RATIONAL,
     NotARoot,
     Poly,
+    complex_poly,
     eval_horner,
+    json_scalar,
     max_norm,
     multiplicity,
     norm_claim_check,
@@ -46,11 +50,14 @@ from .search import (
 )
 from .sturm import oracle_real_roots
 from .verify import claim_report
-from .vieta import NoPatternSolved, SolveConfig, enumerate_patterns, find_roots_report
+from .vieta import NoPatternSolved, enumerate_patterns, find_roots_report
 
 USAGE_ERROR = 2
 DOMAIN_NEGATIVE = 1
 RESOURCE_LIMIT = 3
+
+# roots verify: |p(root)| <= VERIFY_TOL * max(1, max|a_i|) makes a root
+VERIFY_TOL = 1e-9
 
 
 class _UsageError(Exception):
@@ -285,22 +292,12 @@ def _cmd_puzzle_exhaust(args) -> int:
 # roots handlers
 
 
-def _solve_config(args) -> SolveConfig:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise _UsageError(f"--tol must be finite and greater than 0, got {args.tol}")
-    for flag, value in (("--starts", args.starts), ("--max-iters", args.max_iters)):
-        if value < 1:
-            raise _UsageError(f"{flag} must be at least 1, got {value}")
-    return SolveConfig(tol=args.tol, max_iters=args.max_iters, starts=args.starts)
-
-
 def _cmd_roots_find(args) -> int:
     p = _load_poly_arg(args)
     if p.degree is None or p.degree < 1:
         raise _UsageError("polynomial must have degree at least 1")
-    cfg = _solve_config(args)
     try:
-        rep = find_roots_report(p, mode=args.mode, config=cfg, order=args.order)
+        rep = find_roots_report(p, mode=args.mode, order=args.order)
     except ValueError as exc:  # coefficients outside the mode's or the float domain
         raise _UsageError(str(exc)) from exc
     except NoPatternSolved as exc:
@@ -319,9 +316,9 @@ def _cmd_roots_find(args) -> int:
 
 
 def _cmd_roots_verify(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise _UsageError(f"--tol must be finite and at least 0, got {args.tol}")
     p = _load_poly_arg(args)
+    if p.is_zero():
+        raise _UsageError("every point is a root of the zero polynomial")
     try:
         native = parse_scalar(args.root)
     except ValueError:
@@ -341,13 +338,9 @@ def _cmd_roots_verify(args) -> int:
         raise _UsageError("a coefficient lies past the float range") from None
     if not math.isfinite(residual):
         raise _UsageError(f"the polynomial's value at {args.root} lies past the float range")
-    is_root = residual <= args.tol * scale
+    is_root = residual <= VERIFY_TOL * scale
     mult = None
     if is_root:
-        from fractions import Fraction
-
-        from .poly import RATIONAL, complex_poly
-
         probe_p, probe_r = p, value
         if p.kind == RATIONAL:
             if isinstance(native, (int, Fraction)):
@@ -359,9 +352,9 @@ def _cmd_roots_verify(args) -> int:
         except NotARoot:
             mult = None
     doc = {
-        "root": value if isinstance(value, float) else {"re": value.real, "im": value.imag},
+        "root": json_scalar(value),
         "residual": residual,
-        "tol": args.tol,
+        "tol": VERIFY_TOL,
         "is_root": is_root,
         "multiplicity": mult,
     }
@@ -435,8 +428,6 @@ def _cmd_report(args) -> int:
         for i in range(0, len(polys) - 1, 2):
             (t1, p1), (t2, p2) = polys[i], polys[i + 1]
             if p1.kind != p2.kind:
-                from .poly import complex_poly
-
                 p1 = complex_poly([complex(c) for c in p1.coeffs])
                 p2 = complex_poly([complex(c) for c in p2.coeffs])
             chk = norm_claim_check(p1, p2)
@@ -528,10 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_find.add_argument("--mode", choices=("real", "complex"), default="real")
     r_find.add_argument("--order", choices=("merged", "generic"), default=None,
                         help="case order (default: merged in real mode, generic in complex)")
-    r_find.add_argument("--tol", type=float, default=1e-10,
-                        help="coefficient residual tolerance (default 1e-10)")
-    r_find.add_argument("--max-iters", type=int, default=100)
-    r_find.add_argument("--starts", type=int, default=32)
     _add_common(r_find)
     r_find.set_defaults(func=_cmd_roots_find)
 
@@ -539,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_verify.add_argument("--poly", default=None)
     r_verify.add_argument("--in", dest="infile", default=None)
     r_verify.add_argument("--root", required=True)
-    r_verify.add_argument("--tol", type=float, default=1e-9)
     _add_common(r_verify)
     r_verify.set_defaults(func=_cmd_roots_verify)
 

@@ -23,6 +23,9 @@ COMPLEX = "complex"
 # denominator: far past any float's range, yet cheap for the chain and Horner
 # arithmetic.  Powers are judged before they are computed.
 EXACT_BITS_CAP = 2 ** 16
+# a float-kind deflation stage divides evenly when its remainder is below
+# this, relative to max(1, max_norm)
+MULTIPLICITY_TOL = 1e-9
 
 
 class KindMismatch(TypeError):
@@ -204,12 +207,12 @@ def synthetic_divide(p: Poly, r) -> tuple[Poly, object]:
     return Poly(_normalize(out[1:], p.kind), p.kind), remainder
 
 
-def multiplicity(p: Poly, r, tol: float = 1e-9) -> int:
+def multiplicity(p: Poly, r) -> int:
     """Largest m with (x - r)^m dividing p, by repeated synthetic division.
 
-    Exact in the rational kind (tol ignored); in the complex kind each
-    stage's remainder must stay below tol.  Raises NotARoot if r is not a
-    root at all.
+    Exact in the rational kind; in the complex kind each stage's remainder
+    must stay below MULTIPLICITY_TOL.  Raises NotARoot if r is not a root
+    at all.
     """
     if p.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
@@ -219,7 +222,7 @@ def multiplicity(p: Poly, r, tol: float = 1e-9) -> int:
         if kind == RATIONAL:
             return rem == 0
         scale = max(1.0, float(max_norm(q)))
-        return abs(rem) < tol * scale
+        return abs(rem) < MULTIPLICITY_TOL * scale
 
     m = 0
     cur = p
@@ -295,12 +298,16 @@ class RootSet:
         return [r[0] for r in self.roots]
 
     def to_json(self) -> dict:
-        out = []
-        for value, mult, residual in self.roots:
-            v = complex(value)
-            jval = v.real if v.imag == 0 else {"re": v.real, "im": v.imag}
-            out.append({"value": jval, "mult": mult, "residual": residual})
+        out = [{"value": json_scalar(value), "mult": mult, "residual": residual}
+               for value, mult, residual in self.roots]
         return {"roots": out, "tau": self.count}
+
+
+def json_scalar(v):
+    """A JSON value for a number: a float when its imaginary part is 0,
+    else {"re": ..., "im": ...}."""
+    z = complex(v)
+    return z.real if z.imag == 0 else {"re": z.real, "im": z.imag}
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +409,21 @@ def poly_to_json(p: Poly) -> dict:
             "kind": p.kind}
 
 
+def _json_fraction(c) -> Fraction:
+    """An exact JSON coefficient such as 3, "3/4" or "1e3".
+
+    A zero divisor is a ValueError.  An exponent is judged before Fraction
+    computes 10^exponent, and the value is held to EXACT_BITS_CAP.
+    """
+    exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", c) if isinstance(c, str) else None
+    if exponent and abs(int(exponent.group(1))) > EXACT_BITS_CAP:
+        raise ResourceLimit(f"{c!r} exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients")
+    try:
+        return _capped(c, Fraction(c))
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {c!r} divides by zero") from None
+
+
 def poly_from_json(doc: dict) -> Poly:
     if not isinstance(doc, dict) or not isinstance(doc.get("coeffs"), list) or "kind" not in doc:
         raise ValueError('polynomial JSON must be {"coeffs": [...], "kind": ...}')
@@ -411,7 +433,7 @@ def poly_from_json(doc: dict) -> Poly:
         for c in doc["coeffs"]:
             if isinstance(c, bool) or not isinstance(c, (int, str)):
                 raise ValueError(f"rational coefficients are integers or strings, got {c!r}")
-        return poly([Fraction(c) for c in doc["coeffs"]], RATIONAL)
+        return poly([_json_fraction(c) for c in doc["coeffs"]], RATIONAL)
     if kind == COMPLEX:
         return poly([complex(str(c).replace(" ", "")) for c in doc["coeffs"]], COMPLEX)
     raise ValueError(f"unknown coefficient kind {kind!r}")

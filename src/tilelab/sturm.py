@@ -23,7 +23,6 @@ from fractions import Fraction
 from .poly import (
     COMPLEX,
     RATIONAL,
-    NotARoot,
     Poly,
     RootSet,
     eval_horner,
@@ -257,9 +256,11 @@ def oracle_real_roots(p: Poly) -> RootSet:
 
     Sturm counting isolates each distinct root, count-driven bisection
     shrinks every bracket below BISECT_WIDTH (sign-based bisection would
-    miss even-multiplicity roots), and repeated synthetic deflation
-    recovers the multiplicity.  Raises ValueError when a coefficient or
-    the root bound lies past the float range.
+    miss even-multiplicity roots), and the derivative ladder of
+    _refine_float_root polishes the root and reads its multiplicity; an
+    exact input whose root is an integer takes it by exact deflation.
+    Raises ValueError when a coefficient or the root bound lies past the
+    float range.
     """
     coeffs, from_float = _as_real_coeffs(p)
     if len(coeffs) <= 1:
@@ -317,10 +318,6 @@ def oracle_real_roots(p: Poly) -> RootSet:
             residual = 0.0
         else:
             r, mult = _refine_float_root(work, r, max_shift)
-            try:
-                mult = multiplicity(work, r, tol=1e-6)  # deflation at the polished point
-            except NotARoot:
-                pass  # isolation proved a root is here; keep the scan's answer
             residual = abs(eval_horner(work, r))
         roots.append((r, mult, residual))
 

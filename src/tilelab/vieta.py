@@ -26,9 +26,9 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .poly import COMPLEX, RATIONAL, Poly, RootSet, complex_poly, eval_horner
+from .poly import RATIONAL, Poly, RootSet, complex_poly, eval_horner, json_scalar
 from .search import ResourceLimit
-from .sturm import oracle_real_roots
+from .sturm import count_real_roots_in, oracle_real_roots
 
 REAL_MODE = "real"
 COMPLEX_MODE = "complex"
@@ -46,6 +46,9 @@ _TURN = math.sqrt(2) - 1
 # Gauss-Newton iterations one find_roots_report call may spend, a start
 # counting as at least one; past it the search raises ResourceLimit
 GN_WORK_CAP = 100_000
+TOL = 1e-10        # max-norm bound on the coefficient residual
+MAX_ITERS = 100    # Gauss-Newton iterations per start
+STARTS = 32        # deterministic multi-start battery size
 
 # shapes one enumeration may list (degree 36 has 84 250 in real mode, degree
 # 37 has 102 793); past it enumerate_patterns raises ResourceLimit
@@ -142,13 +145,6 @@ def enumerate_patterns(d: int, mode: str = REAL_MODE, order: str | None = None) 
             group.reverse()
         out.extend(MultiplicityPattern(p, d - s) for p in group)
     return out
-
-
-@dataclass(frozen=True)
-class SolveConfig:
-    tol: float = 1e-10            # max-norm bound on the coefficient residual
-    max_iters: int = 100          # Gauss-Newton iterations per start
-    starts: int = 32              # deterministic multi-start battery size
 
 
 @dataclass(frozen=True)
@@ -315,19 +311,14 @@ class CaseOutcome:
         }
         if self.status == SOLVED:
             out["roots"] = [
-                {"value": _json_scalar(v), "mult": m} for v, m in self.roots
+                {"value": json_scalar(v), "mult": m} for v, m in self.roots
             ]
             out["residual"] = self.residual
             if self.cofactor:
-                out["cofactor"] = [_json_scalar(v) for v in self.cofactor]
+                out["cofactor"] = [json_scalar(v) for v in self.cofactor]
         if self.reason:
             out["reason"] = self.reason
         return out
-
-
-def _json_scalar(v):
-    z = complex(v)
-    return z.real if z.imag == 0 else {"re": z.real, "im": z.imag}
 
 
 def _presolve(system: VietaSystem, tvec: np.ndarray) -> CaseOutcome | None:
@@ -349,12 +340,11 @@ def _presolve(system: VietaSystem, tvec: np.ndarray) -> CaseOutcome | None:
         c = a[d]
         b = tuple(v / c for v in a[:d])
         if system.mode == REAL_MODE:
-            probe = complex_poly([float(v) for v in b] + [1.0])
-            found = oracle_real_roots(probe)
-            if found.count:
+            count = _cofactor_real_roots(b)
+            if count:
                 return CaseOutcome(
                     pat, INCONSISTENT,
-                    reason=f"cofactor must be root-free but has {found.count} real root(s)",
+                    reason=f"cofactor must be root-free but has {count} real root(s)",
                 )
         return CaseOutcome(
             pat, SOLVED, roots=(),
@@ -404,7 +394,7 @@ def _fmt(v) -> str:
     return f"{z.real:.6g}" if z.imag == 0 else f"{z.real:.6g}{z.imag:+.6g}j"
 
 
-def _start_battery(system: VietaSystem, cfg: SolveConfig):
+def _start_battery(system: VietaSystem):
     """Deterministic initial guesses spread over the root bound disk, made
     one at a time as the solver asks for them."""
     tvec = system.target_vector()
@@ -412,7 +402,7 @@ def _start_battery(system: VietaSystem, cfg: SolveConfig):
     radius = 1.0 + max(abs(complex(v)) for v in tvec[:-1]) / lead if tvec.size > 1 else 1.0
     k, e = system.k, system.cofactor_degree
     c0 = tvec[-1]
-    for t in range(cfg.starts):
+    for t in range(STARTS):
         u = np.zeros(system.n_unknowns, dtype=system.dtype)
         for i in range(k):
             frac = math.modf((2 * i + 1) / (2 * max(k, 1)) + t * _PHI)[0]
@@ -440,8 +430,7 @@ class _WorkMeter:
                 "(a start counts as at least one)")
 
 
-def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, cfg: SolveConfig,
-                  work: _WorkMeter):
+def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, work: _WorkMeter):
     """Damped Gauss-Newton; returns (u, max-residual, status, iterations).
 
     status is "converged", "stalled" (no descent direction made progress,
@@ -453,11 +442,11 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, cfg: So
     u = np.array(u0, dtype=system.dtype)
     res = u[k] * product(u) - tvec
     f = float(vdot(res, res).real)
-    if float(np.max(np.abs(res))) < cfg.tol:
+    if float(np.max(np.abs(res))) < TOL:
         return u, float(np.max(np.abs(res))), "converged", 0
     status = "maxiter"
     iters = 0
-    for it in range(cfg.max_iters):
+    for it in range(MAX_ITERS):
         if it:
             work.spend()
         iters = it + 1
@@ -480,7 +469,7 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, cfg: So
         if not moved:
             status = "stalled"
             break
-        if float(np.max(np.abs(res))) < cfg.tol:
+        if float(np.max(np.abs(res))) < TOL:
             status = "converged"
             break
         if float(np.linalg.norm(lam * step)) <= 1e-14 * (1.0 + float(np.linalg.norm(u))):
@@ -489,14 +478,14 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, cfg: So
     return u, float(np.max(np.abs(res))), status, iters
 
 
-def _check_constraints(system: VietaSystem, u: np.ndarray, cfg: SolveConfig):
+def _check_constraints(system: VietaSystem, u: np.ndarray):
     """Returns (ok, reason, collision) for a converged candidate.
 
     For each root pair, the roots within the pair's gap of its midpoint form
     a cluster.  Welding the cluster onto its multiplicity-weighted centroid
     and expanding through the coefficient map shows whether the fit can tell
     those roots apart: the pair collides when the weld moves the
-    coefficients by at most 10 * tol * max(1, max|target|).  A collided
+    coefficients by at most 10 * TOL * max(1, max|target|).  A collided
     cluster is numerically indistinguishable from one root of the summed
     multiplicity.
     """
@@ -506,7 +495,7 @@ def _check_constraints(system: VietaSystem, u: np.ndarray, cfg: SolveConfig):
         return False, "leading scalar collapsed to zero", None
     mults = system.pattern.mults
     fitted = system.coeffs(u)
-    bound = 10.0 * cfg.tol * max(1.0, scale)
+    bound = 10.0 * TOL * max(1.0, scale)
     clusters = []
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
@@ -521,11 +510,17 @@ def _check_constraints(system: VietaSystem, u: np.ndarray, cfg: SolveConfig):
         merged = _merge_collision(system.pattern, roots, clusters)
         return False, "roots collided inside the clustering radius", merged
     if system.cofactor_degree and system.mode == REAL_MODE:
-        probe = complex_poly([float(np.real(v)) for v in b] + [1.0])
-        found = oracle_real_roots(probe)
-        if found.count:
-            return False, f"cofactor acquired {found.count} real root(s)", None
+        count = _cofactor_real_roots(b)
+        if count:
+            return False, f"cofactor acquired {count} real root(s)", None
     return True, None, None
+
+
+def _cofactor_real_roots(b) -> int:
+    """Distinct real roots of the monic x^e + b_{e-1} x^{e-1} + ... + b_0,
+    read from floats."""
+    probe = complex_poly([float(np.real(v)) for v in b] + [1.0])
+    return count_real_roots_in(probe, -math.inf, math.inf)
 
 
 def _merge_collision(pattern: MultiplicityPattern, roots: np.ndarray, clusters: list[set[int]]):
@@ -548,22 +543,20 @@ def _merge_collision(pattern: MultiplicityPattern, roots: np.ndarray, clusters: 
     return new_pat, tuple(v for v, _ in merged)
 
 
-def solve_case(system: VietaSystem, config: SolveConfig | None = None,
-               warm_starts: tuple = ()) -> CaseOutcome:
+def solve_case(system: VietaSystem, warm_starts: tuple = ()) -> CaseOutcome:
     """Attack one shape: exact presolve, then the multi-start numeric stage.
 
-    Solved needs the residual under tol plus all side constraints (distinct
+    Solved needs the residual under TOL plus all side constraints (distinct
     roots, nonzero leading scalar, root-free cofactor).  Inconsistent means
     an exact contradiction, or every start certifiably ran out of descent
     (stationary point) or violated a constraint.  Anything weaker, such as
     a start still moving at the iteration cap, is NoConvergence.  Work past
     GN_WORK_CAP raises ResourceLimit.
     """
-    return _solve_case(system, config or SolveConfig(), warm_starts, _WorkMeter())
+    return _solve_case(system, warm_starts, _WorkMeter())
 
 
-def _solve_case(system: VietaSystem, cfg: SolveConfig, warm_starts: tuple,
-                work: _WorkMeter) -> CaseOutcome:
+def _solve_case(system: VietaSystem, warm_starts: tuple, work: _WorkMeter) -> CaseOutcome:
     tvec = system.target_vector()
     pre = _presolve(system, tvec)
     if pre is not None:
@@ -575,15 +568,15 @@ def _solve_case(system: VietaSystem, cfg: SolveConfig, warm_starts: tuple,
     saw_maxiter = False
     best_resid = math.inf
     battery = chain((np.asarray(w, dtype=system.dtype) for w in warm_starts),
-                    _start_battery(system, cfg))
+                    _start_battery(system))
     for u0 in battery:
         work.spend()
         starts_used += 1
-        u, resid, status, iters = _gauss_newton(system, u0, tvec, cfg, work)
+        u, resid, status, iters = _gauss_newton(system, u0, tvec, work)
         total_iters += iters
         best_resid = min(best_resid, resid)
         if status == "converged":
-            ok, why, merged = _check_constraints(system, u, cfg)
+            ok, why, merged = _check_constraints(system, u)
             if ok:
                 roots, c, b = system._split(u)
                 k = system.k
@@ -619,7 +612,7 @@ def _solve_case(system: VietaSystem, cfg: SolveConfig, warm_starts: tuple,
         system.pattern, INCONSISTENT,
         reason=(
             f"all {starts_used} starts reached stationary points with "
-            f"residual at best {best_resid:.3e}, above tol {cfg.tol:.1e}"
+            f"residual at best {best_resid:.3e}, above tol {TOL:.1e}"
         ),
         iterations=total_iters, starts_used=starts_used,
     )
@@ -660,8 +653,7 @@ def _oracle_agrees(found: RootSet, oracle: RootSet) -> bool:
     return True
 
 
-def find_roots_report(p: Poly, mode: str = REAL_MODE, config: SolveConfig | None = None,
-                      order: str | None = None) -> FindReport:
+def find_roots_report(p: Poly, mode: str = REAL_MODE, order: str | None = None) -> FindReport:
     """Walk the shapes in order and return the first accepted solution.
 
     Real mode cross-validates every candidate answer against the Sturm
@@ -676,13 +668,12 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, config: SolveConfig | None
     if d is None or d < 1:
         raise ValueError("target must have degree at least 1")
     patterns = enumerate_patterns(d, mode, order)
-    cfg = config or SolveConfig()
     work = _WorkMeter()
     oracle = oracle_real_roots(p) if mode == REAL_MODE else None
     outcomes: list[CaseOutcome] = []
     for pattern in patterns:
         system = build_system(pattern, p, mode)
-        outcome = _solve_case(system, cfg, (), work)
+        outcome = _solve_case(system, (), work)
         if outcome.status != SOLVED and outcome.collision is not None:
             outcomes.append(outcome)
             merged_pat, merged_vals = outcome.collision
@@ -691,7 +682,7 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, config: SolveConfig | None
             for i, v in enumerate(merged_vals):
                 warm[i] = v if mode == COMPLEX_MODE else complex(v).real
             warm[merged_sys.k] = merged_sys.target_vector()[-1]
-            outcome = _solve_case(merged_sys, cfg, (warm,), work)
+            outcome = _solve_case(merged_sys, (warm,), work)
         outcomes.append(outcome)
         if outcome.status != SOLVED:
             continue
@@ -706,7 +697,6 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, config: SolveConfig | None
     raise NoPatternSolved(tuple(outcomes))
 
 
-def find_roots(p: Poly, mode: str = REAL_MODE, config: SolveConfig | None = None,
-               order: str | None = None) -> RootSet:
+def find_roots(p: Poly, mode: str = REAL_MODE, order: str | None = None) -> RootSet:
     """Distinct roots with multiplicities via the first shape that solves."""
-    return find_roots_report(p, mode, config, order).roots
+    return find_roots_report(p, mode, order).roots

@@ -1,14 +1,24 @@
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from tilelab import ResourceLimit, parse_poly_text, poly_from_json, vieta
+from tilelab.cli import main
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
 SCHEMA_DIR = PKG_ROOT / "schemas"
+# the child runs this checkout's src, not an installed copy
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(PKG_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
 
 EXAMPLE_GRID = "1 _ 2 4\n5 6 3 8\n9 10 7 11\n13 14 15 12\n"
 UNSOLVABLE_GRID = "2 1\n3 _\n"
@@ -18,7 +28,7 @@ CORPUS = "# norm-check corpus\n1,1\n1,1\n\n0,0,1\npi,1,1\n"
 def run(*argv, stdin=None):
     proc = subprocess.run(
         [sys.executable, "-m", "tilelab.cli", *argv],
-        input=stdin, capture_output=True, text=True, timeout=120)
+        input=stdin, capture_output=True, text=True, timeout=120, env=CHILD_ENV)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -222,11 +232,12 @@ class TestRootsFind:
         values = sorted(r["value"]["im"] for r in doc["roots"])
         assert values == pytest.approx([-1.0, 1.0], abs=1e-8)
 
-    def test_starved_solver_reports_history(self):
-        code, out, _ = run("roots", "find", "--poly", "pi/2,-pi^2,0,2",
-                           "--starts", "1", "--max-iters", "1")
+    def test_starved_solver_reports_history(self, monkeypatch, capsys):
+        monkeypatch.setattr(vieta, "STARTS", 1)
+        monkeypatch.setattr(vieta, "MAX_ITERS", 1)
+        code = main(["roots", "find", "--poly", "pi/2,-pi^2,0,2"])
         assert code == 1
-        doc = json.loads(out)
+        doc = json.loads(capsys.readouterr().out)
         check(doc, "roots_find.schema.json")
         assert doc["tau"] is None
         assert doc["error"]
@@ -416,13 +427,16 @@ class TestOutputPlumbing:
     (("report", "--poly-corpus", "-"), "2^2000,1\n", 2, "tilelab: error:"),
     (("roots", "verify", "--poly=2^2000,1", "--root", "1"), None, 2, "tilelab: error:"),
     (("roots", "verify", "--poly=1,0,0,1", "--root", "1e200"), None, 2, "tilelab: error:"),
+    # every point is a root of the zero polynomial
+    (("roots", "verify", "--poly=0,0", "--root", "1"), None, 2, "tilelab: error:"),
     # numeric flags of roots
     (("roots", "verify", "--poly=-1,1", "--root", "nan"), None, 2, "tilelab: error:"),
     (("roots", "verify", "--poly=-1,1", "--root", "inf"), None, 2, "tilelab: error:"),
+    # no tolerance, clustering radius, start count or iteration cap to set:
+    # argparse rejects the unknown flag
     (("roots", "verify", "--poly=-1,1", "--root", "1", "--tol", "nan"), None, 2,
      "tilelab: error:"),
     (("roots", "find", "--poly=-1,1", "--tol", "nan"), None, 2, "tilelab: error:"),
-    # no clustering radius to set: argparse rejects the unknown flag
     (("roots", "find", "--poly=-1,1", "--cluster-radius", "-1"), None, 2, "tilelab: error:"),
     (("roots", "find", "--poly=-1,1", "--starts", "0"), None, 2, "tilelab: error:"),
     (("roots", "find", "--poly=-1,1", "--max-iters", "-1"), None, 2, "tilelab: error:"),
@@ -437,7 +451,7 @@ class TestOutputPlumbing:
         "poly-pi-power-overflow", "poly-float-power-overflow",
         "poly-json-deep", "find-imaginary-coeffs-real-mode", "find-coeff-past-float-range",
         "find-coeff-past-float-range-complex", "report-coeff-past-float-range", "verify-coeff-past-float-range",
-        "verify-value-past-float-range", "verify-root-nan",
+        "verify-value-past-float-range", "verify-zero-poly", "verify-root-nan",
         "verify-root-inf", "verify-tol-nan", "find-tol-nan", "find-cluster-radius-negative",
         "find-starts-zero", "find-max-iters-negative", "poly-json-rational-bool-float"])
 def test_rejected_input_gives_exit_code_and_one_error_line(argv, stdin, code, stderr_line):
@@ -445,3 +459,59 @@ def test_rejected_input_gives_exit_code_and_one_error_line(argv, stdin, code, st
     assert (got, out) == (code, "")
     assert "Traceback" not in err
     assert sum(ln.startswith(stderr_line) for ln in err.splitlines()) == 1
+
+
+# text in and near the polynomial grammar, and anything at all
+SCALAR_TEXT = st.text(alphabet="0123456789./*^+-pie ", max_size=12) | st.text(max_size=12)
+POLY_TEXT = st.lists(SCALAR_TEXT, min_size=1, max_size=4).map(",".join) | st.text(max_size=30)
+JUNK = st.none() | st.booleans() | st.integers() | st.floats() | st.lists(st.integers(), max_size=2)
+POLY_DOC = st.fixed_dictionaries({
+    "coeffs": st.lists(SCALAR_TEXT | st.integers(-9, 9) | JUNK, max_size=4),
+    "kind": st.sampled_from(["rational", "complex"]) | st.text(max_size=8) | JUNK,
+}).map(json.dumps)
+MODES = st.sampled_from(["real", "complex"])
+
+
+def exit_code(argv) -> int:
+    """main's return code, its output discarded."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def loaded_degree(text: str) -> int:
+    """Degree of the polynomial roots find --in would read, or -1."""
+    try:
+        p = poly_from_json(json.loads(text)) if text.lstrip().startswith("{") else parse_poly_text(text)
+    except (ValueError, RecursionError, ResourceLimit):  # the CLI exits 2 or 3
+        return -1
+    return -1 if p.degree is None else p.degree
+
+
+class TestFuzzRootsInput:
+    """Outside input through roots: an exit code from 0 to 3, never an exception."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(POLY_TEXT, SCALAR_TEXT)
+    @example("2^2000,1", "1")
+    @example("1,0,0,1", "1e200")
+    @example("1,-2,1", "1/0")
+    @example("0,0", "1")
+    def test_verify(self, text, root):
+        assert exit_code(["roots", "verify", f"--poly={text}", f"--root={root}"]) in (0, 1, 2, 3)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-5, 12), MODES)
+    def test_cases(self, degree, mode):
+        want = (0,) if degree >= 1 else (2,)
+        assert exit_code(["roots", "cases", "--degree", str(degree), "--mode", mode]) in want
+
+    @settings(max_examples=80, deadline=None)
+    @given(POLY_TEXT | POLY_DOC, MODES)
+    @example('{"coeffs": ["1/0", "1"], "kind": "rational"}', "real")
+    @example('{"coeffs": ["1e999999999", "1"], "kind": "rational"}', "real")
+    @example('{"coeffs": ["nan", "1"], "kind": "complex"}', "real")
+    def test_find_in_file(self, tmp_path_factory, text, mode):
+        assume(loaded_degree(text) <= 2)  # a valid polynomial of higher degree is a slow walk
+        path = tmp_path_factory.getbasetemp() / "fuzz-poly.txt"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        assert exit_code(["roots", "find", "--in", str(path), "--mode", mode]) in (0, 1, 2, 3)

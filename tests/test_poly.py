@@ -289,6 +289,16 @@ class TestSerialization:
         assert poly_from_json({"coeffs": [1, "3/4", "0.1"], "kind": "rational"}).coeffs == (
             1, Fraction(3, 4), Fraction(1, 10))
 
+    def test_json_rational_zero_divisor_and_size_cap(self):
+        with pytest.raises(ValueError, match="divides by zero"):
+            poly_from_json({"coeffs": ["1/0", 1], "kind": "rational"})
+        # the exponent is judged before 10^exponent is built
+        for big in ("1e999999999", "1E1_000_000_000", "1e-70000", "1e30000"):
+            with pytest.raises(ResourceLimit, match=f"{EXACT_BITS_CAP}-bit cap"):
+                poly_from_json({"coeffs": [big, 1], "kind": "rational"})
+        assert poly_from_json({"coeffs": ["1e3", "2.5e-1"], "kind": "rational"}).coeffs == (
+            1000, Fraction(1, 4))
+
     def test_exact_size_cap(self):
         assert parse_scalar("2^32768") == 2 ** 32768  # 2 bits a factor: at the cap
         for big in ("9^999999999", "2^32769", "9^10000*9^10000*9^10000", "1/3^30000/3^30000"):

@@ -337,6 +337,24 @@ class TestFloatSpelling:
             for (got, _, _), (want, _, _) in zip(spelled.roots, exact.roots):
                 assert got == pytest.approx(want, rel=1e-6, abs=1e-6)
 
+    def test_clustered_quadruple_roots_keep_their_multiplicity(self):
+        # defect (d) of perfbench/README.md: three quadruple roots 1/3 apart
+        p = poly_from_roots([(-2, 4), (Fraction(-5, 3), 4), (Fraction(-4, 3), 4)], True)
+        rs = oracle_real_roots(p)
+        assert [m for _, m, _ in rs.roots] == [4, 4, 4]
+        for (got, _, _), want in zip(rs.roots, (-2, -5 / 3, -4 / 3)):
+            assert got == pytest.approx(want, abs=1e-4)
+
+    def test_float_spelling_keeps_a_simple_root_simple(self):
+        # the simple root -1 sits 1/3 from a double and a quadruple root
+        want = [(-2, 2), (Fraction(-5, 3), 2), (Fraction(-4, 3), 3), (-1, 1),
+                (Fraction(-2, 3), 4), (Fraction(7, 3), 2)]
+        exact = poly_from_roots(want, True)
+        rs = oracle_real_roots(complex_poly([float(c) for c in exact.coeffs]))
+        assert [m for _, m, _ in rs.roots] == [m for _, m in want]
+        for (got, _, _), (r, _) in zip(rs.roots, want):
+            assert got == pytest.approx(float(r), abs=1e-4)
+
     def test_coefficients_past_the_float_range(self):
         for p in (poly([2 ** 2000, 1]), poly([1, Fraction(1, 2 ** 2000)]),
                   complex_poly([float("inf"), 1])):

@@ -3,7 +3,6 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -22,7 +21,6 @@ from tilelab import (
     NoPatternSolved,
     REAL_MODE,
     SOLVED,
-    SolveConfig,
     VietaSystem,
     build_system,
     complex_poly,
@@ -343,10 +341,11 @@ class TestFindRoots:
         assert m == 2
         assert complex(value) == pytest.approx(1 + 1j, abs=1e-7)
 
-    def test_starved_config_raises_with_history(self):
-        cfg = SolveConfig(starts=1, max_iters=1)
+    def test_starved_config_raises_with_history(self, monkeypatch):
+        monkeypatch.setattr(vieta, "STARTS", 1)
+        monkeypatch.setattr(vieta, "MAX_ITERS", 1)
         with pytest.raises(NoPatternSolved) as err:
-            find_roots_report(parse_poly_text(CUBIC), config=cfg)
+            find_roots_report(parse_poly_text(CUBIC))
         outcomes = err.value.outcomes
         assert [o.pattern.label() for o in outcomes] == [
             "3", "2,1", "1,1,1", "1+q2", "q3"]
@@ -399,11 +398,9 @@ class TestIntegerRootSweep:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = SolveConfig()
-        assert cfg.tol == 1e-10
-        assert cfg.max_iters == 100
-        assert cfg.starts == 32
-        assert [f.name for f in fields(cfg)] == ["tol", "max_iters", "starts"]
+        assert vieta.TOL == 1e-10
+        assert vieta.MAX_ITERS == 100
+        assert vieta.STARTS == 32
 
 
 class TestRoundTrips:
@@ -569,9 +566,10 @@ class TestWorkCap:
 
     def test_huge_battery_is_built_lazily(self, monkeypatch):
         monkeypatch.setattr(vieta, "GN_WORK_CAP", 50)
-        cfg = SolveConfig(starts=10 ** 9, max_iters=1)
+        monkeypatch.setattr(vieta, "STARTS", 10 ** 9)
+        monkeypatch.setattr(vieta, "MAX_ITERS", 1)
         with pytest.raises(ResourceLimit):
-            find_roots_report(parse_poly_text(CUBIC), config=cfg)
+            find_roots_report(parse_poly_text(CUBIC))
 
     def test_cli_exit_code(self, monkeypatch, capsys):
         monkeypatch.setattr(vieta, "GN_WORK_CAP", 50)
