@@ -237,54 +237,20 @@ def multiplicity(p: Poly, r) -> int:
     return m
 
 
-def _divisors(v: int) -> list[int]:
-    v = abs(v)
-    out = set()
-    i = 1
-    while i * i <= v:
-        if v % i == 0:
-            out.add(i)
-            out.add(v // i)
-        i += 1
-    return sorted(out)
-
-
 def is_nicely_factored(p: Poly) -> bool:
     """True iff p splits into linear factors over its working field.
 
     Complex kind: always true for nonzero p (fundamental theorem).  Rational
-    kind: every irreducible factor must be linear, decided by stripping
-    rational roots (root candidates peeled off an integer-scaled copy) until
-    a nonzero constant remains.
+    kind: every irreducible factor must be linear, decided exactly on the
+    square-free split (sturm.splits_over_rationals).
     """
     if p.is_zero():
         return False
     if p.kind == COMPLEX:
         return True
-    cur = p
-    while cur.degree and cur.degree >= 1:
-        # strip roots at zero first
-        if cur.coeffs[0] == 0:
-            cur = synthetic_divide(cur, 0)[0]
-            continue
-        denom = math.lcm(*(c.denominator for c in cur.coeffs))
-        ints = [int(c * denom) for c in cur.coeffs]
-        lead, const = ints[-1], ints[0]
-        root = None
-        for num in _divisors(const):
-            for den in _divisors(lead):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    if eval_horner(cur, cand) == 0:
-                        root = cand
-                        break
-                if root is not None:
-                    break
-            if root is not None:
-                break
-        if root is None:
-            return False
-        cur = synthetic_divide(cur, root)[0]
-    return True
+    from .sturm import splits_over_rationals  # sturm imports this module
+
+    return splits_over_rationals(list(p.coeffs))
 
 
 @dataclass(frozen=True)

@@ -2,23 +2,33 @@
 
 This module deliberately shares no machinery with the Vieta-system solver
 beyond the Poly container; it is the second route in every dual-route root
-check.  Every input runs the same exact chain.  A float coefficient is read
-as the simplest rational that rounds to it, so 0.1 is 1/10 and pi is
-245850922/78256779.  The chain is built in Fractions, each element is
-scaled by the lcm of its denominators to integer coefficients, and signs at
-a rational point p/q are read off homogeneous Horner sums in integers
-alone.  A chain read from floats is kept at unit scale and drops remainder
-terms below _REM_DUST, so a root the floats repeat only up to rounding,
-such as pi in pi^2 - 2 pi x + x^2, keeps its multiplicity.  Counting uses
-half-open intervals (a, b], so every root lands in exactly one side of a
-split; multiple roots collapse the chain at gcd(p, p') and are still
-counted once, which is what makes the count "distinct roots".
+check.  A float coefficient is read as the simplest rational that rounds
+to it, so 0.1 is 1/10 and pi is 245850922/78256779.  Chains are built in
+Fractions, each element is scaled by the lcm of its denominators to
+integer coefficients, and signs at a rational point p/q are read off
+homogeneous Horner sums in integers alone.
+
+Exact input, and float input whose exact reading has a repeated factor,
+is first split by Yun's algorithm into square-free factors s_m, each
+holding the roots of multiplicity m.  Each factor's own chain isolates its
+roots, and before each halving a bracket is snapped to the simplest
+rational inside it: when s_m vanishes there, that is the root.  Every
+root comes back as the float nearest it.  Only a float input whose
+reading is square-free runs one chain on the whole reading, kept at unit
+scale and dropping remainder terms below _REM_DUST, so a root the floats
+repeat only up to rounding, such as pi in pi^2 - 2 pi x + x^2, keeps its
+multiplicity; a derivative ladder then polishes each root and reads it.
+
+Counting uses half-open intervals (a, b], so every root lands in exactly
+one side of a split; multiple roots collapse the chain at gcd(p, p') and
+are still counted once, which is what makes the count "distinct roots".
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .poly import (
     COMPLEX,
@@ -27,33 +37,26 @@ from .poly import (
     RootSet,
     eval_horner,
     max_norm,
-    multiplicity,
 )
 
 BISECT_WIDTH = 1e-12
 
 
-def _read_float(x: float) -> Fraction:
-    """The simplest rational that rounds to the finite float x.
+def _simplest_rational(lo: Fraction, hi: Fraction, closed: bool) -> Fraction:
+    """The simplest rational between lo < hi: the least denominator, then
+    the least magnitude.  The ends belong to the interval when closed.
 
-    A value halfway to a neighbour rounds to the even one of the two, so
-    the rounding interval holds its ends exactly when x is even, which is
-    when float() takes the lower end to x.  Above the largest float the
-    upper end is where rounding overflows.  The continued-fraction walk
-    (the Stern-Brocot descent) takes the smallest integer in the interval
-    if there is one, and otherwise goes on with the reciprocal of the part
-    above the integer part.
+    The continued-fraction walk (the Stern-Brocot descent) takes the
+    smallest integer in the interval if there is one, and otherwise goes
+    on with the reciprocal of the part above the integer part.
     """
-    if x < 0:
-        return -_read_float(-x)
-    if x == 0:
+    if hi < 0 or (hi == 0 and not closed):
+        return -_simplest_rational(-hi, -lo, closed)
+    if lo < 0 or (lo == 0 and closed):
         return Fraction(0)
-    v, below, above = Fraction(x), Fraction(math.nextafter(x, 0.0)), math.nextafter(x, math.inf)
-    lo = (below + v) / 2
-    hi = (v + Fraction(above)) / 2 if above < math.inf else v + (v - below) / 2
-    lo_in = hi_in = float(lo) == x
     # the interval is ln/ld .. hn/hd in integers; hd = 0 stands for infinity
     ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    lo_in = hi_in = closed
     terms = []
     while True:
         n = ln // ld
@@ -68,6 +71,24 @@ def _read_float(x: float) -> Fraction:
     for n in reversed(terms):
         num, den = n * num + den, num
     return Fraction(num, den)
+
+
+def _read_float(x: float) -> Fraction:
+    """The simplest rational that rounds to the finite float x.
+
+    A value halfway to a neighbour rounds to the even one of the two, so
+    the rounding interval holds its ends exactly when x is even, which is
+    when float() takes the lower end to x.  Above the largest float the
+    upper end is where rounding overflows.
+    """
+    if x < 0:
+        return -_read_float(-x)
+    if x == 0:
+        return Fraction(0)
+    v, below, above = Fraction(x), Fraction(math.nextafter(x, 0.0)), math.nextafter(x, math.inf)
+    lo = (below + v) / 2
+    hi = (v + Fraction(above)) / 2 if above < math.inf else v + (v - below) / 2
+    return _simplest_rational(lo, hi, float(lo) == x)
 
 
 def _as_real_coeffs(p: Poly) -> tuple[list[Fraction], bool]:
@@ -131,10 +152,86 @@ def _poly_quo(a: list, b: list) -> list:
     return out
 
 
+def _derivative_coeffs(coeffs: list) -> list:
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a over the gcd of its coefficients, with a positive lead."""
+    g = math.gcd(*a)
+    g = -g if a[-1] < 0 else g
+    return [c // g for c in a]
+
+
+def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """lead(b)^k times the remainder of a by b, for some k: integers only."""
+    a = list(a)
+    while len(a) >= len(b):
+        top, shift = a[-1], len(a) - len(b)
+        a = [c * b[-1] for c in a]
+        for i, bc in enumerate(b):
+            a[shift + i] -= top * bc
+        a.pop()  # leading term cancels by construction
+        a = _trim(a, False)
+    return a
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two integer polynomials, b possibly zero."""
+    while b:
+        a, b = b, _int_pseudo_rem(a, b)
+        b = b and _primitive(b)
+    return _primitive(a)
+
+
+def _int_quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for a primitive b that divides a; by Gauss's lemma the
+    quotient has integer coefficients, so every step divides exactly."""
+    a = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(out) - 1, -1, -1):
+        factor = out[shift] = a[shift + len(b) - 1] // b[-1]
+        for i, bc in enumerate(b):
+            a[shift + i] -= factor * bc
+    return out
+
+
+def square_free_split(coeffs: list[Fraction]) -> dict[int, list[int]]:
+    """{m: s_m} with p = c * prod s_m^m, by Yun's algorithm.
+
+    p is given by its low-first exact coefficients and c is a rational
+    constant.  Each s_m is a primitive integer polynomial with a positive
+    lead, square-free and of degree at least 1, and the s_m are pairwise
+    coprime, so the roots of s_m are exactly the roots of p of
+    multiplicity m (Yun 1976, On square-free decomposition algorithms).
+    The arithmetic stays in integers: every gcd is primitive, so every
+    quotient is exact.
+    """
+    if len(coeffs) <= 1:
+        return {}
+    den = math.lcm(*(c.denominator for c in coeffs))
+    f = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    deriv = _derivative_coeffs(f)
+    g = _int_gcd(f, deriv)
+    b, c = _int_quo(f, g), _int_quo(deriv, g)
+    out = {}
+    m = 1
+    while len(b) > 1:
+        # b = prod_{i >= m} s_i and c - b' vanishes at the roots of s_m but
+        # at no other root of b, so their gcd is s_m
+        d = _trim([x - y for x, y in zip_longest(c, _derivative_coeffs(b), fillvalue=0)], False)
+        s = _int_gcd(b, d)
+        if len(s) > 1:
+            out[m] = s
+        b, c = _int_quo(b, s), _int_quo(d, s)
+        m += 1
+    return out
+
+
 def _sturm_chain(coeffs: list, from_float: bool) -> list[list]:
     scale = _unit_scale if from_float else list
     chain = [scale(list(coeffs))]
-    deriv = [i * c for i, c in enumerate(chain[0])][1:]
+    deriv = _derivative_coeffs(chain[0])
     if deriv:
         chain.append(scale(deriv))
     while len(chain[-1]) > 1:
@@ -201,12 +298,15 @@ def _degenerate_at(chain: list[list[int]], x: Fraction) -> bool:
     return _int_eval(chain[0], x.numerator, _q_powers(x.denominator, len(chain[0]) - 1)) == 0
 
 
+# the midpoint, then offsets around it; more candidates than p has roots
+_SPLIT_OFFSETS = tuple(Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021) for j in range(33))
+
+
 def _split_point(chain: list[list[int]], a: Fraction, b: Fraction) -> Fraction:
     """A counting point strictly inside (a, b), never on a root of p."""
     span = b - a
-    for j in range(33):
-        # offsets around the midpoint; more candidates than p has roots
-        x = a + span * (Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021))
+    for offset in _SPLIT_OFFSETS:
+        x = a + span * offset
         if not _degenerate_at(chain, x):
             return x
     return a + span / 2  # only a polynomial of degree 33 or more gets here
@@ -251,59 +351,135 @@ def _cauchy_bound(coeffs: list[Fraction]) -> float:
     return bound
 
 
-def oracle_real_roots(p: Poly) -> RootSet:
-    """All distinct real roots with multiplicities, ascending, deterministic.
+def _isolate(chain: list[list[int]], hi: Fraction, cluster: float) -> list[tuple]:
+    """Brackets (a, b] in (-hi, hi], ascending, each holding one root of chain[0].
 
-    Sturm counting isolates each distinct root, count-driven bisection
-    shrinks every bracket below BISECT_WIDTH (sign-based bisection would
-    miss even-multiplicity roots), and the derivative ladder of
-    _refine_float_root polishes the root and reads its multiplicity; an
-    exact input whose root is an integer takes it by exact deflation.
-    Raises ValueError when a coefficient or the root bound lies past the
-    float range.
+    Each entry carries the variation count at its lower end.  A bracket
+    narrower than cluster, relative to its ends, is kept as one root even
+    when the chain counts more: a chain that drops roundoff cannot tell
+    such a cluster apart.
     """
-    coeffs, from_float = _as_real_coeffs(p)
-    if len(coeffs) <= 1:
-        return RootSet((), 0)
-    chain = _integer_chain(_sturm_chain(coeffs, from_float))
-
     def variations(x: Fraction) -> int:
         return _int_variations(chain, x.numerator, x.denominator)
-
-    hi = Fraction(_cauchy_bound(coeffs)).limit_denominator(1) + 1
-    lo = -hi
 
     # each entry carries the variation counts at its ends, so every point's
     # count is computed once; (a, b] holds v_a - v_b distinct roots
     intervals: list[tuple] = []
-    stack = [(lo, hi, variations(lo), variations(hi))]
+    stack = [(-hi, hi, variations(-hi), variations(hi))]
     while stack:
         a, b, va, vb = stack.pop()
         k = va - vb
         if k <= 0:
             continue
-        # below float resolution a claimed multi-root cluster is one root
-        if k == 1 or float(b - a) < 1e-10 * max(1.0, abs(float(a)), abs(float(b))):
+        if k == 1 or (cluster and float(b - a) < cluster * max(1.0, abs(float(a)), abs(float(b)))):
             intervals.append((a, b, va))
             continue
         mid = _split_point(chain, a, b)
         vm = variations(mid)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
-    intervals.sort(key=lambda iv: float(iv[0]))
+    intervals.sort(key=lambda iv: iv[0])
+    return intervals
 
+
+def _halve(chain: list[list[int]], a: Fraction, b: Fraction, va: int) -> tuple:
+    """The half of (a, b] that keeps its root, with the new lower count."""
+    mid = _split_point(chain, a, b)
+    vm = _int_variations(chain, mid.numerator, mid.denominator)
+    return (a, mid, va) if va - vm >= 1 else (mid, b, vm)
+
+
+def _pin_root(chain: list[list[int]], a: Fraction, b: Fraction, va: int,
+              decide: bool) -> tuple[Fraction | None, Fraction]:
+    """(root, a): (a, b] holds one root of the square-free chain[0], a
+    primitive integer polynomial (a factor from square_free_split).
+
+    Before each halving the simplest rational in the bracket is tried; if
+    chain[0] vanishes there, that is the root, exactly.  A rational root's
+    denominator divides the lead L of chain[0], and a bracket narrower
+    than 1/L^2 holds at most one rational of denominator at most L, its
+    simplest; past either point no snap can hit.  To decide is to stop
+    there, so that root is None exactly when the root is irrational.
+    Otherwise the halving stops once both ends round to the same float,
+    which is then the float nearest the root; root is None when no snap
+    hit by then.
+    """
+    lead = chain[0][-1]
+    gap = Fraction(1, lead * lead)
+    snap = True
+    while True:
+        if snap:
+            r = _simplest_rational(a, b, False)
+            if r.denominator <= lead and _degenerate_at(chain, r):
+                return r, a
+            snap = r.denominator <= lead and b - a >= gap
+        if (not snap) if decide else float(a) == float(b):
+            return None, a
+        a, b, va = _halve(chain, a, b, va)
+
+
+def oracle_real_roots(p: Poly) -> RootSet:
+    """All distinct real roots with multiplicities, ascending, deterministic.
+
+    Exact input, and float input whose exact reading has a repeated
+    factor, is split by square_free_split: the roots of each factor s_m
+    are isolated by its own exact Sturm chain and have multiplicity m,
+    and each is reported as the float nearest it (_pin_root).  A float
+    input whose reading is square-free takes the unit-scaled chain that
+    drops roundoff, so that a root the floats repeat only up to rounding
+    keeps its multiplicity: count-driven bisection (sign-based bisection
+    would miss even-multiplicity roots) shrinks every bracket below
+    BISECT_WIDTH, and the derivative ladder of _refine_float_root polishes
+    the root and reads that multiplicity.  The residual is |p(value)| in
+    p's own arithmetic.  Raises ValueError when a coefficient or the root
+    bound lies past the float range.
+    """
+    coeffs, from_float = _as_real_coeffs(p)
+    if len(coeffs) <= 1:
+        return RootSet((), 0)
+    hi = Fraction(_cauchy_bound(coeffs)).limit_denominator(1) + 1
+    split = square_free_split(coeffs)
+    if from_float and list(split) == [1]:
+        return _float_reading_roots(p, coeffs, hi)
+    roots = []
+    for m, s in split.items():
+        chain = _integer_chain(_sturm_chain(list(map(Fraction, s)), False))
+        for a, b, va in _isolate(chain, hi, 0.0):
+            r, a = _pin_root(chain, a, b, va, False)
+            value = float(a if r is None else r)
+            residual = (float(abs(eval_horner(p, Fraction(value)))) if p.kind == RATIONAL
+                        else abs(eval_horner(p, value)))
+            roots.append((value, m, residual))
+    roots.sort()
+    return RootSet(tuple(roots), len(roots))
+
+
+def splits_over_rationals(coeffs: list[Fraction]) -> bool:
+    """True iff the exact polynomial with these low-first coefficients is
+    a product of linear factors over Q.
+
+    It is exactly when each factor s_m of square_free_split has deg s_m
+    real roots and _pin_root finds every one of them rational.
+    """
+    for s in square_free_split(coeffs).values():
+        chain = _integer_chain(_sturm_chain(list(map(Fraction, s)), False))
+        if _int_variations(chain, -1, 0) - _int_variations(chain, 1, 0) < len(s) - 1:
+            return False
+        hi = Fraction(max(abs(c) for c in s[:-1]) // s[-1] + 2)  # the Cauchy bound, rounded up
+        if any(_pin_root(chain, a, b, va, True)[0] is None for a, b, va in _isolate(chain, hi, 0.0)):
+            return False
+    return True
+
+
+def _float_reading_roots(p: Poly, coeffs: list[Fraction], hi: Fraction) -> RootSet:
+    """Roots of a float input whose exact reading is square-free."""
+    chain = _integer_chain(_sturm_chain(coeffs, True))
     centers = []
-    for a, b, va in intervals:
+    for a, b, va in _isolate(chain, hi, 1e-10):
         while float(b - a) > BISECT_WIDTH:
-            mid = _split_point(chain, a, b)
-            vm = variations(mid)
-            if va - vm >= 1:
-                b = mid
-            else:
-                a, va = mid, vm
+            a, b, va = _halve(chain, a, b, va)
         centers.append(float((a + b) / 2))
 
-    work = p if p.kind == COMPLEX else Poly(tuple(map(complex, p.coeffs)), COMPLEX)
     roots = []
     for i, r in enumerate(centers):
         # polishing may only move a center toward its own root, never past a
@@ -311,15 +487,8 @@ def oracle_real_roots(p: Poly) -> RootSet:
         gaps = [abs(r - other) for j, other in enumerate(centers) if j != i]
         max_shift = min(gaps) / 4 if gaps else 0.05 * max(1.0, abs(r))
         max_shift = max(max_shift, 1e-6 * max(1.0, abs(r)))
-        near_int = abs(r - round(r)) <= 1e-9 * max(1.0, abs(r))
-        if p.kind == RATIONAL and near_int and eval_horner(p, Fraction(round(r))) == 0:
-            mult = multiplicity(p, Fraction(round(r)))
-            r = float(round(r))
-            residual = 0.0
-        else:
-            r, mult = _refine_float_root(work, r, max_shift)
-            residual = abs(eval_horner(work, r))
-        roots.append((r, mult, residual))
+        r, mult = _refine_float_root(p, r, max_shift)
+        roots.append((r, mult, abs(eval_horner(p, r))))
 
     # noisy chains can hand two brackets the same root; keep one entry per root
     merged: list[tuple[float, int, float]] = []

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,19 @@ class TestNicelyFactored:
         assert not is_nicely_factored(poly([1, 0, 1]))   # x^2 + 1
         assert not is_nicely_factored(poly([-2, 0, 1]))  # x^2 - 2
         assert not is_nicely_factored(mul(poly([1, 0, 1]), poly([-1, 1])))
+
+    def test_large_constant_term_is_decided_fast(self):
+        start = time.perf_counter()
+        assert not is_nicely_factored(poly([2 ** 70 + 1, 0, 1]))  # x^2 + 2^70 + 1
+        assert time.perf_counter() - start < 1.0
+
+    def test_close_roots_with_large_denominators(self):
+        p = mul(poly([-Fraction(1, 1000003), 1]), poly([-Fraction(1, 1000033), 1]))
+        assert is_nicely_factored(mul(p, p))
+        # x^2 - 4/1000003^2 splits, x^2 - 2/1000003^2 does not
+        assert is_nicely_factored(mul(p, poly([-Fraction(4, 1000003 ** 2), 0, 1])))
+        assert not is_nicely_factored(mul(p, poly([-Fraction(2, 1000003 ** 2), 0, 1])))
+        assert is_nicely_factored(poly([2 ** 2000, 1]))  # a root past the float range
 
 
 class TestSerialization:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -10,7 +11,9 @@ from tilelab import sturm
 from tilelab import (
     complex_poly,
     count_real_roots_in,
+    eval_horner,
     mul,
+    multiplicity,
     oracle_real_roots,
     parse_poly_text,
     poly,
@@ -324,6 +327,26 @@ class TestReadFloat:
     def test_pi_reading(self):
         assert sturm._read_float(math.pi) == Fraction(245850922, 78256779)
 
+    def test_simplest_rational_in_brackets(self):
+        rng = random.Random(99)
+        for _ in range(300):
+            a = Fraction(rng.randint(-300, 300), rng.randint(1, 40))
+            b = a + Fraction(rng.randint(1, 50), rng.randint(1, 400))
+            for closed in (False, True):
+                r = sturm._simplest_rational(a, b, closed)
+
+                def inside(x):
+                    return a <= x <= b if closed else a < x < b
+
+                assert inside(r)
+                # nothing inside has a smaller denominator, or the same one
+                # and a smaller magnitude
+                for q in range(1, r.denominator + 1):
+                    for num in range(math.floor(a * q), math.ceil(b * q) + 1):
+                        x = Fraction(num, q)
+                        if inside(x):
+                            assert (x.denominator, abs(x)) >= (r.denominator, abs(r))
+
 
 class TestFloatSpelling:
     def test_float_spelling_matches_exact_spelling(self):
@@ -360,3 +383,142 @@ class TestFloatSpelling:
                   complex_poly([float("inf"), 1])):
             with pytest.raises(ValueError):
                 oracle_real_roots(p)
+
+
+# ---------------------------------------------------------------------------
+# the square-free split: every exact input, and every float input whose exact
+# reading has a repeated factor, is answered factor by factor, and each root
+# comes back as the float nearest it
+
+
+def spellings(roots):
+    exact = poly_from_roots(roots, True)
+    return exact, complex_poly([float(c) for c in exact.coeffs])
+
+
+def on_split_path(p) -> bool:
+    coeffs, from_float = sturm._as_real_coeffs(p)
+    return not from_float or list(sturm.square_free_split(coeffs)) != [1]
+
+
+def is_nearest_float(p, value) -> bool:
+    """True when p changes sign across the rounding interval of value, so
+    that the simple root inside rounds to value."""
+    half_ulp = Fraction(math.ulp(value)) / 2
+    lo, hi = (eval_horner(p, Fraction(value) + d) for d in (-half_ulp, half_ulp))
+    return (lo < 0) != (hi < 0)
+
+
+# the 11 draws of perfbench's claims corpus (_claims_corpus_roots, seeds 11-13,
+# 300 draws each) whose roots came back up to 0.035 off in both spellings
+CORPUS_MISSES = [
+    [(-3, 4), (Fraction(-8, 3), 2), (Fraction(-7, 3), 4), (Fraction(-4, 3), 2), (Fraction(5, 2), 2)],
+    [(Fraction(-5, 2), 4), (Fraction(-5, 3), 4), (Fraction(-3, 2), 3)],
+    [(Fraction(-8, 3), 1), (-2, 4), (Fraction(-3, 2), 4), (Fraction(-4, 3), 2)],
+    [(Fraction(1, 3), 3), (1, 3), (Fraction(5, 2), 4), (Fraction(8, 3), 4)],
+    [(2, 2), (Fraction(7, 3), 2), (Fraction(5, 2), 4)],
+    [(Fraction(3, 2), 4), (Fraction(5, 3), 3), (2, 4)],
+    [(-2, 3), (Fraction(7, 3), 3), (Fraction(5, 2), 2), (Fraction(8, 3), 3), (3, 2)],
+    [(Fraction(1, 3), 2), (Fraction(4, 3), 4), (Fraction(3, 2), 3), (Fraction(7, 3), 4)],
+    [(Fraction(-2, 3), 1), (Fraction(4, 3), 4), (2, 4), (Fraction(7, 3), 4)],
+    [(-2, 2), (Fraction(-1, 2), 2), (2, 2), (Fraction(7, 3), 2), (Fraction(5, 2), 3), (Fraction(8, 3), 3)],
+    [(Fraction(1, 2), 3), (2, 4), (Fraction(5, 2), 3), (Fraction(8, 3), 2)],
+]
+
+SMALL_DOMAIN = [Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 3),
+                Fraction(1), Fraction(3, 2)]
+
+
+def small_domain_products():
+    """Every prod (x - r)^m over distinct r from SMALL_DOMAIN, degree <= 6."""
+    for k in range(1, 7):
+        for roots in itertools.combinations(SMALL_DOMAIN, k):
+            for mults in itertools.product(range(1, 7), repeat=k):
+                if sum(mults) <= 6:
+                    yield list(zip(roots, mults))
+
+
+class TestSquareFreeSplit:
+    def test_factors_rebuild_the_input(self):
+        rng = random.Random(7171)
+        for i in range(40):
+            p, roots = corpus_poly(rng, 4 + i % 11)
+            split = sturm.square_free_split(list(p.coeffs))
+            product = poly([1])
+            for m, s in split.items():
+                assert s[-1] > 0 and math.gcd(*s) == 1
+                assert len(sturm._int_gcd(s, sturm._derivative_coeffs(s))) == 1
+                for _ in range(m):
+                    product = mul(product, poly(s))
+            for s, t in itertools.combinations(split.values(), 2):
+                assert len(sturm._int_gcd(s, t)) == 1
+            scale = p.coeffs[-1] / product.coeffs[-1]
+            assert [c * scale for c in product.coeffs] == list(p.coeffs)
+            for r in roots:
+                assert eval_horner(poly(split[multiplicity(p, r)]), r) == 0
+
+    def test_constants_have_no_factors(self):
+        assert sturm.square_free_split([Fraction(5)]) == {}
+
+    @pytest.mark.parametrize("roots", CORPUS_MISSES)
+    def test_corpus_draws_come_back_exactly(self, roots):
+        for p in spellings(roots):
+            rs = oracle_real_roots(p)
+            assert [(v, m) for v, m, _ in rs.roots] == [(float(r), m) for r, m in roots]
+
+    def test_irrational_roots_are_the_nearest_floats(self):
+        # (x^2 - 2)^2 (x^2 - 3) (x - 1/3)^3
+        p = mul(mul(poly([-2, 0, 1]), poly([-2, 0, 1])), poly([-3, 0, 1]))
+        p = mul(p, poly_from_roots([(Fraction(1, 3), 3)], True))
+        rs = oracle_real_roots(p)
+        assert [(v, m) for v, m, _ in rs.roots] == [
+            (-math.sqrt(3), 1), (-math.sqrt(2), 2), (1 / 3, 3), (math.sqrt(2), 2), (math.sqrt(3), 1)]
+        assert rs.roots[2][2] == float(abs(eval_horner(p, Fraction(1 / 3))))  # exact residual
+
+    def test_float_reading_with_a_repeated_factor_and_a_close_pair(self):
+        # x^2 - (B/D) x + C/D has two simple roots 1.6e-6 apart near 3.1415,
+        # a pair like the reading of pi^2 - 2 pi x + x^2; times (x - 1)^2
+        # every coefficient still reads back exactly
+        D, B, C = 2 * 10 ** 7, 125661929, 197386505
+        pair = poly([Fraction(C, D), Fraction(-B, D), 1])
+        exact = mul(poly_from_roots([(1, 2)], True), pair)
+        spelled = complex_poly([float(c) for c in exact.coeffs])
+        assert [sturm._read_float(c.real) for c in spelled.coeffs] == list(exact.coeffs)
+        # so the reading is not square-free and the split path answers: the
+        # pair stays two simple roots, each the float nearest it
+        assert on_split_path(spelled)
+        rs = oracle_real_roots(spelled)
+        assert [m for _, m, _ in rs.roots] == [2, 1, 1]
+        assert rs.roots[0][0] == 1.0
+        for value, _, _ in rs.roots[1:]:
+            assert is_nearest_float(pair, value)
+        assert rs.roots[2][0] - rs.roots[1][0] == pytest.approx(1.6e-6, rel=0.01)
+        # the pair alone reads square-free and takes the chain that drops
+        # roundoff, which reads it as one double root, as it reads pi^2,-2*pi,1
+        alone = complex_poly([float(c) for c in pair.coeffs])
+        assert not on_split_path(alone)
+        rs = oracle_real_roots(alone)
+        assert [m for _, m, _ in rs.roots] == [2]
+        assert rs.roots[0][0] == pytest.approx(B / (2 * D), rel=1e-9)
+
+
+class TestSmallDomainGate:
+    def test_every_product_on_a_small_domain(self):
+        calls, split_calls, wrong = 0, 0, []
+        for roots in small_domain_products():
+            want = [(float(r), m) for r, m in roots]
+            for p in spellings(roots):
+                got = [(v, m) for v, m, _ in oracle_real_roots(p).roots]
+                calls += 1
+                if on_split_path(p):
+                    split_calls += 1
+                    ok = got == want
+                else:
+                    ok = len(got) == len(want) and all(
+                        gm == wm and abs(gv - wv) <= 1e-9 * max(1.0, abs(wv))
+                        for (gv, gm), (wv, wm) in zip(got, want))
+                if not ok:
+                    wrong.append((p, got))
+        assert calls == 3430
+        assert 1715 < split_calls < calls  # both paths are exercised
+        assert wrong == []
