@@ -4,9 +4,9 @@ This module deliberately shares no machinery with the Vieta-system solver
 beyond the Poly container; it is the second route in every dual-route root
 check.  A float coefficient is read as the simplest rational that rounds
 to it, so 0.1 is 1/10 and pi is 245850922/78256779.  Chains are built in
-Fractions, each element is scaled by the lcm of its denominators to
-integer coefficients, and signs at a rational point p/q are read off
-homogeneous Horner sums in integers alone.
+integers, by pseudo-remainders that scale each element by a positive
+factor and divide out its content, and signs at a rational point p/q are
+read off homogeneous Horner sums in integers alone.
 
 Exact input, and float input whose exact reading has a repeated factor,
 is first split by Yun's algorithm into square-free factors s_m, each
@@ -14,10 +14,11 @@ holding the roots of multiplicity m.  Each factor's own chain isolates its
 roots, and before each halving a bracket is snapped to the simplest
 rational inside it: when s_m vanishes there, that is the root.  Every
 root comes back as the float nearest it.  Only a float input whose
-reading is square-free runs one chain on the whole reading, kept at unit
-scale and dropping remainder terms below _REM_DUST, so a root the floats
+reading is square-free runs one chain on the whole reading, dropping
+remainder terms below _REM_DUST of the dividend, so a root the floats
 repeat only up to rounding, such as pi in pi^2 - 2 pi x + x^2, keeps its
 multiplicity; a derivative ladder then polishes each root and reads it.
+count_real_roots_in reads its input by the same rule.
 
 Counting uses half-open intervals (a, b], so every root lands in exactly
 one side of a split; multiple roots collapse the chain at gcd(p, p') and
@@ -38,6 +39,7 @@ from .poly import (
     eval_horner,
     max_norm,
 )
+from .search import ResourceLimit
 
 BISECT_WIDTH = 1e-12
 
@@ -109,47 +111,24 @@ def _as_real_coeffs(p: Poly) -> tuple[list[Fraction], bool]:
     return out, True
 
 
-_REM_DUST = 1e-11  # chains read from floats are unit-scaled; smaller is roundoff
+ORACLE_DEGREE_CAP = 36  # the highest degree real-mode roots find hands the oracle before SHAPE_CAP
+
+# a float reading's chain drops a remainder term at most this share of the
+# dividend's largest coefficient: smaller is roundoff
+_REM_DUST = Fraction(1e-11)
 
 
-def _trim(coeffs: list, from_float: bool) -> list:
-    dust = _REM_DUST if from_float else 0
-    while coeffs and abs(coeffs[-1]) <= dust:
-        coeffs.pop()
-    return coeffs
+def _real_reading(p: Poly) -> tuple[list[Fraction], dict[int, list[int]] | None]:
+    """p's exact coefficients and their square_free_split, or None in place
+    of the split when they were read from floats and are square-free.
 
-
-def _unit_scale(coeffs: list) -> list:
-    # positive rescaling preserves every sign in the chain
-    top = max(abs(c) for c in coeffs)
-    return coeffs if top == 0 else [c / top for c in coeffs]
-
-
-def _poly_rem(a: list, b: list, from_float: bool) -> list:
-    """Remainder of a by b, low-first; a chain read from floats trims dust."""
-    a = list(a)
-    lead = b[-1]
-    while len(a) >= len(b):
-        factor = a[-1] / lead
-        shift = len(a) - len(b)
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-        a.pop()  # leading term cancels by construction
-        a = _trim(a, from_float)
-        if not a:
-            break
-    return a
-
-
-def _poly_quo(a: list, b: list) -> list:
-    """Quotient of a by b, low-first; the remainder is dropped."""
-    a = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        factor = out[shift] = a[shift + len(b) - 1] / b[-1]
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-    return out
+    Raises ResourceLimit above ORACLE_DEGREE_CAP.
+    """
+    coeffs, from_float = _as_real_coeffs(p)
+    if len(coeffs) - 1 > ORACLE_DEGREE_CAP:
+        raise ResourceLimit(f"degree {len(coeffs) - 1} exceeds the oracle's cap {ORACLE_DEGREE_CAP}")
+    split = square_free_split(coeffs)
+    return coeffs, None if from_float and list(split) == [1] else split
 
 
 def _derivative_coeffs(coeffs: list) -> list:
@@ -163,16 +142,33 @@ def _primitive(a: list[int]) -> list[int]:
     return [c // g for c in a]
 
 
-def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """lead(b)^k times the remainder of a by b, for some k: integers only."""
+def _integer(coeffs: list[Fraction]) -> list[int]:
+    """The primitive integer polynomial with a positive lead that is a
+    rational multiple of coeffs."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _int_pseudo_rem(a: list[int], b: list[int], dust=0) -> list[int]:
+    """|lead(b)|^k times the remainder of a by b, for some k: integers only.
+
+    The factor is positive, so every sign of the remainder is kept.  A
+    leading term at most dust times the largest coefficient of a is
+    dropped; each step scales a by |lead(b)|, and the bound with it.
+    """
     a = list(a)
+    num, den = dust.as_integer_ratio()
+    bound = num * max(map(abs, a))
+    lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
     while len(a) >= len(b):
-        top, shift = a[-1], len(a) - len(b)
-        a = [c * b[-1] for c in a]
+        top, shift = sign * a[-1], len(a) - len(b)
+        a = [c * lead for c in a]
         for i, bc in enumerate(b):
             a[shift + i] -= top * bc
         a.pop()  # leading term cancels by construction
-        a = _trim(a, False)
+        bound *= lead
+        while a and abs(a[-1]) * den <= bound:
+            a.pop()
     return a
 
 
@@ -185,8 +181,10 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_quo(a: list[int], b: list[int]) -> list[int]:
-    """a / b for a primitive b that divides a; by Gauss's lemma the
-    quotient has integer coefficients, so every step divides exactly."""
+    """The quotient of a by b, for a and b whose long division divides
+    exactly at every step: a primitive b that divides a (by Gauss's lemma
+    the quotient has integer coefficients), or an a that carries the factor
+    lead(b)^(deg a - deg b + 1).  The remainder is dropped."""
     a = list(a)
     out = [0] * (len(a) - len(b) + 1)
     for shift in range(len(out) - 1, -1, -1):
@@ -209,8 +207,7 @@ def square_free_split(coeffs: list[Fraction]) -> dict[int, list[int]]:
     """
     if len(coeffs) <= 1:
         return {}
-    den = math.lcm(*(c.denominator for c in coeffs))
-    f = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    f = _integer(coeffs)
     deriv = _derivative_coeffs(f)
     g = _int_gcd(f, deriv)
     b, c = _int_quo(f, g), _int_quo(deriv, g)
@@ -219,7 +216,9 @@ def square_free_split(coeffs: list[Fraction]) -> dict[int, list[int]]:
     while len(b) > 1:
         # b = prod_{i >= m} s_i and c - b' vanishes at the roots of s_m but
         # at no other root of b, so their gcd is s_m
-        d = _trim([x - y for x, y in zip_longest(c, _derivative_coeffs(b), fillvalue=0)], False)
+        d = [x - y for x, y in zip_longest(c, _derivative_coeffs(b), fillvalue=0)]
+        while d and not d[-1]:
+            d.pop()
         s = _int_gcd(b, d)
         if len(s) > 1:
             out[m] = s
@@ -228,30 +227,23 @@ def square_free_split(coeffs: list[Fraction]) -> dict[int, list[int]]:
     return out
 
 
-def _sturm_chain(coeffs: list, from_float: bool) -> list[list]:
-    scale = _unit_scale if from_float else list
-    chain = [scale(list(coeffs))]
-    deriv = _derivative_coeffs(chain[0])
-    if deriv:
-        chain.append(scale(deriv))
+def _sturm_chain(f: list[int], dust=0) -> list[list[int]]:
+    """The Sturm chain of the integer polynomial f, of degree at least 1:
+    f, f', then each remainder negated, in integers.
+
+    Each element is a positive multiple of the classical one, over its
+    content, so the chain takes the classical signs.  With dust, each
+    remainder drops its roundoff (_int_pseudo_rem); the bound is relative,
+    so the chain drops what a chain kept at unit scale would.
+    """
+    chain = [f, _derivative_coeffs(f)]
     while len(chain[-1]) > 1:
-        rem = _poly_rem(chain[-2], chain[-1], from_float)
+        rem = _int_pseudo_rem(chain[-2], chain[-1], dust)
         if not rem:
             break
-        chain.append([-c for c in scale(rem)])
+        g = math.gcd(*rem)
+        chain.append([-c // g for c in rem])
     return chain
-
-
-def _integer_chain(chain: list[list]) -> list[list[int]]:
-    """Each chain element times the lcm of its denominators.
-
-    The scale is positive, so every sign the chain takes is kept.
-    """
-    out = []
-    for coeffs in chain:
-        den = math.lcm(*(c.denominator for c in coeffs))
-        out.append([c.numerator * (den // c.denominator) for c in coeffs])
-    return out
 
 
 def _q_powers(q: int, d: int) -> list[int]:
@@ -269,62 +261,72 @@ def _int_eval(coeffs: list[int], p: int, q_pow: list[int]) -> int:
     return acc
 
 
-def _int_variations(chain: list[list[int]], p: int, q: int) -> int:
-    """Sign changes along an integer chain at p/q (q > 0).
+def _int_variations(chain: list[list[int]], p: int, q: int) -> tuple[int, bool]:
+    """The sign changes along an integer chain at p/q (q > 0), and whether
+    p/q is a root of chain[0].
 
     q = 0 with p = +-1 gives the count at +-infinity: there each
     element's homogeneous value is its leading coefficient times p^d.
     """
     q_pow = _q_powers(q, len(chain[0]) - 1)
-    changes = 0
-    last = 0
-    for coeffs in chain:
-        v = _int_eval(coeffs, p, q_pow)
-        if v:
-            if last and (v > 0) != (last > 0):
-                changes += 1
-            last = v
-    return changes
-
-
-def _degenerate_at(chain: list[list[int]], x: Fraction) -> bool:
-    """True when x sits on a root of p itself.
-
-    Every chain element is divisible by gcd(p, p'), so at a multiple root
-    the whole chain vanishes and variation counts turn meaningless; even a
-    simple-root hit makes the endpoint count ambiguous.  Counting points
-    must dodge these.
-    """
-    return _int_eval(chain[0], x.numerator, _q_powers(x.denominator, len(chain[0]) - 1)) == 0
+    values = [_int_eval(coeffs, p, q_pow) for coeffs in chain]
+    signs = [v > 0 for v in values if v]
+    return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
 
 
 # the midpoint, then offsets around it; more candidates than p has roots
 _SPLIT_OFFSETS = tuple(Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021) for j in range(33))
 
 
-def _split_point(chain: list[list[int]], a: Fraction, b: Fraction) -> Fraction:
-    """A counting point strictly inside (a, b), never on a root of p."""
+def _split_point(chain: list[list[int]], a: Fraction, b: Fraction) -> tuple[Fraction, int]:
+    """A counting point strictly inside (a, b), with its variation count.
+
+    Every chain element is divisible by gcd(p, p'), so at a multiple root
+    the whole chain vanishes and variation counts turn meaningless; even a
+    simple-root hit makes the count ambiguous.  So the point is never on a
+    root of p = chain[0].
+    """
     span = b - a
     for offset in _SPLIT_OFFSETS:
         x = a + span * offset
-        if not _degenerate_at(chain, x):
-            return x
-    return a + span / 2  # only a polynomial of degree 33 or more gets here
+        v, on_root = _int_variations(chain, x.numerator, x.denominator)
+        if not on_root:
+            return x, v
+    x = a + span / 2  # only a polynomial of degree 33 or more gets here
+    return x, _int_variations(chain, x.numerator, x.denominator)[0]
 
 
 def count_real_roots_in(p: Poly, lo, hi) -> int:
-    """Distinct real roots of p in the half-open interval (lo, hi]."""
-    coeffs, from_float = _as_real_coeffs(p)
-    if len(coeffs) <= 1:
+    """Distinct real roots of p in the half-open interval (lo, hi]; none
+    when lo >= hi.
+
+    p is read as oracle_real_roots reads it: exact input, and a float
+    reading with a repeated factor, is counted factor by factor on
+    square_free_split; a float reading that is square-free is counted on
+    the square-free part p / gcd(p, p') of the chain that drops roundoff.
+    Raises ValueError for a NaN end and ResourceLimit above
+    ORACLE_DEGREE_CAP.
+    """
+    for name, x in (("lo", lo), ("hi", hi)):
+        if x != x:
+            raise ValueError(f"count_real_roots_in: {name} is NaN")
+    coeffs, split = _real_reading(p)
+    if lo >= hi:
         return 0
-    chain = _sturm_chain(coeffs, from_float)
-    if len(chain[-1]) > 1:
-        # the last element is gcd(p, p'), which vanishes with the whole chain
-        # at a multiple root; an endpoint there is only counted right on the
-        # square-free part p / gcd(p, p')
-        chain = _sturm_chain(_poly_quo(chain[0], chain[-1]), from_float)
-    chain = _integer_chain(chain)
-    return _int_variations(chain, *_homogeneous(lo)) - _int_variations(chain, *_homogeneous(hi))
+    if split is not None:
+        chains = [_sturm_chain(s) for s in split.values()]
+    else:
+        chain = _sturm_chain(_integer(coeffs), _REM_DUST)
+        a, g = chain[0], chain[-1]
+        if len(g) > 1:
+            # the last element is gcd(p, p'), which vanishes with the whole
+            # chain at a multiple root; an endpoint there is only counted
+            # right on the square-free part
+            scale = abs(g[-1]) ** (len(a) - len(g) + 1)
+            chain = _sturm_chain(_int_quo([c * scale for c in a], g), _REM_DUST)
+        chains = [chain]
+    lo, hi = _homogeneous(lo), _homogeneous(hi)
+    return sum(_int_variations(c, *lo)[0] - _int_variations(c, *hi)[0] for c in chains)
 
 
 def _homogeneous(x) -> tuple[int, int]:
@@ -360,7 +362,7 @@ def _isolate(chain: list[list[int]], hi: Fraction, cluster: float) -> list[tuple
     such a cluster apart.
     """
     def variations(x: Fraction) -> int:
-        return _int_variations(chain, x.numerator, x.denominator)
+        return _int_variations(chain, x.numerator, x.denominator)[0]
 
     # each entry carries the variation counts at its ends, so every point's
     # count is computed once; (a, b] holds v_a - v_b distinct roots
@@ -374,8 +376,7 @@ def _isolate(chain: list[list[int]], hi: Fraction, cluster: float) -> list[tuple
         if k == 1 or (cluster and float(b - a) < cluster * max(1.0, abs(float(a)), abs(float(b)))):
             intervals.append((a, b, va))
             continue
-        mid = _split_point(chain, a, b)
-        vm = variations(mid)
+        mid, vm = _split_point(chain, a, b)
         stack.append((a, mid, va, vm))
         stack.append((mid, b, vm, vb))
     intervals.sort(key=lambda iv: iv[0])
@@ -384,8 +385,7 @@ def _isolate(chain: list[list[int]], hi: Fraction, cluster: float) -> list[tuple
 
 def _halve(chain: list[list[int]], a: Fraction, b: Fraction, va: int) -> tuple:
     """The half of (a, b] that keeps its root, with the new lower count."""
-    mid = _split_point(chain, a, b)
-    vm = _int_variations(chain, mid.numerator, mid.denominator)
+    mid, vm = _split_point(chain, a, b)
     return (a, mid, va) if va - vm >= 1 else (mid, b, vm)
 
 
@@ -410,7 +410,8 @@ def _pin_root(chain: list[list[int]], a: Fraction, b: Fraction, va: int,
     while True:
         if snap:
             r = _simplest_rational(a, b, False)
-            if r.denominator <= lead and _degenerate_at(chain, r):
+            # chain[0] alone says whether r is a root
+            if r.denominator <= lead and _int_variations(chain[:1], r.numerator, r.denominator)[1]:
                 return r, a
             snap = r.denominator <= lead and b - a >= gap
         if (not snap) if decide else float(a) == float(b):
@@ -425,25 +426,25 @@ def oracle_real_roots(p: Poly) -> RootSet:
     factor, is split by square_free_split: the roots of each factor s_m
     are isolated by its own exact Sturm chain and have multiplicity m,
     and each is reported as the float nearest it (_pin_root).  A float
-    input whose reading is square-free takes the unit-scaled chain that
-    drops roundoff, so that a root the floats repeat only up to rounding
-    keeps its multiplicity: count-driven bisection (sign-based bisection
-    would miss even-multiplicity roots) shrinks every bracket below
+    input whose reading is square-free takes the chain that drops
+    roundoff, so that a root the floats repeat only up to rounding keeps
+    its multiplicity: count-driven bisection (sign-based bisection would
+    miss even-multiplicity roots) shrinks every bracket below
     BISECT_WIDTH, and the derivative ladder of _refine_float_root polishes
-    the root and reads that multiplicity.  The residual is |p(value)| in
-    p's own arithmetic.  Raises ValueError when a coefficient or the root
-    bound lies past the float range.
+    the root and reads that multiplicity.  Every chain is built and
+    evaluated in integers.  The residual is |p(value)| in p's own
+    arithmetic.  Raises ValueError when a coefficient or the root bound
+    lies past the float range, and ResourceLimit above ORACLE_DEGREE_CAP.
     """
-    coeffs, from_float = _as_real_coeffs(p)
+    coeffs, split = _real_reading(p)
     if len(coeffs) <= 1:
         return RootSet((), 0)
     hi = Fraction(_cauchy_bound(coeffs)).limit_denominator(1) + 1
-    split = square_free_split(coeffs)
-    if from_float and list(split) == [1]:
+    if split is None:
         return _float_reading_roots(p, coeffs, hi)
     roots = []
     for m, s in split.items():
-        chain = _integer_chain(_sturm_chain(list(map(Fraction, s)), False))
+        chain = _sturm_chain(s)
         for a, b, va in _isolate(chain, hi, 0.0):
             r, a = _pin_root(chain, a, b, va, False)
             value = float(a if r is None else r)
@@ -462,8 +463,8 @@ def splits_over_rationals(coeffs: list[Fraction]) -> bool:
     real roots and _pin_root finds every one of them rational.
     """
     for s in square_free_split(coeffs).values():
-        chain = _integer_chain(_sturm_chain(list(map(Fraction, s)), False))
-        if _int_variations(chain, -1, 0) - _int_variations(chain, 1, 0) < len(s) - 1:
+        chain = _sturm_chain(s)
+        if _int_variations(chain, -1, 0)[0] - _int_variations(chain, 1, 0)[0] < len(s) - 1:
             return False
         hi = Fraction(max(abs(c) for c in s[:-1]) // s[-1] + 2)  # the Cauchy bound, rounded up
         if any(_pin_root(chain, a, b, va, True)[0] is None for a, b, va in _isolate(chain, hi, 0.0)):
@@ -473,7 +474,7 @@ def splits_over_rationals(coeffs: list[Fraction]) -> bool:
 
 def _float_reading_roots(p: Poly, coeffs: list[Fraction], hi: Fraction) -> RootSet:
     """Roots of a float input whose exact reading is square-free."""
-    chain = _integer_chain(_sturm_chain(coeffs, True))
+    chain = _sturm_chain(_integer(coeffs), _REM_DUST)
     centers = []
     for a, b, va in _isolate(chain, hi, 1e-10):
         while float(b - a) > BISECT_WIDTH:

@@ -340,6 +340,12 @@ class TestReport:
         assert [r["mult"] for r in entry["roots"]] == [1, 1, 1, 2]
         assert entry["roots"][-1]["value"] == pytest.approx(7.0)
 
+    def test_degree_at_the_oracle_cap_answers(self):
+        code, out, _ = run("report", "--poly-corpus", "-", stdin="-1" + ",0" * 35 + ",1\n")
+        assert code == 0
+        (entry,) = json.loads(out)["polynomials"]
+        assert [(r["value"], r["mult"]) for r in entry["roots"]] == [(-1.0, 1), (1.0, 1)]
+
     def test_default_size(self):
         code, out, _ = run("report")
         assert code == 0
@@ -425,6 +431,8 @@ class TestOutputPlumbing:
     (("roots", "find", "--poly=2^2000,1"), None, 2, "tilelab: error:"),
     (("roots", "find", "--poly=2^2000,1", "--mode", "complex"), None, 2, "tilelab: error:"),
     (("report", "--poly-corpus", "-"), "2^2000,1\n", 2, "tilelab: error:"),
+    # the cap on the oracle's degree
+    (("report", "--poly-corpus", "-"), "1" + ",0" * 36 + ",1\n", 3, "tilelab: resource limit:"),
     (("roots", "verify", "--poly=2^2000,1", "--root", "1"), None, 2, "tilelab: error:"),
     (("roots", "verify", "--poly=1,0,0,1", "--root", "1e200"), None, 2, "tilelab: error:"),
     # every point is a root of the zero polynomial
@@ -450,7 +458,8 @@ class TestOutputPlumbing:
         "cases-degree-over-shape-cap", "find-degree-over-shape-cap", "poly-power-over-cap",
         "poly-pi-power-overflow", "poly-float-power-overflow",
         "poly-json-deep", "find-imaginary-coeffs-real-mode", "find-coeff-past-float-range",
-        "find-coeff-past-float-range-complex", "report-coeff-past-float-range", "verify-coeff-past-float-range",
+        "find-coeff-past-float-range-complex", "report-coeff-past-float-range",
+        "report-degree-over-oracle-cap", "verify-coeff-past-float-range",
         "verify-value-past-float-range", "verify-zero-poly", "verify-root-nan",
         "verify-root-inf", "verify-tol-nan", "find-tol-nan", "find-cluster-radius-negative",
         "find-starts-zero", "find-max-iters-negative", "poly-json-rational-bool-float"])

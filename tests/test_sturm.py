@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 
 from tilelab import sturm
 from tilelab import (
+    ResourceLimit,
     complex_poly,
     count_real_roots_in,
     eval_horner,
@@ -102,6 +103,18 @@ class TestValidation:
         rs = oracle_real_roots(complex_poly([-1 + 1e-15j, 1]))
         assert rs.count == 1
 
+    def test_degree_cap(self):
+        cap = sturm.ORACLE_DEGREE_CAP
+        over = poly([1] + [0] * cap + [1])  # x^37 + 1
+        for p in (over, complex_poly([float(c) for c in over.coeffs])):
+            with pytest.raises(ResourceLimit):
+                oracle_real_roots(p)
+            with pytest.raises(ResourceLimit):
+                count_real_roots_in(p, -math.inf, math.inf)
+        at_cap = poly([-1] + [0] * (cap - 1) + [1])  # x^36 - 1
+        assert [(v, m) for v, m, _ in oracle_real_roots(at_cap).roots] == [(-1.0, 1), (1.0, 1)]
+        assert count_real_roots_in(at_cap, -math.inf, math.inf) == 2
+
 
 class TestCounting:
     def test_half_open_intervals(self):
@@ -117,6 +130,15 @@ class TestCounting:
 
     def test_constant_has_no_roots(self):
         assert count_real_roots_in(poly([7]), -10, 10) == 0
+
+    def test_empty_interval_and_nan_ends(self):
+        p = poly([-1, 0, 1])
+        assert count_real_roots_in(p, 2, -2) == 0
+        assert count_real_roots_in(p, 1, 1) == 0
+        assert count_real_roots_in(p, math.inf, -math.inf) == 0
+        for lo, hi, name in ((math.nan, 1, "lo"), (-1, math.nan, "hi")):
+            with pytest.raises(ValueError, match=f"{name} is NaN"):
+                count_real_roots_in(p, lo, hi)
 
     def test_multiple_root_endpoint(self):
         third, half = Fraction(1, 3), Fraction(1, 2)
@@ -206,8 +228,47 @@ class TestRandomizedRecovery:
 
 
 # ---------------------------------------------------------------------------
-# the integer evaluation of exact chains against the Fraction evaluator it
-# replaced
+# the integer chains against the Fraction chains and the Fraction evaluator
+# they replaced
+
+
+def ref_chain(coeffs, from_float):
+    """The Sturm chain in Fractions; read from floats, every element is kept
+    at unit scale and a remainder term at most 1e-11 is dropped."""
+    dust = 1e-11 if from_float else 0
+
+    def scale(a):
+        top = max(abs(c) for c in a)
+        return [c / top for c in a] if from_float else list(a)
+
+    def rem(a, b):
+        a = list(a)
+        while len(a) >= len(b):
+            factor, shift = a[-1] / b[-1], len(a) - len(b)
+            for i, bc in enumerate(b):
+                a[shift + i] -= factor * bc
+            a.pop()
+            while a and abs(a[-1]) <= dust:
+                a.pop()
+        return a
+
+    chain = [scale(coeffs)]
+    chain.append(scale([i * c for i, c in enumerate(chain[0])][1:]))
+    while len(chain[-1]) > 1:
+        r = rem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append([-c for c in scale(r)])
+    return chain
+
+
+def ref_quo(a, b):
+    a, out = list(a), [0] * (len(a) - len(b) + 1)
+    for shift in range(len(out) - 1, -1, -1):
+        factor = out[shift] = a[shift + len(b) - 1] / b[-1]
+        for i, bc in enumerate(b):
+            a[shift + i] -= factor * bc
+    return out
 
 
 def ref_eval(coeffs, x):
@@ -228,8 +289,17 @@ def ref_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def ref_degenerate_at(chain, x):
-    return ref_eval(chain[0], x) == 0
+# float spellings whose readings are square-free: simple roots, and pi as
+# a double and a triple root
+PI_PINS = ("pi/2,-pi^2,0,2", "pi^2,-2*pi,1", "-pi^3,3*pi^2,-3*pi,1")
+
+
+def ref_float_count(coeffs, lo, hi):
+    """count_real_roots_in on a square-free float reading, in Fractions."""
+    chain = ref_chain(coeffs, True)
+    if len(chain[-1]) > 1:
+        chain = ref_chain(ref_quo(chain[0], chain[-1]), True)
+    return ref_variations(chain, lo) - ref_variations(chain, hi)
 
 
 CORPUS_VALUES = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(-3 * q, 3 * q + 1)})
@@ -255,8 +325,8 @@ class TestIntegerChain:
         vanished = 0
         for i in range(60):
             p, roots = corpus_poly(rng, 4 + i % 11)
-            chain = sturm._sturm_chain(list(p.coeffs), False)
-            ichain = sturm._integer_chain(chain)
+            chain = ref_chain(list(p.coeffs), False)
+            ichain = sturm._sturm_chain(sturm._integer(list(p.coeffs)))
             assert all(type(c) is int for coeffs in ichain for c in coeffs)
             points = list(roots)  # every chain element vanishes at a multiple root
             points += [(a + b) / 2 for a, b in zip(roots, roots[1:])]
@@ -264,25 +334,63 @@ class TestIntegerChain:
             for x in points:
                 vals = [ref_eval(coeffs, x) for coeffs in chain]
                 vanished += any(v == 0 for v in vals[1:])
-                assert sturm._int_variations(ichain, x.numerator, x.denominator) == \
-                    ref_variations(chain, x)
-                assert sturm._degenerate_at(ichain, x) == (vals[0] == 0)
+                variations, on_root = sturm._int_variations(ichain, x.numerator, x.denominator)
+                assert variations == ref_variations(chain, x)
+                assert on_root == (vals[0] == 0)
                 for coeffs, icoeffs in zip(chain, ichain):
                     v = sturm._int_eval(icoeffs, x.numerator,
                                         sturm._q_powers(x.denominator, len(icoeffs) - 1))
                     assert (v > 0) - (v < 0) == (ref_eval(coeffs, x) > 0) - (ref_eval(coeffs, x) < 0)
         assert vanished > 50  # the sample does reach points where chain elements vanish
 
+    def test_chains_are_positive_multiples_of_fraction_chains(self):
+        rng = random.Random(4242)
+        exact = [corpus_poly(rng, 4 + i % 11)[0] for i in range(10)]
+        exact += [mul(p, poly([1, 1, 1])) for p in exact]  # with a pair of complex roots
+        # sparse ones, whose chains skip degrees, so a pseudo-remainder
+        # takes an odd number of steps by a divisor with a negative lead
+        exact += [poly([0, 1, 0, 1]), poly([-1, 1, 0, 0, 1]), poly([0, 0, -3, 0, 1, 0, 1])]
+        floats = [parse_poly_text(t) for t in PI_PINS]
+        # products whose chains drop a remainder term between 1e-12 and 1e-10
+        rng5 = random.Random(5)
+        floats += [poly_from_roots(random_root_mults(rng5, rng5.randint(1, 5), 4), False)
+                   for _ in range(12)]
+        floats += [complex_poly([rng.uniform(-3, 3) for _ in range(rng.randint(3, 9))] + [1.0])
+                   for _ in range(12)]
+        for p in exact + floats:
+            coeffs, from_float = sturm._as_real_coeffs(p)
+            chain = ref_chain(coeffs, from_float)
+            ichain = sturm._sturm_chain(sturm._integer(coeffs), sturm._REM_DUST if from_float else 0)
+            assert len(ichain) == len(chain)
+            for ref, got in zip(chain, ichain):
+                ratio = got[-1] / ref[-1]
+                assert ratio > 0 and [ratio * c for c in ref] == got
+
     def test_oracle_matches_fraction_reference(self, monkeypatch):
         rng = random.Random(5252)
         polys = [corpus_poly(rng, 4 + i % 11)[0] for i in range(22)]
+        # float spellings on the chain that drops roundoff: the pi pins and
+        # products of well-separated float roots
+        polys += [parse_poly_text(t) for t in PI_PINS]
+        rng = random.Random(5)
+        products = [poly_from_roots(random_root_mults(rng, rng.randint(1, 4), 3), False)
+                    for _ in range(12)]
+        polys += [p for p in products if not on_split_path(p)]
+        assert sum(not on_split_path(p) for p in polys) >= 12
         got = [oracle_real_roots(p) for p in polys]
+        for p in polys[22:]:
+            # counts on the dust path, with the quotient by gcd(p, p') the
+            # chain sees at a root the floats repeat only up to rounding
+            reading = sturm._as_real_coeffs(p)[0]
+            for lo, hi in [(-3.5, 0.25), (Fraction(1, 3), math.pi), (-5, 5)]:
+                want = ref_float_count(reading, Fraction(lo), Fraction(hi))
+                assert count_real_roots_in(p, lo, hi) == want
         # the reference oracle: the same bisection on the Fraction chain and
         # the Fraction evaluator
-        monkeypatch.setattr(sturm, "_integer_chain", lambda chain: chain)
-        monkeypatch.setattr(sturm, "_int_variations",
-                            lambda chain, p, q: ref_variations(chain, Fraction(p, q)))
-        monkeypatch.setattr(sturm, "_degenerate_at", ref_degenerate_at)
+        monkeypatch.setattr(sturm, "_sturm_chain",
+                            lambda f, dust=0: ref_chain(list(map(Fraction, f)), bool(dust)))
+        monkeypatch.setattr(sturm, "_int_variations", lambda chain, p, q: (
+            ref_variations(chain, Fraction(p, q)), ref_eval(chain[0], Fraction(p, q)) == 0))
         want = [oracle_real_roots(p) for p in polys]
         assert [repr(rs) for rs in got] == [repr(rs) for rs in want]
 
@@ -493,6 +601,7 @@ class TestSquareFreeSplit:
         for value, _, _ in rs.roots[1:]:
             assert is_nearest_float(pair, value)
         assert rs.roots[2][0] - rs.roots[1][0] == pytest.approx(1.6e-6, rel=0.01)
+        assert count_real_roots_in(spelled, -math.inf, math.inf) == 3  # read as the oracle reads it
         # the pair alone reads square-free and takes the chain that drops
         # roundoff, which reads it as one double root, as it reads pi^2,-2*pi,1
         alone = complex_poly([float(c) for c in pair.coeffs])
@@ -510,6 +619,8 @@ class TestSmallDomainGate:
             for p in spellings(roots):
                 got = [(v, m) for v, m, _ in oracle_real_roots(p).roots]
                 calls += 1
+                if count_real_roots_in(p, -math.inf, math.inf) != len(got):
+                    wrong.append((p, "count"))
                 if on_split_path(p):
                     split_calls += 1
                     ok = got == want
