@@ -353,6 +353,15 @@ def _cauchy_bound(coeffs: list[Fraction]) -> float:
     return bound
 
 
+def _width(a: Fraction, b: Fraction) -> float:
+    """b - a as a float, inf for a bracket wider than the float range (the
+    bound's first bracket (-hi, hi] when hi is above half of it)."""
+    try:
+        return float(b - a)
+    except OverflowError:
+        return math.inf
+
+
 def _isolate(chain: list[list[int]], hi: Fraction, cluster: float) -> list[tuple]:
     """Brackets (a, b] in (-hi, hi], ascending, each holding one root of chain[0].
 
@@ -373,7 +382,7 @@ def _isolate(chain: list[list[int]], hi: Fraction, cluster: float) -> list[tuple
         k = va - vb
         if k <= 0:
             continue
-        if k == 1 or (cluster and float(b - a) < cluster * max(1.0, abs(float(a)), abs(float(b)))):
+        if k == 1 or (cluster and _width(a, b) < cluster * max(1.0, abs(float(a)), abs(float(b)))):
             intervals.append((a, b, va))
             continue
         mid, vm = _split_point(chain, a, b)
@@ -477,7 +486,7 @@ def _float_reading_roots(p: Poly, coeffs: list[Fraction], hi: Fraction) -> RootS
     chain = _sturm_chain(_integer(coeffs), _REM_DUST)
     centers = []
     for a, b, va in _isolate(chain, hi, 1e-10):
-        while float(b - a) > BISECT_WIDTH:
+        while _width(a, b) > BISECT_WIDTH:
             a, b, va = _halve(chain, a, b, va)
         centers.append(float((a + b) / 2))
 

@@ -193,6 +193,16 @@ class VietaSystem:
         k = self.k
         return u[:k], u[k], u[k + 1:]
 
+    @cached_property
+    def _mult_column(self) -> np.ndarray:
+        return np.array(self.pattern.mults, dtype=np.float64)[:, None]
+
+    @cached_property
+    def _theta(self) -> float:
+        # rounding bound of both residual routes, relative to |c| |P|_j + |t_j|
+        # (see _halvings)
+        return 4.0 * (self.degree + 4) * (self.cofactor_degree + 4) * 2.0 ** -53
+
     def _product(self, u: np.ndarray) -> np.ndarray:
         """Monic part: prod (x - r_i)^{m_i} * q(x), coefficients low to high."""
         dtype = self.dtype
@@ -360,10 +370,23 @@ def _presolve(system: VietaSystem, tvec: np.ndarray) -> CaseOutcome | None:
         pred = [c * math.comb(m, j) * (-r) ** (m - j) for j in range(m + 1)] if exact else None
         if not exact:
             rr = complex(r)
-            pred = [complex(c) * math.comb(m, j) * (-rr) ** (m - j) for j in range(m + 1)]
+            try:
+                pred = [complex(c) * math.comb(m, j) * (-rr) ** (m - j) for j in range(m + 1)]
+            except OverflowError:
+                pass
+            if pred is None or not cmath.isfinite(rr):
+                # no float target can match a coefficient past the float range
+                return CaseOutcome(
+                    pat, INCONSISTENT,
+                    reason=(
+                        f"with c={_fmt(c)} the x^{d-1} equation forces r={_fmt(r)}, "
+                        f"but then r^{m} lies past the float range"
+                    ),
+                )
         for i in range(d + 1):
             want, got = pred[i], a[i]
-            bad = (want != got) if exact else abs(complex(want) - complex(got)) > 1e-9 * max(1.0, scale)
+            # a NaN difference is a mismatch too
+            bad = (want != got) if exact else not abs(complex(want) - complex(got)) <= 1e-9 * max(1.0, scale)
             if bad:
                 return CaseOutcome(
                     pat, INCONSISTENT,
@@ -430,20 +453,103 @@ class _WorkMeter:
                 "(a start counts as at least one)")
 
 
+# the backtracking line search tries lam = 1 and then these 29 halvings
+# (each one exact), in order
+_HALVINGS = tuple(0.5 ** j for j in range(1, 30))
+_HALVING_COLUMN = np.array(_HALVINGS)[:, None]
+# the halvings are batched only when lam = 1 raised f at least this many
+# times: a batch costs about three exact steps, and below this ratio it
+# rules out fewer than that on average (a halving or two usually passes)
+_BATCH_RATIO = 64.0
+# an absolute term in the certificate's bound, far above gradual underflow
+_UNDERFLOW = 2.0 ** -1000
+
+
+def _trial(system: VietaSystem, u, lam: float, step, tvec):
+    """The exact kernel at u + lam * step: (candidate, residual, f2)."""
+    cand = u + lam * step
+    r2 = cand[system.k] * system._product(cand) - tvec
+    return cand, r2, float(np.vdot(r2, r2).real)
+
+
+def _halving_candidates(u, step) -> np.ndarray:
+    """Column j is u + _HALVINGS[j] * step, bit for bit as _trial makes it.
+
+    Each lam multiplies step as a broadcast scalar, as in _trial; with the
+    operands the other way round, numpy's complex multiply may round
+    differently (FMA or not), down to the sign of an underflowed zero.
+    """
+    return (u + _HALVING_COLUMN * step).T.copy()
+
+
+def _halvings(system: VietaSystem, u, step, f: float, f1: float, tcol, tabscol) -> list:
+    """The halvings the line search must still try after lam = 1 gave f1,
+    less those the exact kernel certainly rejects.
+
+    Column j is the candidate u + _HALVINGS[j] * step
+    (_halving_candidates).  Every column's residual
+    c * prod (x - r_i)^m_i * q - t is expanded at once, coefficients high
+    to low (tcol and tabscol are the reversed target and its absolute
+    values, as columns).  This route and the exact kernel's np.convolve
+    stages are dot products of at most max(2, e+1) terms, so each lies
+    within theta * B_j of the true residual at the candidate, in any
+    summation order and with or without FMA (the gamma_n bound, complex
+    arithmetic included), where B_j = |c| |P|_j + |t_j| and every
+    coefficient of |P| is at most prod (1 + |r_i|)^m_i * (1 + sum |b_t|).
+    The exact f2 is then at least
+    (1 - theta) * sum max(0, |rhat_j| - 2 theta B_j)^2, and a candidate
+    whose bound is at least f cannot pass f2 < f.  theta is several times
+    the gamma bounds; a bound that is not finite certifies nothing.
+    """
+    if not (math.isfinite(f) and f1 >= _BATCH_RATIO * f):
+        return _HALVINGS
+    k, e = system.k, system.cofactor_degree
+    theta = system._theta
+    with np.errstate(all="ignore"):
+        cands = _halving_candidates(u, step)
+        acc = np.zeros((system.degree + 1, len(_HALVINGS)), dtype=system.dtype)
+        acc[0] = 1.0
+        width = 1
+        for i, m in enumerate(system.pattern.mults):
+            for _ in range(m):
+                acc[1:width + 1] -= acc[:width] * cands[i]
+                width += 1
+        if e:
+            base = acc[:width].copy()
+            for t in range(1, e + 1):
+                acc[t:t + width] += base * cands[k + 1 + e - t]
+        rhat = np.abs(acc * cands[k] - tcol)
+        mags = np.abs(cands)
+        pbound = np.prod((1.0 + mags[:k]) ** system._mult_column, axis=0)
+        if e:
+            pbound *= 1.0 + mags[k + 1:].sum(axis=0)
+        rhat -= 2.0 * theta * (tabscol + (mags[k] + _UNDERFLOW) * pbound)
+        np.maximum(rhat, 0.0, out=rhat)
+        low = np.add.reduce(rhat * rhat, axis=0)
+    bar = f / (1.0 - theta)
+    return [lam for lam, lo in zip(_HALVINGS, low.tolist()) if not bar <= lo < math.inf]
+
+
 def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, work: _WorkMeter):
     """Damped Gauss-Newton; returns (u, max-residual, status, iterations).
 
     status is "converged", "stalled" (no descent direction made progress,
-    i.e. a stationary point of the squared residual), or "maxiter".  The
-    caller pays for the first iteration with the start; each later one
-    spends a unit of work.
+    i.e. a stationary point of the squared residual, or the residual or
+    Jacobian is not finite), or "maxiter".  The caller pays for the first
+    iteration with the start; each later one spends a unit of work.  The
+    line search accepts the first step whose exact residual is smaller;
+    halvings it certainly rejects are skipped unevaluated (_halvings).
     """
-    k, product, vdot = system.k, system._product, np.vdot
     u = np.array(u0, dtype=system.dtype)
-    res = u[k] * product(u) - tvec
-    f = float(vdot(res, res).real)
+    res = u[system.k] * system._product(u) - tvec
+    f = float(np.vdot(res, res).real)
     if float(np.max(np.abs(res))) < TOL:
         return u, float(np.max(np.abs(res))), "converged", 0
+    tcol = tvec[::-1, None]
+    tabscol = np.abs(tcol)
+    # an accepted step has f2 < f, so a finite residual, and res is only
+    # replaced by accepted ones
+    finite_res = bool(np.isfinite(res).all())
     status = "maxiter"
     iters = 0
     for it in range(MAX_ITERS):
@@ -451,24 +557,25 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, work: _
             work.spend()
         iters = it + 1
         jac = system.jacobian(u)
+        if not (finite_res and np.isfinite(jac).all()):
+            # lstsq would only print LAPACK errors and raise
+            status = "stalled"
+            break
         step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
         if not np.all(np.isfinite(step)):
             status = "stalled"
             break
         lam = 1.0
-        moved = False
-        for _ in range(30):
-            cand = u + lam * step
-            r2 = cand[k] * product(cand) - tvec
-            f2 = float(vdot(r2, r2).real)
-            if f2 < f:
-                u, res, f = cand, r2, f2
-                moved = True
+        cand, r2, f2 = _trial(system, u, lam, step, tvec)
+        if not f2 < f:
+            for lam in _halvings(system, u, step, f, f2, tcol, tabscol):
+                cand, r2, f2 = _trial(system, u, lam, step, tvec)
+                if f2 < f:
+                    break
+            else:
+                status = "stalled"
                 break
-            lam *= 0.5
-        if not moved:
-            status = "stalled"
-            break
+        u, res, f = cand, r2, f2
         if float(np.max(np.abs(res))) < TOL:
             status = "converged"
             break

@@ -1,3 +1,4 @@
+import cmath
 import io
 import json
 import math
@@ -8,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -479,6 +481,19 @@ POLY_DOC = st.fixed_dictionaries({
     "kind": st.sampled_from(["rational", "complex"]) | st.text(max_size=8) | JUNK,
 }).map(json.dumps)
 MODES = st.sampled_from(["real", "complex"])
+# finite float coefficients with decimal exponents from -308 to 308, leading one nonzero
+FLOAT_COEFF = st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.99, 9.99), st.integers(-308, 307))
+FLOAT_DOC = st.lists(FLOAT_COEFF, min_size=2, max_size=3).filter(lambda c: c[-1] != 0).map(
+    lambda c: json.dumps({"coeffs": c, "kind": "complex"}))
+# inputs whose Gauss-Newton residual or Jacobian overflows, and whose
+# single-root shape overflows a power in the presolve
+OVERFLOWING_DOCS = ['{"coeffs": [1e300, 1e300, 1.0], "kind": "complex"}',
+                    '{"coeffs": [1e308, 1e308, 1e308], "kind": "complex"}']
+
+
+def json_value(v) -> tuple[float, float]:
+    """A root value of the JSON document as (re, im)."""
+    return (v["re"], v["im"]) if isinstance(v, dict) else (v, 0.0)
 
 
 def exit_code(argv) -> int:
@@ -524,3 +539,34 @@ class TestFuzzRootsInput:
         path = tmp_path_factory.getbasetemp() / "fuzz-poly.txt"
         path.write_text(text, encoding="utf-8", errors="surrogatepass")
         assert exit_code(["roots", "find", "--in", str(path), "--mode", mode]) in (0, 1, 2, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(FLOAT_DOC, MODES)
+    @example(OVERFLOWING_DOCS[0], "real")
+    @example(OVERFLOWING_DOCS[0], "complex")
+    @example(OVERFLOWING_DOCS[1], "real")
+    def test_find_float_coefficients_over_the_exponent_range(self, tmp_path_factory, text, mode):
+        # every coefficient is a finite float: the walk answers (0) or reports
+        # no roots or no shape (1), as one JSON document; only a root bound
+        # past the float range is refused (2), by the real-mode oracle
+        path = tmp_path_factory.getbasetemp() / "fuzz-float-poly.json"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), np.errstate(all="ignore"):
+            code = main(["roots", "find", "--in", str(path), "--mode", mode])
+        if code == 2:
+            assert (mode, out.getvalue()) == ("real", "")
+            assert err.getvalue().endswith("the root bound lies past the float range\n")
+            return
+        assert code in (0, 1)
+        doc = json.loads(out.getvalue())
+        assert all(cmath.isfinite(complex(*json_value(r["value"]))) for r in doc["roots"])
+
+    @pytest.mark.parametrize("doc, mode", [(OVERFLOWING_DOCS[0], "complex"),
+                                           (OVERFLOWING_DOCS[1], "real")])
+    def test_overflow_prints_only_the_document(self, doc, mode):
+        # LAPACK's own complaints would go to the process's stdout
+        code, out, err = run("roots", "find", "--in", "-", "--mode", mode, stdin=doc)
+        assert code == 1
+        assert json.loads(out)["roots"] == []
+        assert "Traceback" not in err

@@ -173,6 +173,13 @@ class TestRootBound:
             b = root_bound(p)
             assert all(abs(r) < b for r, _ in rm)
 
+    def test_bracket_wider_than_the_float_range(self):
+        # the bound is finite, but the first bracket (-hi, hi] is not
+        got = oracle_real_roots(complex_poly([1.0, 1e-308]))
+        assert got.count == 1 and got.roots[0][0] == pytest.approx(-1e308)
+        got = oracle_real_roots(complex_poly([0.0, -10.0, 9.915282147559008e-308]))
+        assert [r for r, _, _ in got.roots] == [0.0, pytest.approx(10 / 9.915282147559008e-308)]
+
 
 class TestRandomizedRecovery:
     def test_float_kind_contract_class(self):

@@ -534,13 +534,195 @@ class TestKernelBits:
     @pytest.mark.parametrize("argv, pin", [
         (("--poly=pi/2,-pi^2,0,2",), "roots_find_pi_cubic.json"),
         (("--poly=196,14,-111/4,-1,1", "--mode", "complex"), "roots_find_quartic_complex.json"),
+        # (x + 1)(x^2 + 1): answers 1+q2
+        (("--poly=1,1,1,1",), "roots_find_cubic_cofactor.json"),
+        # x^4 - 3x^2 + 4 has no real roots: eight shapes fail before q4
+        (("--poly=4,0,-3,0,1",), "roots_find_quartic_cofactor.json"),
     ])
     def test_roots_find_document_is_pinned(self, capsys, argv, pin):
-        assert main(["roots", "find", *argv]) == 0
         want = (DATA_DIR / pin).read_text()
-        assert capsys.readouterr().out == want
         doc = json.loads(want)
+        # no real roots is exit 1
+        assert main(["roots", "find", *argv]) == (0 if doc["roots"] else 1)
+        assert capsys.readouterr().out == want
         assert sum(o["iterations"] for o in doc["outcomes"]) > 1000  # Gauss-Newton ran
+
+
+def ref_gauss_newton(system, u0, tvec):
+    """The plain damped Gauss-Newton: all 30 steps of the line search
+    evaluated in turn, every product rebuilt from [1]."""
+    u = np.array(u0, dtype=system.dtype)
+    res = ref_coeffs(system, u) - tvec
+    f = float(np.vdot(res, res).real)
+    if float(np.max(np.abs(res))) < vieta.TOL:
+        return u, float(np.max(np.abs(res))), "converged", 0
+    status, iters = "maxiter", 0
+    for it in range(vieta.MAX_ITERS):
+        iters = it + 1
+        step, *_ = np.linalg.lstsq(ref_jacobian(system, u), -res, rcond=None)
+        if not np.all(np.isfinite(step)):
+            status = "stalled"
+            break
+        lam = 1.0
+        for _ in range(30):
+            cand = u + lam * step
+            r2 = ref_coeffs(system, cand) - tvec
+            f2 = float(np.vdot(r2, r2).real)
+            if f2 < f:
+                break
+            lam *= 0.5
+        else:
+            status = "stalled"
+            break
+        u, res, f = cand, r2, f2
+        if float(np.max(np.abs(res))) < vieta.TOL:
+            status = "converged"
+            break
+        if float(np.linalg.norm(lam * step)) <= 1e-14 * (1.0 + float(np.linalg.norm(u))):
+            status = "stalled"
+            break
+    return u, float(np.max(np.abs(res))), status, iters
+
+
+def random_system(rng):
+    """A random shape of degree 1-7 in either mode and a point u.  Half the
+    targets expand the shape at u, so u solves the system up to the target's
+    rounding; the others are random coefficients, with u random."""
+    d = rng.randint(1, 7)
+    mode = rng.choice((REAL_MODE, COMPLEX_MODE))
+    pat = rng.choice(enumerate_patterns(d, mode))
+
+    def value():
+        if mode == REAL_MODE:
+            return rng.uniform(-3, 3)
+        return complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+
+    roots = [value() for _ in range(pat.k)]
+    c = rng.choice((1.0, -2.0, 0.5))
+    cofactor = [value() for _ in range(pat.cofactor_degree)]
+    if rng.random() < 0.5:
+        target = expand(pat, roots, c, cofactor)
+    else:
+        target = complex_poly([value() for _ in range(d)] + [c])
+    system = build_system(pat, target, mode)
+    return system, system.target_vector(), np.array(roots + [c] + cofactor, dtype=system.dtype)
+def random_vector(rng, system, scale):
+    n = system.n_unknowns
+    if system.mode == REAL_MODE:
+        return np.array([scale * rng.uniform(-1, 1) for _ in range(n)])
+    return np.array([scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
+
+
+class TestLineSearchCertificate:
+    """The batched rejection step skips only halvings the exact kernel rejects."""
+
+    def test_certified_halvings_are_rejected_by_the_exact_kernel(self):
+        rng = random.Random(1313)
+        certified = sharp = 0
+        for _ in range(500):
+            system, tvec, u = random_system(rng)
+            if rng.random() < 0.5:  # near the point, where rounding decides
+                u = u + random_vector(rng, system, 10.0 ** rng.uniform(-14, -3))
+            if rng.random() < 0.5:  # a Gauss-Newton step, shrunk or stretched
+                res = system.residual(u)
+                step, *_ = np.linalg.lstsq(system.jacobian(u), -res, rcond=None)
+                step = step * 10.0 ** rng.uniform(-3, 3)
+            else:
+                step = random_vector(rng, system, 10.0 ** rng.uniform(-12, 2))
+            exact = [vieta._trial(system, u, lam, step, tvec)[2] for lam in vieta._HALVINGS]
+            tcol = tvec[::-1, None]
+            res = system.residual(u)
+            pick = rng.choice(exact)
+            # f at u, at a candidate's own value, just above it (so that
+            # candidate must be kept) and at the smallest candidate value
+            for f in (float(np.vdot(res, res).real), pick, float(np.nextafter(pick, math.inf)),
+                      min(exact)):
+                kept = vieta._halvings(system, u, step, f, math.inf, tcol, np.abs(tcol))
+                for lam, f2 in zip(vieta._HALVINGS, exact):
+                    if lam not in kept:
+                        certified += 1
+                        sharp += f == pick
+                        assert f2 >= f, (system.pattern.label(), system.mode, lam)
+        assert certified > 20_000 and sharp > 2_000  # the certificate decided often
+
+    def test_batched_candidates_are_the_scalar_candidates_bit_for_bit(self):
+        rng = random.Random(1314)
+        extremes = (0.0, -0.0, 5e-324, -2.5e-320, 1e-300, 3e300, -1e308)
+
+        def entry():
+            return rng.choice(extremes + (rng.uniform(-3, 3), rng.uniform(-1e-8, 1e-8)))
+
+        for _ in range(400):
+            n = rng.randint(2, 10)
+            as_complex = rng.random() < 0.5
+
+            def vector():
+                if as_complex:
+                    return np.array([complex(entry(), entry()) for _ in range(n)])
+                return np.array([entry() for _ in range(n)])
+
+            u, step = vector(), vector()
+            with np.errstate(all="ignore"):
+                cands = vieta._halving_candidates(u, step)
+                assert cands.shape == (n, len(vieta._HALVINGS)) and cands.dtype == u.dtype
+                for j, lam in enumerate(vieta._HALVINGS):
+                    assert cands[:, j].tobytes() == (u + lam * step).tobytes()
+
+    def test_gauss_newton_matches_the_plain_line_search(self, monkeypatch):
+        rng = random.Random(1315)
+        batched = vieta._halvings
+        skipped = []
+
+        def spy(*args):
+            kept = batched(*args)
+            skipped.append(len(vieta._HALVINGS) - len(kept))
+            return kept
+
+        monkeypatch.setattr(vieta, "_halvings", spy)
+        iterations = 0
+        for _ in range(40):
+            system, tvec, _ = random_system(rng)
+            for u0 in itertools.islice(vieta._start_battery(system), 3):
+                u, resid, status, iters = vieta._gauss_newton(system, u0, tvec, vieta._WorkMeter())
+                want_u, want_resid, want_status, want_iters = ref_gauss_newton(system, u0, tvec)
+                assert u.tobytes() == want_u.tobytes()
+                assert (resid, status, iters) == (want_resid, want_status, want_iters)
+                iterations += iters
+        assert iterations > 2_000 and sum(skipped) > 4_000  # the batch ran and skipped steps
+
+    @pytest.mark.parametrize("coeffs, mode", [
+        ([1e300, 1e300, 1.0], REAL_MODE),
+        ([1e300, 1e300, 1.0], COMPLEX_MODE),
+        ([1e308, 1e308, 1e308], REAL_MODE),
+        ([1e308, 1e308, 1e308], COMPLEX_MODE),
+    ])
+    def test_a_non_finite_residual_or_jacobian_stalls_the_start(self, capfd, coeffs, mode):
+        with np.errstate(all="ignore"):
+            try:
+                find_roots_report(complex_poly(coeffs), mode)
+            except NoPatternSolved as exc:
+                outcomes = exc.outcomes
+            else:
+                outcomes = ()
+        # lstsq never sees them, so LAPACK prints nothing
+        out, _ = capfd.readouterr()
+        assert "LASCL" not in out
+        assert all(o.status == INCONSISTENT for o in outcomes)
+
+    def test_an_overflowing_power_makes_the_shape_inconsistent(self):
+        system = build_system(MultiplicityPattern((2,)), complex_poly([1e300, 1e300, 1.0]))
+        outcome = solve_case(system)
+        assert outcome.status == INCONSISTENT
+        assert outcome.reason == ("with c=1 the x^1 equation forces r=-5e+299, "
+                                  "but then r^2 lies past the float range")
+
+    def test_a_root_past_the_float_range_makes_the_shape_inconsistent(self):
+        # r = -1 / 1e-309 overflows: no float root can solve the shape
+        system = build_system(MultiplicityPattern((1,)), complex_poly([1.0, 1e-309]), COMPLEX_MODE)
+        with np.errstate(all="ignore"):
+            outcome = solve_case(system)
+        assert outcome.status == INCONSISTENT
+        assert outcome.reason.endswith("but then r^1 lies past the float range")
 
 
 class TestWorkCap:
