@@ -7,7 +7,8 @@ error.  Exit codes separate "the answer is no" from "could not answer":
     0  success
     1  domain-negative result (invalid solution, unsolvable grid, no
        sequence found, no real roots, no factorization shape solved)
-    2  usage error (bad flags, malformed input)
+    2  usage error (bad flags, malformed input: main reports every
+       ValueError, from any layer, this way)
     3  resource limit hit
 """
 
@@ -22,8 +23,8 @@ from contextlib import ExitStack
 from fractions import Fraction
 from itertools import chain
 
-from .cost import CostLedger, budget, instrumented_apply, instrumented_verify
-from .grid import GridError, format_moves, load_grid, parse_moves
+from .cost import MOVE_DECISION_CEILINGS, CostLedger, budget, instrumented_apply, instrumented_verify
+from .grid import format_moves, load_grid, parse_moves
 from .poly import (
     RATIONAL,
     NotARoot,
@@ -50,7 +51,7 @@ from .search import (
 )
 from .sturm import oracle_real_roots
 from .verify import claim_report
-from .vieta import NoPatternSolved, enumerate_patterns, find_roots_report
+from .vieta import DEFAULT_ORDER, NoPatternSolved, enumerate_patterns, find_roots_report
 
 USAGE_ERROR = 2
 DOMAIN_NEGATIVE = 1
@@ -60,8 +61,9 @@ RESOURCE_LIMIT = 3
 VERIFY_TOL = 1e-9
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """Malformed input found by the CLI itself; main reports it, like every
+    other ValueError, with exit 2."""
 
 
 def _read_text(path: str) -> str:
@@ -74,7 +76,7 @@ def _read_text(path: str) -> str:
 def _load_grid_arg(path: str):
     try:
         return load_grid(_read_text(path))
-    except (OSError, ValueError, GridError) as exc:
+    except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot load grid from {path}: {exc}") from exc
 
 
@@ -96,13 +98,6 @@ def _load_poly_arg(args) -> Poly:
         raise _UsageError(f"cannot load polynomial from {path}: {exc}") from exc
     except RecursionError:  # the JSON decoder recurses once per nesting level
         raise _UsageError(f"cannot load polynomial from {path}: JSON is nested too deeply") from None
-
-
-def _parse_seq(text: str):
-    try:
-        return parse_moves(text)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
 
 
 def _flat(doc, prefix=""):
@@ -153,17 +148,32 @@ def _emit(doc: dict, args) -> None:
 # puzzle handlers
 
 
-def _cmd_puzzle_solve(args) -> int:
+def _exhaust(args):
+    """(grid, ledger, sequence) of the exhaust walk to --kmax; the sequence
+    is None when no sequence of at most --kmax moves solves the grid."""
     g = _load_grid_arg(args.infile)
+    ledger = CostLedger()
+    try:
+        return g, ledger, exhaust_sequences(g, args.kmax, ledger)
+    except NotFound:
+        return g, ledger, None
+
+
+def _ledger_doc(head: dict, ledger: CostLedger, key: str, ceiling: int, per_primitive: bool) -> dict:
+    """head, then the ledger's decisions against the ceiling named key, and
+    the per-primitive counts when asked for."""
+    doc = {**head, "decisions": ledger.decisions, key: ceiling, "within": ledger.decisions <= ceiling}
+    if per_primitive:
+        doc["per_primitive"] = ledger.snapshot()
+    return doc
+
+
+def _cmd_puzzle_solve(args) -> int:
     if args.algo == "exhaust":
-        ledger = CostLedger()
-        try:
-            seq = exhaust_sequences(g, args.kmax, ledger)
-        except NotFound:
+        _, ledger, seq = _exhaust(args)
+        if seq is None:
             _emit({"found": False, "kmax": args.kmax}, args)
             return DOMAIN_NEGATIVE
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
         # candidates probed until the winner; the empty-sequence
         # pre-check is not a candidate and does not count
         doc = {
@@ -175,12 +185,10 @@ def _cmd_puzzle_solve(args) -> int:
         _emit(doc, args)
         return 0
     try:
-        res = solve_optimal(g)
+        res = solve_optimal(_load_grid_arg(args.infile))
     except Unsolvable as exc:
         _emit({"solvable": False, "reason": str(exc)}, args)
         return DOMAIN_NEGATIVE
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
     _emit(
         {
             "solvable": True,
@@ -195,28 +203,17 @@ def _cmd_puzzle_solve(args) -> int:
 
 def _cmd_puzzle_verify(args) -> int:
     g = _load_grid_arg(args.infile)
-    seq = _parse_seq(args.seq)
+    seq = parse_moves(args.seq)
     ledger = CostLedger()
     valid = instrumented_verify(g, seq, ledger)
     cap = budget("verify", g.n, len(seq))
-    doc = {
-        "valid": valid,
-        "decisions": ledger.decisions,
-        "budget": cap.ceiling,
-        "within": ledger.decisions <= cap.ceiling,
-    }
-    if args.emit_ledger:
-        doc["per_primitive"] = ledger.snapshot()
-    _emit(doc, args)
+    _emit(_ledger_doc({"valid": valid}, ledger, "budget", cap.ceiling, args.emit_ledger), args)
     return 0 if valid else DOMAIN_NEGATIVE
 
 
 def _cmd_puzzle_enumerate(args) -> int:
-    try:
-        table = enumerate_reachable(args.n, depth_limit=args.depth_limit,
-                                    max_states=args.state_cap)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    table = enumerate_reachable(args.n, depth_limit=args.depth_limit,
+                                max_states=args.state_cap)
     doc = {
         "n": table.n,
         "count": table.count,
@@ -236,56 +233,28 @@ def _cmd_puzzle_bounds(args) -> int:
 
 def _cmd_puzzle_cost(args) -> int:
     g = _load_grid_arg(args.infile)
-    seq = _parse_seq(args.seq)
+    seq = parse_moves(args.seq)
     ledger = CostLedger()
     cur = g
     for mv in seq:
         cur = instrumented_apply(cur, mv, ledger)
-    ceiling = 27 * len(seq)
-    doc = {
-        "decisions": ledger.decisions,
-        "ceiling": ceiling,
-        "within": ledger.decisions <= ceiling,
-    }
-    if args.emit_ledger:
-        doc["per_primitive"] = ledger.snapshot()
-    _emit(doc, args)
+    ceiling = MOVE_DECISION_CEILINGS["guard_chain"] * len(seq)
+    _emit(_ledger_doc({}, ledger, "ceiling", ceiling, args.emit_ledger), args)
     return 0
 
 
 def _cmd_puzzle_exhaust(args) -> int:
-    g = _load_grid_arg(args.infile)
-    ledger = CostLedger()
-    try:
-        seq = exhaust_sequences(g, args.kmax, ledger)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    except NotFound:
-        seq = None
+    g, ledger, seq = _exhaust(args)
     # after the walk, whose cap keeps a huge --kmax out of 4^k arithmetic
     cap = budget("search", g.n, args.kmax)
     if seq is None:
-        doc = {
-            "found": False,
-            "kmax": args.kmax,
-            "decisions": ledger.decisions,
-            "budget": cap.ceiling,
-            "within": ledger.decisions <= cap.ceiling,
-        }
-        _emit(doc, args)
-        return DOMAIN_NEGATIVE
-    doc = {
-        "found": True,
-        "psi": len(seq),
-        "seq": format_moves(seq),
-        "decisions": ledger.decisions,
-        "budget": cap.ceiling,
-        "within": ledger.decisions <= cap.ceiling,
-    }
-    if args.emit_ledger:
-        doc["per_primitive"] = ledger.snapshot()
-    _emit(doc, args)
-    return 0
+        head = {"found": False, "kmax": args.kmax}
+    else:
+        head = {"found": True, "psi": len(seq), "seq": format_moves(seq)}
+    # the not-found document has no per_primitive field
+    per_primitive = args.emit_ledger and seq is not None
+    _emit(_ledger_doc(head, ledger, "budget", cap.ceiling, per_primitive), args)
+    return DOMAIN_NEGATIVE if seq is None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +267,6 @@ def _cmd_roots_find(args) -> int:
         raise _UsageError("polynomial must have degree at least 1")
     try:
         rep = find_roots_report(p, mode=args.mode, order=args.order)
-    except ValueError as exc:  # coefficients outside the mode's or the float domain
-        raise _UsageError(str(exc)) from exc
     except NoPatternSolved as exc:
         doc = {
             "roots": [],
@@ -363,14 +330,11 @@ def _cmd_roots_verify(args) -> int:
 
 
 def _cmd_roots_cases(args) -> int:
-    try:
-        pats = enumerate_patterns(args.degree, args.mode, args.order)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    pats = enumerate_patterns(args.degree, args.mode, args.order)
     doc = {
         "degree": args.degree,
         "mode": args.mode,
-        "order": args.order or ("merged" if args.mode == "real" else "generic"),
+        "order": args.order or DEFAULT_ORDER[args.mode],
         "cases": [
             {
                 "label": p.label(),
@@ -553,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:  # malformed input, found by any layer
         print(f"tilelab: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ResourceLimit as exc:

@@ -242,7 +242,8 @@ def is_nicely_factored(p: Poly) -> bool:
 
     Complex kind: always true for nonzero p (fundamental theorem).  Rational
     kind: every irreducible factor must be linear, decided exactly on the
-    square-free split (sturm.splits_over_rationals).
+    square-free split (sturm.splits_over_rationals), which raises
+    ResourceLimit above sturm.ORACLE_DEGREE_CAP.
     """
     if p.is_zero():
         return False

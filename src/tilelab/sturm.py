@@ -118,6 +118,13 @@ ORACLE_DEGREE_CAP = 36  # the highest degree real-mode roots find hands the orac
 _REM_DUST = Fraction(1e-11)
 
 
+def _capped(coeffs: list) -> list:
+    """coeffs, or ResourceLimit when their degree is above ORACLE_DEGREE_CAP."""
+    if len(coeffs) - 1 > ORACLE_DEGREE_CAP:
+        raise ResourceLimit(f"degree {len(coeffs) - 1} exceeds the oracle's cap {ORACLE_DEGREE_CAP}")
+    return coeffs
+
+
 def _real_reading(p: Poly) -> tuple[list[Fraction], dict[int, list[int]] | None]:
     """p's exact coefficients and their square_free_split, or None in place
     of the split when they were read from floats and are square-free.
@@ -125,9 +132,7 @@ def _real_reading(p: Poly) -> tuple[list[Fraction], dict[int, list[int]] | None]
     Raises ResourceLimit above ORACLE_DEGREE_CAP.
     """
     coeffs, from_float = _as_real_coeffs(p)
-    if len(coeffs) - 1 > ORACLE_DEGREE_CAP:
-        raise ResourceLimit(f"degree {len(coeffs) - 1} exceeds the oracle's cap {ORACLE_DEGREE_CAP}")
-    split = square_free_split(coeffs)
+    split = square_free_split(_capped(coeffs))
     return coeffs, None if from_float and list(split) == [1] else split
 
 
@@ -274,8 +279,10 @@ def _int_variations(chain: list[list[int]], p: int, q: int) -> tuple[int, bool]:
     return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
 
 
-# the midpoint, then offsets around it; more candidates than p has roots
-_SPLIT_OFFSETS = tuple(Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021) for j in range(33))
+# the midpoint, then offsets around it: one more candidate than a chain
+# under ORACLE_DEGREE_CAP has roots
+_SPLIT_OFFSETS = tuple(Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021)
+                       for j in range(ORACLE_DEGREE_CAP + 1))
 
 
 def _split_point(chain: list[list[int]], a: Fraction, b: Fraction) -> tuple[Fraction, int]:
@@ -284,7 +291,8 @@ def _split_point(chain: list[list[int]], a: Fraction, b: Fraction) -> tuple[Frac
     Every chain element is divisible by gcd(p, p'), so at a multiple root
     the whole chain vanishes and variation counts turn meaningless; even a
     simple-root hit makes the count ambiguous.  So the point is never on a
-    root of p = chain[0].
+    root of p = chain[0]: every caller caps p at ORACLE_DEGREE_CAP, and
+    _SPLIT_OFFSETS holds more candidates than p has roots.
     """
     span = b - a
     for offset in _SPLIT_OFFSETS:
@@ -292,8 +300,7 @@ def _split_point(chain: list[list[int]], a: Fraction, b: Fraction) -> tuple[Frac
         v, on_root = _int_variations(chain, x.numerator, x.denominator)
         if not on_root:
             return x, v
-    x = a + span / 2  # only a polynomial of degree 33 or more gets here
-    return x, _int_variations(chain, x.numerator, x.denominator)[0]
+    raise RuntimeError(f"degree {len(chain[0]) - 1} is above ORACLE_DEGREE_CAP")
 
 
 def count_real_roots_in(p: Poly, lo, hi) -> int:
@@ -469,9 +476,10 @@ def splits_over_rationals(coeffs: list[Fraction]) -> bool:
     a product of linear factors over Q.
 
     It is exactly when each factor s_m of square_free_split has deg s_m
-    real roots and _pin_root finds every one of them rational.
+    real roots and _pin_root finds every one of them rational.  Raises
+    ResourceLimit above ORACLE_DEGREE_CAP.
     """
-    for s in square_free_split(coeffs).values():
+    for s in square_free_split(_capped(coeffs)).values():
         chain = _sturm_chain(s)
         if _int_variations(chain, -1, 0)[0] - _int_variations(chain, 1, 0)[0] < len(s) - 1:
             return False

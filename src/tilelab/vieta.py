@@ -32,6 +32,8 @@ from .sturm import count_real_roots_in, oracle_real_roots
 
 REAL_MODE = "real"
 COMPLEX_MODE = "complex"
+# the shape order of each mode when none is given (see enumerate_patterns)
+DEFAULT_ORDER = {REAL_MODE: "merged", COMPLEX_MODE: "generic"}
 
 SOLVED = "solved"
 INCONSISTENT = "inconsistent"
@@ -132,7 +134,7 @@ def enumerate_patterns(d: int, mode: str = REAL_MODE, order: str | None = None) 
     if mode not in (REAL_MODE, COMPLEX_MODE):
         raise ValueError(f"unknown mode {mode!r}")
     if order is None:
-        order = "merged" if mode == REAL_MODE else "generic"
+        order = DEFAULT_ORDER[mode]
     if order not in ("merged", "generic"):
         raise ValueError(f"unknown order {order!r}")
     sums = [d] if mode == COMPLEX_MODE else [d] + list(range(d - 2, -1, -1))
@@ -366,7 +368,9 @@ def _presolve(system: VietaSystem, tvec: np.ndarray) -> CaseOutcome | None:
         # c (x - r)^m: c = a_d, then a_{d-1} = -c m r pins r
         m = pat.mults[0]
         c = a[d]
-        r = -a[d - 1] / (c * m)
+        # c * m may overflow where a_{d-1} / c does not; only then divide
+        # first, which rounds differently
+        r = -a[d - 1] / (c * m) if exact or cmath.isfinite(c * m) else -(a[d - 1] / c) / m
         pred = [c * math.comb(m, j) * (-r) ** (m - j) for j in range(m + 1)] if exact else None
         if not exact:
             rr = complex(r)

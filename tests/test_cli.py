@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tilelab import ResourceLimit, parse_poly_text, poly_from_json, vieta
+from tilelab import ResourceLimit, load_grid, parse_poly_text, poly_from_json, vieta
 from tilelab.cli import main
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -498,8 +498,19 @@ def json_value(v) -> tuple[float, float]:
 
 def exit_code(argv) -> int:
     """main's return code, its output discarded."""
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-        return main(argv)
+    return run_main(argv, "")[0]
+
+
+def run_main(argv, stdin: str) -> tuple[int, str, str]:
+    """main's return code, stdout and stderr, with stdin read from text."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
 
 
 def loaded_degree(text: str) -> int:
@@ -570,3 +581,82 @@ class TestFuzzRootsInput:
         assert code == 1
         assert json.loads(out)["roots"] == []
         assert "Traceback" not in err
+
+
+def grid_texts(n: int):
+    """A board of side n as the text format or JSON, blank anywhere; about
+    half of the layouts are unsolvable."""
+    cells = st.permutations(list(range(n * n)))
+    text = cells.map(lambda c: "\n".join(
+        " ".join("_" if v == 0 else str(v) for v in c[i * n:(i + 1) * n]) for i in range(n)) + "\n")
+    doc = cells.map(lambda c: json.dumps({"n": n, "cells": [v or None for v in c]}))
+    return text | doc
+
+
+GRID_JUNK = st.text(alphabet="0123456789_ \n-{}[]\":,nul", max_size=30) | st.text(max_size=20)
+GRID_DOC = st.fixed_dictionaries({
+    "n": st.integers(-1, 4) | JUNK,
+    "cells": st.lists(st.integers(-1, 16) | JUNK, max_size=17) | JUNK,
+}).map(json.dumps)
+GRID_INPUT = st.sampled_from([2, 3, 4]).flatmap(grid_texts) | GRID_JUNK | GRID_DOC
+MOVES = st.text(alphabet="UDLRudlr x", max_size=10) | st.text(max_size=6)
+
+
+def grid_side(text: str) -> int:
+    """Side of the board puzzle commands would read from text, or 0."""
+    try:
+        return load_grid(text).n
+    except ValueError:  # the CLI exits 2
+        return 0
+
+
+def assert_contract(argv, stdin: str = "") -> int:
+    """One JSON document on 0 or 1; one tilelab error line and no output on 2 or 3."""
+    code, out, err = run_main(argv, stdin)
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        assert isinstance(json.loads(out), dict)
+    else:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("tilelab: ")
+    return code
+
+
+class TestFuzzPuzzleInput:
+    """Outside input through puzzle: the exit-code contract, never an exception."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(GRID_INPUT, st.sampled_from(["auto", "exhaust"]), st.integers(-2, 5))
+    @example(EXAMPLE_GRID, "exhaust", 5)
+    @example(UNSOLVABLE_GRID, "auto", 0)
+    @example('{"n": 2, "cells": [true, 2, 3, false]}', "auto", 0)
+    def test_solve(self, grid, algo, kmax):
+        assume(algo == "exhaust" or grid_side(grid) <= 3)  # IDA* on 4x4 can take minutes
+        assert_contract(["puzzle", "solve", "--in", "-", "--algo", algo, f"--kmax={kmax}"], grid)
+
+    @settings(max_examples=80, deadline=None)
+    @given(GRID_INPUT, MOVES, st.sampled_from(["verify", "cost"]), st.booleans())
+    @example(EXAMPLE_GRID, "RDDRD", "verify", True)
+    @example(EXAMPLE_GRID, "RDX", "cost", False)
+    def test_verify_and_cost(self, grid, moves, command, ledger):
+        argv = ["puzzle", command, "--in", "-", f"--seq={moves}"] + ["--emit-ledger"] * ledger
+        assert_contract(argv, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(GRID_INPUT, st.integers(-2, 5), st.booleans())
+    @example(EXAMPLE_GRID, 2, True)
+    def test_exhaust(self, grid, kmax, ledger):
+        argv = ["puzzle", "exhaust", "--in", "-", f"--kmax={kmax}"] + ["--emit-ledger"] * ledger
+        assert_contract(argv, grid)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-1, 5), st.none() | st.integers(-2, 10), st.none() | st.integers(-5, 500))
+    @example(3, None, 100)
+    @example(4, None, None)
+    def test_enumerate(self, n, depth_limit, state_cap):
+        argv = ["puzzle", "enumerate", f"--n={n}"]
+        if depth_limit is not None:
+            argv.append(f"--depth-limit={depth_limit}")
+        if state_cap is not None:
+            argv.append(f"--state-cap={state_cap}")
+        assert_contract(argv)

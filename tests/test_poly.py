@@ -33,6 +33,7 @@ from tilelab import (
     synthetic_divide,
     zero,
 )
+from tilelab import sturm
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
@@ -238,6 +239,12 @@ class TestNicelyFactored:
         assert is_nicely_factored(mul(p, poly([-Fraction(4, 1000003 ** 2), 0, 1])))
         assert not is_nicely_factored(mul(p, poly([-Fraction(2, 1000003 ** 2), 0, 1])))
         assert is_nicely_factored(poly([2 ** 2000, 1]))  # a root past the float range
+
+    def test_degree_cap(self):
+        cap = sturm.ORACLE_DEGREE_CAP
+        assert is_nicely_factored(poly([0] * cap + [1]))  # x^36
+        with pytest.raises(ResourceLimit):
+            is_nicely_factored(poly([0] * (cap + 1) + [1]))  # x^37
 
 
 class TestSerialization:

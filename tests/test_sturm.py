@@ -115,6 +115,19 @@ class TestValidation:
         assert [(v, m) for v, m, _ in oracle_real_roots(at_cap).roots] == [(-1.0, 1), (1.0, 1)]
         assert count_real_roots_in(at_cap, -math.inf, math.inf) == 2
 
+    def test_split_point_is_never_a_root_up_to_the_cap(self):
+        # a chain whose roots are the first 33 candidates on (0, 1]; with
+        # only those 33 the split fell back on the root 1/2
+        roots = sturm._SPLIT_OFFSETS[:33]
+        p = poly([1])
+        for r in roots:
+            p = mul(p, poly([-r, 1]))
+        chain = sturm._sturm_chain(sturm._integer(list(p.coeffs)))
+        x, v = sturm._split_point(chain, Fraction(0), Fraction(1))
+        assert 0 < x < 1 and x not in roots
+        assert not sturm._int_variations(chain, x.numerator, x.denominator)[1]
+        assert v == sturm._int_variations(chain, 1, 0)[0] + sum(r > x for r in roots)
+
 
 class TestCounting:
     def test_half_open_intervals(self):
@@ -492,6 +505,15 @@ class TestFloatSpelling:
         assert [m for _, m, _ in rs.roots] == [m for _, m in want]
         for (got, _, _), (r, _) in zip(rs.roots, want):
             assert got == pytest.approx(float(r), abs=1e-4)
+
+    def test_refined_roots_of_one_cluster_are_merged(self):
+        # the noisy chain hands the double root two brackets; both polish
+        # onto it, and the oracle keeps one entry
+        want = [(3.9157058820507142, 2), (4.27707208428134, 1), (4.986464536534012, 3)]
+        rs = oracle_real_roots(poly_from_roots(want, False))
+        assert [m for _, m, _ in rs.roots] == [2, 1, 3]
+        for (got, _, _), (r, _) in zip(rs.roots, want):
+            assert got == pytest.approx(r, abs=1e-9)
 
     def test_coefficients_past_the_float_range(self):
         for p in (poly([2 ** 2000, 1]), poly([1, Fraction(1, 2 ** 2000)]),

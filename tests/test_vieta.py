@@ -20,6 +20,7 @@ from tilelab import (
     NO_CONVERGENCE,
     NoPatternSolved,
     REAL_MODE,
+    RootSet,
     SOLVED,
     VietaSystem,
     build_system,
@@ -269,6 +270,14 @@ class TestSolveCase:
         assert out.status == INCONSISTENT
         assert "root-free" in out.reason
 
+    def test_cofactor_that_acquires_a_real_root_is_rejected(self):
+        # (x - 1)(x - 2)(x^2 + 1): the shape 1+q3 fits only with a real root
+        # in the cofactor
+        target = mul(mul(poly([-1, 1]), poly([-2, 1])), poly([1, 0, 1]))
+        out = solve_case(build_system(MultiplicityPattern((1,), 3), target, REAL_MODE))
+        assert out.status == INCONSISTENT
+        assert "cofactor acquired 1 real root(s)" in out.reason
+
     def test_warm_start_short_circuits(self):
         target = poly([-2, 5, -4, 1])  # (x - 1)^2 (x - 2)
         system = build_system(MultiplicityPattern((2, 1)), target)
@@ -292,6 +301,16 @@ class TestSolveCase:
 
 
 class TestFindRoots:
+    @pytest.mark.parametrize("found, agrees", [
+        (((1.0, 1, 0.0), (2.0, 2, 0.0)), True),
+        (((1.0, 1, 0.0), (2.001, 2, 0.0)), False),  # a value off by more than 1e-6
+        (((1.0, 1, 0.0), (2.0, 1, 0.0)), False),    # a multiplicity off
+        (((1.0, 1, 0.0),), False),                  # a root missing
+    ])
+    def test_oracle_agreement(self, found, agrees):
+        oracle = RootSet(((1.0, 1, 0.0), (2.0, 2, 0.0)), 2)
+        assert vieta._oracle_agrees(RootSet(found, len(found)), oracle) is agrees
+
     def test_cubic_case_history(self):
         report = find_roots_report(parse_poly_text(CUBIC))
         assert [o.pattern.label() for o in report.outcomes] == ["3", "2,1", "1,1,1"]
@@ -715,6 +734,15 @@ class TestLineSearchCertificate:
         assert outcome.status == INCONSISTENT
         assert outcome.reason == ("with c=1 the x^1 equation forces r=-5e+299, "
                                   "but then r^2 lies past the float range")
+
+    def test_an_overflowing_leading_product_still_forces_the_right_root(self):
+        # c * m overflows: the root comes from a_1 / c first
+        system = build_system(MultiplicityPattern((2,)), complex_poly([1e308, 1e308, 1e308]))
+        with np.errstate(all="ignore"):
+            outcome = solve_case(system)
+        assert outcome.status == INCONSISTENT
+        assert outcome.reason == ("with c=1e+308 the x^1 equation forces r=-0.5, "
+                                  "but then the x^0 coefficient must be 2.5e+307, not 1e+308")
 
     def test_a_root_past_the_float_range_makes_the_shape_inconsistent(self):
         # r = -1 / 1e-309 overflows: no float root can solve the shape
