@@ -57,6 +57,9 @@ USAGE_ERROR = 2
 DOMAIN_NEGATIVE = 1
 RESOURCE_LIMIT = 3
 
+# puzzle solve --algo exhaust: the --kmax it walks to when none is given
+SOLVE_EXHAUST_KMAX = 8
+
 # roots verify: |p(root)| <= VERIFY_TOL * max(1, max|a_i|) makes a root
 VERIFY_TOL = 1e-9
 
@@ -148,13 +151,13 @@ def _emit(doc: dict, args) -> None:
 # puzzle handlers
 
 
-def _exhaust(args):
-    """(grid, ledger, sequence) of the exhaust walk to --kmax; the sequence
-    is None when no sequence of at most --kmax moves solves the grid."""
-    g = _load_grid_arg(args.infile)
+def _exhaust(infile: str, kmax: int):
+    """(grid, ledger, sequence) of the exhaust walk to kmax; the sequence
+    is None when no sequence of at most kmax moves solves the grid."""
+    g = _load_grid_arg(infile)
     ledger = CostLedger()
     try:
-        return g, ledger, exhaust_sequences(g, args.kmax, ledger)
+        return g, ledger, exhaust_sequences(g, kmax, ledger)
     except NotFound:
         return g, ledger, None
 
@@ -170,9 +173,10 @@ def _ledger_doc(head: dict, ledger: CostLedger, key: str, ceiling: int, per_prim
 
 def _cmd_puzzle_solve(args) -> int:
     if args.algo == "exhaust":
-        _, ledger, seq = _exhaust(args)
+        kmax = SOLVE_EXHAUST_KMAX if args.kmax is None else args.kmax
+        _, ledger, seq = _exhaust(args.infile, kmax)
         if seq is None:
-            _emit({"found": False, "kmax": args.kmax}, args)
+            _emit({"found": False, "kmax": kmax}, args)
             return DOMAIN_NEGATIVE
         # candidates probed until the winner; the empty-sequence
         # pre-check is not a candidate and does not count
@@ -184,6 +188,8 @@ def _cmd_puzzle_solve(args) -> int:
         }
         _emit(doc, args)
         return 0
+    if args.kmax is not None:
+        raise _UsageError("--kmax applies only to --algo exhaust")
     try:
         res = solve_optimal(_load_grid_arg(args.infile))
     except Unsolvable as exc:
@@ -244,7 +250,7 @@ def _cmd_puzzle_cost(args) -> int:
 
 
 def _cmd_puzzle_exhaust(args) -> int:
-    g, ledger, seq = _exhaust(args)
+    g, ledger, seq = _exhaust(args.infile, args.kmax)
     # after the walk, whose cap keeps a huge --kmax out of 4^k arithmetic
     cap = budget("search", g.n, args.kmax)
     if seq is None:
@@ -434,8 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="grid file (text or JSON); - for stdin")
     p_solve.add_argument("--algo", choices=("auto", "exhaust"),
                          default="auto")
-    p_solve.add_argument("--kmax", type=int, default=8,
-                         help="sequence length cap for --algo exhaust (default 8)")
+    p_solve.add_argument("--kmax", type=int,
+                         help=f"sequence length cap for --algo exhaust (default {SOLVE_EXHAUST_KMAX})")
     _add_common(p_solve)
     p_solve.set_defaults(func=_cmd_puzzle_solve)
 

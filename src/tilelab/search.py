@@ -2,8 +2,10 @@
 
 enumerate_reachable runs breadth-first search outward from the goal and is
 the ground truth every closed-form claim is checked against.  solve_optimal
-returns a provably minimal solution by iterative-deepening A* with the
-Manhattan heuristic: the length-then-lexicographic first optimal witness.
+returns a provably minimal solution by iterative-deepening A* whose lower
+bound is the Manhattan distance plus linear conflicts, updated move by
+move: the length-then-lexicographic first optimal witness, which any
+admissible bound yields, so a tighter bound changes only the node count.
 exhaust_sequences is the brute-force enumerator over raw move strings; it
 exists to be metered, so it compares every candidate, but it walks them as
 a tree and shares each prefix instead of replaying it.
@@ -12,8 +14,10 @@ a tree and shares each prefix instead of replaying it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import product
+from bisect import bisect_left
+from functools import cache, cached_property
+from itertools import combinations, permutations, product
+from operator import mul
 from typing import Iterator
 
 import numpy as np
@@ -201,15 +205,115 @@ def is_solvable(g: TileGrid) -> bool:
     return inversions % 2 == taxicab % 2
 
 
-def _manhattan_table(n: int) -> list[list[int]]:
-    """table[value][index] = taxicab distance from index to value's home cell."""
-    table = [[0] * (n * n) for _ in range(n * n)]
-    for v in range(1, n * n):
+def _lis(seq: list[int]) -> int:
+    """Length of the longest strictly increasing subsequence."""
+    tails: list[int] = []
+    for x in seq:
+        i = bisect_left(tails, x)
+        tails[i:i + 1] = [x]
+    return len(tails)
+
+
+@cache
+def _ida_tables(n: int):
+    """(steps, conflict2, width): the moves of IDA* on side n with their
+    bound updates, built once per n.
+
+    The bound is the Manhattan distance plus a conflict term per line.
+    Lines are the rows (field r) and the columns (field n + c).  A line's
+    key has one base-(n+1) digit per cell, the cell's position along the
+    line giving the digit's place: home column + 1 (in a row) or home
+    row + 1 (in a column) for a tile homed in that line, 0 otherwise.
+    conflict2[key] is twice (tiles homed in the line - the longest
+    increasing subsequence of their home positions).  Each tile outside
+    that subsequence must leave the line and come back, two moves the
+    Manhattan distance does not count; row conflicts cost vertical moves
+    and column conflicts horizontal ones, so Manhattan plus the sum over
+    all lines stays admissible (Hansson, Mayer & Yung 1992).  The 2n keys
+    are packed into one integer, width bits per field; field 2n is 0.
+
+    steps[bi][back] lists the moves of the blank at bi, less back (the
+    move that would undo the last one; back = -1 keeps all four), as
+    (k, target j, inverse of k, table).  table[v] is (dh, shift, dkeys)
+    for tile v sliding from j to bi: h changes by
+    dh[(keys >> shift) & mask], and the packed keys by dkeys.  The tile
+    leaves one perpendicular line and enters another; at most one of them
+    is its home line, the hot line at shift, whose conflict term may
+    change, so dh is indexed by the hot line's key.  Without a hot line,
+    shift names field 2n and dh holds the Manhattan delta alone.  In the
+    line the tile slides along only its place changes, not the order of
+    the tiles, so that key moves but its conflict term does not.
+    """
+    base = n + 1
+    place = [base ** p for p in range(n)]
+    size = base ** n
+    width = (size - 1).bit_length()
+    # only keys with distinct digits occur; the others stay 0, unread
+    conflict2 = [0] * size
+    for count in range(1, n + 1):
+        for digits in permutations(range(1, base), count):
+            c2 = 2 * (count - _lis(digits))
+            if c2:
+                for where in combinations(place, count):
+                    conflict2[sum(map(mul, digits, where))] = c2
+    # dh per hot key delta dk: the tile enters its home line (dk > 0, one
+    # step nearer home) or leaves it (dk < 0, one step further)
+    dks = np.array([s * d * p for s in (1, -1) for d in range(1, base) for p in place])
+    c2 = np.array(conflict2)
+    deltas = c2[(np.arange(size) + dks[:, None]) % size] - c2 - np.sign(dks)[:, None]
+    hot_dh = dict(zip(dks.tolist(), deltas.tolist()))
+    flat_dh = {1: [1], -1: [-1]}  # read at field 2n, always 0
+    homes = [divmod(v - 1, n) for v in range(1, n * n)]
+    steps = []
+    for bi, row in enumerate(_move_targets(n)):
+        rb, cb = divmod(bi, n)
+        moves = []
+        for k, j in enumerate(row):
+            if j < 0:
+                continue
+            rj, cj = divmod(j, n)
+            table = [None]
+            for hr, hc in homes:
+                dm = abs(rb - hr) + abs(cb - hc) - abs(rj - hr) - abs(cj - hc)
+                hot, dk, dkeys = 2 * n, 0, 0
+                if cj == cb:  # vertical: leaves row rj, enters row rb
+                    if hr == rj or hr == rb:
+                        hot, dk = hr, (hc + 1) * place[cj] * (1 if hr == rb else -1)
+                    if hc == cj:
+                        dkeys = (hr + 1) * (place[rb] - place[rj]) << (n + cj) * width
+                else:  # horizontal: leaves column cj, enters column cb
+                    if hc == cj or hc == cb:
+                        hot, dk = n + hc, (hr + 1) * place[rj] * (1 if hc == cb else -1)
+                    if hr == rj:
+                        dkeys = (hc + 1) * (place[cb] - place[cj]) << rj * width
+                table.append((hot_dh[dk] if dk else flat_dh[dm], hot * width,
+                              dkeys + (dk << hot * width)))
+            moves.append((k, j, k ^ 1, table))  # k ^ 1 swaps U <-> D and R <-> L
+        steps.append([tuple(m for m in moves if m[0] != back) for back in range(4)]
+                     + [tuple(moves)])
+    return steps, conflict2, width
+
+
+def _lower_bound(cells, n: int) -> tuple[int, int]:
+    """(h, keys) of row-major cells, from scratch: h is the Manhattan
+    distance plus the conflict terms of every line, and keys the line keys
+    packed as in _ida_tables."""
+    _, conflict2, width = _ida_tables(n)
+    base = n + 1
+    lines = [0] * (2 * n)
+    h = 0
+    for i, v in enumerate(cells):
+        if v == BLANK:
+            continue
+        r, c = divmod(i, n)
         hr, hc = divmod(v - 1, n)
-        for i in range(n * n):
-            r, c = divmod(i, n)
-            table[v][i] = abs(r - hr) + abs(c - hc)
-    return table
+        h += abs(r - hr) + abs(c - hc)
+        if hr == r:
+            lines[r] += (hc + 1) * base ** c
+        if hc == c:
+            lines[n + c] += (hr + 1) * base ** r
+    h += sum(conflict2[key] for key in lines)
+    return h, sum(key << i * width for i, key in enumerate(lines))
 
 
 _FOUND = -1  # _solve_ida's dfs reached the goal
@@ -218,8 +322,12 @@ _NO_CHILD = 1 << 62  # best f before any child is seen; larger than any f
 
 def _solve_ida(g: TileGrid) -> SearchResult:
     """Korf's IDA*: depth-first passes in U < D < R < L order under a rising
-    f = g + h bound.  Manhattan distance is consistent, so the pass at the
-    optimal bound meets the length-lex first optimal witness first.
+    f = g + h bound, where h is the Manhattan distance plus linear
+    conflicts (_ida_tables), kept up to date move by move.  h is
+    admissible and changes by exactly 1 on every move, so no node of an
+    optimal path is pruned at the optimal bound, and the pass at that
+    bound meets the length-lex first optimal witness first: the witness
+    of any admissible h, Manhattan alone included.
 
     A node counts as expanded when its f is within the bound and it is not
     the goal.  Children over the bound, and the goal child, are settled by
@@ -227,32 +335,26 @@ def _solve_ida(g: TileGrid) -> SearchResult:
     parity first): every node has a child, so the bound rises forever on
     the other component.
     """
-    n = g.n
-    dist = _manhattan_table(n)
-    # per blank cell: (move index, target, inverse move index); k ^ 1 swaps
-    # U <-> D and R <-> L
-    steps = [tuple((k, j, k ^ 1) for k, j in enumerate(row) if j >= 0)
-             for row in _move_targets(n)]
+    steps, _, width = _ida_tables(g.n)
+    mask = (1 << width) - 1
     cells = list(g.cells)
-    h0 = sum(dist[v][i] for i, v in enumerate(cells) if v != BLANK)
+    h0, keys0 = _lower_bound(cells, g.n)
     if h0 == 0:  # every tile home, so the blank is too
         return SearchResult(0, (), 0)
     path: list[int] = []  # move indices, appended as the search unwinds
     expanded = 0
     bound = h0
 
-    def dfs(bi: int, gcost: int, h: int, back: int) -> int:
+    def dfs(bi: int, gcost: int, h: int, back: int, keys: int) -> int:
         """_FOUND, or the smallest f over the bound below this node."""
         nonlocal expanded
         expanded += 1
         gcost += 1
         best = _NO_CHILD
-        for k, j, inv in steps[bi]:
-            if k == back:
-                continue
+        for k, j, inv, table in steps[bi][back]:
             v = cells[j]
-            dv = dist[v]
-            hj = h + dv[bi] - dv[j]  # tile v slides from j to bi
+            dh, shift, dkeys = table[v]  # tile v slides from j to bi
+            hj = h + dh[keys >> shift & mask]
             f = gcost + hj
             if f > bound:
                 if f < best:
@@ -263,7 +365,7 @@ def _solve_ida(g: TileGrid) -> SearchResult:
                 return _FOUND
             cells[bi] = v
             cells[j] = BLANK
-            t = dfs(j, gcost, hj, inv)
+            t = dfs(j, gcost, hj, inv, keys + dkeys)
             if t == _FOUND:
                 path.append(k)
                 return _FOUND
@@ -274,18 +376,20 @@ def _solve_ida(g: TileGrid) -> SearchResult:
         return best
 
     while True:
-        t = dfs(g.blank_index, 0, h0, -1)
+        t = dfs(g.blank_index, 0, h0, -1, keys0)
         if t == _FOUND:
             return SearchResult(len(path), tuple(MOVES[k] for k in reversed(path)), expanded)
         bound = t
 
 
 def solve_optimal(g: TileGrid) -> SearchResult:
-    """Minimal solution from g by IDA* with the Manhattan heuristic; raises
-    Unsolvable off the goal's component and ValueError for n > 4.
+    """Minimal solution from g by IDA* with Manhattan distance plus linear
+    conflicts; raises Unsolvable off the goal's component and ValueError
+    for n > 4.
 
     The witness is the first optimal sequence in length-then-lexicographic
-    (U < D < R < L) order; `expanded` counts IDA* nodes.
+    (U < D < R < L) order, whatever the admissible bound; `expanded`
+    counts IDA* nodes, which is what the bound changes.
     """
     if g.n > 4:
         raise ValueError("optimal solving is supported for n <= 4")

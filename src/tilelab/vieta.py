@@ -664,7 +664,8 @@ def solve_case(system: VietaSystem, warm_starts: tuple = ()) -> CaseOutcome:
     a start still moving at the iteration cap, is NoConvergence.  Work past
     GN_WORK_CAP raises ResourceLimit.
     """
-    return _solve_case(system, warm_starts, _WorkMeter())
+    with np.errstate(over="ignore", invalid="ignore"):  # see find_roots_report
+        return _solve_case(system, warm_starts, _WorkMeter())
 
 
 def _solve_case(system: VietaSystem, warm_starts: tuple, work: _WorkMeter) -> CaseOutcome:
@@ -774,38 +775,43 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, order: str | None = None) 
     accepted the walk ends in NoPatternSolved carrying all outcomes.  The
     whole walk shares one GN_WORK_CAP; past it, or past SHAPE_CAP shapes,
     the walk raises ResourceLimit.
+
+    Overflow and invalid operations are not reported as numpy warnings:
+    a start whose residual or Jacobian is not finite stalls, and the
+    presolve reports a value past the float range as inconsistent.
     """
-    d = p.degree
-    if d is None or d < 1:
-        raise ValueError("target must have degree at least 1")
-    patterns = enumerate_patterns(d, mode, order)
-    work = _WorkMeter()
-    oracle = oracle_real_roots(p) if mode == REAL_MODE else None
-    outcomes: list[CaseOutcome] = []
-    for pattern in patterns:
-        system = build_system(pattern, p, mode)
-        outcome = _solve_case(system, (), work)
-        if outcome.status != SOLVED and outcome.collision is not None:
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = p.degree
+        if d is None or d < 1:
+            raise ValueError("target must have degree at least 1")
+        patterns = enumerate_patterns(d, mode, order)
+        work = _WorkMeter()
+        oracle = oracle_real_roots(p) if mode == REAL_MODE else None
+        outcomes: list[CaseOutcome] = []
+        for pattern in patterns:
+            system = build_system(pattern, p, mode)
+            outcome = _solve_case(system, (), work)
+            if outcome.status != SOLVED and outcome.collision is not None:
+                outcomes.append(outcome)
+                merged_pat, merged_vals = outcome.collision
+                merged_sys = build_system(merged_pat, p, mode)
+                warm = np.zeros(merged_sys.n_unknowns, dtype=merged_sys.dtype)
+                for i, v in enumerate(merged_vals):
+                    warm[i] = v if mode == COMPLEX_MODE else complex(v).real
+                warm[merged_sys.k] = merged_sys.target_vector()[-1]
+                outcome = _solve_case(merged_sys, (warm,), work)
             outcomes.append(outcome)
-            merged_pat, merged_vals = outcome.collision
-            merged_sys = build_system(merged_pat, p, mode)
-            warm = np.zeros(merged_sys.n_unknowns, dtype=merged_sys.dtype)
-            for i, v in enumerate(merged_vals):
-                warm[i] = v if mode == COMPLEX_MODE else complex(v).real
-            warm[merged_sys.k] = merged_sys.target_vector()[-1]
-            outcome = _solve_case(merged_sys, (warm,), work)
-        outcomes.append(outcome)
-        if outcome.status != SOLVED:
-            continue
-        found = _outcome_rootset(p, outcome)
-        if oracle is not None and not _oracle_agrees(found, oracle):
-            outcomes[-1] = replace(
-                outcome, status=NO_CONVERGENCE,
-                reason="independent root oracle disagrees with this case",
-            )
-            continue
-        return FindReport(found, outcome.pattern, tuple(outcomes))
-    raise NoPatternSolved(tuple(outcomes))
+            if outcome.status != SOLVED:
+                continue
+            found = _outcome_rootset(p, outcome)
+            if oracle is not None and not _oracle_agrees(found, oracle):
+                outcomes[-1] = replace(
+                    outcome, status=NO_CONVERGENCE,
+                    reason="independent root oracle disagrees with this case",
+                )
+                continue
+            return FindReport(found, outcome.pattern, tuple(outcomes))
+        raise NoPatternSolved(tuple(outcomes))
 
 
 def find_roots(p: Poly, mode: str = REAL_MODE, order: str | None = None) -> RootSet:

@@ -400,6 +400,10 @@ class TestOutputPlumbing:
     (("puzzle", "exhaust", "--in", "-", "--kmax", "-1"), EXAMPLE_GRID, 2, "tilelab: error:"),
     (("puzzle", "solve", "--in", "-", "--algo", "exhaust", "--kmax", "-1"),
      EXAMPLE_GRID, 2, "tilelab: error:"),
+    # --kmax caps only the exhaust walk
+    (("puzzle", "solve", "--in", "-", "--kmax", "-1"), EXAMPLE_GRID, 2, "tilelab: error:"),
+    (("puzzle", "solve", "--in", "-", "--algo", "auto", "--kmax", "8"), EXAMPLE_GRID, 2,
+     "tilelab: error:"),
     (("puzzle", "enumerate", "--n", "1"), None, 2, "tilelab: error:"),
     (("puzzle", "enumerate", "--n", "4"), None, 2, "tilelab: error:"),
     (("puzzle", "enumerate", "--n", "5", "--depth-limit", "3"), None, 2, "tilelab: error:"),
@@ -454,7 +458,8 @@ class TestOutputPlumbing:
     (("roots", "find", "--in", "-"), '{"coeffs": [true, 1.5], "kind": "rational"}', 2,
      "tilelab: error:"),
 ], ids=["json-n-text", "json-n-null", "json-cells-int", "exhaust-kmax-negative",
-        "solve-kmax-negative", "enumerate-n1", "enumerate-n4-unlimited", "enumerate-n5",
+        "solve-kmax-negative", "solve-auto-kmax-negative", "solve-auto-kmax", "enumerate-n1",
+        "enumerate-n4-unlimited", "enumerate-n5",
         "enumerate-depth-limit-negative", "enumerate-state-cap-negative", "cases-degree0",
         "exhaust-kmax-over-cap", "algo-bfs", "algo-ida", "json-cells-bool",
         "cases-degree-over-shape-cap", "find-degree-over-shape-cap", "poly-power-over-cap",
@@ -582,6 +587,20 @@ class TestFuzzRootsInput:
         assert json.loads(out)["roots"] == []
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("mode, cases", [
+        ("complex", [("1,1", "inconsistent"), ("2", "inconsistent")]),
+        ("real", [("2", "inconsistent"), ("1,1", "inconsistent"), ("q2", "solved")]),
+    ])
+    def test_overflow_writes_nothing_to_stderr(self, mode, cases):
+        # a non-finite residual stalls a start and the presolve reports the
+        # overflow as inconsistent, so numpy's warnings would only be noise
+        code, out, err = run("roots", "find", "--in", "-", "--mode", mode,
+                             stdin=OVERFLOWING_DOCS[1])
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["roots"] == []
+        assert [(o["case"], o["status"]) for o in doc["outcomes"]] == cases
+
 
 def grid_texts(n: int):
     """A board of side n as the text format or JSON, blank anywhere; about
@@ -626,13 +645,14 @@ class TestFuzzPuzzleInput:
     """Outside input through puzzle: the exit-code contract, never an exception."""
 
     @settings(max_examples=80, deadline=None)
-    @given(GRID_INPUT, st.sampled_from(["auto", "exhaust"]), st.integers(-2, 5))
+    @given(GRID_INPUT, st.sampled_from(["auto", "exhaust"]), st.none() | st.integers(-2, 5))
     @example(EXAMPLE_GRID, "exhaust", 5)
-    @example(UNSOLVABLE_GRID, "auto", 0)
-    @example('{"n": 2, "cells": [true, 2, 3, false]}', "auto", 0)
+    @example(UNSOLVABLE_GRID, "auto", None)
+    @example('{"n": 2, "cells": [true, 2, 3, false]}', "auto", None)
     def test_solve(self, grid, algo, kmax):
         assume(algo == "exhaust" or grid_side(grid) <= 3)  # IDA* on 4x4 can take minutes
-        assert_contract(["puzzle", "solve", "--in", "-", "--algo", algo, f"--kmax={kmax}"], grid)
+        argv = ["puzzle", "solve", "--in", "-", "--algo", algo]
+        assert_contract(argv + [f"--kmax={kmax}"] * (kmax is not None), grid)
 
     @settings(max_examples=80, deadline=None)
     @given(GRID_INPUT, MOVES, st.sampled_from(["verify", "cost"]), st.booleans())

@@ -7,6 +7,7 @@ import pytest
 from tilelab import (
     EXHAUST_CANDIDATE_CAP,
     CostLedger,
+    MOVES,
     Move,
     NotFound,
     ResourceLimit,
@@ -32,6 +33,8 @@ from tilelab import (
     solve_optimal,
     verify_solution,
 )
+from tilelab.grid import BLANK
+from tilelab.search import _ida_tables, _lower_bound
 
 # the 31-move 3x3 grid  6 4 7 / 8 5 _ / 3 2 1
 DEEPEST3 = (6, 4, 7, 8, 5, 0, 3, 2, 1)
@@ -98,6 +101,79 @@ def enumerate_reference(n, depth_limit=None, max_states=2_000_000):
                 hist[d + 1] += 1
                 frontier.append((nxt, j))
     return depths, hist, diameter
+
+
+def manhattan_ida_reference(g):
+    """Reference solver: the Manhattan-only IDA* that the linear-conflict
+    kernel replaced, children in U < D < R < L order; (psi, seq)."""
+    from tilelab.search import _move_targets
+
+    n = g.n
+    dist = [[abs(i // n - (v - 1) // n) + abs(i % n - (v - 1) % n) for i in range(n * n)]
+            for v in range(n * n)]
+    steps = [[(k, j) for k, j in enumerate(row) if j >= 0] for row in _move_targets(n)]
+    cells = list(g.cells)
+    path = []
+
+    def dfs(bi, gcost, h, bound, back):
+        """True at the goal, else the smallest f over the bound below."""
+        if h == 0:
+            return True
+        if gcost + h > bound:
+            return gcost + h
+        best = None
+        for k, j in steps[bi]:
+            if k == back:
+                continue
+            v = cells[j]
+            cells[bi], cells[j] = v, 0
+            t = dfs(j, gcost + 1, h + dist[v][bi] - dist[v][j], bound, k ^ 1)
+            cells[bi], cells[j] = 0, v
+            if t is True:
+                path.append(MOVES[k])
+                return True
+            if best is None or t < best:
+                best = t
+        return best
+
+    h0 = sum(dist[v][i] for i, v in enumerate(cells) if v)
+    bound = h0
+    while (t := dfs(g.blank_index, 0, h0, bound, -1)) is not True:
+        bound = t
+    return len(path), tuple(reversed(path))
+
+
+def lower_bound_reference(cells, n):
+    """Reference bound, from the board alone: Manhattan distance plus, for
+    every row and column, twice (tiles homed in it - the longest increasing
+    subsequence of their home positions along it)."""
+
+    def lis(xs):
+        best = [1] * len(xs)
+        for i in range(len(xs)):
+            for j in range(i):
+                if xs[j] < xs[i]:
+                    best[i] = max(best[i], best[j] + 1)
+        return max(best, default=0)
+
+    h = sum(abs(i // n - (v - 1) // n) + abs(i % n - (v - 1) % n)
+            for i, v in enumerate(cells) if v)
+    for k in range(n):
+        row = [cells[k * n + c] for c in range(n)]
+        col = [cells[r * n + k] for r in range(n)]
+        for homes in ([(v - 1) % n for v in row if v and (v - 1) // n == k],
+                      [(v - 1) // n for v in col if v and (v - 1) % n == k]):
+            h += 2 * (len(homes) - lis(homes))
+    return h
+
+
+def walk(rng, n, length):
+    """Non-backtracking random walk of the blank from the goal."""
+    g, last = goal(n), None
+    for _ in range(length):
+        m = rng.choice([m for m in legal_moves(g) if m != last])
+        g, last = apply_seq(g, (m,)), inverse_move(m)
+    return g
 
 
 def outcome(search, g, k_max, ledger):
@@ -260,17 +336,54 @@ class TestSolveOptimal:
         res = solve_optimal(new_grid(3, DEEPEST3))
         assert res.psi == 31
         assert format_moves(res.seq) == "ULDRDLULDRUURDDLULURRDLLURRDLDR"
-        assert res.expanded == 18212
+        assert res.expanded == 9196
         assert solve_optimal(example_grid).expanded == 5
         witness = parse_moves("DLDLURDRRDLLLUUURRDRDDLUULULDDRRRD")
         res = solve_optimal(apply_seq(goal(4), reverse_seq(witness)))
-        assert (res.seq, res.expanded) == (witness, 26894)
+        assert (res.seq, res.expanded) == (witness, 11935)
+
+    def test_4x4_witnesses_match_manhattan_ida(self):
+        # 20 non-backtracking walks of 30..52 moves; the seed keeps the
+        # Manhattan-only reference near a second in all
+        rng = random.Random(4)
+        for i in range(20):
+            g = walk(rng, 4, 30 + i * 22 // 19)
+            res = solve_optimal(g)
+            assert (res.psi, res.seq) == manhattan_ida_reference(g)
 
     def test_algo_validation(self, example_grid):
         with pytest.raises(TypeError):  # IDA* is the only solver
             solve_optimal(example_grid, "bfs")
         with pytest.raises(ValueError):
             solve_optimal(goal(5))
+
+
+class TestLowerBound:
+    def test_admissible_on_the_whole_3x3_census(self, table3):
+        # h changes by 1 on every move and is 0 at the goal, so it also
+        # has the parity of the depth
+        bad = [code for code, depth in table3.states.items()
+               if not (h := _lower_bound(decode(code, 3), 3)[0]) <= depth or (depth - h) % 2]
+        assert bad == []
+
+    @pytest.mark.parametrize("n, seed", [(2, 2), (3, 3), (4, 4)])
+    def test_incremental_bound_matches_a_fresh_one_along_walks(self, n, seed):
+        steps, _, width = _ida_tables(n)
+        rng = random.Random(seed)
+        cells = list(goal(n).cells)
+        bi, back = n * n - 1, -1
+        h, keys = _lower_bound(cells, n)
+        assert h == 0
+        for _ in range(600):
+            _, j, back, table = rng.choice(steps[bi][back])
+            v = cells[j]
+            dh, shift, dkeys = table[v]  # one step of _solve_ida's dfs
+            hj = h + dh[keys >> shift & (1 << width) - 1]
+            assert abs(hj - h) == 1
+            keys += dkeys
+            cells[bi], cells[j], bi, h = v, BLANK, j, hj
+            assert h == lower_bound_reference(cells, n)
+            assert (h, keys) == _lower_bound(cells, n)
 
 
 class TestExhaust:
