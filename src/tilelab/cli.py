@@ -10,34 +10,31 @@ error.  Exit codes separate "the answer is no" from "could not answer":
     2  usage error (bad flags, malformed input: main reports every
        ValueError, from any layer, this way)
     3  resource limit hit
+
+roots verify holds no rule of its own: it parses, calls poly.verify_root
+and emits, and is_root is true exactly when the multiplicity is not null.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
-import math
 import sys
 from contextlib import ExitStack
-from fractions import Fraction
 from itertools import chain
 
 from .cost import MOVE_DECISION_CEILINGS, CostLedger, budget, instrumented_apply, instrumented_verify
 from .grid import format_moves, load_grid, parse_moves
 from .poly import (
-    RATIONAL,
-    NotARoot,
+    MULTIPLICITY_TOL,
     Poly,
     complex_poly,
-    eval_horner,
     json_scalar,
-    max_norm,
-    multiplicity,
     norm_claim_check,
     parse_poly_text,
     parse_scalar,
     poly_from_json,
+    verify_root,
 )
 from .search import (
     DEFAULT_STATE_CAP,
@@ -59,9 +56,6 @@ RESOURCE_LIMIT = 3
 
 # puzzle solve --algo exhaust: the --kmax it walks to when none is given
 SOLVE_EXHAUST_KMAX = 8
-
-# roots verify: |p(root)| <= VERIFY_TOL * max(1, max|a_i|) makes a root
-VERIFY_TOL = 1e-9
 
 
 class _UsageError(ValueError):
@@ -269,8 +263,6 @@ def _cmd_puzzle_exhaust(args) -> int:
 
 def _cmd_roots_find(args) -> int:
     p = _load_poly_arg(args)
-    if p.degree is None or p.degree < 1:
-        raise _UsageError("polynomial must have degree at least 1")
     try:
         rep = find_roots_report(p, mode=args.mode, order=args.order)
     except NoPatternSolved as exc:
@@ -290,49 +282,23 @@ def _cmd_roots_find(args) -> int:
 
 def _cmd_roots_verify(args) -> int:
     p = _load_poly_arg(args)
-    if p.is_zero():
-        raise _UsageError("every point is a root of the zero polynomial")
     try:
-        native = parse_scalar(args.root)
+        root = parse_scalar(args.root)
     except ValueError:
         try:
-            native = complex(args.root)
+            root = complex(args.root)
         except ValueError as exc:
             raise _UsageError(f"cannot parse root value {args.root!r}") from exc
-    value = complex(native)
-    if not cmath.isfinite(value):
-        raise _UsageError(f"root value {args.root!r} is not finite")
-    if value.imag == 0:
-        value = value.real
-    try:
-        residual = abs(complex(eval_horner(p, value)))
-        scale = max(1.0, float(max_norm(p)))
-    except OverflowError:  # an exact coefficient past the float range
-        raise _UsageError("a coefficient lies past the float range") from None
-    if not math.isfinite(residual):
-        raise _UsageError(f"the polynomial's value at {args.root} lies past the float range")
-    is_root = residual <= VERIFY_TOL * scale
-    mult = None
-    if is_root:
-        probe_p, probe_r = p, value
-        if p.kind == RATIONAL:
-            if isinstance(native, (int, Fraction)):
-                probe_r = Fraction(native)
-            else:
-                probe_p = complex_poly([complex(c) for c in p.coeffs])
-        try:
-            mult = multiplicity(probe_p, probe_r)
-        except NotARoot:
-            mult = None
+    residual, mult = verify_root(p, root)
     doc = {
-        "root": json_scalar(value),
+        "root": json_scalar(root),
         "residual": residual,
-        "tol": VERIFY_TOL,
-        "is_root": is_root,
+        "tol": MULTIPLICITY_TOL,
+        "is_root": mult is not None,
         "multiplicity": mult,
     }
     _emit(doc, args)
-    return 0 if is_root else DOMAIN_NEGATIVE
+    return 0 if mult is not None else DOMAIN_NEGATIVE
 
 
 def _cmd_roots_cases(args) -> int:

@@ -5,10 +5,17 @@ Fractions; the "complex" kind holds machine complex numbers (real inputs
 just have zero imaginary parts).  The zero polynomial is the empty
 coefficient sequence and has no degree.  Mixing kinds raises KindMismatch:
 callers convert explicitly or not at all.
+
+Two rules live here so that every caller shares them.  verify_root decides
+a claimed root: exactly when polynomial and root are both exact, else in
+complex arithmetic under the one tolerance MULTIPLICITY_TOL.  float_coeffs
+reads coefficients as machine numbers, and as reals under REAL_COEFF_TOL;
+the Sturm oracle and the real-mode finder both read float input by it.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -24,8 +31,11 @@ COMPLEX = "complex"
 # arithmetic.  Powers are judged before they are computed.
 EXACT_BITS_CAP = 2 ** 16
 # a float-kind deflation stage divides evenly when its remainder is below
-# this, relative to max(1, max_norm)
+# this, relative to max(1, max_norm): the one tolerance of verify_root
 MULTIPLICITY_TOL = 1e-9
+# a coefficient is real when its imaginary part is at most this, relative
+# to max(1, max|c|): the one rule of float_coeffs(p, real=True)
+REAL_COEFF_TOL = 1e-12
 
 
 class KindMismatch(TypeError):
@@ -167,6 +177,28 @@ def max_norm(p: Poly):
     return max(abs(c) for c in p.coeffs)
 
 
+def float_coeffs(p: Poly, real: bool = False) -> list:
+    """p's coefficients in machine arithmetic: complex numbers, or with
+    real the floats of their real parts.
+
+    Raises ValueError for a coefficient past the float range or not
+    finite, and with real for an imaginary part above
+    REAL_COEFF_TOL * max(1, max|c|).
+    """
+    try:
+        values = [complex(c) for c in p.coeffs]
+    except OverflowError:  # an exact coefficient past the float range
+        raise ValueError("a coefficient lies past the float range") from None
+    if not all(cmath.isfinite(z) for z in values):
+        raise ValueError("coefficients must be finite")
+    if not real:
+        return values
+    bound = REAL_COEFF_TOL * max(1.0, max((abs(z) for z in values), default=0.0))
+    if any(abs(z.imag) > bound for z in values):
+        raise ValueError("real coefficients are required")
+    return [z.real for z in values]
+
+
 @dataclass(frozen=True)
 class NormCheck:
     """Outcome of one multiplicativity probe: is |pq| == |p|*|q| under max_norm?"""
@@ -207,34 +239,74 @@ def synthetic_divide(p: Poly, r) -> tuple[Poly, object]:
     return Poly(_normalize(out[1:], p.kind), p.kind), remainder
 
 
-def multiplicity(p: Poly, r) -> int:
-    """Largest m with (x - r)^m dividing p, by repeated synthetic division.
+def _deflations(p: Poly, r) -> int:
+    """Largest m with (x - r)^m dividing p, by repeated synthetic division;
+    0 when r is not a root.
 
     Exact in the rational kind; in the complex kind each stage's remainder
-    must stay below MULTIPLICITY_TOL.  Raises NotARoot if r is not a root
-    at all.
+    must stay below MULTIPLICITY_TOL * max(1, max_norm) of its dividend.
     """
-    if p.is_zero():
-        raise ValueError("every point is a root of the zero polynomial")
-    kind = p.kind
-
-    def is_root_here(q: Poly, rem) -> bool:
-        if kind == RATIONAL:
-            return rem == 0
-        scale = max(1.0, float(max_norm(q)))
-        return abs(rem) < MULTIPLICITY_TOL * scale
-
     m = 0
     cur = p
-    while not cur.is_zero() and cur.degree is not None and cur.degree >= 1:
+    while len(cur.coeffs) >= 2:
         quotient, rem = synthetic_divide(cur, r)
-        if not is_root_here(cur, rem):
+        if p.kind == RATIONAL:
+            divides = rem == 0
+        else:
+            divides = abs(rem) < MULTIPLICITY_TOL * max(1.0, float(max_norm(cur)))
+        if not divides:
             break
         m += 1
         cur = quotient
+    return m
+
+
+def multiplicity(p: Poly, r) -> int:
+    """Largest m with (x - r)^m dividing p, by _deflations' rule.
+
+    Raises NotARoot if r is not a root at all.
+    """
+    if p.is_zero():
+        raise ValueError("every point is a root of the zero polynomial")
+    m = _deflations(p, r)
     if m == 0:
         raise NotARoot(f"{r!r} is not a root (remainder {eval_horner(p, r)!r})")
     return m
+
+
+def verify_root(p: Poly, r) -> tuple[float, int | None]:
+    """The one rule that decides a claimed root: (|p(r)|, the multiplicity
+    of r, or None when r is not a root).
+
+    An exact pair, p rational and r an int or a Fraction, is decided
+    exactly: r is a root when p(r) == 0, and the residual is exact before
+    it is rounded to a float.  Any other pair reads p in complex
+    arithmetic, where every deflation stage, the first included, must
+    leave a remainder below MULTIPLICITY_TOL * max(1, max_norm) of its
+    dividend.  Raises ValueError for the zero polynomial, a root that is
+    not finite, and a coefficient or value past the float range.
+    """
+    if p.is_zero():
+        raise ValueError("every point is a root of the zero polynomial")
+    floats = complex_poly(float_coeffs(p))
+    try:
+        z = complex(r)
+    except OverflowError:  # an exact root past the float range
+        raise ValueError("the root value lies past the float range") from None
+    shown = z.real if z.imag == 0 else z
+    if not cmath.isfinite(z):
+        raise ValueError(f"root value {shown} is not finite")
+    if p.kind == RATIONAL and isinstance(r, (int, Fraction)):
+        work, x = p, Fraction(r)
+    else:
+        work, x = floats, z
+    try:
+        residual = float(abs(eval_horner(work, x)))
+    except OverflowError:  # an exact value past the float range
+        residual = math.inf
+    if not math.isfinite(residual):
+        raise ValueError(f"the polynomial's value at {shown} lies past the float range")
+    return residual, _deflations(work, x) or None
 
 
 def is_nicely_factored(p: Poly) -> bool:
@@ -259,7 +331,10 @@ class RootSet:
     """Roots with multiplicities; count is the number of distinct roots."""
 
     roots: tuple[tuple[object, int, float], ...]  # (value, multiplicity, |p(value)|)
-    count: int
+
+    @property
+    def count(self) -> int:
+        return len(self.roots)
 
     def values(self) -> list:
         return [r[0] for r in self.roots]

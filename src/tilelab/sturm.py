@@ -37,7 +37,7 @@ from .poly import (
     Poly,
     RootSet,
     eval_horner,
-    max_norm,
+    float_coeffs,
 )
 from .search import ResourceLimit
 
@@ -94,21 +94,15 @@ def _read_float(x: float) -> Fraction:
 
 
 def _as_real_coeffs(p: Poly) -> tuple[list[Fraction], bool]:
-    """Low-first exact coefficients, and whether they were read from floats."""
+    """Low-first exact coefficients, and whether they were read from floats.
+
+    Float input must pass poly.float_coeffs' rule for real coefficients.
+    """
     if p.is_zero():
         raise ValueError("the zero polynomial has no root set")
     if p.kind == RATIONAL:
         return list(p.coeffs), False
-    out = []
-    scale = float(max_norm(p))
-    for c in p.coeffs:
-        c = complex(c)
-        if abs(c.imag) > 1e-12 * max(1.0, scale):
-            raise ValueError("real-root oracle needs real coefficients")
-        if not math.isfinite(c.real):
-            raise ValueError("real-root oracle needs finite coefficients")
-        out.append(_read_float(c.real))
-    return out, True
+    return [_read_float(x) for x in float_coeffs(p, real=True)], True
 
 
 ORACLE_DEGREE_CAP = 36  # the highest degree real-mode roots find hands the oracle before SHAPE_CAP
@@ -454,7 +448,7 @@ def oracle_real_roots(p: Poly) -> RootSet:
     """
     coeffs, split = _real_reading(p)
     if len(coeffs) <= 1:
-        return RootSet((), 0)
+        return RootSet(())
     hi = Fraction(_cauchy_bound(coeffs)).limit_denominator(1) + 1
     if split is None:
         return _float_reading_roots(p, coeffs, hi)
@@ -468,7 +462,7 @@ def oracle_real_roots(p: Poly) -> RootSet:
                         else abs(eval_horner(p, value)))
             roots.append((value, m, residual))
     roots.sort()
-    return RootSet(tuple(roots), len(roots))
+    return RootSet(tuple(roots))
 
 
 def splits_over_rationals(coeffs: list[Fraction]) -> bool:
@@ -517,7 +511,7 @@ def _float_reading_roots(p: Poly, coeffs: list[Fraction], hi: Fraction) -> RootS
         else:
             merged.append((r, m, res))
 
-    return RootSet(tuple(merged), len(merged))
+    return RootSet(tuple(merged))
 
 
 def _derivative(q: Poly) -> Poly:

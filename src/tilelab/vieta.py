@@ -26,7 +26,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from .poly import RATIONAL, Poly, RootSet, complex_poly, eval_horner, json_scalar
+from .poly import RATIONAL, Poly, RootSet, complex_poly, eval_horner, float_coeffs, json_scalar
 from .search import ResourceLimit
 from .sturm import count_real_roots_in, oracle_real_roots
 
@@ -268,21 +268,8 @@ class VietaSystem:
 
 
 def _target_vector(target: Poly, mode: str) -> np.ndarray:
-    try:
-        values = [complex(v) for v in target.coeffs]
-    except OverflowError:
-        raise ValueError("a coefficient lies past the float range") from None
-    if not all(cmath.isfinite(z) for z in values):
-        raise ValueError("coefficients must be finite")
-    if mode == REAL_MODE:
-        out = np.empty(len(values), dtype=np.float64)
-        scale = max((abs(z) for z in values), default=0.0)
-        for i, z in enumerate(values):
-            if abs(z.imag) > 1e-12 * max(1.0, scale):
-                raise ValueError("real mode requires real coefficients")
-            out[i] = z.real
-        return out
-    return np.array(values, dtype=np.complex128)
+    real = mode == REAL_MODE
+    return np.array(float_coeffs(target, real), dtype=np.float64 if real else np.complex128)
 
 
 def build_system(pattern: MultiplicityPattern, target: Poly, mode: str = REAL_MODE) -> VietaSystem:
@@ -735,12 +722,15 @@ class FindReport:
     """find_roots plus the full per-case history behind the answer."""
 
     roots: RootSet
-    case: MultiplicityPattern | None
-    outcomes: tuple[CaseOutcome, ...]
+    outcomes: tuple[CaseOutcome, ...]  # the last one is the accepted case
+
+    @property
+    def case(self) -> MultiplicityPattern:
+        return self.outcomes[-1].pattern
 
     def to_json(self) -> dict:
         doc = self.roots.to_json()
-        doc["case"] = self.case.label() if self.case else None
+        doc["case"] = self.case.label()
         doc["outcomes"] = [o.to_json() for o in self.outcomes]
         return doc
 
@@ -750,7 +740,7 @@ def _outcome_rootset(target: Poly, outcome: CaseOutcome) -> RootSet:
     for v, m in outcome.roots:
         rows.append((v, m, abs(complex(eval_horner(target, v)))))
     rows.sort(key=lambda t: (complex(t[0]).real, complex(t[0]).imag))
-    return RootSet(tuple(rows), len(rows))
+    return RootSet(tuple(rows))
 
 
 def _oracle_agrees(found: RootSet, oracle: RootSet) -> bool:
@@ -810,7 +800,7 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, order: str | None = None) 
                     reason="independent root oracle disagrees with this case",
                 )
                 continue
-            return FindReport(found, outcome.pattern, tuple(outcomes))
+            return FindReport(found, tuple(outcomes))
         raise NoPatternSolved(tuple(outcomes))
 
 

@@ -295,6 +295,28 @@ class TestRootsVerify:
         assert doc["root"] == {"re": 0.0, "im": 1.0}
         assert doc["is_root"] is True
 
+    def test_exact_pair_is_decided_exactly(self):
+        # p(0) = -1e-12: not a root of the exact polynomial, but within
+        # MULTIPLICITY_TOL when the root is spelled as a float
+        code, out, _ = run_main(["roots", "verify", "--poly=-1/1000000000000,1", "--root", "0"], "")
+        doc = json.loads(out)
+        check(doc, "roots_verify.schema.json")
+        assert (code, doc["is_root"], doc["multiplicity"], doc["residual"]) == (1, False, None, 1e-12)
+        code, out, _ = run_main(["roots", "verify", "--poly=-1/1000000000000,1", "--root", "0.0"], "")
+        doc = json.loads(out)
+        assert (code, doc["is_root"], doc["multiplicity"]) == (0, True, 1)
+
+    def test_exact_residual(self):
+        # (x - 1/3)^2 (x - 2/3): 1.4e-17 at the float nearest 1/3, 0 at 1/3
+        code, out, _ = run_main(["roots", "verify", "--poly=-2/27,5/9,-4/3,1", "--root", "1/3"], "")
+        doc = json.loads(out)
+        assert (code, doc["residual"], doc["multiplicity"]) == (0, 0.0, 2)
+
+    def test_constant_has_no_root(self):
+        code, out, _ = run_main(["roots", "verify", "--poly=0.000000000001", "--root", "1"], "")
+        doc = json.loads(out)
+        assert (code, doc["is_root"], doc["multiplicity"]) == (1, False, None)
+
 
 class TestRootsCases:
     def test_default_real_order(self):
@@ -446,6 +468,7 @@ class TestOutputPlumbing:
     # numeric flags of roots
     (("roots", "verify", "--poly=-1,1", "--root", "nan"), None, 2, "tilelab: error:"),
     (("roots", "verify", "--poly=-1,1", "--root", "inf"), None, 2, "tilelab: error:"),
+    (("roots", "verify", "--poly=-1,1", "--root", "2^2000"), None, 2, "tilelab: error:"),
     # no tolerance, clustering radius, start count or iteration cap to set:
     # argparse rejects the unknown flag
     (("roots", "verify", "--poly=-1,1", "--root", "1", "--tol", "nan"), None, 2,
@@ -468,8 +491,9 @@ class TestOutputPlumbing:
         "find-coeff-past-float-range-complex", "report-coeff-past-float-range",
         "report-degree-over-oracle-cap", "verify-coeff-past-float-range",
         "verify-value-past-float-range", "verify-zero-poly", "verify-root-nan",
-        "verify-root-inf", "verify-tol-nan", "find-tol-nan", "find-cluster-radius-negative",
-        "find-starts-zero", "find-max-iters-negative", "poly-json-rational-bool-float"])
+        "verify-root-inf", "verify-root-past-float-range", "verify-tol-nan", "find-tol-nan",
+        "find-cluster-radius-negative", "find-starts-zero", "find-max-iters-negative",
+        "poly-json-rational-bool-float"])
 def test_rejected_input_gives_exit_code_and_one_error_line(argv, stdin, code, stderr_line):
     got, out, err = run(*argv, stdin=stdin)
     assert (got, out) == (code, "")
@@ -536,8 +560,17 @@ class TestFuzzRootsInput:
     @example("1,0,0,1", "1e200")
     @example("1,-2,1", "1/0")
     @example("0,0", "1")
+    @example("-1/1000000000000,1", "0")
+    @example("-1,1", "2^2000")
     def test_verify(self, text, root):
-        assert exit_code(["roots", "verify", f"--poly={text}", f"--root={root}"]) in (0, 1, 2, 3)
+        code, out, _ = run_main(["roots", "verify", f"--poly={text}", f"--root={root}"], "")
+        assert code in (0, 1, 2, 3)
+        if code > 1:
+            assert out == ""
+            return
+        doc = json.loads(out)
+        check(doc, "roots_verify.schema.json")
+        assert (code == 0) == doc["is_root"] == (doc["multiplicity"] is not None)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(-5, 12), MODES)

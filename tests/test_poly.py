@@ -18,6 +18,7 @@ from tilelab import (
     complex_poly,
     eval_horner,
     eval_naive,
+    float_coeffs,
     format_poly_text,
     is_nicely_factored,
     max_norm,
@@ -31,6 +32,7 @@ from tilelab import (
     poly_to_json,
     rational_poly,
     synthetic_divide,
+    verify_root,
     zero,
 )
 from tilelab import sturm
@@ -207,6 +209,59 @@ class TestMultiplicity:
             multiplicity(zero(), 0)
 
 
+class TestVerifyRoot:
+    def test_exact_pair_is_exact(self):
+        p = poly([Fraction(-1, 10 ** 12), 1])
+        assert verify_root(p, 0) == (1e-12, None)
+        assert verify_root(p, Fraction(1, 10 ** 12)) == (0.0, 1)
+        assert verify_root(poly([-1, 3]), Fraction(1, 3)) == (0.0, 1)
+        assert verify_root(poly([1, -2, 1]), 1) == (0.0, 2)
+
+    def test_float_root_reads_the_polynomial_in_floats(self):
+        p = poly([Fraction(-1, 10 ** 12), 1])
+        assert verify_root(p, 0.0) == (1e-12, 1)
+        assert verify_root(complex_poly([1, -2, 1]), 1 + 1e-12) == (pytest.approx(0.0), 2)
+        assert verify_root(complex_poly([1, 0, 1]), 1j) == (0.0, 1)
+        assert verify_root(complex_poly([-1, 0, 1]), 3.0) == (8.0, None)
+
+    def test_a_constant_has_no_root(self):
+        # a residual under the tolerance, but no deflation stage divides
+        assert verify_root(complex_poly([1e-12]), 1.0) == (1e-12, None)
+        assert verify_root(poly([5]), 1) == (5.0, None)
+
+    @pytest.mark.parametrize("p, r", [
+        (zero(), 0),
+        (poly([-1, 1]), math.nan),
+        (poly([-1, 1]), complex(1, math.inf)),
+        (poly([-1, 1]), Fraction(2 ** 2000)),
+        (poly([2 ** 2000, 1]), 1),
+        (poly([1, 0, 0, 1]), 1e200),
+        (poly([1, 0, 0, 1]), Fraction(10 ** 200)),
+    ], ids=["zero", "nan-root", "inf-root", "root-past-range", "coeff-past-range",
+            "float-value-past-range", "exact-value-past-range"])
+    def test_rejected(self, p, r):
+        with pytest.raises(ValueError):
+            verify_root(p, r)
+
+
+class TestFloatCoeffs:
+    def test_complex_and_real_reads(self):
+        p = poly([Fraction(1, 2), 3])
+        assert float_coeffs(p) == [0.5 + 0j, 3 + 0j]
+        assert float_coeffs(complex_poly([-1 + 1e-15j, 1]), real=True) == [-1.0, 1.0]
+        assert float_coeffs(complex_poly([1j, 1])) == [1j, 1 + 0j]
+
+    @pytest.mark.parametrize("c", [1j, complex(-1, math.nan), complex(-1, math.inf),
+                                   complex(math.nan, 0), complex(math.inf, 0)])
+    def test_real_rule_rejects(self, c):
+        with pytest.raises(ValueError):
+            float_coeffs(complex_poly([c, 1]), real=True)
+
+    def test_past_float_range(self):
+        with pytest.raises(ValueError):
+            float_coeffs(poly([2 ** 2000, 1]))
+
+
 class TestNicelyFactored:
     def test_zero_is_not(self):
         assert not is_nicely_factored(zero())
@@ -364,7 +419,7 @@ class TestMalformedText:
 
 class TestRootSet:
     def test_to_json_real_and_complex_values(self):
-        rs = RootSet(roots=((1.0, 2, 0.0), (1j, 1, 0.0)), count=2)
+        rs = RootSet(roots=((1.0, 2, 0.0), (1j, 1, 0.0)))
         doc = rs.to_json()
         assert doc["tau"] == 2
         assert doc["roots"][0] == {"value": 1.0, "mult": 2, "residual": 0.0}

@@ -9,10 +9,12 @@ from hypothesis import example, given, strategies as st
 
 from tilelab import sturm
 from tilelab import (
+    REAL_MODE,
     ResourceLimit,
     complex_poly,
     count_real_roots_in,
     eval_horner,
+    find_roots_report,
     mul,
     multiplicity,
     oracle_real_roots,
@@ -102,6 +104,18 @@ class TestValidation:
     def test_tiny_imaginary_dust_tolerated(self):
         rs = oracle_real_roots(complex_poly([-1 + 1e-15j, 1]))
         assert rs.count == 1
+
+    @pytest.mark.parametrize("imag", [math.nan, math.inf, -math.inf])
+    def test_non_finite_imaginary_parts_rejected(self, imag):
+        # the oracle and the count read real coefficients by the finder's rule
+        p = complex_poly([complex(-1, imag), 1])
+        errors = []
+        for route in (oracle_real_roots, lambda q: count_real_roots_in(q, -math.inf, math.inf),
+                      lambda q: find_roots_report(q, REAL_MODE)):
+            with pytest.raises(ValueError) as exc:
+                route(p)
+            errors.append(str(exc.value))
+        assert len(set(errors)) == 1
 
     def test_degree_cap(self):
         cap = sturm.ORACLE_DEGREE_CAP

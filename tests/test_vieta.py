@@ -308,8 +308,8 @@ class TestFindRoots:
         (((1.0, 1, 0.0),), False),                  # a root missing
     ])
     def test_oracle_agreement(self, found, agrees):
-        oracle = RootSet(((1.0, 1, 0.0), (2.0, 2, 0.0)), 2)
-        assert vieta._oracle_agrees(RootSet(found, len(found)), oracle) is agrees
+        oracle = RootSet(((1.0, 1, 0.0), (2.0, 2, 0.0)))
+        assert vieta._oracle_agrees(RootSet(found), oracle) is agrees
 
     def test_cubic_case_history(self):
         report = find_roots_report(parse_poly_text(CUBIC))
