@@ -6,18 +6,22 @@ check.  A float coefficient is read as the simplest rational that rounds
 to it, so 0.1 is 1/10 and pi is 245850922/78256779.  Chains are built in
 integers, by pseudo-remainders that scale each element by a positive
 factor and divide out its content, and signs at a rational point p/q are
-read off homogeneous Horner sums in integers alone.
+read off homogeneous Horner sums in integers alone.  Bisection keeps no
+Fraction either: a bracket is two integers over one denominator, and a
+split multiplies that denominator by the split point's, with no gcd.
 
 Exact input, and float input whose exact reading has a repeated factor,
 is first split by Yun's algorithm into square-free factors s_m, each
 holding the roots of multiplicity m.  Each factor's own chain isolates its
-roots, and before each halving a bracket is snapped to the simplest
-rational inside it: when s_m vanishes there, that is the root.  Every
-root comes back as the float nearest it.  Only a float input whose
-reading is square-free runs one chain on the whole reading, dropping
-remainder terms below _REM_DUST of the dividend, so a root the floats
-repeat only up to rounding, such as pi in pi^2 - 2 pi x + x^2, keeps its
-multiplicity; a derivative ladder then polishes each root and reads it.
+roots; then each bracket is halved by the sign of s_m alone, which
+changes sign across its simple root, and before each halving it is
+snapped to the simplest rational inside it: when s_m vanishes there, that
+is the root.  Every root comes back as the float nearest it.  Only a
+float input whose reading is square-free runs one chain on the whole
+reading, dropping remainder terms below _REM_DUST of the dividend, so a
+root the floats repeat only up to rounding, such as pi in
+pi^2 - 2 pi x + x^2, keeps its multiplicity; a derivative ladder then
+polishes each root and reads it.
 count_real_roots_in reads its input by the same rule.
 
 Counting uses half-open intervals (a, b], so every root lands in exactly
@@ -28,6 +32,7 @@ are still counted once, which is what makes the count "distinct roots".
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -44,20 +49,22 @@ from .search import ResourceLimit
 BISECT_WIDTH = 1e-12
 
 
-def _simplest_rational(lo: Fraction, hi: Fraction, closed: bool) -> Fraction:
-    """The simplest rational between lo < hi: the least denominator, then
-    the least magnitude.  The ends belong to the interval when closed.
+def _simplest_rational(lo: int, hi: int, den: int, closed: bool) -> tuple[int, int]:
+    """(num, q): the simplest rational between lo/den < hi/den (den > 0),
+    the least denominator, then the least magnitude, in lowest terms with
+    q > 0.  The ends belong to the interval when closed.
 
     The continued-fraction walk (the Stern-Brocot descent) takes the
     smallest integer in the interval if there is one, and otherwise goes
     on with the reciprocal of the part above the integer part.
     """
     if hi < 0 or (hi == 0 and not closed):
-        return -_simplest_rational(-hi, -lo, closed)
+        num, q = _simplest_rational(-hi, -lo, den, closed)
+        return -num, q
     if lo < 0 or (lo == 0 and closed):
-        return Fraction(0)
+        return 0, 1
     # the interval is ln/ld .. hn/hd in integers; hd = 0 stands for infinity
-    ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    ln, ld, hn, hd = lo, den, hi, den
     lo_in = hi_in = closed
     terms = []
     while True:
@@ -69,10 +76,10 @@ def _simplest_rational(lo: Fraction, hi: Fraction, closed: bool) -> Fraction:
         # on to 1 / (value - n): its ends are 1 / (hi - n) and 1 / (lo - n)
         ln, ld, hn, hd = hd, hn - n * hd, ld, ln - n * ld
         lo_in, hi_in = hi_in, lo_in
-    num, den = k, 1
+    num, q = k, 1
     for n in reversed(terms):
-        num, den = n * num + den, num
-    return Fraction(num, den)
+        num, q = n * num + q, num
+    return num, q
 
 
 def _read_float(x: float) -> Fraction:
@@ -80,17 +87,23 @@ def _read_float(x: float) -> Fraction:
 
     A value halfway to a neighbour rounds to the even one of the two, so
     the rounding interval holds its ends exactly when x is even, which is
-    when float() takes the lower end to x.  Above the largest float the
-    upper end is where rounding overflows.
+    when float() takes the lower end to x.  Past the largest float the
+    next step up would be 2^1024, and rounding overflows from halfway
+    there.  x and its neighbours are read over one power-of-two
+    denominator.
     """
     if x < 0:
         return -_read_float(-x)
     if x == 0:
         return Fraction(0)
-    v, below, above = Fraction(x), Fraction(math.nextafter(x, 0.0)), math.nextafter(x, math.inf)
-    lo = (below + v) / 2
-    hi = (v + Fraction(above)) / 2 if above < math.inf else v + (v - below) / 2
-    return _simplest_rational(lo, hi, float(lo) == x)
+    above = math.nextafter(x, math.inf)
+    ratios = [math.nextafter(x, 0.0).as_integer_ratio(), x.as_integer_ratio(),
+              above.as_integer_ratio() if above < math.inf else (2 ** sys.float_info.max_exp, 1)]
+    unit = max(q for _, q in ratios)
+    below, v, up = (n * (unit // q) for n, q in ratios)
+    lo, hi = below + v, v + up
+    num, q = _simplest_rational(lo, hi, 2 * unit, lo / (2 * unit) == x)
+    return Fraction(num, q)
 
 
 def _as_real_coeffs(p: Poly) -> tuple[list[Fraction], bool]:
@@ -109,7 +122,7 @@ ORACLE_DEGREE_CAP = 36  # the highest degree real-mode roots find hands the orac
 
 # a float reading's chain drops a remainder term at most this share of the
 # dividend's largest coefficient: smaller is roundoff
-_REM_DUST = Fraction(1e-11)
+_REM_DUST = 1e-11
 
 
 def _capped(coeffs: list) -> list:
@@ -141,11 +154,16 @@ def _primitive(a: list[int]) -> list[int]:
     return [c // g for c in a]
 
 
+def _over_lcm(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """(a, unit): coeffs times the lcm unit of their denominators, in integers."""
+    unit = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (unit // c.denominator) for c in coeffs], unit
+
+
 def _integer(coeffs: list[Fraction]) -> list[int]:
     """The primitive integer polynomial with a positive lead that is a
     rational multiple of coeffs."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    return _primitive(_over_lcm(coeffs)[0])
 
 
 def _int_pseudo_rem(a: list[int], b: list[int], dust=0) -> list[int]:
@@ -273,14 +291,16 @@ def _int_variations(chain: list[list[int]], p: int, q: int) -> tuple[int, bool]:
     return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
 
 
-# the midpoint, then offsets around it: one more candidate than a chain
-# under ORACLE_DEGREE_CAP has roots
-_SPLIT_OFFSETS = tuple(Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021)
+# the midpoint, then offsets around it, as (num, q): one more candidate
+# than a chain under ORACLE_DEGREE_CAP has roots
+_SPLIT_OFFSETS = tuple((Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021)).as_integer_ratio()
                        for j in range(ORACLE_DEGREE_CAP + 1))
 
 
-def _split_point(chain: list[list[int]], a: Fraction, b: Fraction) -> tuple[Fraction, int]:
-    """A counting point strictly inside (a, b), with its variation count.
+def _split_point(chain: list[list[int]], a: int, b: int, den: int) -> tuple[int, int, int]:
+    """(x, q, v): a counting point x/(den*q) strictly between a/den and
+    b/den, with its variation count.  Over the point's denominator den*q
+    the bracket's ends are a*q and b*q; no gcd is taken.
 
     Every chain element is divisible by gcd(p, p'), so at a multiple root
     the whole chain vanishes and variation counts turn meaningless; even a
@@ -289,11 +309,11 @@ def _split_point(chain: list[list[int]], a: Fraction, b: Fraction) -> tuple[Frac
     _SPLIT_OFFSETS holds more candidates than p has roots.
     """
     span = b - a
-    for offset in _SPLIT_OFFSETS:
-        x = a + span * offset
-        v, on_root = _int_variations(chain, x.numerator, x.denominator)
+    for num, q in _SPLIT_OFFSETS:
+        x = a * q + span * num
+        v, on_root = _int_variations(chain, x, den * q)
         if not on_root:
-            return x, v
+            return x, q, v
     raise RuntimeError(f"degree {len(chain[0]) - 1} is above ORACLE_DEGREE_CAP")
 
 
@@ -354,79 +374,100 @@ def _cauchy_bound(coeffs: list[Fraction]) -> float:
     return bound
 
 
-def _width(a: Fraction, b: Fraction) -> float:
-    """b - a as a float, inf for a bracket wider than the float range (the
-    bound's first bracket (-hi, hi] when hi is above half of it)."""
+def _width(a: int, b: int, den: int) -> float:
+    """(b - a) / den as a float, inf for a bracket wider than the float
+    range (the bound's first bracket (-hi, hi] when hi is above half of it)."""
     try:
-        return float(b - a)
+        return (b - a) / den
     except OverflowError:
         return math.inf
 
 
-def _isolate(chain: list[list[int]], hi: Fraction, cluster: float) -> list[tuple]:
-    """Brackets (a, b] in (-hi, hi], ascending, each holding one root of chain[0].
+def _isolate(chain: list[list[int]], hi: int, cluster: float) -> list[tuple[int, int, int, int]]:
+    """Brackets (a/den, b/den] in (-hi, hi], as (a, b, den, v_a), ascending,
+    each holding one root of chain[0]; v_a is the variation count at the
+    lower end.
 
-    Each entry carries the variation count at its lower end.  A bracket
-    narrower than cluster, relative to its ends, is kept as one root even
-    when the chain counts more: a chain that drops roundoff cannot tell
-    such a cluster apart.
+    A bracket narrower than cluster, relative to its ends, is kept as one
+    root even when the chain counts more: a chain that drops roundoff
+    cannot tell such a cluster apart.
     """
-    def variations(x: Fraction) -> int:
-        return _int_variations(chain, x.numerator, x.denominator)[0]
-
     # each entry carries the variation counts at its ends, so every point's
-    # count is computed once; (a, b] holds v_a - v_b distinct roots
-    intervals: list[tuple] = []
-    stack = [(-hi, hi, variations(-hi), variations(hi))]
+    # count is computed once; (a, b] holds v_a - v_b distinct roots.  The
+    # right half goes on the stack first, so brackets come off in order.
+    intervals = []
+    stack = [(-hi, hi, 1, _int_variations(chain, -hi, 1)[0], _int_variations(chain, hi, 1)[0])]
     while stack:
-        a, b, va, vb = stack.pop()
+        a, b, den, va, vb = stack.pop()
         k = va - vb
         if k <= 0:
             continue
-        if k == 1 or (cluster and _width(a, b) < cluster * max(1.0, abs(float(a)), abs(float(b)))):
-            intervals.append((a, b, va))
+        if k == 1 or (cluster and _width(a, b, den) < cluster * max(1.0, abs(a / den), abs(b / den))):
+            intervals.append((a, b, den, va))
             continue
-        mid, vm = _split_point(chain, a, b)
-        stack.append((a, mid, va, vm))
-        stack.append((mid, b, vm, vb))
-    intervals.sort(key=lambda iv: iv[0])
+        mid, q, vm = _split_point(chain, a, b, den)
+        stack.append((mid, b * q, den * q, vm, vb))
+        stack.append((a * q, mid, den * q, va, vm))
     return intervals
 
 
-def _halve(chain: list[list[int]], a: Fraction, b: Fraction, va: int) -> tuple:
-    """The half of (a, b] that keeps its root, with the new lower count."""
-    mid, vm = _split_point(chain, a, b)
-    return (a, mid, va) if va - vm >= 1 else (mid, b, vm)
+def _halve(chain: list[list[int]], a: int, b: int, den: int, va: int) -> tuple[int, int, int, int]:
+    """The half of (a/den, b/den] that keeps its root, as (a, b, den, v_a)."""
+    mid, q, vm = _split_point(chain, a, b, den)
+    return (a * q, mid, den * q, va) if va - vm >= 1 else (mid, b * q, den * q, vm)
 
 
-def _pin_root(chain: list[list[int]], a: Fraction, b: Fraction, va: int,
-              decide: bool) -> tuple[Fraction | None, Fraction]:
-    """(root, a): (a, b] holds one root of the square-free chain[0], a
-    primitive integer polynomial (a factor from square_free_split).
+def _sign_at(coeffs: list[int], p: int, q: int) -> int:
+    """The sign of the integer polynomial coeffs at p/q, q > 0."""
+    v = _int_eval(coeffs, p, _q_powers(q, len(coeffs) - 1))
+    return (v > 0) - (v < 0)
 
-    Before each halving the simplest rational in the bracket is tried; if
-    chain[0] vanishes there, that is the root, exactly.  A rational root's
-    denominator divides the lead L of chain[0], and a bracket narrower
-    than 1/L^2 holds at most one rational of denominator at most L, its
-    simplest; past either point no snap can hit.  To decide is to stop
-    there, so that root is None exactly when the root is irrational.
-    Otherwise the halving stops once both ends round to the same float,
-    which is then the float nearest the root; root is None when no snap
-    hit by then.
+
+def _pin_root(s: list[int], lo: int, hi: int, den: int, decide: bool) -> tuple[int, int] | None:
+    """(lo/den, hi/den] holds one root of s, a square-free primitive integer
+    polynomial (a factor from square_free_split), and s(lo/den) is not 0.
+    Returns (x, q) for the point x/q: the root exactly, or else the lower
+    end of a bracket whose ends round to the same float, which is the
+    float nearest the root.  To decide, it returns None in place of that
+    lower end, exactly when the root is irrational.
+
+    The bracket is halved at its midpoint by the sign of s alone: s is
+    square-free, so it changes sign across its root, and a midpoint where
+    it vanishes is the root.  Before each halving the simplest rational in
+    the bracket is tried; if s vanishes there, that is the root.  A
+    rational root's denominator divides the lead L of s, and a bracket
+    narrower than 1/L^2 holds at most one rational of denominator at most
+    L, its simplest; past either point no snap can hit.  To decide is to
+    stop there.  Otherwise the halving stops once both ends round to the
+    same float.  Raises RuntimeError when s vanishes at the lower end.
     """
-    lead = chain[0][-1]
-    gap = Fraction(1, lead * lead)
+    lead = s[-1]
+    sign_lo = _sign_at(s, lo, den)
+    if not sign_lo:
+        raise RuntimeError(f"the lower end {lo}/{den} is a root: no sign to bisect by")
     snap = True
     while True:
         if snap:
-            r = _simplest_rational(a, b, False)
-            # chain[0] alone says whether r is a root
-            if r.denominator <= lead and _int_variations(chain[:1], r.numerator, r.denominator)[1]:
-                return r, a
-            snap = r.denominator <= lead and b - a >= gap
-        if (not snap) if decide else float(a) == float(b):
-            return None, a
-        a, b, va = _halve(chain, a, b, va)
+            num, q = _simplest_rational(lo, hi, den, False)
+            if q <= lead and not _sign_at(s, num, q):
+                return num, q
+            snap = q <= lead and (hi - lo) * lead * lead >= den
+        if (not snap) if decide else lo / den == hi / den:
+            return None if decide else (lo, den)
+        mid, den = lo + hi, 2 * den
+        sign_mid = _sign_at(s, mid, den)
+        if not sign_mid:
+            return mid, den
+        lo, hi = (mid, 2 * hi) if sign_mid == sign_lo else (2 * lo, mid)
+
+
+def _exact_residual(coeffs: list[Fraction], x: float) -> float:
+    """|p(x)| rounded once, for the exact low-first coefficients of p: one
+    integer Horner sum over the lcm of their denominators."""
+    a, unit = _over_lcm(coeffs)
+    num, q = x.as_integer_ratio()
+    d = len(a) - 1
+    return abs(_int_eval(a, num, _q_powers(q, d))) / (unit * q ** d)
 
 
 def oracle_real_roots(p: Poly) -> RootSet:
@@ -449,17 +490,16 @@ def oracle_real_roots(p: Poly) -> RootSet:
     coeffs, split = _real_reading(p)
     if len(coeffs) <= 1:
         return RootSet(())
-    hi = Fraction(_cauchy_bound(coeffs)).limit_denominator(1) + 1
+    hi = int(Fraction(_cauchy_bound(coeffs)).limit_denominator(1)) + 1
     if split is None:
         return _float_reading_roots(p, coeffs, hi)
     roots = []
     for m, s in split.items():
         chain = _sturm_chain(s)
-        for a, b, va in _isolate(chain, hi, 0.0):
-            r, a = _pin_root(chain, a, b, va, False)
-            value = float(a if r is None else r)
-            residual = (float(abs(eval_horner(p, Fraction(value)))) if p.kind == RATIONAL
-                        else abs(eval_horner(p, value)))
+        for a, b, den, _ in _isolate(chain, hi, 0.0):
+            num, q = _pin_root(s, a, b, den, False)
+            value = num / q
+            residual = _exact_residual(coeffs, value) if p.kind == RATIONAL else abs(eval_horner(p, value))
             roots.append((value, m, residual))
     roots.sort()
     return RootSet(tuple(roots))
@@ -477,20 +517,20 @@ def splits_over_rationals(coeffs: list[Fraction]) -> bool:
         chain = _sturm_chain(s)
         if _int_variations(chain, -1, 0)[0] - _int_variations(chain, 1, 0)[0] < len(s) - 1:
             return False
-        hi = Fraction(max(abs(c) for c in s[:-1]) // s[-1] + 2)  # the Cauchy bound, rounded up
-        if any(_pin_root(chain, a, b, va, True)[0] is None for a, b, va in _isolate(chain, hi, 0.0)):
+        hi = max(abs(c) for c in s[:-1]) // s[-1] + 2  # the Cauchy bound, rounded up
+        if any(_pin_root(s, a, b, den, True) is None for a, b, den, _ in _isolate(chain, hi, 0.0)):
             return False
     return True
 
 
-def _float_reading_roots(p: Poly, coeffs: list[Fraction], hi: Fraction) -> RootSet:
+def _float_reading_roots(p: Poly, coeffs: list[Fraction], hi: int) -> RootSet:
     """Roots of a float input whose exact reading is square-free."""
     chain = _sturm_chain(_integer(coeffs), _REM_DUST)
     centers = []
-    for a, b, va in _isolate(chain, hi, 1e-10):
-        while _width(a, b) > BISECT_WIDTH:
-            a, b, va = _halve(chain, a, b, va)
-        centers.append(float((a + b) / 2))
+    for a, b, den, va in _isolate(chain, hi, 1e-10):
+        while _width(a, b, den) > BISECT_WIDTH:
+            a, b, den, va = _halve(chain, a, b, den, va)
+        centers.append((a + b) / (2 * den))
 
     roots = []
     for i, r in enumerate(centers):

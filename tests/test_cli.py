@@ -306,6 +306,13 @@ class TestRootsVerify:
         doc = json.loads(out)
         assert (code, doc["is_root"], doc["multiplicity"]) == (0, True, 1)
 
+    def test_exact_residual_below_the_float_range(self):
+        # p(0) = -10^-400 rounds to 0.0, but the verdict is exact
+        code, out, _ = run_main(["roots", "verify", "--poly=-1/10^400,1", "--root", "0"], "")
+        doc = json.loads(out)
+        check(doc, "roots_verify.schema.json")
+        assert (code, doc["is_root"], doc["multiplicity"], doc["residual"]) == (1, False, None, 0.0)
+
     def test_exact_residual(self):
         # (x - 1/3)^2 (x - 2/3): 1.4e-17 at the float nearest 1/3, 0 at 1/3
         code, out, _ = run_main(["roots", "verify", "--poly=-2/27,5/9,-4/3,1", "--root", "1/3"], "")

@@ -132,14 +132,15 @@ class TestValidation:
     def test_split_point_is_never_a_root_up_to_the_cap(self):
         # a chain whose roots are the first 33 candidates on (0, 1]; with
         # only those 33 the split fell back on the root 1/2
-        roots = sturm._SPLIT_OFFSETS[:33]
+        roots = [Fraction(num, q) for num, q in sturm._SPLIT_OFFSETS[:33]]
         p = poly([1])
         for r in roots:
             p = mul(p, poly([-r, 1]))
         chain = sturm._sturm_chain(sturm._integer(list(p.coeffs)))
-        x, v = sturm._split_point(chain, Fraction(0), Fraction(1))
+        num, q, v = sturm._split_point(chain, 0, 1, 1)
+        x = Fraction(num, q)
         assert 0 < x < 1 and x not in roots
-        assert not sturm._int_variations(chain, x.numerator, x.denominator)[1]
+        assert not sturm._int_variations(chain, num, q)[1]
         assert v == sturm._int_variations(chain, 1, 0)[0] + sum(r > x for r in roots)
 
 
@@ -323,6 +324,17 @@ def ref_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def ref_int_variations(chain, p, q):
+    """sturm._int_variations on a Fraction chain by the Fraction evaluator;
+    q = 0 is +-infinity, where each element takes the sign of its lead
+    times p^d."""
+    if q == 0:
+        signs = [(c[-1] > 0) == (p > 0 or len(c) % 2 == 1) for c in chain]
+        return sum(s != t for s, t in zip(signs, signs[1:])), False
+    x = Fraction(p, q)
+    return ref_variations(chain, x), ref_eval(chain[0], x) == 0
+
+
 # float spellings whose readings are square-free: simple roots, and pi as
 # a double and a triple root
 PI_PINS = ("pi/2,-pi^2,0,2", "pi^2,-2*pi,1", "-pi^3,3*pi^2,-3*pi,1")
@@ -412,6 +424,7 @@ class TestIntegerChain:
         polys += [p for p in products if not on_split_path(p)]
         assert sum(not on_split_path(p) for p in polys) >= 12
         got = [oracle_real_roots(p) for p in polys]
+        got_splits = [sturm.splits_over_rationals(list(p.coeffs)) for p in polys[:22]]
         for p in polys[22:]:
             # counts on the dust path, with the quotient by gcd(p, p') the
             # chain sees at a root the floats repeat only up to rounding
@@ -419,14 +432,21 @@ class TestIntegerChain:
             for lo, hi in [(-3.5, 0.25), (Fraction(1, 3), math.pi), (-5, 5)]:
                 want = ref_float_count(reading, Fraction(lo), Fraction(hi))
                 assert count_real_roots_in(p, lo, hi) == want
-        # the reference oracle: the same bisection on the Fraction chain and
-        # the Fraction evaluator
+        # the reference oracle: the same bisection on the Fraction chain, and
+        # the Fraction evaluator for every count, every sign in pinning and
+        # the exact residual
         monkeypatch.setattr(sturm, "_sturm_chain",
                             lambda f, dust=0: ref_chain(list(map(Fraction, f)), bool(dust)))
-        monkeypatch.setattr(sturm, "_int_variations", lambda chain, p, q: (
-            ref_variations(chain, Fraction(p, q)), ref_eval(chain[0], Fraction(p, q)) == 0))
+        monkeypatch.setattr(sturm, "_int_variations", ref_int_variations)
+        monkeypatch.setattr(sturm, "_sign_at", lambda coeffs, p, q: (
+            (ref_eval(coeffs, Fraction(p, q)) > 0) - (ref_eval(coeffs, Fraction(p, q)) < 0)))
+        monkeypatch.setattr(sturm, "_exact_residual",
+                            lambda coeffs, x: float(abs(ref_eval(coeffs, Fraction(x)))))
         want = [oracle_real_roots(p) for p in polys]
         assert [repr(rs) for rs in got] == [repr(rs) for rs in want]
+        want_splits = [sturm.splits_over_rationals(list(p.coeffs)) for p in polys[:22]]
+        assert got_splits == want_splits
+        assert True in got_splits and False in got_splits
 
     def test_float_endpoint_is_counted_exactly(self):
         p = poly([-1, 3])  # root 1/3
@@ -469,13 +489,27 @@ class TestReadFloat:
     def test_pi_reading(self):
         assert sturm._read_float(math.pi) == Fraction(245850922, 78256779)
 
+    @pytest.mark.parametrize("x", [sys.float_info.max, 5e-324, sys.float_info.min, 1.0, 2.0 ** -60,
+                                   2.0 ** 600, 2.0 ** 53 + 2, math.pi])
+    def test_reading_matches_the_fraction_formula(self, x):
+        # at a power of two the gap below is half the gap above
+        v, below, above = Fraction(x), Fraction(math.nextafter(x, 0.0)), math.nextafter(x, math.inf)
+        lo = (below + v) / 2
+        hi = (v + Fraction(above)) / 2 if above < math.inf else v + (v - below) / 2
+        r = Fraction(*sturm._simplest_rational(lo.numerator * hi.denominator,
+                                               hi.numerator * lo.denominator,
+                                               lo.denominator * hi.denominator, float(lo) == x))
+        assert sturm._read_float(x) == r
+        assert sturm._read_float(-x) == -r
+
     def test_simplest_rational_in_brackets(self):
         rng = random.Random(99)
         for _ in range(300):
             a = Fraction(rng.randint(-300, 300), rng.randint(1, 40))
             b = a + Fraction(rng.randint(1, 50), rng.randint(1, 400))
+            den = math.lcm(a.denominator, b.denominator)
             for closed in (False, True):
-                r = sturm._simplest_rational(a, b, closed)
+                r = Fraction(*sturm._simplest_rational(int(a * den), int(b * den), den, closed))
 
                 def inside(x):
                     return a <= x <= b if closed else a < x < b
@@ -488,6 +522,39 @@ class TestReadFloat:
                         x = Fraction(num, q)
                         if inside(x):
                             assert (x.denominator, abs(x)) >= (r.denominator, abs(r))
+
+
+class TestPinRoot:
+    @pytest.mark.parametrize("decide", [False, True])
+    def test_a_midpoint_on_the_root_is_returned_exactly(self, decide):
+        # 2x - 1 on (-1, 2]: the snap tries 0, then the midpoint 1/2 is the root
+        assert Fraction(*sturm._pin_root([-1, 2], -1, 2, 1, decide)) == Fraction(1, 2)
+
+    def test_snap_goes_on_until_the_bracket_is_narrower_than_one_over_the_lead_squared(self):
+        # 5x - 2 on (3/10, 9/20]: the simplest rational 1/3 misses, and the
+        # bracket, narrower than 1/5 but not than 1/25, may still hold 2/5
+        assert sturm._pin_root([-2, 5], 6, 9, 20, True) == (2, 5)
+
+    def test_irrational_root(self):
+        s = [-2, 0, 1]  # x^2 - 2 on (1, 2]
+        assert sturm._pin_root(s, 1, 2, 1, True) is None
+        num, q = sturm._pin_root(s, 1, 2, 1, False)
+        assert is_nearest_float(poly(s), num / q)
+
+    def test_a_root_at_the_lower_end_raises(self):
+        # (1/2, 1]: the sign at the lower end is 0, so there is nothing to bisect by
+        with pytest.raises(RuntimeError, match="lower end"):
+            sturm._pin_root([-1, 2], 1, 2, 2, False)
+
+    def test_brackets_are_integers_over_one_denominator(self):
+        p = mul(poly([-2, 0, 1]), poly_from_roots([(Fraction(1, 3), 1), (5, 1)], True))
+        chain = sturm._sturm_chain(sturm._integer(list(p.coeffs)))
+        brackets = sturm._isolate(chain, 8, 0.0)
+        assert all(type(x) is int for bracket in brackets for x in bracket)
+        ends = [(Fraction(a, den), Fraction(b, den)) for a, b, den, _ in brackets]
+        assert ends == sorted(ends) and len(ends) == 4
+        for (a, b), root in zip(ends, (-math.sqrt(2), Fraction(1, 3), math.sqrt(2), 5)):
+            assert a < root <= b
 
 
 class TestFloatSpelling:
