@@ -22,6 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
+from . import cost
 from .grid import BLANK, MOVES, MoveSeq, TileGrid, goal
 
 DEFAULT_STATE_CAP = 2_000_000
@@ -112,22 +113,56 @@ def _move_targets(n: int) -> list[list[int]]:
     return out
 
 
+@cache
+def _census_tables(n: int):
+    """(valid, shift, delta, child): the moves of the census BFS on side n.
+
+    Each is indexed by slot * 4 + k, where slot = blank * 5 + undo names
+    the blank's cell and the move that would undo the last one (undo = 4
+    at the root, which has none), and k is the move (U, D, R, L).
+    valid says the move stays on the board and is not the undo move; the
+    tile it slides sits at bit shift; child = parent + tile * delta,
+    modulo 2^64, and child names the child's slot.
+    """
+    b = _bits(n)
+    valid, shift, delta, child = [], [], [], []
+    for bi, row in enumerate(_move_targets(n)):
+        for undo in range(5):
+            for k, j in enumerate(row):
+                valid.append(j >= 0 and k != undo)
+                j = max(j, 0)  # an invalid move is never read
+                shift.append(j * b)
+                delta.append(((1 << bi * b) - (1 << j * b)) % (1 << 64))
+                child.append(j * 5 + (k ^ 1))  # k ^ 1 swaps U <-> D and R <-> L
+    return (np.array(valid), np.array(shift, dtype=np.uint64),
+            np.array(delta, dtype=np.uint64), np.array(child))
+
+
 def enumerate_reachable(n: int, depth_limit: int | None = None,
                         max_states: int = DEFAULT_STATE_CAP) -> ReachabilityTable:
     """BFS from goal(n) over legal moves; exact depths for every reachable state.
 
     The search runs a whole level at a time on uint64 packed states, which
     fit for n <= 4 (ValueError beyond).  Every state of depth d is expanded
-    at once, except for the move straight back to its parent.  The children
-    are sorted and only the earliest-discovered copy of each run of equal
-    codes is kept, so discovery order (parent, then U < D < R < L) survives.
-    Each move flips the colour of the blank's square on a chessboard, so a
-    child of a depth-d state has depth d - 1 or d + 1: only level d - 1 is
-    searched (searchsorted on its sorted codes) for states already seen.
+    at once, except for the move straight back to its parent, by one gather
+    from _census_tables per child.  Each move flips the colour of the
+    blank's square on a chessboard, so a child of a depth-d state has depth
+    d - 1 or d + 1, and on this undirected graph only level d - 1 can hold
+    a repeat (Korf, Zhang, Thayer & Hohwald's frontier search).  So level
+    d - 1 and the children are argsorted together, once: a run of equal
+    codes is new exactly when its smallest index falls among the children,
+    and that index is the earliest-discovered copy.  Reading those indices
+    off in index order keeps discovery order (parent, then U < D < R < L).
     Full enumeration is desk-scale for n in {2, 3}; n = 4 requires a
-    depth_limit.  Raises ResourceLimit, at the depth that crosses it, when
+    depth_limit.  n and both limits must be ints (ValueError otherwise,
+    bool included).  Raises ResourceLimit, at the depth that crosses it, when
     more than max_states states are found.
     """
+    for name, value in (("n", n), ("depth_limit", 0 if depth_limit is None else depth_limit),
+                        ("max_states", max_states)):
+        # a bool is an int to isinstance(), but never a side or a limit
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if n > 4:
         raise ValueError("enumeration is supported for n <= 4")
     if n == 4 and depth_limit is None:
@@ -136,47 +171,35 @@ def enumerate_reachable(n: int, depth_limit: int | None = None,
         raise ValueError(f"depth_limit must be nonnegative, got {depth_limit}")
     if max_states < 1:
         raise ValueError(f"max_states must be at least 1, got {max_states}")
-    b = _bits(n)
-    mask = np.uint64((1 << b) - 1)
-    targets = np.array(_move_targets(n))
+    valid, shift, delta, child = _census_tables(n)
+    mask = np.uint64((1 << _bits(n)) - 1)
     start = goal(n)
+    prev = np.array([], dtype=np.uint64)
     level = np.array([encode(start.cells, n)], dtype=np.uint64)
-    blank = np.array([start.blank_index])
-    back = np.array([-1])  # the blank's cell in each state's parent
+    slot = np.array([start.blank_index * 5 + 4])
     levels = [level]
-    prev_sorted, cur_sorted = level[:0], level  # the level before `level`, and `level`
     total = 1
     d = 0
     while depth_limit is None or d < depth_limit:
         d += 1
-        moves = targets[blank]
-        moves[moves == back[:, None]] = -1  # the parent is never new
-        moves = moves.ravel()
-        at = np.flatnonzero(moves >= 0)  # parent-major, U < D < R < L within
-        j = moves[at]
+        at = np.flatnonzero(valid.reshape(-1, 4)[slot])  # parent-major, U < D < R < L within
         rows = at >> 2  # four moves per parent
-        parents, bi = level[rows], blank[rows]
-        sj = (j * b).astype(np.uint64)
-        v = (parents >> sj) & mask
-        children = parents - (v << sj) + (v << (bi * b).astype(np.uint64))  # blank contributes 0
-        order = np.argsort(children)
-        ranked = children[order]
+        e = slot[rows] * 4 + (at & 3)
+        parents = level[rows]
+        children = parents + ((parents >> shift[e]) & mask) * delta[e]
+        both = np.concatenate((prev, children))
+        order = np.argsort(both)
+        ranked = both[order]
         starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        earliest = np.minimum.reduceat(order, starts)  # first discovered copy of each run
-        ranked = ranked[starts]
-        if len(prev_sorted):
-            pos = np.minimum(np.searchsorted(prev_sorted, ranked), len(prev_sorted) - 1)
-            new = prev_sorted[pos] != ranked
-            ranked, earliest = ranked[new], earliest[new]
-        if not len(ranked):
+        first = np.zeros(len(both), dtype=bool)
+        first[np.minimum.reduceat(order, starts)] = True  # smallest index of each run
+        new = np.flatnonzero(first[len(prev):])  # the children that are new, in order
+        if not len(new):
             break
-        total += len(ranked)
+        total += len(new)
         if total > max_states:
             raise ResourceLimit(f"state cap {max_states} exceeded at depth {d}")
-        prev_sorted, cur_sorted = cur_sorted, ranked
-        keep = np.zeros(len(children), dtype=bool)
-        keep[earliest] = True
-        level, blank, back = children[keep], j[keep], bi[keep]
+        prev, level, slot = level, children[new], child[e[new]]
         levels.append(level)
     return ReachabilityTable(n=n, codes=np.concatenate(levels),
                              depth_histogram=[len(lv) for lv in levels])
@@ -476,8 +499,7 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
         probed = candidate_rank(seq) if found else candidates
         ledger.add("compare", 1 + probed)
         if found and seq:
-            from .cost import instrumented_verify
-            instrumented_verify(g, seq, ledger)
+            cost.instrumented_verify(g, seq, ledger)
     if not found:
         raise NotFound(f"no sequence of length <= {k_max} reaches goal")
     return seq

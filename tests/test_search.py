@@ -34,7 +34,7 @@ from tilelab import (
     verify_solution,
 )
 from tilelab.grid import BLANK
-from tilelab.search import _ida_tables, _lower_bound
+from tilelab.search import _bits, _census_tables, _ida_tables, _lower_bound
 
 # the 31-move 3x3 grid  6 4 7 / 8 5 _ / 3 2 1
 DEEPEST3 = (6, 4, 7, 8, 5, 0, 3, 2, 1)
@@ -232,6 +232,31 @@ class TestCensus:
         with pytest.raises(ValueError):
             enumerate_reachable(3, **kwargs)
 
+    @pytest.mark.parametrize("n, limit", [(3, None), (4, 12)])
+    def test_state_cap_at_its_exact_boundary(self, n, limit, table3):
+        t = table3 if n == 3 else enumerate_reachable(n, depth_limit=limit)
+        at = enumerate_reachable(n, depth_limit=limit, max_states=t.count)
+        assert at.codes.tobytes() == t.codes.tobytes()
+        assert at.depth_histogram == t.depth_histogram
+        with pytest.raises(ResourceLimit) as got:
+            enumerate_reachable(n, depth_limit=limit, max_states=t.count - 1)
+        with pytest.raises(ResourceLimit) as want:
+            enumerate_reference(n, depth_limit=limit, max_states=t.count - 1)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("kwargs", [{"depth_limit": 2.5}, {"depth_limit": 3.0},
+                                        {"depth_limit": True}, {"depth_limit": False},
+                                        {"depth_limit": "3"}, {"max_states": 1000.0},
+                                        {"max_states": True}, {"max_states": None}])
+    def test_non_int_limits_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be an int"):
+            enumerate_reachable(3, **kwargs)
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, True])
+    def test_non_int_side_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be an int"):
+            enumerate_reachable(n)
+
     def test_packed_states_stop_at_n4(self):
         with pytest.raises(ValueError):
             enumerate_reachable(5, depth_limit=1)
@@ -241,6 +266,34 @@ class TestCensus:
             enumerate_reachable(4)
         t = enumerate_reachable(4, depth_limit=3)
         assert t.depth_histogram == [1, 2, 4, 10]
+
+
+class TestCensusTables:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_slot_and_move(self, n):
+        """Each table entry against the grid layer: a random arrangement per
+        blank cell, moved by apply_seq."""
+        valid, shift, delta, child = _census_tables(n)
+        mask = (1 << _bits(n)) - 1
+        rng = random.Random(n)
+        for bi in range(n * n):
+            tiles = list(range(1, n * n))
+            rng.shuffle(tiles)
+            g = new_grid(n, tiles[:bi] + [None] + tiles[bi:])
+            parent = encode(g.cells, n)
+            legal = legal_moves(g)
+            for undo in range(5):
+                for k, m in enumerate(MOVES):
+                    e = (bi * 5 + undo) * 4 + k
+                    if m not in legal or k == undo:
+                        assert not valid[e]
+                        continue
+                    assert valid[e]
+                    nxt = apply_seq(g, (m,))
+                    tile = (parent >> int(shift[e])) & mask
+                    assert (parent + tile * int(delta[e])) % (1 << 64) == encode(nxt.cells, n)
+                    assert child[e] == nxt.blank_index * 5 + (k ^ 1)
+                    assert MOVES[k ^ 1] == inverse_move(m)
 
 
 class TestEncoding:
