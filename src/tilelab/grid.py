@@ -97,14 +97,21 @@ class TileGrid:
         return [list(self.cells[i * n:(i + 1) * n]) for i in range(n)]
 
 
+def _check_side(n) -> None:
+    # type() rather than isinstance(): a bool is an int, but never a side
+    if type(n) is not int:
+        raise ValueError(f"grid side must be an int, got {n!r}")
+    if n < 2:
+        raise ValueError(f"grid side must be at least 2, got {n}")
+
+
 def new_grid(n: int, entries: Sequence[int | None]) -> TileGrid:
     """Validate and build a grid from row-major entries (None or 0 = blank).
 
     Raises MissingBlank/MultipleBlanks/ValueOutOfRange/DuplicateTile on bad
     contents and ValueError on a bad shape.
     """
-    if n < 2:
-        raise ValueError(f"grid side must be at least 2, got {n}")
+    _check_side(n)
     cells = tuple(BLANK if v is None else v for v in entries)
     if len(cells) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(cells)}")
@@ -127,8 +134,7 @@ def new_grid(n: int, entries: Sequence[int | None]) -> TileGrid:
 
 def goal(n: int) -> TileGrid:
     """Goal grid: cell (i, j) holds (i-1)*n + j, blank in the bottom-right corner."""
-    if n < 2:
-        raise ValueError(f"grid side must be at least 2, got {n}")
+    _check_side(n)
     cells = tuple(range(1, n * n)) + (BLANK,)
     return TileGrid(n, cells, n * n - 1)
 

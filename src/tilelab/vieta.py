@@ -78,14 +78,17 @@ class MultiplicityPattern:
     cofactor_degree: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mults", tuple(int(m) for m in self.mults))
-        if any(m < 1 for m in self.mults):
-            raise ValueError("multiplicities must be at least 1")
+        object.__setattr__(self, "mults", tuple(self.mults))
+        # type() rather than isinstance(): a bool is an int, but never a
+        # multiplicity or a degree
+        if any(type(m) is not int or m < 1 for m in self.mults):
+            raise ValueError(f"multiplicities must be ints of at least 1, got {self.mults!r}")
         if list(self.mults) != sorted(self.mults, reverse=True):
             raise ValueError("multiplicities must be nonincreasing")
-        if self.cofactor_degree < 0:
-            raise ValueError("cofactor degree must be nonnegative")
-        if not self.mults and self.cofactor_degree == 0:
+        e = self.cofactor_degree
+        if type(e) is not int or e < 0:
+            raise ValueError(f"cofactor degree must be a nonnegative int, got {e!r}")
+        if not self.mults and e == 0:
             raise ValueError("pattern needs at least one root or a cofactor")
 
     @property
@@ -129,6 +132,9 @@ def enumerate_patterns(d: int, mode: str = REAL_MODE, order: str | None = None) 
     generic order in complex mode.  More than SHAPE_CAP shapes raise
     ResourceLimit before the rest are built.
     """
+    # type() rather than isinstance(): a bool is an int, but never a degree
+    if type(d) is not int:
+        raise ValueError(f"degree must be an int, got {d!r}")
     if d < 1:
         raise ValueError("degree must be at least 1")
     if mode not in (REAL_MODE, COMPLEX_MODE):
@@ -188,8 +194,14 @@ class VietaSystem:
         one.flags.writeable = False
         return one
 
-    def target_vector(self) -> np.ndarray:
-        return _target_vector(self.target, self.mode)
+    @cached_property
+    def tvec(self) -> np.ndarray:
+        """The target's coefficients, low to high, in the mode's dtype
+        (read-only)."""
+        real = self.mode == REAL_MODE
+        tvec = np.array(float_coeffs(self.target, real), dtype=self.dtype)
+        tvec.flags.writeable = False
+        return tvec
 
     def _split(self, u: np.ndarray):
         k = self.k
@@ -225,7 +237,7 @@ class VietaSystem:
         return u[self.k] * self._product(u)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
-        return self.coeffs(u) - self.target_vector()
+        return self.coeffs(u) - self.tvec
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
         """Analytic Jacobian of the coefficient map, one column per unknown."""
@@ -267,11 +279,6 @@ class VietaSystem:
         return cols
 
 
-def _target_vector(target: Poly, mode: str) -> np.ndarray:
-    real = mode == REAL_MODE
-    return np.array(float_coeffs(target, real), dtype=np.float64 if real else np.complex128)
-
-
 def build_system(pattern: MultiplicityPattern, target: Poly, mode: str = REAL_MODE) -> VietaSystem:
     d = target.degree
     if d is None or d < 1:
@@ -282,8 +289,9 @@ def build_system(pattern: MultiplicityPattern, target: Poly, mode: str = REAL_MO
         raise DegreeMismatch(f"pattern totals {pattern.total}, target degree is {d}")
     if mode == REAL_MODE and pattern.cofactor_degree == 1:
         raise ValueError("a monic real linear cofactor is itself a real root")
-    _target_vector(target, mode)  # validates coefficient domain
-    return VietaSystem(pattern, target, mode)
+    system = VietaSystem(pattern, target, mode)
+    system.tvec  # validates the coefficient domain
+    return system
 
 
 @dataclass(frozen=True)
@@ -320,7 +328,7 @@ class CaseOutcome:
         return out
 
 
-def _presolve(system: VietaSystem, tvec: np.ndarray) -> CaseOutcome | None:
+def _presolve(system: VietaSystem) -> CaseOutcome | None:
     """Exact stage: cases fully determined by linear coefficient equations.
 
     The leading equation always forces c = a_d.  With a single root and no
@@ -331,8 +339,8 @@ def _presolve(system: VietaSystem, tvec: np.ndarray) -> CaseOutcome | None:
     pat = system.pattern
     d = system.degree
     exact = system.target.kind == RATIONAL
-    a = system.target.coeffs if exact else tvec
-    scale = float(np.max(np.abs(tvec))) if tvec.size else 1.0
+    a = system.target.coeffs if exact else system.tvec
+    scale = float(np.max(np.abs(system.tvec)))
 
     if pat.k == 0:
         # q = p / a_d; solved iff q has no real roots (real mode shapes only)
@@ -409,38 +417,41 @@ def _fmt(v) -> str:
 
 
 def _start_battery(system: VietaSystem):
-    """Deterministic initial guesses spread over the root bound disk, made
-    one at a time as the solver asks for them."""
-    tvec = system.target_vector()
+    """Deterministic root values spread over the root bound disk, one list
+    of k at a time as the solver asks for them."""
+    tvec = system.tvec
     lead = abs(complex(tvec[-1]))
-    radius = 1.0 + max(abs(complex(v)) for v in tvec[:-1]) / lead if tvec.size > 1 else 1.0
-    k, e = system.k, system.cofactor_degree
-    c0 = tvec[-1]
+    radius = 1.0 + max(abs(complex(v)) for v in tvec[:-1]) / lead
+    k = system.k
     for t in range(STARTS):
-        u = np.zeros(system.n_unknowns, dtype=system.dtype)
-        for i in range(k):
-            frac = math.modf((2 * i + 1) / (2 * max(k, 1)) + t * _PHI)[0]
-            if system.mode == REAL_MODE:
-                u[i] = radius * math.cos(math.pi * frac)
-            else:
-                rho = 0.3 + 0.7 * ((t % 5) + 1) / 5.0
-                u[i] = radius * rho * cmath.exp(2j * math.pi * (frac + t * _TURN))
-        u[k] = c0
-        # cofactor starts at x^e (all b zero)
-        yield u
+        fracs = [math.modf((2 * i + 1) / (2 * k) + t * _PHI)[0] for i in range(k)]
+        if system.mode == REAL_MODE:
+            yield [radius * math.cos(math.pi * frac) for frac in fracs]
+        else:
+            rho = 0.3 + 0.7 * ((t % 5) + 1) / 5.0
+            yield [radius * rho * cmath.exp(2j * math.pi * (frac + t * _TURN)) for frac in fracs]
+
+
+def _start(system: VietaSystem, roots) -> np.ndarray:
+    """The unknown vector that starts Gauss-Newton at the k root values:
+    c = a_d, and the cofactor at x^e (all b zero)."""
+    u = np.zeros(system.n_unknowns, dtype=system.dtype)
+    u[:system.k] = roots
+    u[system.k] = system.tvec[-1]
+    return u
 
 
 class _WorkMeter:
     """Gauss-Newton work left for one request, out of GN_WORK_CAP."""
 
     def __init__(self):
-        self.cap = self.left = GN_WORK_CAP
+        self.left = GN_WORK_CAP
 
     def spend(self) -> None:
         self.left -= 1
         if self.left < 0:
             raise ResourceLimit(
-                f"root search passed the cap of {self.cap} Gauss-Newton iterations "
+                f"root search passed the cap of {GN_WORK_CAP} Gauss-Newton iterations "
                 "(a start counts as at least one)")
 
 
@@ -456,10 +467,10 @@ _BATCH_RATIO = 64.0
 _UNDERFLOW = 2.0 ** -1000
 
 
-def _trial(system: VietaSystem, u, lam: float, step, tvec):
+def _trial(system: VietaSystem, u, lam: float, step):
     """The exact kernel at u + lam * step: (candidate, residual, f2)."""
     cand = u + lam * step
-    r2 = cand[system.k] * system._product(cand) - tvec
+    r2 = cand[system.k] * system._product(cand) - system.tvec
     return cand, r2, float(np.vdot(r2, r2).real)
 
 
@@ -473,19 +484,18 @@ def _halving_candidates(u, step) -> np.ndarray:
     return (u + _HALVING_COLUMN * step).T.copy()
 
 
-def _halvings(system: VietaSystem, u, step, f: float, f1: float, tcol, tabscol) -> list:
+def _halvings(system: VietaSystem, u, step, f: float, f1: float) -> list:
     """The halvings the line search must still try after lam = 1 gave f1,
     less those the exact kernel certainly rejects.
 
     Column j is the candidate u + _HALVINGS[j] * step
     (_halving_candidates).  Every column's residual
     c * prod (x - r_i)^m_i * q - t is expanded at once, coefficients high
-    to low (tcol and tabscol are the reversed target and its absolute
-    values, as columns).  This route and the exact kernel's np.convolve
-    stages are dot products of at most max(2, e+1) terms, so each lies
-    within theta * B_j of the true residual at the candidate, in any
-    summation order and with or without FMA (the gamma_n bound, complex
-    arithmetic included), where B_j = |c| |P|_j + |t_j| and every
+    to low (tcol is the reversed target, as a column).  This route and the
+    exact kernel's np.convolve stages are dot products of at most
+    max(2, e+1) terms, so each lies within theta * B_j of the true
+    residual at the candidate, in any summation order and with or without
+    FMA (the gamma_n bound, complex arithmetic included), where B_j = |c| |P|_j + |t_j| and every
     coefficient of |P| is at most prod (1 + |r_i|)^m_i * (1 + sum |b_t|).
     The exact f2 is then at least
     (1 - theta) * sum max(0, |rhat_j| - 2 theta B_j)^2, and a candidate
@@ -496,6 +506,7 @@ def _halvings(system: VietaSystem, u, step, f: float, f1: float, tcol, tabscol) 
         return _HALVINGS
     k, e = system.k, system.cofactor_degree
     theta = system._theta
+    tcol = system.tvec[::-1, None]
     with np.errstate(all="ignore"):
         cands = _halving_candidates(u, step)
         acc = np.zeros((system.degree + 1, len(_HALVINGS)), dtype=system.dtype)
@@ -514,14 +525,14 @@ def _halvings(system: VietaSystem, u, step, f: float, f1: float, tcol, tabscol) 
         pbound = np.prod((1.0 + mags[:k]) ** system._mult_column, axis=0)
         if e:
             pbound *= 1.0 + mags[k + 1:].sum(axis=0)
-        rhat -= 2.0 * theta * (tabscol + (mags[k] + _UNDERFLOW) * pbound)
+        rhat -= 2.0 * theta * (np.abs(tcol) + (mags[k] + _UNDERFLOW) * pbound)
         np.maximum(rhat, 0.0, out=rhat)
         low = np.add.reduce(rhat * rhat, axis=0)
     bar = f / (1.0 - theta)
     return [lam for lam, lo in zip(_HALVINGS, low.tolist()) if not bar <= lo < math.inf]
 
 
-def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, work: _WorkMeter):
+def _gauss_newton(system: VietaSystem, u0: np.ndarray, work: _WorkMeter):
     """Damped Gauss-Newton; returns (u, max-residual, status, iterations).
 
     status is "converged", "stalled" (no descent direction made progress,
@@ -532,12 +543,10 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, work: _
     halvings it certainly rejects are skipped unevaluated (_halvings).
     """
     u = np.array(u0, dtype=system.dtype)
-    res = u[system.k] * system._product(u) - tvec
+    res = u[system.k] * system._product(u) - system.tvec
     f = float(np.vdot(res, res).real)
     if float(np.max(np.abs(res))) < TOL:
         return u, float(np.max(np.abs(res))), "converged", 0
-    tcol = tvec[::-1, None]
-    tabscol = np.abs(tcol)
     # an accepted step has f2 < f, so a finite residual, and res is only
     # replaced by accepted ones
     finite_res = bool(np.isfinite(res).all())
@@ -557,10 +566,10 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, tvec: np.ndarray, work: _
             status = "stalled"
             break
         lam = 1.0
-        cand, r2, f2 = _trial(system, u, lam, step, tvec)
+        cand, r2, f2 = _trial(system, u, lam, step)
         if not f2 < f:
-            for lam in _halvings(system, u, step, f, f2, tcol, tabscol):
-                cand, r2, f2 = _trial(system, u, lam, step, tvec)
+            for lam in _halvings(system, u, step, f, f2):
+                cand, r2, f2 = _trial(system, u, lam, step)
                 if f2 < f:
                     break
             else:
@@ -588,7 +597,7 @@ def _check_constraints(system: VietaSystem, u: np.ndarray):
     multiplicity.
     """
     roots, c, b = system._split(u)
-    scale = float(np.max(np.abs(system.target_vector())))
+    scale = float(np.max(np.abs(system.tvec)))
     if abs(complex(c)) <= 1e-12 * max(1.0, scale):
         return False, "leading scalar collapsed to zero", None
     mults = system.pattern.mults
@@ -650,14 +659,17 @@ def solve_case(system: VietaSystem, warm_starts: tuple = ()) -> CaseOutcome:
     (stationary point) or violated a constraint.  Anything weaker, such as
     a start still moving at the iteration cap, is NoConvergence.  Work past
     GN_WORK_CAP raises ResourceLimit.
+
+    Each warm start is a sequence of k root values (real numbers in real
+    mode), tried in order before the battery; like every battery start it
+    sets c = a_d and the cofactor to x^e.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # see find_roots_report
         return _solve_case(system, warm_starts, _WorkMeter())
 
 
 def _solve_case(system: VietaSystem, warm_starts: tuple, work: _WorkMeter) -> CaseOutcome:
-    tvec = system.target_vector()
-    pre = _presolve(system, tvec)
+    pre = _presolve(system)
     if pre is not None:
         return pre
 
@@ -666,19 +678,16 @@ def _solve_case(system: VietaSystem, warm_starts: tuple, work: _WorkMeter) -> Ca
     best_violation: tuple[float, str, tuple | None] | None = None
     saw_maxiter = False
     best_resid = math.inf
-    battery = chain((np.asarray(w, dtype=system.dtype) for w in warm_starts),
-                    _start_battery(system))
-    for u0 in battery:
+    for values in chain(warm_starts, _start_battery(system)):
         work.spend()
         starts_used += 1
-        u, resid, status, iters = _gauss_newton(system, u0, tvec, work)
+        u, resid, status, iters = _gauss_newton(system, _start(system, values), work)
         total_iters += iters
         best_resid = min(best_resid, resid)
         if status == "converged":
             ok, why, merged = _check_constraints(system, u)
             if ok:
                 roots, c, b = system._split(u)
-                k = system.k
                 pairs = sorted(
                     ((_native(v), m) for v, m in zip(roots, system.pattern.mults)),
                     key=lambda t: (complex(t[0]).real, complex(t[0]).imag),
@@ -783,13 +792,10 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, order: str | None = None) 
             outcome = _solve_case(system, (), work)
             if outcome.status != SOLVED and outcome.collision is not None:
                 outcomes.append(outcome)
-                merged_pat, merged_vals = outcome.collision
-                merged_sys = build_system(merged_pat, p, mode)
-                warm = np.zeros(merged_sys.n_unknowns, dtype=merged_sys.dtype)
-                for i, v in enumerate(merged_vals):
-                    warm[i] = v if mode == COMPLEX_MODE else complex(v).real
-                warm[merged_sys.k] = merged_sys.target_vector()[-1]
-                outcome = _solve_case(merged_sys, (warm,), work)
+                merged_pat, values = outcome.collision
+                if mode == REAL_MODE:
+                    values = tuple(v.real for v in values)
+                outcome = _solve_case(build_system(merged_pat, p, mode), (values,), work)
             outcomes.append(outcome)
             if outcome.status != SOLVED:
                 continue

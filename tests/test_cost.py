@@ -194,6 +194,12 @@ class TestBudget:
         with pytest.raises(ValueError):
             budget("probe", 2, 0)
 
+    @pytest.mark.parametrize("kind", ["verify", "search"])
+    @pytest.mark.parametrize("n, k", [(3, 1.5), (3, True), (2.0, 1), (True, 1)])
+    def test_sizes_must_be_ints(self, kind, n, k):
+        with pytest.raises(ValueError, match="n and k must be ints"):
+            budget(kind, n, k)
+
     def test_fields(self):
         b = budget("verify", 3, 4)
         assert (b.kind, b.n, b.k) == ("verify", 3, 4)
@@ -239,3 +245,8 @@ class TestPolytimeWitness:
             polytime_witness(1, 1, 1, 0)
         with pytest.raises(ValueError):
             polytime_witness(1, 1, 2, -1)
+
+    @pytest.mark.parametrize("n, k", [(2.0, 1), (True, 1), (3, 1.0), (3, False)])
+    def test_sizes_must_be_ints(self, n, k):
+        with pytest.raises(ValueError, match="n and k must be ints"):
+            polytime_witness(10, 5, n, k)

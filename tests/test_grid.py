@@ -53,6 +53,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             goal(1)
 
+    @pytest.mark.parametrize("n", [2.0, True, "3"])
+    def test_side_must_be_an_int(self, n):
+        with pytest.raises(ValueError, match="grid side must be an int"):
+            goal(n)
+        with pytest.raises(ValueError, match="grid side must be an int"):
+            new_grid(n, [1, 2, 3, None])
+
     def test_new_grid_accepts_none_blank(self):
         g = new_grid(2, [1, None, 2, 3])
         assert g.cells == (1, BLANK, 2, 3)

@@ -70,6 +70,18 @@ class TestPattern:
         assert pat.k == 2
         assert pat.total == 6
 
+    @pytest.mark.parametrize("mults, cofactor_degree, match", [
+        ((2.5,), 0, "multiplicities must be ints"),
+        ((2.0,), 0, "multiplicities must be ints"),
+        ((True,), 0, "multiplicities must be ints"),
+        (("2",), 0, "multiplicities must be ints"),
+        ((2,), 1.5, "cofactor degree must be a nonnegative int"),
+        ((2,), True, "cofactor degree must be a nonnegative int"),
+    ])
+    def test_non_int_parts_are_rejected(self, mults, cofactor_degree, match):
+        with pytest.raises(ValueError, match=match):
+            MultiplicityPattern(mults, cofactor_degree)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             MultiplicityPattern((1, 2))  # must be nonincreasing
@@ -132,6 +144,11 @@ class TestEnumeration:
         with pytest.raises(ResourceLimit, match="more than 24063 shapes in real mode"):
             enumerate_patterns(30)
 
+    @pytest.mark.parametrize("d", [True, 2.5, 3.0, "3"])
+    def test_non_int_degree_is_rejected(self, d):
+        with pytest.raises(ValueError, match="degree must be an int"):
+            enumerate_patterns(d)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             enumerate_patterns(0)
@@ -153,6 +170,20 @@ class TestBuildSystem:
     def test_real_mode_rejects_imaginary_targets(self):
         with pytest.raises(ValueError):
             build_system(MultiplicityPattern((2,)), complex_poly([1j, 0, 1]))
+
+    @pytest.mark.parametrize("mode", [REAL_MODE, COMPLEX_MODE])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_targets_are_rejected(self, mode, bad):
+        with pytest.raises(ValueError):
+            build_system(MultiplicityPattern((1, 1)), complex_poly([bad, 0, 1]), mode)
+
+    def test_target_vector_is_read_only(self):
+        system = build_system(MultiplicityPattern((1, 1)), poly([2, -3, 1]))
+        assert system.tvec.tolist() == [2.0, -3.0, 1.0]
+        with pytest.raises(ValueError):
+            system.tvec[0] = 5.0
+        with pytest.raises(AttributeError):
+            system.tvec = np.zeros(3)
 
     def test_constant_target_rejected(self):
         with pytest.raises(ValueError):
@@ -281,7 +312,7 @@ class TestSolveCase:
     def test_warm_start_short_circuits(self):
         target = poly([-2, 5, -4, 1])  # (x - 1)^2 (x - 2)
         system = build_system(MultiplicityPattern((2, 1)), target)
-        out = solve_case(system, warm_starts=(np.array([1.0, 2.0, 1.0]),))
+        out = solve_case(system, warm_starts=((1.0, 2.0),))
         assert out.status == SOLVED
         assert out.starts_used == 1
         assert out.iterations == 0
@@ -345,12 +376,18 @@ class TestFindRoots:
 
     def test_collision_redispatches_merged_shape(self):
         target = poly([-2, 5, -4, 1])  # (x - 1)^2 (x - 2)
-        report = find_roots_report(target, order="generic")
-        assert report.case.label() == "2,1"
-        assert report.outcomes[0].pattern.label() == "1,1,1"
-        assert report.outcomes[0].status != SOLVED
-        got = [(round(v, 6), m) for v, m, _ in report.roots.roots]
-        assert got == [(1.0, 2), (2.0, 1)]
+        for mode, iterations in ((REAL_MODE, 617), (COMPLEX_MODE, 677)):
+            report = find_roots_report(target, mode, order="generic")
+            first, merged = report.outcomes
+            assert (first.pattern.label(), first.status) == ("1,1,1", INCONSISTENT)
+            assert (first.iterations, first.starts_used) == (iterations, 32)
+            assert first.collision[0].label() == "2,1"
+            # the merged values are the first start, and it has already converged
+            assert (merged.pattern.label(), merged.status) == ("2,1", SOLVED)
+            assert (merged.iterations, merged.starts_used) == (0, 1)
+            got = [(complex(v), m) for v, m, _ in report.roots.roots]
+            assert [(round(v.real, 6), round(v.imag, 6), m) for v, m in got] == [
+                (1.0, 0.0, 2), (2.0, 0.0, 1)]
 
     def test_repeated_complex_root_via_merge(self):
         target = expand(MultiplicityPattern((2,)), [1 + 1j], 1.0)
@@ -567,9 +604,10 @@ class TestKernelBits:
         assert sum(o["iterations"] for o in doc["outcomes"]) > 1000  # Gauss-Newton ran
 
 
-def ref_gauss_newton(system, u0, tvec):
+def ref_gauss_newton(system, u0):
     """The plain damped Gauss-Newton: all 30 steps of the line search
     evaluated in turn, every product rebuilt from [1]."""
+    tvec = system.tvec
     u = np.array(u0, dtype=system.dtype)
     res = ref_coeffs(system, u) - tvec
     f = float(np.vdot(res, res).real)
@@ -624,7 +662,7 @@ def random_system(rng):
     else:
         target = complex_poly([value() for _ in range(d)] + [c])
     system = build_system(pat, target, mode)
-    return system, system.target_vector(), np.array(roots + [c] + cofactor, dtype=system.dtype)
+    return system, np.array(roots + [c] + cofactor, dtype=system.dtype)
 def random_vector(rng, system, scale):
     n = system.n_unknowns
     if system.mode == REAL_MODE:
@@ -639,7 +677,7 @@ class TestLineSearchCertificate:
         rng = random.Random(1313)
         certified = sharp = 0
         for _ in range(500):
-            system, tvec, u = random_system(rng)
+            system, u = random_system(rng)
             if rng.random() < 0.5:  # near the point, where rounding decides
                 u = u + random_vector(rng, system, 10.0 ** rng.uniform(-14, -3))
             if rng.random() < 0.5:  # a Gauss-Newton step, shrunk or stretched
@@ -648,15 +686,14 @@ class TestLineSearchCertificate:
                 step = step * 10.0 ** rng.uniform(-3, 3)
             else:
                 step = random_vector(rng, system, 10.0 ** rng.uniform(-12, 2))
-            exact = [vieta._trial(system, u, lam, step, tvec)[2] for lam in vieta._HALVINGS]
-            tcol = tvec[::-1, None]
+            exact = [vieta._trial(system, u, lam, step)[2] for lam in vieta._HALVINGS]
             res = system.residual(u)
             pick = rng.choice(exact)
             # f at u, at a candidate's own value, just above it (so that
             # candidate must be kept) and at the smallest candidate value
             for f in (float(np.vdot(res, res).real), pick, float(np.nextafter(pick, math.inf)),
                       min(exact)):
-                kept = vieta._halvings(system, u, step, f, math.inf, tcol, np.abs(tcol))
+                kept = vieta._halvings(system, u, step, f, math.inf)
                 for lam, f2 in zip(vieta._HALVINGS, exact):
                     if lam not in kept:
                         certified += 1
@@ -700,10 +737,11 @@ class TestLineSearchCertificate:
         monkeypatch.setattr(vieta, "_halvings", spy)
         iterations = 0
         for _ in range(40):
-            system, tvec, _ = random_system(rng)
-            for u0 in itertools.islice(vieta._start_battery(system), 3):
-                u, resid, status, iters = vieta._gauss_newton(system, u0, tvec, vieta._WorkMeter())
-                want_u, want_resid, want_status, want_iters = ref_gauss_newton(system, u0, tvec)
+            system, _ = random_system(rng)
+            for values in itertools.islice(vieta._start_battery(system), 3):
+                u0 = vieta._start(system, values)
+                u, resid, status, iters = vieta._gauss_newton(system, u0, vieta._WorkMeter())
+                want_u, want_resid, want_status, want_iters = ref_gauss_newton(system, u0)
                 assert u.tobytes() == want_u.tobytes()
                 assert (resid, status, iters) == (want_resid, want_status, want_iters)
                 iterations += iters
@@ -767,7 +805,7 @@ class TestWorkCap:
 
     def test_a_start_without_iterations_costs_one(self, monkeypatch):
         system = build_system(MultiplicityPattern((2, 1)), poly([-2, 5, -4, 1]))
-        warm = (np.array([1.0, 2.0, 1.0]),)
+        warm = ((1.0, 2.0),)
         monkeypatch.setattr(vieta, "GN_WORK_CAP", 1)
         assert solve_case(system, warm_starts=warm).status == SOLVED
         monkeypatch.setattr(vieta, "GN_WORK_CAP", 0)
