@@ -51,17 +51,19 @@ class SearchResult:
 
 @dataclass(eq=False)
 class ReachabilityTable:
-    """Exact census of the goal's component.
+    """Exact census of the goal's component, or of its first levels.
 
     codes holds every packed state in discovery order: level by level, and
     within a level by parent, then U < D < R < L.  The packed state ->
     depth dict, states, is built from codes and depth_histogram only when
-    first read, with the same insertion order.
+    first read, with the same insertion order.  complete is true when the
+    BFS saw its frontier empty, so the census holds the whole component.
     """
 
     n: int
     codes: np.ndarray           # uint64 packed states, discovery order
     depth_histogram: list[int]  # states per depth, from depth 0
+    complete: bool              # the frontier emptied before any depth limit
 
     @property
     def count(self) -> int:
@@ -77,6 +79,10 @@ class ReachabilityTable:
         return dict(zip(self.codes.tolist(), depths.tolist()))
 
     def depth_of(self, g: TileGrid) -> int | None:
+        """g's depth, or None when g lies outside the census; a grid of
+        another side is a ValueError."""
+        if g.n != self.n:
+            raise ValueError(f"grid is {g.n}x{g.n}, table is for n={self.n}")
         return self.states.get(encode(g.cells, self.n))
 
 
@@ -157,6 +163,10 @@ def enumerate_reachable(n: int, depth_limit: int | None = None,
     depth_limit.  n and both limits must be ints (ValueError otherwise,
     bool included).  Raises ResourceLimit, at the depth that crosses it, when
     more than max_states states are found.
+
+    The table is complete only when a level came out empty.  A census cut
+    by depth_limit is incomplete even when the limit equals the diameter,
+    since the BFS never expanded the last level to see that it was.
     """
     for name, value in (("n", n), ("depth_limit", 0 if depth_limit is None else depth_limit),
                         ("max_states", max_states)):
@@ -180,6 +190,7 @@ def enumerate_reachable(n: int, depth_limit: int | None = None,
     levels = [level]
     total = 1
     d = 0
+    complete = False
     while depth_limit is None or d < depth_limit:
         d += 1
         at = np.flatnonzero(valid.reshape(-1, 4)[slot])  # parent-major, U < D < R < L within
@@ -195,6 +206,7 @@ def enumerate_reachable(n: int, depth_limit: int | None = None,
         first[np.minimum.reduceat(order, starts)] = True  # smallest index of each run
         new = np.flatnonzero(first[len(prev):])  # the children that are new, in order
         if not len(new):
+            complete = True
             break
         total += len(new)
         if total > max_states:
@@ -202,7 +214,7 @@ def enumerate_reachable(n: int, depth_limit: int | None = None,
         prev, level, slot = level, children[new], child[e[new]]
         levels.append(level)
     return ReachabilityTable(n=n, codes=np.concatenate(levels),
-                             depth_histogram=[len(lv) for lv in levels])
+                             depth_histogram=[len(lv) for lv in levels], complete=complete)
 
 
 def is_solvable(g: TileGrid) -> bool:
@@ -453,10 +465,12 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
     candidate is compared against the goal without replaying its prefix.
     With a ledger, each candidate costs one probe decision and the winning
     sequence is replayed through the instrumented verifier, which keeps the
-    whole run inside budget("search", n, k_max).
+    whole run inside budget("search", n, k_max).  k_max must be a
+    nonnegative int (ValueError otherwise, bool included).
     """
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    # type() rather than isinstance(): a bool is an int, but never a length
+    if type(k_max) is not int or k_max < 0:
+        raise ValueError(f"k_max must be a nonnegative int, got {k_max!r}")
     candidates = 0
     for length in range(1, k_max + 1):  # stops early, so a huge k_max is cheap
         candidates += 4 ** length

@@ -121,7 +121,10 @@ def claim_report(n: int, table: ReachabilityTable | None = None) -> BoundReport:
     A size bound holds iff the true solvable-state count stays below it; a
     move bound holds iff the true diameter stays below it.  The grid-count
     formula is checked against an independent combinatorial count (blank
-    placements times tile arrangements).
+    placements times tile arrangements).  A given table must be a complete
+    census of side n (ReachabilityTable.complete): a census cut by a depth
+    limit undercounts both the states and the diameter, so grading against
+    it is a ValueError.
     """
     if n not in (2, 3):
         raise DomainError("claim reports are desk-scale: n must be 2 or 3")
@@ -129,6 +132,8 @@ def claim_report(n: int, table: ReachabilityTable | None = None) -> BoundReport:
         table = enumerate_reachable(n)
     elif table.n != n:
         raise ValueError(f"table is for n={table.n}, report requested for n={n}")
+    elif not table.complete:
+        raise ValueError("table is a census cut by its depth limit, not the whole component")
 
     count, diameter = table.count, table.diameter
     log_bound = optimal_moves_log_bound(n)

@@ -4,7 +4,8 @@ A degree-d target is matched against candidate shapes
 
     c * (x - r_1)^m_1 * ... * (x - r_k)^m_k * q(x)
 
-where q is monic and, in real mode, must have no real roots.  Shapes are
+where q is monic and must have no real roots; complex mode factors
+completely, so its shapes have no q.  Shapes are
 enumerated in a fixed order, each one induces a system of coefficient
 equations in the unknowns (r, c, q), and each system goes through an exact
 linear presolve followed by damped Gauss-Newton from a deterministic battery
@@ -280,6 +281,15 @@ class VietaSystem:
 
 
 def build_system(pattern: MultiplicityPattern, target: Poly, mode: str = REAL_MODE) -> VietaSystem:
+    """The coefficient equations of one shape against one target.
+
+    This is the one gate on which shapes a mode admits, and it has two
+    rules: complex mode factors completely, so its shapes have no
+    cofactor; real mode admits no linear cofactor, since a monic real
+    linear factor is itself a real root.  The target must also lie in the
+    mode's coefficient domain (VietaSystem.tvec).  Every violation is a
+    ValueError.
+    """
     d = target.degree
     if d is None or d < 1:
         raise ValueError("target must have degree at least 1")
@@ -287,7 +297,9 @@ def build_system(pattern: MultiplicityPattern, target: Poly, mode: str = REAL_MO
         raise ValueError(f"unknown mode {mode!r}")
     if pattern.total != d:
         raise DegreeMismatch(f"pattern totals {pattern.total}, target degree is {d}")
-    if mode == REAL_MODE and pattern.cofactor_degree == 1:
+    if mode == COMPLEX_MODE and pattern.cofactor_degree:
+        raise ValueError("complex mode factors completely: a shape has no cofactor")
+    if pattern.cofactor_degree == 1:
         raise ValueError("a monic real linear cofactor is itself a real root")
     system = VietaSystem(pattern, target, mode)
     system.tvec  # validates the coefficient domain
@@ -343,16 +355,15 @@ def _presolve(system: VietaSystem) -> CaseOutcome | None:
     scale = float(np.max(np.abs(system.tvec)))
 
     if pat.k == 0:
-        # q = p / a_d; solved iff q has no real roots (real mode shapes only)
+        # q = p / a_d; solved iff q has no real roots (only real mode has q)
         c = a[d]
         b = tuple(v / c for v in a[:d])
-        if system.mode == REAL_MODE:
-            count = _cofactor_real_roots(b)
-            if count:
-                return CaseOutcome(
-                    pat, INCONSISTENT,
-                    reason=f"cofactor must be root-free but has {count} real root(s)",
-                )
+        count = _cofactor_real_roots(b)
+        if count:
+            return CaseOutcome(
+                pat, INCONSISTENT,
+                reason=f"cofactor must be root-free but has {count} real root(s)",
+            )
         return CaseOutcome(
             pat, SOLVED, roots=(),
             leading=_native(c), cofactor=tuple(_native(v) for v in b),
@@ -394,7 +405,7 @@ def _presolve(system: VietaSystem) -> CaseOutcome | None:
                         f"but then the x^{i} coefficient must be {_fmt(want)}, not {_fmt(got)}"
                     ),
                 )
-        rv = float(r) if system.mode == REAL_MODE else complex(r)
+        rv = system.dtype(r).item()  # a float in real mode, a complex in complex mode
         resid = max(abs(complex(w) - complex(g)) for w, g in zip(pred, a))
         return CaseOutcome(
             pat, SOLVED, roots=((rv, m),), leading=_native(c), residual=float(resid),
@@ -434,9 +445,10 @@ def _start_battery(system: VietaSystem):
 
 def _start(system: VietaSystem, roots) -> np.ndarray:
     """The unknown vector that starts Gauss-Newton at the k root values:
-    c = a_d, and the cofactor at x^e (all b zero)."""
+    c = a_d, and the cofactor at x^e (all b zero).  This is where a start
+    enters the mode's domain: real mode takes the values' real parts."""
     u = np.zeros(system.n_unknowns, dtype=system.dtype)
-    u[:system.k] = roots
+    u[:system.k] = np.real(roots) if system.mode == REAL_MODE else roots
     u[system.k] = system.tvec[-1]
     return u
 
@@ -616,7 +628,7 @@ def _check_constraints(system: VietaSystem, u: np.ndarray):
     if clusters:
         merged = _merge_collision(system.pattern, roots, clusters)
         return False, "roots collided inside the clustering radius", merged
-    if system.cofactor_degree and system.mode == REAL_MODE:
+    if system.cofactor_degree:
         count = _cofactor_real_roots(b)
         if count:
             return False, f"cofactor acquired {count} real root(s)", None
@@ -660,15 +672,18 @@ def solve_case(system: VietaSystem, warm_starts: tuple = ()) -> CaseOutcome:
     a start still moving at the iteration cap, is NoConvergence.  Work past
     GN_WORK_CAP raises ResourceLimit.
 
-    Each warm start is a sequence of k root values (real numbers in real
-    mode), tried in order before the battery; like every battery start it
-    sets c = a_d and the cofactor to x^e.
+    The numeric stage runs the warm starts in order, then the STARTS
+    battery.  A warm start is a sequence of k root values (real mode uses
+    their real parts); like every battery start it sets c = a_d and the
+    cofactor to x^e.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # see find_roots_report
-        return _solve_case(system, warm_starts, _WorkMeter())
+        return _solve_case(system, chain(warm_starts, _start_battery(system)), _WorkMeter())
 
 
-def _solve_case(system: VietaSystem, warm_starts: tuple, work: _WorkMeter) -> CaseOutcome:
+def _solve_case(system: VietaSystem, starts, work: _WorkMeter) -> CaseOutcome:
+    """solve_case on a shared work meter, running exactly the starts it is
+    handed (each k root values, in order) and no battery of its own."""
     pre = _presolve(system)
     if pre is not None:
         return pre
@@ -678,7 +693,7 @@ def _solve_case(system: VietaSystem, warm_starts: tuple, work: _WorkMeter) -> Ca
     best_violation: tuple[float, str, tuple | None] | None = None
     saw_maxiter = False
     best_resid = math.inf
-    for values in chain(warm_starts, _start_battery(system)):
+    for values in starts:
         work.spend()
         starts_used += 1
         u, resid, status, iters = _gauss_newton(system, _start(system, values), work)
@@ -702,27 +717,18 @@ def _solve_case(system: VietaSystem, warm_starts: tuple, work: _WorkMeter) -> Ca
                 best_violation = (resid, why, merged)
         elif status == "maxiter":
             saw_maxiter = True
+    status = NO_CONVERGENCE if saw_maxiter else INCONSISTENT
     if saw_maxiter:
-        return CaseOutcome(
-            system.pattern, NO_CONVERGENCE,
-            reason=f"iteration cap reached with best residual {best_resid:.3e}",
-            iterations=total_iters, starts_used=starts_used,
-            collision=best_violation[2] if best_violation else None,
-        )
-    if best_violation is not None:
-        return CaseOutcome(
-            system.pattern, INCONSISTENT,
-            reason=f"every start stalled or violated a constraint ({best_violation[1]})",
-            iterations=total_iters, starts_used=starts_used,
-            collision=best_violation[2],
-        )
+        reason = f"iteration cap reached with best residual {best_resid:.3e}"
+    elif best_violation is not None:
+        reason = f"every start stalled or violated a constraint ({best_violation[1]})"
+    else:
+        reason = (f"all {starts_used} starts reached stationary points with "
+                  f"residual at best {best_resid:.3e}, above tol {TOL:.1e}")
     return CaseOutcome(
-        system.pattern, INCONSISTENT,
-        reason=(
-            f"all {starts_used} starts reached stationary points with "
-            f"residual at best {best_resid:.3e}, above tol {TOL:.1e}"
-        ),
+        system.pattern, status, reason=reason,
         iterations=total_iters, starts_used=starts_used,
+        collision=best_violation[2] if best_violation else None,
     )
 
 
@@ -742,14 +748,6 @@ class FindReport:
         doc["case"] = self.case.label()
         doc["outcomes"] = [o.to_json() for o in self.outcomes]
         return doc
-
-
-def _outcome_rootset(target: Poly, outcome: CaseOutcome) -> RootSet:
-    rows = []
-    for v, m in outcome.roots:
-        rows.append((v, m, abs(complex(eval_horner(target, v)))))
-    rows.sort(key=lambda t: (complex(t[0]).real, complex(t[0]).imag))
-    return RootSet(tuple(rows))
 
 
 def _oracle_agrees(found: RootSet, oracle: RootSet) -> bool:
@@ -789,17 +787,18 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, order: str | None = None) 
         outcomes: list[CaseOutcome] = []
         for pattern in patterns:
             system = build_system(pattern, p, mode)
-            outcome = _solve_case(system, (), work)
+            outcome = _solve_case(system, _start_battery(system), work)
             if outcome.status != SOLVED and outcome.collision is not None:
                 outcomes.append(outcome)
                 merged_pat, values = outcome.collision
-                if mode == REAL_MODE:
-                    values = tuple(v.real for v in values)
-                outcome = _solve_case(build_system(merged_pat, p, mode), (values,), work)
+                merged = build_system(merged_pat, p, mode)
+                outcome = _solve_case(merged, chain((values,), _start_battery(merged)), work)
             outcomes.append(outcome)
             if outcome.status != SOLVED:
                 continue
-            found = _outcome_rootset(p, outcome)
+            # _solve_case sorts the roots; a presolve answer has at most one
+            found = RootSet(tuple((v, m, abs(complex(eval_horner(p, v))))
+                                  for v, m in outcome.roots))
             if oracle is not None and not _oracle_agrees(found, oracle):
                 outcomes[-1] = replace(
                     outcome, status=NO_CONVERGENCE,

@@ -201,6 +201,22 @@ class TestCensus:
         swapped = new_grid(2, [2, 1, 3, None])
         assert table2.depth_of(swapped) is None
 
+    def test_depth_of_another_side_is_an_error(self, table2):
+        # encoded with the table's side, the 3x3 goal would read as unreachable
+        with pytest.raises(ValueError, match="table is for n=2"):
+            table2.depth_of(goal(3))
+
+    def test_complete_only_when_the_frontier_empties(self, table2, table3):
+        assert table2.complete and table3.complete
+        assert table2.diameter == 6
+        # a limit at the diameter holds every state but never saw the empty level
+        at_diameter = enumerate_reachable(2, depth_limit=6)
+        assert at_diameter.count == table2.count
+        assert not at_diameter.complete
+        assert enumerate_reachable(2, depth_limit=7).complete
+        assert not enumerate_reachable(3, depth_limit=5).complete
+        assert not enumerate_reachable(2, depth_limit=0).complete
+
     def test_depth_limit_truncates(self):
         t = enumerate_reachable(3, depth_limit=4)
         assert t.diameter == 4
@@ -469,6 +485,12 @@ class TestExhaust:
         from tilelab import exhaust_sequences
         with pytest.raises(ValueError):
             exhaust_sequences(goal(2), -1)
+
+    @pytest.mark.parametrize("k_max", [True, False, 2.0, 1.5, "3"])
+    def test_k_max_must_be_an_int(self, k_max):
+        # a bool must not walk as 0 or 1, nor a float reach range()
+        with pytest.raises(ValueError, match="k_max must be a nonnegative int"):
+            exhaust_sequences(goal(2), k_max)
 
     def test_candidate_cap(self):
         # (4^(k+1) - 4) / 3 candidates of length 1..k: k_max 11 fits, 12 does not

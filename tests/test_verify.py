@@ -127,6 +127,16 @@ class TestClaimReport:
         with pytest.raises(ValueError):
             claim_report(3, table2)
 
+    @pytest.mark.parametrize("n, limit", [(3, 5), (2, 6)])
+    def test_truncated_census_is_refused(self, n, limit):
+        # the 51 states within 5 moves of the 3x3 goal would grade three
+        # failing bounds as holding; (2, 6) stops at the true diameter,
+        # which the census has not yet seen to be the last level
+        table = enumerate_reachable(n, depth_limit=limit)
+        assert not table.complete
+        with pytest.raises(ValueError, match="depth limit"):
+            claim_report(n, table)
+
     def test_out_of_scale_n(self):
         with pytest.raises(DomainError):
             claim_report(4)

@@ -189,6 +189,21 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system(MultiplicityPattern((1,)), poly([5]))
 
+    @pytest.mark.parametrize("mults, e, coeffs", [
+        ((), 2, [2, -3, 1]),      # x^2 - 3x + 2
+        ((1,), 2, [0, 2, -3, 1]),  # x^3 - 3x^2 + 2x
+        ((), 1, [2, 1]),          # x + 2
+    ])
+    def test_complex_mode_rejects_cofactors(self, mults, e, coeffs):
+        # complex mode factors completely: admitted, ((), 2) would "solve"
+        # x^2 - 3x + 2 with no roots at all
+        with pytest.raises(ValueError, match="no cofactor"):
+            build_system(MultiplicityPattern(mults, e), poly(coeffs), COMPLEX_MODE)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            build_system(MultiplicityPattern((1, 1)), poly([2, -3, 1]), mode="bogus")
+
     def test_unknown_layout(self):
         sys_ = build_system(MultiplicityPattern((2, 1), 2), poly([1, 0, 0, 0, 0, 1]))
         assert sys_.n_unknowns == 2 + 1 + 2
@@ -308,6 +323,21 @@ class TestSolveCase:
         out = solve_case(build_system(MultiplicityPattern((1,), 3), target, REAL_MODE))
         assert out.status == INCONSISTENT
         assert "cofactor acquired 1 real root(s)" in out.reason
+
+    def test_private_solver_runs_only_the_starts_it_is_handed(self):
+        # (2,1) fits pi/2 - pi^2 x + 2x^3 from no start, so the one warm
+        # start fails and nothing follows it
+        system = build_system(MultiplicityPattern((2, 1)), parse_poly_text(CUBIC))
+        out = vieta._solve_case(system, ((1.0, 2.0),), vieta._WorkMeter())
+        assert out.status != SOLVED
+        assert out.starts_used == 1
+        assert out.iterations > 0
+
+    def test_failed_warm_start_is_followed_by_the_battery(self):
+        system = build_system(MultiplicityPattern((2, 1)), parse_poly_text(CUBIC))
+        out = solve_case(system, warm_starts=((1.0, 2.0),))
+        assert out.status == INCONSISTENT
+        assert out.starts_used == 1 + vieta.STARTS
 
     def test_warm_start_short_circuits(self):
         target = poly([-2, 5, -4, 1])  # (x - 1)^2 (x - 2)
@@ -602,6 +632,16 @@ class TestKernelBits:
         assert main(["roots", "find", *argv]) == (0 if doc["roots"] else 1)
         assert capsys.readouterr().out == want
         assert sum(o["iterations"] for o in doc["outcomes"]) > 1000  # Gauss-Newton ran
+
+    def test_real_mode_collision_document_is_pinned(self, capsys):
+        # (x - 1)^2 (x - 2) in generic order: 1,1,1 collides, and 2,1 solves
+        # from the real parts of the welded values, its one warm start
+        want = (DATA_DIR / "roots_find_cubic_collision.json").read_text()
+        assert main(["roots", "find", "--poly=-2,5,-4,1", "--order", "generic"]) == 0
+        assert capsys.readouterr().out == want
+        first, second = json.loads(want)["outcomes"]
+        assert "roots collided" in first["reason"]
+        assert (second["case"], second["status"], second["starts_used"]) == ("2,1", SOLVED, 1)
 
 
 def ref_gauss_newton(system, u0):
