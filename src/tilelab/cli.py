@@ -219,6 +219,7 @@ def _cmd_puzzle_enumerate(args) -> int:
         "count": table.count,
         "diameter": table.diameter,
         "depth_histogram": list(table.depth_histogram),
+        "complete": table.complete,
     }
     _emit(doc, args)
     return 0

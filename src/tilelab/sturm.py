@@ -10,23 +10,35 @@ read off homogeneous Horner sums in integers alone.  Bisection keeps no
 Fraction either: a bracket is two integers over one denominator, and a
 split multiplies that denominator by the split point's, with no gcd.
 
-Exact input, and float input whose exact reading has a repeated factor,
-is first split by Yun's algorithm into square-free factors s_m, each
-holding the roots of multiplicity m.  Each factor's own chain isolates its
-roots; then each bracket is halved by the sign of s_m alone, which
-changes sign across its simple root, and before each halving it is
-snapped to the simplest rational inside it: when s_m vanishes there, that
-is the root.  Every root comes back as the float nearest it.  Only a
-float input whose reading is square-free runs one chain on the whole
-reading, dropping remainder terms below _REM_DUST of the dividend, so a
-root the floats repeat only up to rounding, such as pi in
-pi^2 - 2 pi x + x^2, keeps its multiplicity; a derivative ladder then
-polishes each root and reads it.
+Every input is answered on one exact path.  Its exact polynomial is
+first split by Yun's algorithm into square-free factors s_m, each holding
+the roots of multiplicity m.  Each factor's own chain isolates its roots;
+then each bracket is halved by the sign of s_m alone, which changes sign
+across its simple root, and before each halving it is snapped to the
+simplest rational inside it: when s_m vanishes there, that is the root.
+Every root comes back as the float nearest it.
+
+The exact polynomial is the reading, except for a float input of degree 2
+or more whose reading is square-free.  Float digits name a box of
+polynomials (Kahan 1972, Conserving confluence curbs ill-condition), and
+such an input is read as the most merged c * prod (x - r_i)^m_i, a
+complex r_i with its conjugate, that lies within _MERGE_TOL * |P|_i of the
+reading in every coefficient i, where |P| is the same product over the
+magnitudes of each factor's coefficients.  So pi^2 - 2 pi x + x^2 has the
+double root pi.  Candidates come from the companion eigenvalues, clustered
+at each radius of _RADII (a cluster's mean is well conditioned: Zeng 2005,
+Computing multiple roots of inexact polynomials), and a cluster merges
+only when it is tight: the reading's Taylor coefficients at the merged
+root are, within _MERGE_TOL, those of one root of that multiplicity.  So
+two simple roots further apart than 2 sqrt(_MERGE_TOL) = 2e-5 of their
+size always read as two, whatever the other roots do to |P|, and closer
+ones read as one double root when the box holds one.  The exact box test
+decides, and when no candidate passes the reading itself is split.
 count_real_roots_in reads its input by the same rule.
 
 Counting uses half-open intervals (a, b], so every root lands in exactly
-one side of a split; multiple roots collapse the chain at gcd(p, p') and
-are still counted once, which is what makes the count "distinct roots".
+one side of a split; each root is a simple root of one factor s_m, so it
+is counted once, which is what makes the count "distinct roots".
 """
 
 from __future__ import annotations
@@ -34,19 +46,20 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 
+import numpy as np
+
 from .poly import (
-    COMPLEX,
     RATIONAL,
     Poly,
     RootSet,
+    convolve,
     eval_horner,
     float_coeffs,
 )
 from .search import ResourceLimit
-
-BISECT_WIDTH = 1e-12
 
 
 def _simplest_rational(lo: int, hi: int, den: int, closed: bool) -> tuple[int, int]:
@@ -120,9 +133,13 @@ def _as_real_coeffs(p: Poly) -> tuple[list[Fraction], bool]:
 
 ORACLE_DEGREE_CAP = 36  # the highest degree real-mode roots find hands the oracle before SHAPE_CAP
 
-# a float reading's chain drops a remainder term at most this share of the
-# dividend's largest coefficient: smaller is roundoff
-_REM_DUST = 1e-11
+# the float contract: a candidate's coefficient i may lie this share of
+# |P|_i from the reading, and a merged cluster must be tight to it
+# (_cluster_factor); 1e-11 leaves more float products with a wrong root
+# count, and 1e-9 lets pairs 3e-5 apart merge
+_MERGE_TOL = Fraction(1e-10)
+# the clustering radii, relative to max(1, |z|), widest (most merged) first
+_RADII = tuple(10.0 ** -k for k in range(1, 9))
 
 
 def _capped(coeffs: list) -> list:
@@ -132,15 +149,131 @@ def _capped(coeffs: list) -> list:
     return coeffs
 
 
-def _real_reading(p: Poly) -> tuple[list[Fraction], dict[int, list[int]] | None]:
-    """p's exact coefficients and their square_free_split, or None in place
-    of the split when they were read from floats and are square-free.
+def _real_reading(p: Poly) -> tuple[list[Fraction], dict[int, list[int]]]:
+    """p's exact coefficients and the square_free_split p is answered by:
+    the reading's, or for a square-free float reading of degree 2 or more
+    that of its _structured_reading.
 
-    Raises ResourceLimit above ORACLE_DEGREE_CAP.
+    Raises ValueError when such a reading's root bound lies past the float
+    range, and ResourceLimit above ORACLE_DEGREE_CAP.
     """
     coeffs, from_float = _as_real_coeffs(p)
     split = square_free_split(_capped(coeffs))
-    return coeffs, None if from_float and list(split) == [1] else split
+    if from_float and list(split) == [1] and len(coeffs) > 2:
+        _cauchy_bound(coeffs)
+        if (structured := _structured_reading(coeffs)) is not coeffs:
+            split = square_free_split(structured)
+    return coeffs, split
+
+
+def _structured_reading(coeffs: list[Fraction]) -> list[Fraction]:
+    """The most merged exact c * prod f_i^m_i within the float contract of
+    the square-free float reading coeffs (low first, degree 2 or more).
+
+    The companion eigenvalues are joined into single-linkage clusters at
+    each radius of _RADII.  A cluster of m values reads as one root of
+    multiplicity m only when it is tight (_cluster_factor); at each radius
+    the partition takes the tight clusters there and, inside the others,
+    the partition of the next narrower radius.  Widest first, each
+    partition with a cluster proposes a candidate: the reading's lead times
+    f^m for each cluster's exact factor f.  The first candidate of the
+    reading's degree whose every coefficient lies within _MERGE_TOL * |P|_i
+    of the reading is returned, |P| being the same product over the
+    magnitudes of each factor's coefficients; with none, the reading
+    itself.
+    """
+    with np.errstate(all="ignore"):
+        z = np.roots([float(c) for c in reversed(coeffs)])
+        gaps = np.abs(z[:, None] - z) / np.maximum(1.0, np.maximum.outer(np.abs(z), np.abs(z)))
+    a = _integer(coeffs)
+    factor = cache(lambda c: _cluster_factor(a, z[list(c)]))  # a cluster's factor, or None
+    partition, partitions = [(i,) for i in range(len(z))], []
+    for radius in reversed(_RADII):  # each partition coarsens the one before
+        if np.count_nonzero(gaps <= radius) == len(z):  # no two values are joined
+            continue
+        tight = [c for c in map(tuple, _linkage(gaps <= radius)) if len(c) > 1 and factor(c) is not None]
+        partition = sorted(tight + [c for c in partition if not any(c[0] in t for t in tight)])
+        partitions.append(partition)
+    for clusters in dict.fromkeys(map(tuple, reversed(partitions))):  # widest first, each once
+        factors = [factor(c) for c in clusters]
+        if len(clusters) == len(z) or None in factors:  # no cluster, or a value past the float range or NaN
+            continue
+        product, size = [coeffs[-1]], [abs(coeffs[-1])]
+        for f, c in zip(factors, clusters):
+            for _ in c:
+                product, size = convolve(product, f, 0), convolve(size, [abs(v) for v in f], 0)
+        if len(product) == len(coeffs) and all(
+                abs(p - c) <= _MERGE_TOL * s for p, s, c in zip(product, size, coeffs)):
+            return product
+    return coeffs
+
+
+def _linkage(near: np.ndarray) -> list[list[int]]:
+    """The single-linkage clusters of the symmetric adjacency matrix near,
+    as index lists."""
+    clusters = []
+    for i, row in enumerate(near.tolist()):
+        linked = [c for c in clusters if any(row[j] for j in c)]
+        clusters = [c for c in clusters if c not in linked] + [sum(linked, []) + [i]]
+    return clusters
+
+
+def _cluster_factor(a: list[int], w: np.ndarray) -> list | None:
+    """The exact factor f of which the m companion eigenvalues w of the
+    integer polynomial a read as m roots, or None for a value past the
+    float range, for NaN, or for a cluster (m > 1) that is not tight.  For
+    their root r, f is x - r on the real line (when w reaches it),
+    x^2 - 2 Re(r) x + |r|^2 above it, and 1 below it: the conjugate
+    cluster above holds it.
+
+    r is their mean, on the real line when w reaches it, after Newton's
+    method on the (m-1)th derivative of a, where a root of multiplicity m
+    is simple: at most 30 steps, each evaluated exactly at r and rounded
+    once, until a step no longer moves r.  The cluster is tight when a's
+    Taylor coefficients T_j at r are those of one root of multiplicity m
+    within the float contract: |T_j / T_m| <= _MERGE_TOL * C(m, j) *
+    |r|^(m-j) for every j < m.  So the reading's own roots decide, not
+    the less accurate eigenvalues, and two of them further apart than
+    2 * sqrt(_MERGE_TOL) * |r| stay two roots whatever the other roots do
+    to |P|.
+    """
+    m, mean = len(w), complex(w.mean())
+    r = mean.real if w.imag.min() <= 0 else mean
+    taylor = [[math.comb(i, j) * c for i, c in enumerate(a)][j:] for j in range(m + 1)]  # a^(j) / j!
+    try:
+        for _ in range(30):
+            xr, xi, q = _gauss_point(r)
+            (fr, fi), (gr, gi) = _gauss_eval(taylor[m - 1], xr, xi, q), _gauss_eval(taylor[m], xr, xi, q)
+            den = m * q * (gr * gr + gi * gi)
+            step = complex((fr * gr + fi * gi) / den, (fi * gr - fr * gi) / den) if den else 0j
+            if r - step == r:
+                break
+            r -= step
+        xr, xi, q = _gauss_point(r)
+    except (OverflowError, ValueError):
+        return None
+    norm = [re * re + im * im for re, im in (_gauss_eval(t, xr, xi, q) for t in taylor)]
+    if m > 1 and any(norm[j] > _MERGE_TOL ** 2 * math.comb(m, j) ** 2 * (xr * xr + xi * xi) ** (m - j) * norm[m]
+                     for j in range(m)):
+        return None
+    real, below = w.imag.min() <= 0, w.imag.max() < 0
+    return [1] if below else list(map(Fraction, [-r.real, 1] if real else [r.real ** 2 + r.imag ** 2, -2 * r.real, 1]))
+
+
+def _gauss_point(x: complex) -> tuple[int, int, int]:
+    """(xr, xi, q) with x = (xr + xi i) / q exactly, q a power of two."""
+    (re, re_q), (im, im_q) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    q = max(re_q, im_q)
+    return re * (q // re_q), im * (q // im_q), q
+
+
+def _gauss_eval(coeffs: list[int], xr: int, xi: int, q: int) -> tuple[int, int]:
+    """q^d * P((xr + xi i) / q) for d = len(coeffs) - 1, as the integer
+    pair (real part, imaginary part)."""
+    re = im = 0
+    for c, qk in zip(reversed(coeffs), _q_powers(q, len(coeffs) - 1)):
+        re, im = re * xr - im * xi + c * qk, re * xi + im * xr
+    return re, im
 
 
 def _derivative_coeffs(coeffs: list) -> list:
@@ -166,16 +299,13 @@ def _integer(coeffs: list[Fraction]) -> list[int]:
     return _primitive(_over_lcm(coeffs)[0])
 
 
-def _int_pseudo_rem(a: list[int], b: list[int], dust=0) -> list[int]:
+def _int_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     """|lead(b)|^k times the remainder of a by b, for some k: integers only.
 
-    The factor is positive, so every sign of the remainder is kept.  A
-    leading term at most dust times the largest coefficient of a is
-    dropped; each step scales a by |lead(b)|, and the bound with it.
+    The factor is positive, so every sign of the remainder is kept.  Zero
+    leading terms are dropped.
     """
     a = list(a)
-    num, den = dust.as_integer_ratio()
-    bound = num * max(map(abs, a))
     lead, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
     while len(a) >= len(b):
         top, shift = sign * a[-1], len(a) - len(b)
@@ -183,8 +313,7 @@ def _int_pseudo_rem(a: list[int], b: list[int], dust=0) -> list[int]:
         for i, bc in enumerate(b):
             a[shift + i] -= top * bc
         a.pop()  # leading term cancels by construction
-        bound *= lead
-        while a and abs(a[-1]) * den <= bound:
+        while a and not a[-1]:
             a.pop()
     return a
 
@@ -198,10 +327,9 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_quo(a: list[int], b: list[int]) -> list[int]:
-    """The quotient of a by b, for a and b whose long division divides
-    exactly at every step: a primitive b that divides a (by Gauss's lemma
-    the quotient has integer coefficients), or an a that carries the factor
-    lead(b)^(deg a - deg b + 1).  The remainder is dropped."""
+    """The quotient of a by a primitive b that divides it; by Gauss's
+    lemma the quotient has integer coefficients, so every step of the long
+    division divides exactly."""
     a = list(a)
     out = [0] * (len(a) - len(b) + 1)
     for shift in range(len(out) - 1, -1, -1):
@@ -244,18 +372,16 @@ def square_free_split(coeffs: list[Fraction]) -> dict[int, list[int]]:
     return out
 
 
-def _sturm_chain(f: list[int], dust=0) -> list[list[int]]:
+def _sturm_chain(f: list[int]) -> list[list[int]]:
     """The Sturm chain of the integer polynomial f, of degree at least 1:
     f, f', then each remainder negated, in integers.
 
     Each element is a positive multiple of the classical one, over its
-    content, so the chain takes the classical signs.  With dust, each
-    remainder drops its roundoff (_int_pseudo_rem); the bound is relative,
-    so the chain drops what a chain kept at unit scale would.
+    content, so the chain takes the classical signs.
     """
     chain = [f, _derivative_coeffs(f)]
     while len(chain[-1]) > 1:
-        rem = _int_pseudo_rem(chain[-2], chain[-1], dust)
+        rem = _int_pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
         g = math.gcd(*rem)
@@ -321,31 +447,19 @@ def count_real_roots_in(p: Poly, lo, hi) -> int:
     """Distinct real roots of p in the half-open interval (lo, hi]; none
     when lo >= hi.
 
-    p is read as oracle_real_roots reads it: exact input, and a float
-    reading with a repeated factor, is counted factor by factor on
-    square_free_split; a float reading that is square-free is counted on
-    the square-free part p / gcd(p, p') of the chain that drops roundoff.
-    Raises ValueError for a NaN end and ResourceLimit above
-    ORACLE_DEGREE_CAP.
+    p is read as oracle_real_roots reads it (_real_reading) and counted
+    factor by factor on that square_free_split, so it counts exactly the
+    roots the oracle returns.  Raises ValueError for a NaN end or when a
+    square-free float reading's root bound lies past the float range, and
+    ResourceLimit above ORACLE_DEGREE_CAP.
     """
     for name, x in (("lo", lo), ("hi", hi)):
         if x != x:
             raise ValueError(f"count_real_roots_in: {name} is NaN")
-    coeffs, split = _real_reading(p)
+    _, split = _real_reading(p)
     if lo >= hi:
         return 0
-    if split is not None:
-        chains = [_sturm_chain(s) for s in split.values()]
-    else:
-        chain = _sturm_chain(_integer(coeffs), _REM_DUST)
-        a, g = chain[0], chain[-1]
-        if len(g) > 1:
-            # the last element is gcd(p, p'), which vanishes with the whole
-            # chain at a multiple root; an endpoint there is only counted
-            # right on the square-free part
-            scale = abs(g[-1]) ** (len(a) - len(g) + 1)
-            chain = _sturm_chain(_int_quo([c * scale for c in a], g), _REM_DUST)
-        chains = [chain]
+    chains = [_sturm_chain(s) for s in split.values()]
     lo, hi = _homogeneous(lo), _homogeneous(hi)
     return sum(_int_variations(c, *lo)[0] - _int_variations(c, *hi)[0] for c in chains)
 
@@ -354,8 +468,7 @@ def _homogeneous(x) -> tuple[int, int]:
     """(p, q) with x = p/q exactly; an infinite x is (+-1, 0)."""
     if x in (math.inf, -math.inf):
         return (1 if x > 0 else -1), 0
-    x = Fraction(x)
-    return x.numerator, x.denominator
+    return Fraction(x).as_integer_ratio()
 
 
 def root_bound(p: Poly) -> float:
@@ -374,23 +487,10 @@ def _cauchy_bound(coeffs: list[Fraction]) -> float:
     return bound
 
 
-def _width(a: int, b: int, den: int) -> float:
-    """(b - a) / den as a float, inf for a bracket wider than the float
-    range (the bound's first bracket (-hi, hi] when hi is above half of it)."""
-    try:
-        return (b - a) / den
-    except OverflowError:
-        return math.inf
-
-
-def _isolate(chain: list[list[int]], hi: int, cluster: float) -> list[tuple[int, int, int, int]]:
+def _isolate(chain: list[list[int]], hi: int) -> list[tuple[int, int, int, int]]:
     """Brackets (a/den, b/den] in (-hi, hi], as (a, b, den, v_a), ascending,
     each holding one root of chain[0]; v_a is the variation count at the
     lower end.
-
-    A bracket narrower than cluster, relative to its ends, is kept as one
-    root even when the chain counts more: a chain that drops roundoff
-    cannot tell such a cluster apart.
     """
     # each entry carries the variation counts at its ends, so every point's
     # count is computed once; (a, b] holds v_a - v_b distinct roots.  The
@@ -399,22 +499,12 @@ def _isolate(chain: list[list[int]], hi: int, cluster: float) -> list[tuple[int,
     stack = [(-hi, hi, 1, _int_variations(chain, -hi, 1)[0], _int_variations(chain, hi, 1)[0])]
     while stack:
         a, b, den, va, vb = stack.pop()
-        k = va - vb
-        if k <= 0:
-            continue
-        if k == 1 or (cluster and _width(a, b, den) < cluster * max(1.0, abs(a / den), abs(b / den))):
+        if va - vb == 1:
             intervals.append((a, b, den, va))
-            continue
-        mid, q, vm = _split_point(chain, a, b, den)
-        stack.append((mid, b * q, den * q, vm, vb))
-        stack.append((a * q, mid, den * q, va, vm))
+        elif va - vb > 1:
+            mid, q, vm = _split_point(chain, a, b, den)
+            stack += [(mid, b * q, den * q, vm, vb), (a * q, mid, den * q, va, vm)]
     return intervals
-
-
-def _halve(chain: list[list[int]], a: int, b: int, den: int, va: int) -> tuple[int, int, int, int]:
-    """The half of (a/den, b/den] that keeps its root, as (a, b, den, v_a)."""
-    mid, q, vm = _split_point(chain, a, b, den)
-    return (a * q, mid, den * q, va) if va - vm >= 1 else (mid, b * q, den * q, vm)
 
 
 def _sign_at(coeffs: list[int], p: int, q: int) -> int:
@@ -473,17 +563,13 @@ def _exact_residual(coeffs: list[Fraction], x: float) -> float:
 def oracle_real_roots(p: Poly) -> RootSet:
     """All distinct real roots with multiplicities, ascending, deterministic.
 
-    Exact input, and float input whose exact reading has a repeated
-    factor, is split by square_free_split: the roots of each factor s_m
-    are isolated by its own exact Sturm chain and have multiplicity m,
-    and each is reported as the float nearest it (_pin_root).  A float
-    input whose reading is square-free takes the chain that drops
-    roundoff, so that a root the floats repeat only up to rounding keeps
-    its multiplicity: count-driven bisection (sign-based bisection would
-    miss even-multiplicity roots) shrinks every bracket below
-    BISECT_WIDTH, and the derivative ladder of _refine_float_root polishes
-    the root and reads that multiplicity.  Every chain is built and
-    evaluated in integers.  The residual is |p(value)| in p's own
+    p is read by _real_reading: exact input, and a float reading with a
+    repeated factor, as itself, and a square-free float reading of
+    degree 2 or more by the float contract (_structured_reading).  The
+    roots of each factor s_m of its square_free_split are isolated by
+    their own exact Sturm chain and have multiplicity m, and each is
+    reported as the float nearest it (_pin_root).  Every chain is built
+    and evaluated in integers.  The residual is |p(value)| in p's own
     arithmetic.  Raises ValueError when a coefficient or the root bound
     lies past the float range, and ResourceLimit above ORACLE_DEGREE_CAP.
     """
@@ -491,12 +577,10 @@ def oracle_real_roots(p: Poly) -> RootSet:
     if len(coeffs) <= 1:
         return RootSet(())
     hi = int(Fraction(_cauchy_bound(coeffs)).limit_denominator(1)) + 1
-    if split is None:
-        return _float_reading_roots(p, coeffs, hi)
     roots = []
     for m, s in split.items():
         chain = _sturm_chain(s)
-        for a, b, den, _ in _isolate(chain, hi, 0.0):
+        for a, b, den, _ in _isolate(chain, hi):
             num, q = _pin_root(s, a, b, den, False)
             value = num / q
             residual = _exact_residual(coeffs, value) if p.kind == RATIONAL else abs(eval_horner(p, value))
@@ -518,86 +602,7 @@ def splits_over_rationals(coeffs: list[Fraction]) -> bool:
         if _int_variations(chain, -1, 0)[0] - _int_variations(chain, 1, 0)[0] < len(s) - 1:
             return False
         hi = max(abs(c) for c in s[:-1]) // s[-1] + 2  # the Cauchy bound, rounded up
-        if any(_pin_root(s, a, b, den, True) is None for a, b, den, _ in _isolate(chain, hi, 0.0)):
+        if any(_pin_root(s, a, b, den, True) is None for a, b, den, _ in _isolate(chain, hi)):
             return False
     return True
 
-
-def _float_reading_roots(p: Poly, coeffs: list[Fraction], hi: int) -> RootSet:
-    """Roots of a float input whose exact reading is square-free."""
-    chain = _sturm_chain(_integer(coeffs), _REM_DUST)
-    centers = []
-    for a, b, den, va in _isolate(chain, hi, 1e-10):
-        while _width(a, b, den) > BISECT_WIDTH:
-            a, b, den, va = _halve(chain, a, b, den, va)
-        centers.append((a + b) / (2 * den))
-
-    roots = []
-    for i, r in enumerate(centers):
-        # polishing may only move a center toward its own root, never past a
-        # neighboring bracket's root
-        gaps = [abs(r - other) for j, other in enumerate(centers) if j != i]
-        max_shift = min(gaps) / 4 if gaps else 0.05 * max(1.0, abs(r))
-        max_shift = max(max_shift, 1e-6 * max(1.0, abs(r)))
-        r, mult = _refine_float_root(p, r, max_shift)
-        roots.append((r, mult, abs(eval_horner(p, r))))
-
-    # noisy chains can hand two brackets the same root; keep one entry per root
-    merged: list[tuple[float, int, float]] = []
-    for r, m, res in roots:
-        if merged and abs(r - merged[-1][0]) <= 1e-6 * max(1.0, abs(r)):
-            keep = merged[-1] if merged[-1][2] <= res else (r, m, res)
-            merged[-1] = keep
-        else:
-            merged.append((r, m, res))
-
-    return RootSet(tuple(merged))
-
-
-def _derivative(q: Poly) -> Poly:
-    return Poly(tuple((i + 1) * c for i, c in enumerate(q.coeffs[1:])), COMPLEX)
-
-
-def _coeff_scale(q: Poly, x: float) -> float:
-    acc = 0.0
-    ax = max(1.0, abs(x))
-    for c in reversed(q.coeffs):
-        acc = acc * ax + abs(c)
-    return max(acc, 1e-300)
-
-
-def _refine_float_root(work: Poly, x0: float, max_shift: float) -> tuple[float, int]:
-    """Polish a bracketed root and read off its multiplicity.
-
-    Float evaluations of p are pure roundoff within ~eps^(1/m) of a root of
-    multiplicity m, so bisection alone leaves x0 anywhere in that noise
-    basin.  For each candidate m the root is simple for the (m-1)th
-    derivative: Newton there restores full accuracy.  A candidate counts
-    only if it stays within max_shift of x0 (so it cannot be a different
-    root) and every lower derivative vanishes relative to its coefficient
-    scale; the largest surviving candidate wins.
-    """
-    derivs = [work]
-    while derivs[-1].degree and derivs[-1].degree >= 1:
-        derivs.append(_derivative(derivs[-1]))
-    best = (x0, 1)
-    for m in range(1, len(derivs)):
-        q, dq = derivs[m - 1], derivs[m]
-        x = x0
-        for _ in range(20):
-            dv = eval_horner(dq, x)
-            if dv == 0:
-                break
-            step = (eval_horner(q, x) / dv).real
-            x -= step
-            if abs(step) <= 1e-15 * max(1.0, abs(x)):
-                break
-        if abs(x - x0) > max_shift:
-            continue
-        # at a true root Horner noise is a few eps of the coefficient scale;
-        # in the flat valley between clustered roots it is orders larger, so
-        # a tight relative threshold separates the two
-        if all(abs(eval_horner(derivs[j], x)) <= 1e-11 * _coeff_scale(derivs[j], x)
-               for j in range(m)):
-            best = (x, m)
-    return best

@@ -683,7 +683,8 @@ def solve_case(system: VietaSystem, warm_starts: tuple = ()) -> CaseOutcome:
 
 def _solve_case(system: VietaSystem, starts, work: _WorkMeter) -> CaseOutcome:
     """solve_case on a shared work meter, running exactly the starts it is
-    handed (each k root values, in order) and no battery of its own."""
+    handed (each k root values, in order) and no battery of its own.
+    Handed none, it reports NoConvergence: no start is no evidence."""
     pre = _presolve(system)
     if pre is not None:
         return pre
@@ -717,8 +718,10 @@ def _solve_case(system: VietaSystem, starts, work: _WorkMeter) -> CaseOutcome:
                 best_violation = (resid, why, merged)
         elif status == "maxiter":
             saw_maxiter = True
-    status = NO_CONVERGENCE if saw_maxiter else INCONSISTENT
-    if saw_maxiter:
+    status = NO_CONVERGENCE if saw_maxiter or not starts_used else INCONSISTENT
+    if not starts_used:
+        reason = "no start was run"
+    elif saw_maxiter:
         reason = f"iteration cap reached with best residual {best_resid:.3e}"
     elif best_violation is not None:
         reason = f"every start stalled or violated a constraint ({best_violation[1]})"

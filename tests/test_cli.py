@@ -156,6 +156,14 @@ class TestPuzzleEnumerate:
         assert code == 0
         assert json.loads(out)["depth_histogram"] == [1, 2, 4, 10]
 
+    def test_complete_says_whether_the_census_was_cut(self):
+        doc = json.loads(run("puzzle", "enumerate", "--n", "2")[1])
+        assert doc["complete"] is True
+        code, out, _ = run("puzzle", "enumerate", "--n", "3", "--depth-limit", "5")
+        doc = json.loads(out)
+        check(doc, "puzzle_enumerate.schema.json")
+        assert (code, doc["diameter"], doc["complete"]) == (0, 5, False)
+
 
 class TestPuzzleBounds:
     def test_report(self):
@@ -601,6 +609,7 @@ class TestFuzzRootsInput:
     @example(OVERFLOWING_DOCS[0], "real")
     @example(OVERFLOWING_DOCS[0], "complex")
     @example(OVERFLOWING_DOCS[1], "real")
+    @example('{"coeffs": [1.0, 0.0, 7.52859416441507e-310], "kind": "complex"}', "real")
     def test_find_float_coefficients_over_the_exponent_range(self, tmp_path_factory, text, mode):
         # every coefficient is a finite float: the walk answers (0) or reports
         # no roots or no shape (1), as one JSON document; only a root bound

@@ -267,14 +267,8 @@ class TestRandomizedRecovery:
 # they replaced
 
 
-def ref_chain(coeffs, from_float):
-    """The Sturm chain in Fractions; read from floats, every element is kept
-    at unit scale and a remainder term at most 1e-11 is dropped."""
-    dust = 1e-11 if from_float else 0
-
-    def scale(a):
-        top = max(abs(c) for c in a)
-        return [c / top for c in a] if from_float else list(a)
+def ref_chain(coeffs):
+    """The Sturm chain in Fractions."""
 
     def rem(a, b):
         a = list(a)
@@ -283,27 +277,18 @@ def ref_chain(coeffs, from_float):
             for i, bc in enumerate(b):
                 a[shift + i] -= factor * bc
             a.pop()
-            while a and abs(a[-1]) <= dust:
+            while a and not a[-1]:
                 a.pop()
         return a
 
-    chain = [scale(coeffs)]
-    chain.append(scale([i * c for i, c in enumerate(chain[0])][1:]))
+    chain = [list(coeffs)]
+    chain.append([i * c for i, c in enumerate(chain[0])][1:])
     while len(chain[-1]) > 1:
         r = rem(chain[-2], chain[-1])
         if not r:
             break
-        chain.append([-c for c in scale(r)])
+        chain.append([-c for c in r])
     return chain
-
-
-def ref_quo(a, b):
-    a, out = list(a), [0] * (len(a) - len(b) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        factor = out[shift] = a[shift + len(b) - 1] / b[-1]
-        for i, bc in enumerate(b):
-            a[shift + i] -= factor * bc
-    return out
 
 
 def ref_eval(coeffs, x):
@@ -340,14 +325,6 @@ def ref_int_variations(chain, p, q):
 PI_PINS = ("pi/2,-pi^2,0,2", "pi^2,-2*pi,1", "-pi^3,3*pi^2,-3*pi,1")
 
 
-def ref_float_count(coeffs, lo, hi):
-    """count_real_roots_in on a square-free float reading, in Fractions."""
-    chain = ref_chain(coeffs, True)
-    if len(chain[-1]) > 1:
-        chain = ref_chain(ref_quo(chain[0], chain[-1]), True)
-    return ref_variations(chain, lo) - ref_variations(chain, hi)
-
-
 CORPUS_VALUES = sorted({Fraction(p, q) for q in (1, 2, 3) for p in range(-3 * q, 3 * q + 1)})
 
 
@@ -371,7 +348,7 @@ class TestIntegerChain:
         vanished = 0
         for i in range(60):
             p, roots = corpus_poly(rng, 4 + i % 11)
-            chain = ref_chain(list(p.coeffs), False)
+            chain = ref_chain(list(p.coeffs))
             ichain = sturm._sturm_chain(sturm._integer(list(p.coeffs)))
             assert all(type(c) is int for coeffs in ichain for c in coeffs)
             points = list(roots)  # every chain element vanishes at a multiple root
@@ -396,17 +373,17 @@ class TestIntegerChain:
         # sparse ones, whose chains skip degrees, so a pseudo-remainder
         # takes an odd number of steps by a divisor with a negative lead
         exact += [poly([0, 1, 0, 1]), poly([-1, 1, 0, 0, 1]), poly([0, 0, -3, 0, 1, 0, 1])]
+        # the exact readings of float spellings, whose integers are long
         floats = [parse_poly_text(t) for t in PI_PINS]
-        # products whose chains drop a remainder term between 1e-12 and 1e-10
         rng5 = random.Random(5)
         floats += [poly_from_roots(random_root_mults(rng5, rng5.randint(1, 5), 4), False)
                    for _ in range(12)]
         floats += [complex_poly([rng.uniform(-3, 3) for _ in range(rng.randint(3, 9))] + [1.0])
                    for _ in range(12)]
         for p in exact + floats:
-            coeffs, from_float = sturm._as_real_coeffs(p)
-            chain = ref_chain(coeffs, from_float)
-            ichain = sturm._sturm_chain(sturm._integer(coeffs), sturm._REM_DUST if from_float else 0)
+            coeffs = sturm._as_real_coeffs(p)[0]
+            chain = ref_chain(coeffs)
+            ichain = sturm._sturm_chain(sturm._integer(coeffs))
             assert len(ichain) == len(chain)
             for ref, got in zip(chain, ichain):
                 ratio = got[-1] / ref[-1]
@@ -415,7 +392,7 @@ class TestIntegerChain:
     def test_oracle_matches_fraction_reference(self, monkeypatch):
         rng = random.Random(5252)
         polys = [corpus_poly(rng, 4 + i % 11)[0] for i in range(22)]
-        # float spellings on the chain that drops roundoff: the pi pins and
+        # float spellings read by the float contract: the pi pins and
         # products of well-separated float roots
         polys += [parse_poly_text(t) for t in PI_PINS]
         rng = random.Random(5)
@@ -425,18 +402,16 @@ class TestIntegerChain:
         assert sum(not on_split_path(p) for p in polys) >= 12
         got = [oracle_real_roots(p) for p in polys]
         got_splits = [sturm.splits_over_rationals(list(p.coeffs)) for p in polys[:22]]
-        for p in polys[22:]:
-            # counts on the dust path, with the quotient by gcd(p, p') the
-            # chain sees at a root the floats repeat only up to rounding
-            reading = sturm._as_real_coeffs(p)[0]
+        for p, rs in zip(polys[22:], got[22:]):
+            # the count reads a float spelling as the oracle does
             for lo, hi in [(-3.5, 0.25), (Fraction(1, 3), math.pi), (-5, 5)]:
-                want = ref_float_count(reading, Fraction(lo), Fraction(hi))
+                want = sum(lo < value <= hi for value, _, _ in rs.roots)
                 assert count_real_roots_in(p, lo, hi) == want
         # the reference oracle: the same bisection on the Fraction chain, and
         # the Fraction evaluator for every count, every sign in pinning and
         # the exact residual
         monkeypatch.setattr(sturm, "_sturm_chain",
-                            lambda f, dust=0: ref_chain(list(map(Fraction, f)), bool(dust)))
+                            lambda f: ref_chain(list(map(Fraction, f))))
         monkeypatch.setattr(sturm, "_int_variations", ref_int_variations)
         monkeypatch.setattr(sturm, "_sign_at", lambda coeffs, p, q: (
             (ref_eval(coeffs, Fraction(p, q)) > 0) - (ref_eval(coeffs, Fraction(p, q)) < 0)))
@@ -549,7 +524,7 @@ class TestPinRoot:
     def test_brackets_are_integers_over_one_denominator(self):
         p = mul(poly([-2, 0, 1]), poly_from_roots([(Fraction(1, 3), 1), (5, 1)], True))
         chain = sturm._sturm_chain(sturm._integer(list(p.coeffs)))
-        brackets = sturm._isolate(chain, 8, 0.0)
+        brackets = sturm._isolate(chain, 8)
         assert all(type(x) is int for bracket in brackets for x in bracket)
         ends = [(Fraction(a, den), Fraction(b, den)) for a, b, den, _ in brackets]
         assert ends == sorted(ends) and len(ends) == 4
@@ -588,8 +563,8 @@ class TestFloatSpelling:
             assert got == pytest.approx(float(r), abs=1e-4)
 
     def test_refined_roots_of_one_cluster_are_merged(self):
-        # the noisy chain hands the double root two brackets; both polish
-        # onto it, and the oracle keeps one entry
+        # the reading splits the double root into two simple roots about
+        # 1e-8 apart; the float contract merges them
         want = [(3.9157058820507142, 2), (4.27707208428134, 1), (4.986464536534012, 3)]
         rs = oracle_real_roots(poly_from_roots(want, False))
         assert [m for _, m, _ in rs.roots] == [2, 1, 3]
@@ -712,8 +687,8 @@ class TestSquareFreeSplit:
             assert is_nearest_float(pair, value)
         assert rs.roots[2][0] - rs.roots[1][0] == pytest.approx(1.6e-6, rel=0.01)
         assert count_real_roots_in(spelled, -math.inf, math.inf) == 3  # read as the oracle reads it
-        # the pair alone reads square-free and takes the chain that drops
-        # roundoff, which reads it as one double root, as it reads pi^2,-2*pi,1
+        # the pair alone reads square-free, and the float contract merges a
+        # pair this close into one double root, as it merges pi^2,-2*pi,1
         alone = complex_poly([float(c) for c in pair.coeffs])
         assert not on_split_path(alone)
         rs = oracle_real_roots(alone)
@@ -743,3 +718,89 @@ class TestSmallDomainGate:
         assert calls == 3430
         assert 1715 < split_calls < calls  # both paths are exercised
         assert wrong == []
+
+
+# ---------------------------------------------------------------------------
+# the float contract: a square-free float reading is answered as the most
+# merged c * prod (x - r_i)^m_i within _MERGE_TOL * |P|_i of it
+
+
+def hard_float_products():
+    """random_root_mults(rng, rng.randint(1, 6), 4) from Random(5), 400
+    draws, those of degree at most 10: 252 roots-with-multiplicity lists."""
+    rng = random.Random(5)
+    draws = [random_root_mults(rng, rng.randint(1, 6), 4) for _ in range(400)]
+    return [rm for rm in draws if sum(m for _, m in rm) <= 10]
+
+
+def reads_right(rs, root_mults) -> bool:
+    return rs.count == len(root_mults) and all(
+        gm == wm and abs(got - want) <= 1e-6 for (got, gm, _), (want, wm) in zip(rs.roots, root_mults))
+
+
+# draws 4, 68, 88, 156 and 174 of hard_float_products: their readings split
+# repeated roots into clusters that a root-count rule can miscount
+FLOAT_PRODUCT_MISSES = [
+    [(-4.819324646214699, 4), (-1.3381552415813944, 1), (-0.4717774654383131, 2), (1.2371303107723506, 2)],
+    [(-3.0450589056001465, 3), (-1.3466316384909938, 1), (2.1309941927833584, 1), (2.5806709707635234, 3),
+     (3.163679448484503, 2)],
+    [(-4.918589739858007, 2), (-3.5953281623824243, 1), (-0.8114685690088042, 2), (-0.18847177438224616, 1),
+     (0.45355975722004693, 4)],
+    [(-4.78930296694709, 3), (-2.8073230634723467, 2), (1.9933302145280827, 1), (3.4759232418669495, 3),
+     (4.4269050982632105, 1)],
+    [(-2.723963009542596, 1), (0.8268498544384251, 1), (2.1230220397972666, 3), (4.992606814324027, 4)],
+]
+
+
+class TestFloatContract:
+    def test_count_follows_the_oracle_on_hard_float_products(self):
+        draws = hard_float_products()
+        assert len(draws) == 252
+        misses = []
+        for i, rm in enumerate(draws):
+            p = poly_from_roots(rm, False)
+            rs = oracle_real_roots(p)
+            assert count_real_roots_in(p, -math.inf, math.inf) == rs.count, i
+            if not reads_right(rs, rm):
+                misses.append(i)
+        # three draws with roots 0.35-0.7 apart and multiplicities 3-4 still
+        # read wrong, as they did before the float contract
+        assert set(misses) <= {14, 92, 251}
+
+    @pytest.mark.parametrize("root_mults", FLOAT_PRODUCT_MISSES)
+    def test_float_products_come_back_right(self, root_mults):
+        assert reads_right(oracle_real_roots(poly_from_roots(root_mults, False)), root_mults)
+
+    # the last three are close pairs whose other roots widen |P| enough
+    # that a double-root reading of the pair fits the whole box; the
+    # tightness test of _cluster_factor keeps each pair apart
+    @pytest.mark.parametrize("root_mults", [
+        [(1.0, 1), (1.00003, 1)],
+        [(-1.7, 1), (2.0, 1), (2.00006, 1)],
+        [(-0.769025682656892, 1), (3.3916132663029064, 1), (3.3917150147008956, 1), (4.989788833958253, 1)],
+        [(-4.879541402096562, 1), (-3.1366687446141075, 1), (-3.1365746445517693, 1), (1.6224095627532158, 1)],
+        [(1.687369692043232, 1), (1.6874203131339933, 1), (4.362117966402664, 1)],
+    ])
+    def test_a_pair_3e_5_apart_stays_two_simple_roots(self, root_mults):
+        p = poly_from_roots(root_mults, False)
+        rs = oracle_real_roots(p)
+        assert [m for _, m, _ in rs.roots] == [1] * len(root_mults)
+        for (got, _, _), (want, _) in zip(rs.roots, root_mults):
+            assert got == pytest.approx(want, abs=1e-9)
+
+    # a pair 3e-5 apart that is not tight stays two roots, and a multiple
+    # root elsewhere still merges at its own, wider radius
+    @pytest.mark.parametrize("root_mults", [
+        [(-2.616259974470372, 1), (-2.6161814866711377, 1), (3.4217511284574087, 4)],
+        [(-2.2529660803442297, 2), (-0.4426514131896173, 2), (1.6042168921772255, 1), (1.6042650186839909, 1),
+         (3.648825892767496, 3)],
+    ])
+    def test_a_multiple_root_merges_beside_a_pair_that_stays_two(self, root_mults):
+        assert reads_right(oracle_real_roots(poly_from_roots(root_mults, False)), root_mults)
+
+    def test_structured_reading_of_the_pi_pins(self):
+        cubic = sturm._as_real_coeffs(parse_poly_text("pi/2, -pi^2, 0, 2"))[0]
+        assert sturm._structured_reading(cubic) == cubic
+        square = sturm._as_real_coeffs(parse_poly_text("pi^2,-2*pi,1"))[0]
+        pi = Fraction(math.pi)
+        assert sturm._structured_reading(square) == [pi * pi, -2 * pi, 1]

@@ -333,6 +333,13 @@ class TestSolveCase:
         assert out.starts_used == 1
         assert out.iterations > 0
 
+    def test_no_start_is_no_evidence_of_inconsistency(self):
+        # shape 1,1,1 solves this cubic; with no start run nothing is known
+        system = build_system(MultiplicityPattern((1, 1, 1)), parse_poly_text(CUBIC))
+        out = vieta._solve_case(system, (), vieta._WorkMeter())
+        assert (out.status, out.reason) == (NO_CONVERGENCE, "no start was run")
+        assert out.starts_used == 0 and out.iterations == 0
+
     def test_failed_warm_start_is_followed_by_the_battery(self):
         system = build_system(MultiplicityPattern((2, 1)), parse_poly_text(CUBIC))
         out = solve_case(system, warm_starts=((1.0, 2.0),))
