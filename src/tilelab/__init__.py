@@ -5,7 +5,8 @@ puzzle as blank-centric moves, solves positions optimally, verifies claimed
 solutions in a bounded number of decisions, and audits a family of counting
 and cost bounds against brute-force enumeration.  The polynomial side
 matches targets against factorization shapes to recover roots with
-multiplicities, cross-checked by a Sturm-sequence oracle.
+multiplicities, cross-checked by an exact real-root oracle that isolates
+roots by Descartes bisection.
 """
 
 from .grid import (

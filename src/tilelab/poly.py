@@ -27,7 +27,7 @@ from .search import ResourceLimit
 RATIONAL = "rational"
 COMPLEX = "complex"
 # largest exact coefficient the parser builds, in bits of numerator plus
-# denominator: far past any float's range, yet cheap for the chain and Horner
+# denominator: far past any float's range, yet cheap for the oracle's integer
 # arithmetic.  Powers are judged before they are computed.
 EXACT_BITS_CAP = 2 ** 16
 # a float-kind deflation stage divides evenly when its remainder is below

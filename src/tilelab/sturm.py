@@ -1,22 +1,24 @@
-"""Independent real-root oracle: Sturm chains plus bisection.
+"""Independent real-root oracle: Descartes bisection plus sign bisection.
 
 This module deliberately shares no machinery with the Vieta-system solver
 beyond the Poly container; it is the second route in every dual-route root
 check.  A float coefficient is read as the simplest rational that rounds
-to it, so 0.1 is 1/10 and pi is 245850922/78256779.  Chains are built in
-integers, by pseudo-remainders that scale each element by a positive
-factor and divide out its content, and signs at a rational point p/q are
-read off homogeneous Horner sums in integers alone.  Bisection keeps no
-Fraction either: a bracket is two integers over one denominator, and a
-split multiplies that denominator by the split point's, with no gcd.
+to it, so 0.1 is 1/10 and pi is 245850922/78256779.  Every step on the
+roots is in integers: a bracket is two integers over one denominator, a
+halving doubles that denominator with no gcd, and signs at a rational
+point p/q are read off homogeneous Horner sums.
 
 Every input is answered on one exact path.  Its exact polynomial is
 first split by Yun's algorithm into square-free factors s_m, each holding
-the roots of multiplicity m.  Each factor's own chain isolates its roots;
-then each bracket is halved by the sign of s_m alone, which changes sign
-across its simple root, and before each halving it is snapped to the
-simplest rational inside it: when s_m vanishes there, that is the root.
-Every root comes back as the float nearest it.
+the roots of multiplicity m.  The roots of each factor are isolated by
+Descartes' rule of signs on integer Taylor shifts (Collins & Akritas
+1976; Rouillier & Zimmermann 2004, Efficient isolation of polynomial's
+real roots): the interval is halved until each piece holds at most one
+root, and a midpoint where s_m vanishes is a root.  Then each bracket is
+halved by the sign of s_m alone, which changes sign across its simple
+root, and before each halving it is snapped to the simplest rational
+inside it: when s_m vanishes there, that is the root.  Every root comes
+back as the float nearest it, whatever bracket held it.
 
 The exact polynomial is the reading, except for a float input of degree 2
 or more whose reading is square-free.  Float digits name a box of
@@ -36,9 +38,10 @@ ones read as one double root when the box holds one.  The exact box test
 decides, and when no candidate passes the reading itself is split.
 count_real_roots_in reads its input by the same rule.
 
-Counting uses half-open intervals (a, b], so every root lands in exactly
-one side of a split; each root is a simple root of one factor s_m, so it
-is counted once, which is what makes the count "distinct roots".
+Counting uses half-open intervals (a, b]: each factor's roots in the
+open interval are isolated as above, and b is tested by the factor's
+sign.  Each root is a simple root of one factor s_m, so it is counted
+once, which is what makes the count "distinct roots".
 """
 
 from __future__ import annotations
@@ -372,23 +375,6 @@ def square_free_split(coeffs: list[Fraction]) -> dict[int, list[int]]:
     return out
 
 
-def _sturm_chain(f: list[int]) -> list[list[int]]:
-    """The Sturm chain of the integer polynomial f, of degree at least 1:
-    f, f', then each remainder negated, in integers.
-
-    Each element is a positive multiple of the classical one, over its
-    content, so the chain takes the classical signs.
-    """
-    chain = [f, _derivative_coeffs(f)]
-    while len(chain[-1]) > 1:
-        rem = _int_pseudo_rem(chain[-2], chain[-1])
-        if not rem:
-            break
-        g = math.gcd(*rem)
-        chain.append([-c // g for c in rem])
-    return chain
-
-
 def _q_powers(q: int, d: int) -> list[int]:
     out = [1]
     for _ in range(d):
@@ -404,43 +390,64 @@ def _int_eval(coeffs: list[int], p: int, q_pow: list[int]) -> int:
     return acc
 
 
-def _int_variations(chain: list[list[int]], p: int, q: int) -> tuple[int, bool]:
-    """The sign changes along an integer chain at p/q (q > 0), and whether
-    p/q is a root of chain[0].
+def _shift(a: list[int], k: int) -> list[int]:
+    """a(x + k), low first: the Taylor shift by k, by repeated synthetic
+    division in integers."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += k * a[j + 1]
+    return a
 
-    q = 0 with p = +-1 gives the count at +-infinity: there each
-    element's homogeneous value is its leading coefficient times p^d.
+
+def _variations(a: list[int]) -> int:
+    """The sign changes of (x+1)^d a(1/(x+1)), d = deg a: by Descartes'
+    rule of signs the number of roots of a in the open interval (0, 1), or
+    more by an even number.  A root at 0 or 1 is not counted."""
+    signs = [c > 0 for c in _shift(a[::-1], 1) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _bound(s: list[int]) -> int:
+    """An integer above the magnitude of every root of s (of degree at
+    least 1, with a positive lead): the Cauchy bound, rounded up past it."""
+    return max(map(abs, s[:-1])) // s[-1] + 2
+
+
+def _isolate(s: list[int], lo: int, hi: int, den: int) -> list[tuple[int, int, int]]:
+    """The roots of s, a square-free integer polynomial of degree at least
+    1, in the open interval (lo/den, hi/den), lo < hi and den > 0,
+    ascending: a bracket (a, b, q) holds one root in (a/q, b/q] and s
+    vanishes at neither end, and (a, a, q) is the root a/q exactly.
+
+    Descartes bisection (Collins & Akritas 1976): a piece (a/q, b/q)
+    carries f(x) = c * s(a/q + x (b - a)/q) for some c > 0, an integer
+    polynomial whose roots in (0, 1) are those of s in the piece.  A piece
+    whose f shows no sign change (_variations) holds no root; one that
+    shows one holds one, and is a bracket unless s vanishes at an end.
+    Any other piece is halved: 2^d f(x/2) carries the left half and its
+    shift by 1 the right half, whose constant term, 2^d f(1/2), is 0
+    exactly when the midpoint is a root.  So a piece with a root at an end
+    is halved again until its root is off the ends, and every bracket
+    meets _pin_root's preconditions.
     """
-    q_pow = _q_powers(q, len(chain[0]) - 1)
-    values = [_int_eval(coeffs, p, q_pow) for coeffs in chain]
-    signs = [v > 0 for v in values if v]
-    return sum(s != t for s, t in zip(signs, signs[1:])), not values[0]
-
-
-# the midpoint, then offsets around it, as (num, q): one more candidate
-# than a chain under ORACLE_DEGREE_CAP has roots
-_SPLIT_OFFSETS = tuple((Fraction(1, 2) + Fraction((-1) ** j * ((j + 1) // 2), 1021)).as_integer_ratio()
-                       for j in range(ORACLE_DEGREE_CAP + 1))
-
-
-def _split_point(chain: list[list[int]], a: int, b: int, den: int) -> tuple[int, int, int]:
-    """(x, q, v): a counting point x/(den*q) strictly between a/den and
-    b/den, with its variation count.  Over the point's denominator den*q
-    the bracket's ends are a*q and b*q; no gcd is taken.
-
-    Every chain element is divisible by gcd(p, p'), so at a multiple root
-    the whole chain vanishes and variation counts turn meaningless; even a
-    simple-root hit makes the count ambiguous.  So the point is never on a
-    root of p = chain[0]: every caller caps p at ORACLE_DEGREE_CAP, and
-    _SPLIT_OFFSETS holds more candidates than p has roots.
-    """
-    span = b - a
-    for num, q in _SPLIT_OFFSETS:
-        x = a * q + span * num
-        v, on_root = _int_variations(chain, x, den * q)
-        if not on_root:
-            return x, q, v
-    raise RuntimeError(f"degree {len(chain[0]) - 1} is above ORACLE_DEGREE_CAP")
+    d = len(s) - 1
+    f = _shift([c * den ** (d - i) for i, c in enumerate(s)], lo)  # den^d s((lo + x) / den)
+    out, stack = [], [([c * (hi - lo) ** i for i, c in enumerate(f)], lo, hi, den)]
+    while stack:  # the left half comes off first, then the midpoint, then the right half
+        f, lo, hi, den = stack.pop()
+        if not f:  # a midpoint that is a root
+            out.append((lo, hi, den))
+            continue
+        v = _variations(f)
+        if v == 1 and f[0] and sum(f):  # f(0) and f(1) are not 0
+            out.append((lo, hi, den))
+        elif v:
+            left = [c << (d - i) for i, c in enumerate(f)]
+            right, mid = _shift(left, 1), lo + hi
+            stack += [(right, mid, 2 * hi, 2 * den)] + [([], mid, mid, 2 * den)] * (not right[0])
+            stack.append((left, 2 * lo, mid, 2 * den))
+    return out
 
 
 def count_real_roots_in(p: Poly, lo, hi) -> int:
@@ -449,31 +456,35 @@ def count_real_roots_in(p: Poly, lo, hi) -> int:
 
     p is read as oracle_real_roots reads it (_real_reading) and counted
     factor by factor on that square_free_split, so it counts exactly the
-    roots the oracle returns.  Raises ValueError for a NaN end or when a
-    square-free float reading's root bound lies past the float range, and
-    ResourceLimit above ORACLE_DEGREE_CAP.
+    roots the oracle returns: each factor s's roots in the open interval
+    (max(lo, -B), min(hi, B)), B = _bound(s), by _isolate, and one more
+    when s vanishes at its upper end.  Raises ValueError for a NaN end or
+    when a square-free float reading's root bound lies past the float
+    range, and ResourceLimit above ORACLE_DEGREE_CAP.
     """
     for name, x in (("lo", lo), ("hi", hi)):
         if x != x:
             raise ValueError(f"count_real_roots_in: {name} is NaN")
     _, split = _real_reading(p)
-    if lo >= hi:
-        return 0
-    chains = [_sturm_chain(s) for s in split.values()]
-    lo, hi = _homogeneous(lo), _homogeneous(hi)
-    return sum(_int_variations(c, *lo)[0] - _int_variations(c, *hi)[0] for c in chains)
-
-
-def _homogeneous(x) -> tuple[int, int]:
-    """(p, q) with x = p/q exactly; an infinite x is (+-1, 0)."""
-    if x in (math.inf, -math.inf):
-        return (1 if x > 0 else -1), 0
-    return Fraction(x).as_integer_ratio()
+    count = 0
+    for s in split.values():
+        a, b = max(lo, -_bound(s)), min(hi, _bound(s))
+        if a < b:
+            (an, ad), (bn, bd) = Fraction(a).as_integer_ratio(), Fraction(b).as_integer_ratio()
+            count += len(_isolate(s, an * bd, bn * ad, ad * bd)) + (not _sign_at(s, bn, bd))
+    return count
 
 
 def root_bound(p: Poly) -> float:
-    """Cauchy bound: every root has magnitude below 1 + max|a_i| / |a_d|."""
-    return _cauchy_bound(_as_real_coeffs(p)[0])
+    """Cauchy bound: every root has magnitude below 1 + max|a_i| / |a_d|.
+
+    That sum in floats can round below the bound; then the float above
+    the one nearest the bound is returned, so the float is a bound too
+    (inf for a bound above the largest float).
+    """
+    coeffs = _as_real_coeffs(p)[0]
+    bound, exact = _cauchy_bound(coeffs), 1 + max(map(abs, coeffs[:-1]), default=0) / abs(coeffs[-1])
+    return bound if bound >= exact else math.nextafter(float(min(exact, sys.float_info.max)), math.inf)
 
 
 def _cauchy_bound(coeffs: list[Fraction]) -> float:
@@ -485,26 +496,6 @@ def _cauchy_bound(coeffs: list[Fraction]) -> float:
     if bound == math.inf:
         raise ValueError("a coefficient or the root bound lies past the float range")
     return bound
-
-
-def _isolate(chain: list[list[int]], hi: int) -> list[tuple[int, int, int, int]]:
-    """Brackets (a/den, b/den] in (-hi, hi], as (a, b, den, v_a), ascending,
-    each holding one root of chain[0]; v_a is the variation count at the
-    lower end.
-    """
-    # each entry carries the variation counts at its ends, so every point's
-    # count is computed once; (a, b] holds v_a - v_b distinct roots.  The
-    # right half goes on the stack first, so brackets come off in order.
-    intervals = []
-    stack = [(-hi, hi, 1, _int_variations(chain, -hi, 1)[0], _int_variations(chain, hi, 1)[0])]
-    while stack:
-        a, b, den, va, vb = stack.pop()
-        if va - vb == 1:
-            intervals.append((a, b, den, va))
-        elif va - vb > 1:
-            mid, q, vm = _split_point(chain, a, b, den)
-            stack += [(mid, b * q, den * q, vm, vb), (a * q, mid, den * q, va, vm)]
-    return intervals
 
 
 def _sign_at(coeffs: list[int], p: int, q: int) -> int:
@@ -566,22 +557,21 @@ def oracle_real_roots(p: Poly) -> RootSet:
     p is read by _real_reading: exact input, and a float reading with a
     repeated factor, as itself, and a square-free float reading of
     degree 2 or more by the float contract (_structured_reading).  The
-    roots of each factor s_m of its square_free_split are isolated by
-    their own exact Sturm chain and have multiplicity m, and each is
-    reported as the float nearest it (_pin_root).  Every chain is built
-    and evaluated in integers.  The residual is |p(value)| in p's own
-    arithmetic.  Raises ValueError when a coefficient or the root bound
-    lies past the float range, and ResourceLimit above ORACLE_DEGREE_CAP.
+    roots of each factor s_m of its square_free_split are isolated on
+    (-B, B), B = _bound(s_m), by _isolate and have multiplicity m, and
+    each is reported as the float nearest it (_pin_root).  The residual is
+    |p(value)| in p's own arithmetic.  Raises ValueError when a
+    coefficient or the root bound lies past the float range, and
+    ResourceLimit above ORACLE_DEGREE_CAP.
     """
     coeffs, split = _real_reading(p)
     if len(coeffs) <= 1:
         return RootSet(())
-    hi = int(Fraction(_cauchy_bound(coeffs)).limit_denominator(1)) + 1
+    _cauchy_bound(coeffs)  # ValueError past the float range
     roots = []
     for m, s in split.items():
-        chain = _sturm_chain(s)
-        for a, b, den, _ in _isolate(chain, hi):
-            num, q = _pin_root(s, a, b, den, False)
+        for a, b, den in _isolate(s, -_bound(s), _bound(s), 1):
+            num, q = (a, den) if a == b else _pin_root(s, a, b, den, False)
             value = num / q
             residual = _exact_residual(coeffs, value) if p.kind == RATIONAL else abs(eval_horner(p, value))
             roots.append((value, m, residual))
@@ -593,16 +583,14 @@ def splits_over_rationals(coeffs: list[Fraction]) -> bool:
     """True iff the exact polynomial with these low-first coefficients is
     a product of linear factors over Q.
 
-    It is exactly when each factor s_m of square_free_split has deg s_m
-    real roots and _pin_root finds every one of them rational.  Raises
-    ResourceLimit above ORACLE_DEGREE_CAP.
+    It is exactly when _isolate finds deg s_m real roots for each factor
+    s_m of square_free_split, and every one of them is rational: an exact
+    hit, or a bracket in which _pin_root decides so.  Raises ResourceLimit
+    above ORACLE_DEGREE_CAP.
     """
     for s in square_free_split(_capped(coeffs)).values():
-        chain = _sturm_chain(s)
-        if _int_variations(chain, -1, 0)[0] - _int_variations(chain, 1, 0)[0] < len(s) - 1:
-            return False
-        hi = max(abs(c) for c in s[:-1]) // s[-1] + 2  # the Cauchy bound, rounded up
-        if any(_pin_root(s, a, b, den, True) is None for a, b, den, _ in _isolate(chain, hi)):
+        roots = _isolate(s, -_bound(s), _bound(s), 1)
+        if len(roots) < len(s) - 1 or any(a != b and _pin_root(s, a, b, den, True) is None
+                                          for a, b, den in roots):
             return False
     return True
-

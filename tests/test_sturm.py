@@ -129,19 +129,23 @@ class TestValidation:
         assert [(v, m) for v, m, _ in oracle_real_roots(at_cap).roots] == [(-1.0, 1), (1.0, 1)]
         assert count_real_roots_in(at_cap, -math.inf, math.inf) == 2
 
-    def test_split_point_is_never_a_root_up_to_the_cap(self):
-        # a chain whose roots are the first 33 candidates on (0, 1]; with
-        # only those 33 the split fell back on the root 1/2
-        roots = [Fraction(num, q) for num, q in sturm._SPLIT_OFFSETS[:33]]
-        p = poly([1])
-        for r in roots:
-            p = mul(p, poly([-r, 1]))
-        chain = sturm._sturm_chain(sturm._integer(list(p.coeffs)))
-        num, q, v = sturm._split_point(chain, 0, 1, 1)
-        x = Fraction(num, q)
-        assert 0 < x < 1 and x not in roots
-        assert not sturm._int_variations(chain, num, q)[1]
-        assert v == sturm._int_variations(chain, 1, 0)[0] + sum(r > x for r in roots)
+    def test_roots_on_split_points_up_to_the_cap(self):
+        # 36 roots on (0, 1): every midpoint of the first five halvings, so
+        # every piece up to depth 5 has roots at its ends, and five more
+        dyadic = [Fraction(k, 32) for k in range(1, 32)]
+        roots = sorted(dyadic + [Fraction(1, 1021), Fraction(1, 7), Fraction(1, 5), Fraction(1, 3),
+                                 Fraction(2, 3)])
+        assert len(roots) == sturm.ORACLE_DEGREE_CAP
+        p = poly_from_roots([(r, 1) for r in roots], True)
+        found = sturm._isolate(sturm._integer(list(p.coeffs)), 0, 1, 1)
+        assert {Fraction(a, q) for a, b, q in found if a == b} == set(dyadic)
+        for a, b, q in found:
+            if a != b:
+                assert sum(Fraction(a, q) < r <= Fraction(b, q) for r in roots) == 1
+                assert Fraction(a, q) not in roots and Fraction(b, q) not in roots
+        assert len(found) == len(roots)
+        assert [(v, m) for v, m, _ in oracle_real_roots(p).roots] == [(float(r), 1) for r in roots]
+        assert count_real_roots_in(p, 0, 1) == len(roots)
 
 
 class TestCounting:
@@ -201,12 +205,38 @@ class TestRootBound:
             b = root_bound(p)
             assert all(abs(r) < b for r, _ in rm)
 
+    def test_a_true_bound_where_the_float_sum_rounds_below_it(self):
+        # 1 + 10^127 rounds to the float 1e127, which lies below the root 10^127
+        p = poly([0, 10 ** 127, -1])
+        assert Fraction(1e127) < 10 ** 127
+        assert Fraction(root_bound(p)) > 10 ** 127 + 1
+        assert root_bound(p) == math.nextafter(1e127, math.inf)
+        # x + the largest float: no float lies above its bound
+        assert root_bound(poly([Fraction(sys.float_info.max), 1])) == math.inf
+
     def test_bracket_wider_than_the_float_range(self):
         # the bound is finite, but the first bracket (-hi, hi] is not
         got = oracle_real_roots(complex_poly([1.0, 1e-308]))
         assert got.count == 1 and got.roots[0][0] == pytest.approx(-1e308)
         got = oracle_real_roots(complex_poly([0.0, -10.0, 9.915282147559008e-308]))
         assert [r for r, _, _ in got.roots] == [0.0, pytest.approx(10 / 9.915282147559008e-308)]
+
+    def test_a_root_above_the_float_cauchy_bound(self):
+        p = poly([0, 10 ** 127, -1])
+        assert [(v, m) for v, m, _ in oracle_real_roots(p).roots] == [(0.0, 1), (1e127, 1)]
+        assert count_real_roots_in(p, -math.inf, math.inf) == 2
+
+    # float polynomials with exponents up to +-308 whose largest root lies
+    # above the Cauchy bound summed in floats
+    @pytest.mark.parametrize("draw", [83, 107, 124, 145, 173])
+    def test_extreme_exponents_lose_no_root(self, draw):
+        rng = random.Random(1)
+        for _ in range(draw + 1):
+            d = rng.randint(2, 6)
+            p = complex_poly([rng.uniform(-9, 9) * 10.0 ** rng.randint(-308, 307) for _ in range(d + 1)])
+        _, split = sturm._real_reading(p)
+        want = sum(ref_count(ref_chain(list(map(Fraction, s))), -math.inf, math.inf) for s in split.values())
+        assert oracle_real_roots(p).count == count_real_roots_in(p, -math.inf, math.inf) == want
 
 
 class TestRandomizedRecovery:
@@ -263,8 +293,8 @@ class TestRandomizedRecovery:
 
 
 # ---------------------------------------------------------------------------
-# the integer chains against the Fraction chains and the Fraction evaluator
-# they replaced
+# the integer isolator and the oracle against Sturm chains, bisection and
+# evaluation in Fractions
 
 
 def ref_chain(coeffs):
@@ -309,15 +339,82 @@ def ref_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def ref_int_variations(chain, p, q):
-    """sturm._int_variations on a Fraction chain by the Fraction evaluator;
-    q = 0 is +-infinity, where each element takes the sign of its lead
-    times p^d."""
-    if q == 0:
-        signs = [(c[-1] > 0) == (p > 0 or len(c) % 2 == 1) for c in chain]
-        return sum(s != t for s, t in zip(signs, signs[1:])), False
-    x = Fraction(p, q)
-    return ref_variations(chain, x), ref_eval(chain[0], x) == 0
+def ref_count(chain, a, b):
+    """The roots of chain[0], square-free, in (a, b] by Sturm's theorem;
+    at +-infinity each element takes the sign of its lead times x^d."""
+
+    def variations(x):
+        if x in (math.inf, -math.inf):
+            signs = [(c[-1] > 0) == (x > 0 or len(c) % 2 == 1) for c in chain]
+            return sum(s != t for s, t in zip(signs, signs[1:]))
+        return ref_variations(chain, x)
+
+    return variations(a) - variations(b)
+
+
+def check_isolation(s, lo, hi, den):
+    """_isolate on the factor s and (lo/den, hi/den) against its Fraction
+    Sturm chain: integers only, ascending, each bracket holding one root
+    with no root at either end, each exact hit a root, and as many of them
+    as roots in the open interval.  Returns the brackets."""
+    chain = ref_chain(list(map(Fraction, s)))
+    found = sturm._isolate(s, lo, hi, den)
+    assert all(type(x) is int for bracket in found for x in bracket)
+    ends = [(Fraction(a, q), Fraction(b, q)) for a, b, q in found]
+    for a, b in ends:
+        if a == b:
+            assert ref_eval(chain[0], a) == 0
+        else:
+            assert ref_count(chain, a, b) == 1
+            assert ref_eval(chain[0], a) != 0 and ref_eval(chain[0], b) != 0
+    assert all(b <= c for (_, b), (c, _) in zip(ends, ends[1:]))
+    lo, hi = Fraction(lo, den), Fraction(hi, den)
+    assert all(lo <= a and b <= hi for a, b in ends)
+    assert len(found) == ref_count(chain, lo, hi) - (ref_eval(chain[0], hi) == 0)
+    return found
+
+
+def check_every_root(s):
+    """check_isolation on (-B, B), B = sturm._bound(s): it finds as many
+    roots as the Sturm count on (-inf, inf)."""
+    found = check_isolation(s, -sturm._bound(s), sturm._bound(s), 1)
+    assert len(found) == ref_count(ref_chain(list(map(Fraction, s))), -math.inf, math.inf)
+
+
+def ref_pin(s, a, b):
+    """The float nearest the one root of s in (a, b], by Fraction bisection
+    on the sign of s at the upper end."""
+    sign_b = ref_eval(s, b) > 0
+    while ref_eval(s, b) and float(a) != float(b):
+        mid = (a + b) / 2
+        if ref_eval(s, mid) == 0 or (ref_eval(s, mid) > 0) == sign_b:
+            b = mid
+        else:
+            a = mid
+    return float(b)
+
+
+def ref_oracle(p):
+    """oracle_real_roots on the same square-free split, in Fractions alone:
+    roots isolated by halving with each factor's Sturm chain, pinned by
+    ref_pin, and the exact residual by the Fraction evaluator."""
+    coeffs, split = sturm._real_reading(p)
+    roots = []
+    for m, s in split.items():
+        s = list(map(Fraction, s))
+        chain, bound = ref_chain(s), 1 + max(abs(c) for c in s[:-1]) / s[-1]
+        stack = [(-bound, bound)]
+        while stack:
+            a, b = stack.pop()
+            n = ref_count(chain, a, b)
+            if n == 1:
+                value = ref_pin(s, a, b)
+                residual = (float(abs(ref_eval(coeffs, Fraction(value)))) if p.kind == "rational"
+                            else abs(eval_horner(p, value)))
+                roots.append((value, m, residual))
+            elif n > 1:
+                stack += [(a, (a + b) / 2), ((a + b) / 2, b)]
+    return tuple(sorted(roots))
 
 
 # float spellings whose readings are square-free: simple roots, and pi as
@@ -344,34 +441,31 @@ def corpus_poly(rng, degree):
 
 class TestIntegerChain:
     def test_variations_match_fraction_evaluator(self):
+        # each factor of a corpus polynomial, on (-B, B) and on intervals
+        # whose ends are roots, points between roots and random points
         rng = random.Random(4141)
-        vanished = 0
+        on_root = 0
         for i in range(60):
             p, roots = corpus_poly(rng, 4 + i % 11)
-            chain = ref_chain(list(p.coeffs))
-            ichain = sturm._sturm_chain(sturm._integer(list(p.coeffs)))
-            assert all(type(c) is int for coeffs in ichain for c in coeffs)
-            points = list(roots)  # every chain element vanishes at a multiple root
-            points += [(a + b) / 2 for a, b in zip(roots, roots[1:])]
+            points = list(roots) + [(a + b) / 2 for a, b in zip(roots, roots[1:])]
             points += [Fraction(rng.randint(-400, 400), rng.randint(1, 60)) for _ in range(12)]
-            for x in points:
-                vals = [ref_eval(coeffs, x) for coeffs in chain]
-                vanished += any(v == 0 for v in vals[1:])
-                variations, on_root = sturm._int_variations(ichain, x.numerator, x.denominator)
-                assert variations == ref_variations(chain, x)
-                assert on_root == (vals[0] == 0)
-                for coeffs, icoeffs in zip(chain, ichain):
-                    v = sturm._int_eval(icoeffs, x.numerator,
-                                        sturm._q_powers(x.denominator, len(icoeffs) - 1))
-                    assert (v > 0) - (v < 0) == (ref_eval(coeffs, x) > 0) - (ref_eval(coeffs, x) < 0)
-        assert vanished > 50  # the sample does reach points where chain elements vanish
+            for s in sturm.square_free_split(list(p.coeffs)).values():
+                check_every_root(s)
+                for x in points:
+                    sign = (ref_eval(s, x) > 0) - (ref_eval(s, x) < 0)
+                    assert sturm._sign_at(s, x.numerator, x.denominator) == sign
+                for a, b in itertools.combinations(sorted(set(points)), 2):
+                    if rng.random() < 0.1:
+                        den = a.denominator * b.denominator
+                        check_isolation(s, a.numerator * b.denominator, b.numerator * a.denominator, den)
+                        on_root += ref_eval(s, a) == 0 or ref_eval(s, b) == 0
+        assert on_root > 50  # the sample does reach intervals with a root at an end
 
-    def test_chains_are_positive_multiples_of_fraction_chains(self):
+    def test_float_readings_match_fraction_sturm_counts(self):
         rng = random.Random(4242)
         exact = [corpus_poly(rng, 4 + i % 11)[0] for i in range(10)]
         exact += [mul(p, poly([1, 1, 1])) for p in exact]  # with a pair of complex roots
-        # sparse ones, whose chains skip degrees, so a pseudo-remainder
-        # takes an odd number of steps by a divisor with a negative lead
+        # sparse ones, with complex roots near the real line
         exact += [poly([0, 1, 0, 1]), poly([-1, 1, 0, 0, 1]), poly([0, 0, -3, 0, 1, 0, 1])]
         # the exact readings of float spellings, whose integers are long
         floats = [parse_poly_text(t) for t in PI_PINS]
@@ -381,17 +475,13 @@ class TestIntegerChain:
         floats += [complex_poly([rng.uniform(-3, 3) for _ in range(rng.randint(3, 9))] + [1.0])
                    for _ in range(12)]
         for p in exact + floats:
-            coeffs = sturm._as_real_coeffs(p)[0]
-            chain = ref_chain(coeffs)
-            ichain = sturm._sturm_chain(sturm._integer(coeffs))
-            assert len(ichain) == len(chain)
-            for ref, got in zip(chain, ichain):
-                ratio = got[-1] / ref[-1]
-                assert ratio > 0 and [ratio * c for c in ref] == got
+            for s in sturm._real_reading(p)[1].values():
+                check_every_root(s)
 
-    def test_oracle_matches_fraction_reference(self, monkeypatch):
+    def test_oracle_matches_fraction_reference(self):
         rng = random.Random(5252)
         polys = [corpus_poly(rng, 4 + i % 11)[0] for i in range(22)]
+        splits = [p.degree == 4 + i % 11 for i, p in enumerate(polys)]  # no factor x^2 - 2 or x^2 - 3
         # float spellings read by the float contract: the pi pins and
         # products of well-separated float roots
         polys += [parse_poly_text(t) for t in PI_PINS]
@@ -401,27 +491,14 @@ class TestIntegerChain:
         polys += [p for p in products if not on_split_path(p)]
         assert sum(not on_split_path(p) for p in polys) >= 12
         got = [oracle_real_roots(p) for p in polys]
-        got_splits = [sturm.splits_over_rationals(list(p.coeffs)) for p in polys[:22]]
         for p, rs in zip(polys[22:], got[22:]):
             # the count reads a float spelling as the oracle does
             for lo, hi in [(-3.5, 0.25), (Fraction(1, 3), math.pi), (-5, 5)]:
                 want = sum(lo < value <= hi for value, _, _ in rs.roots)
                 assert count_real_roots_in(p, lo, hi) == want
-        # the reference oracle: the same bisection on the Fraction chain, and
-        # the Fraction evaluator for every count, every sign in pinning and
-        # the exact residual
-        monkeypatch.setattr(sturm, "_sturm_chain",
-                            lambda f: ref_chain(list(map(Fraction, f))))
-        monkeypatch.setattr(sturm, "_int_variations", ref_int_variations)
-        monkeypatch.setattr(sturm, "_sign_at", lambda coeffs, p, q: (
-            (ref_eval(coeffs, Fraction(p, q)) > 0) - (ref_eval(coeffs, Fraction(p, q)) < 0)))
-        monkeypatch.setattr(sturm, "_exact_residual",
-                            lambda coeffs, x: float(abs(ref_eval(coeffs, Fraction(x)))))
-        want = [oracle_real_roots(p) for p in polys]
-        assert [repr(rs) for rs in got] == [repr(rs) for rs in want]
-        want_splits = [sturm.splits_over_rationals(list(p.coeffs)) for p in polys[:22]]
-        assert got_splits == want_splits
-        assert True in got_splits and False in got_splits
+        assert [rs.roots for rs in got] == [ref_oracle(p) for p in polys]
+        assert [sturm.splits_over_rationals(list(p.coeffs)) for p in polys[:22]] == splits
+        assert True in splits and False in splits
 
     def test_float_endpoint_is_counted_exactly(self):
         p = poly([-1, 3])  # root 1/3
@@ -523,13 +600,30 @@ class TestPinRoot:
 
     def test_brackets_are_integers_over_one_denominator(self):
         p = mul(poly([-2, 0, 1]), poly_from_roots([(Fraction(1, 3), 1), (5, 1)], True))
-        chain = sturm._sturm_chain(sturm._integer(list(p.coeffs)))
-        brackets = sturm._isolate(chain, 8)
-        assert all(type(x) is int for bracket in brackets for x in bracket)
-        ends = [(Fraction(a, den), Fraction(b, den)) for a, b, den, _ in brackets]
-        assert ends == sorted(ends) and len(ends) == 4
+        found = check_isolation(sturm.square_free_split(list(p.coeffs))[1], -8, 8, 1)
+        ends = [(Fraction(a, den), Fraction(b, den)) for a, b, den in found]
+        assert len(ends) == 4
         for (a, b), root in zip(ends, (-math.sqrt(2), Fraction(1, 3), math.sqrt(2), 5)):
-            assert a < root <= b
+            assert a < root <= b or a == root == b
+
+    @pytest.mark.parametrize("spell", [lambda p: p, lambda p: complex_poly([float(c) for c in p.coeffs])],
+                             ids=["exact", "float"])
+    def test_roots_on_the_first_midpoints(self, spell):
+        # x (x - 1/1000) (x + 1/1000): the bound is 2, so the first midpoint
+        # 0 is a root and lies at the lower end of every piece holding 1/1000
+        exact = poly_from_roots([(Fraction(-1, 1000), 1), (0, 1), (Fraction(1, 1000), 1)], True)
+        p = spell(exact)
+        s = sturm._real_reading(p)[1][1]
+        assert sturm._bound(s) == 2
+        found = check_isolation(s, -2, 2, 1)
+        assert (0, 0, 2) in found
+        assert [(v, m) for v, m, _ in oracle_real_roots(p).roots] == [(-0.001, 1), (0.0, 1), (0.001, 1)]
+        assert sturm.splits_over_rationals(list(exact.coeffs))
+        assert count_real_roots_in(p, 0, 1) == 1  # lo on a root
+        assert count_real_roots_in(p, Fraction(-1, 1000), 0) == 1
+        assert count_real_roots_in(p, -math.inf, 0) == 2
+        assert count_real_roots_in(p, 0, Fraction(1, 1000)) == 1
+        assert count_real_roots_in(p, Fraction(1, 1000), math.inf) == 0
 
 
 class TestFloatSpelling:
