@@ -60,20 +60,15 @@ class Move(Enum):
         self.dr = dr
         self.dc = dc
 
-    @property
-    def arm(self) -> int:
-        """1-based position of this move in the canonical case order."""
-        return _ARM[self]
-
     def __repr__(self):  # pragma: no cover - debugging nicety
         return f"Move.{self.name}"
 
 
-MOVES: tuple[Move, ...] = (Move.UP, Move.DOWN, Move.RIGHT, Move.LEFT)
-_ARM = {m: i + 1 for i, m in enumerate(MOVES)}
+MOVES: tuple[Move, ...] = tuple(Move)
+# m.arm is m's 1-based position in MOVES, and MOVES[k ^ 1] undoes MOVES[k]
+for _arm, _m in enumerate(MOVES, 1):
+    _m.arm = _arm
 _BY_LETTER = {m.letter: m for m in MOVES}
-_INVERSE = {Move.UP: Move.DOWN, Move.DOWN: Move.UP,
-            Move.RIGHT: Move.LEFT, Move.LEFT: Move.RIGHT}
 
 MoveSeq = tuple[Move, ...]
 
@@ -147,13 +142,26 @@ def is_goal(g: TileGrid) -> bool:
     return grids_equal(g, goal(g.n))
 
 
+class _Targets(dict):
+    """n -> targets, where targets[i][k] is the cell the blank at i reaches by
+    MOVES[k], or -1 off the board: the one statement of the board's edges,
+    built on the first read of each n."""
+
+    def __missing__(self, n: int) -> tuple[tuple[int, ...], ...]:
+        # the blank at row r, column c is at i = r * n + c, so rows come row-major
+        self[n] = rows = tuple(
+            tuple((r + m.dr) * n + c + m.dc if 0 <= r + m.dr < n and 0 <= c + m.dc < n else -1
+                  for m in MOVES) for r in range(n) for c in range(n))
+        return rows
+
+
+_TARGETS = _Targets()
+
+
 def move_target(g: TileGrid, m: Move) -> int | None:
     """Row-major index the blank would move to, or None if off the board."""
-    r, c = divmod(g.blank_index, g.n)
-    nr, nc = r + m.dr, c + m.dc
-    if 0 <= nr < g.n and 0 <= nc < g.n:
-        return nr * g.n + nc
-    return None
+    j = _TARGETS[g.n][g.blank_index][m.arm - 1]
+    return None if j < 0 else j
 
 
 def legal_moves(g: TileGrid) -> tuple[Move, ...]:
@@ -193,7 +201,7 @@ def apply_seq(g: TileGrid, seq: Iterable[Move], total: bool = False) -> TileGrid
 
 
 def inverse_move(m: Move) -> Move:
-    return _INVERSE[m]
+    return MOVES[(m.arm - 1) ^ 1]
 
 
 def reverse_seq(seq: Sequence[Move]) -> MoveSeq:
@@ -201,7 +209,7 @@ def reverse_seq(seq: Sequence[Move]) -> MoveSeq:
 
     Applying reverse_seq(s) to apply_seq(g, s) returns g whenever s was legal.
     """
-    return tuple(_INVERSE[m] for m in reversed(seq))
+    return tuple(map(inverse_move, reversed(seq)))
 
 
 def parse_moves(text: str) -> MoveSeq:

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from . import cost
-from .grid import BLANK, MOVES, MoveSeq, TileGrid, goal
+from .grid import _TARGETS, BLANK, MOVES, MoveSeq, TileGrid, goal
 
 DEFAULT_STATE_CAP = 2_000_000
 EXHAUST_CANDIDATE_CAP = 2 ** 24  # k_max <= 11; each further length costs ~4x
@@ -105,20 +105,6 @@ def decode(code: int, n: int) -> tuple[int, ...]:
     return tuple((code >> (b * i)) & mask for i in range(n * n))
 
 
-def _move_targets(n: int) -> list[list[int]]:
-    """targets[i][k] = row-major target of move k (U, D, R, L) for the blank
-    at i, or -1 where that move leaves the board."""
-    out = []
-    for i in range(n * n):
-        r, c = divmod(i, n)
-        row = []
-        for m in MOVES:
-            nr, nc = r + m.dr, c + m.dc
-            row.append(nr * n + nc if 0 <= nr < n and 0 <= nc < n else -1)
-        out.append(row)
-    return out
-
-
 @cache
 def _census_tables(n: int):
     """(valid, shift, delta, child): the moves of the census BFS on side n.
@@ -126,20 +112,21 @@ def _census_tables(n: int):
     Each is indexed by slot * 4 + k, where slot = blank * 5 + undo names
     the blank's cell and the move that would undo the last one (undo = 4
     at the root, which has none), and k is the move (U, D, R, L).
-    valid says the move stays on the board and is not the undo move; the
-    tile it slides sits at bit shift; child = parent + tile * delta,
-    modulo 2^64, and child names the child's slot.
+    valid says the move stays on the board (grid's _TARGETS) and is not
+    the undo move; the tile it slides sits at bit shift; child = parent +
+    tile * delta, modulo 2^64, and child names the child's slot, whose
+    undo move is k ^ 1.
     """
     b = _bits(n)
     valid, shift, delta, child = [], [], [], []
-    for bi, row in enumerate(_move_targets(n)):
+    for bi, row in enumerate(_TARGETS[n]):
         for undo in range(5):
             for k, j in enumerate(row):
                 valid.append(j >= 0 and k != undo)
                 j = max(j, 0)  # an invalid move is never read
                 shift.append(j * b)
                 delta.append(((1 << bi * b) - (1 << j * b)) % (1 << 64))
-                child.append(j * 5 + (k ^ 1))  # k ^ 1 swaps U <-> D and R <-> L
+                child.append(j * 5 + (k ^ 1))
     return (np.array(valid), np.array(shift, dtype=np.uint64),
             np.array(delta, dtype=np.uint64), np.array(child))
 
@@ -267,14 +254,14 @@ def _ida_tables(n: int):
     all lines stays admissible (Hansson, Mayer & Yung 1992).  The 2n keys
     are packed into one integer, width bits per field; field 2n is 0.
 
-    steps[bi][back] lists the moves of the blank at bi, less back (the
-    move that would undo the last one; back = -1 keeps all four), as
-    (k, target j, inverse of k, table).  table[v] is (dh, shift, dkeys)
-    for tile v sliding from j to bi: h changes by
-    dh[(keys >> shift) & mask], and the packed keys by dkeys.  The tile
-    leaves one perpendicular line and enters another; at most one of them
-    is its home line, the hot line at shift, whose conflict term may
-    change, so dh is indexed by the hot line's key.  Without a hot line,
+    steps[bi][back] lists the moves of the blank at bi that grid's
+    _TARGETS keeps on the board, less back (the move that would undo the
+    last one; back = -1 keeps all four), as (k, target j, inverse k ^ 1,
+    table).  table[v] is (dh, shift, dkeys) for tile v sliding from j to
+    bi: h changes by dh[(keys >> shift) & mask], and the packed keys by
+    dkeys.  The tile leaves one perpendicular line and enters another; at
+    most one of them is its home line, the hot line at shift, whose
+    conflict term may change, so dh is indexed by the hot line's key.  Without a hot line,
     shift names field 2n and dh holds the Manhattan delta alone.  In the
     line the tile slides along only its place changes, not the order of
     the tiles, so that key moves but its conflict term does not.
@@ -300,7 +287,7 @@ def _ida_tables(n: int):
     flat_dh = {1: [1], -1: [-1]}  # read at field 2n, always 0
     homes = [divmod(v - 1, n) for v in range(1, n * n)]
     steps = []
-    for bi, row in enumerate(_move_targets(n)):
+    for bi, row in enumerate(_TARGETS[n]):
         rb, cb = divmod(bi, n)
         moves = []
         for k, j in enumerate(row):
@@ -323,7 +310,7 @@ def _ida_tables(n: int):
                         dkeys = (hc + 1) * (place[cb] - place[cj]) << rj * width
                 table.append((hot_dh[dk] if dk else flat_dh[dm], hot * width,
                               dkeys + (dk << hot * width)))
-            moves.append((k, j, k ^ 1, table))  # k ^ 1 swaps U <-> D and R <-> L
+            moves.append((k, j, k ^ 1, table))
         steps.append([tuple(m for m in moves if m[0] != back) for back in range(4)]
                      + [tuple(moves)])
     return steps, conflict2, width
@@ -477,7 +464,7 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
         if candidates > EXHAUST_CANDIDATE_CAP:
             raise ResourceLimit(f"k_max {k_max} gives more than "
                                 f"{EXHAUST_CANDIDATE_CAP} candidate sequences")
-    targets = _move_targets(g.n)
+    targets = _TARGETS[g.n]
     cells = list(g.cells)
     goal_cells = list(goal(g.n).cells)
     path: list[int] = []  # move indices, appended as the walk unwinds

@@ -157,13 +157,13 @@ def _real_reading(p: Poly) -> tuple[list[Fraction], dict[int, list[int]]]:
     the reading's, or for a square-free float reading of degree 2 or more
     that of its _structured_reading.
 
-    Raises ValueError when such a reading's root bound lies past the float
-    range, and ResourceLimit above ORACLE_DEGREE_CAP.
+    Raises ResourceLimit above ORACLE_DEGREE_CAP, and else ValueError when
+    a coefficient or the root bound lies past the float range.
     """
     coeffs, from_float = _as_real_coeffs(p)
-    split = square_free_split(_capped(coeffs))
+    _cauchy_bound(_capped(coeffs))
+    split = square_free_split(coeffs)
     if from_float and list(split) == [1] and len(coeffs) > 2:
-        _cauchy_bound(coeffs)
         if (structured := _structured_reading(coeffs)) is not coeffs:
             split = square_free_split(structured)
     return coeffs, split
@@ -458,9 +458,8 @@ def count_real_roots_in(p: Poly, lo, hi) -> int:
     factor by factor on that square_free_split, so it counts exactly the
     roots the oracle returns: each factor s's roots in the open interval
     (max(lo, -B), min(hi, B)), B = _bound(s), by _isolate, and one more
-    when s vanishes at its upper end.  Raises ValueError for a NaN end or
-    when a square-free float reading's root bound lies past the float
-    range, and ResourceLimit above ORACLE_DEGREE_CAP.
+    when s vanishes at its upper end.  Raises what the oracle raises
+    (_real_reading), and ValueError for a NaN end.
     """
     for name, x in (("lo", lo), ("hi", hi)):
         if x != x:
@@ -565,9 +564,6 @@ def oracle_real_roots(p: Poly) -> RootSet:
     ResourceLimit above ORACLE_DEGREE_CAP.
     """
     coeffs, split = _real_reading(p)
-    if len(coeffs) <= 1:
-        return RootSet(())
-    _cauchy_bound(coeffs)  # ValueError past the float range
     roots = []
     for m, s in split.items():
         for a, b, den in _isolate(s, -_bound(s), _bound(s), 1):

@@ -105,6 +105,28 @@ class TestMoves:
         assert inverse_move(Move.RIGHT) is Move.LEFT
         assert inverse_move(Move.LEFT) is Move.RIGHT
 
+    def test_inverse_is_the_xor_rule_and_an_involution(self):
+        for m in MOVES:
+            inv = inverse_move(m)
+            assert inv is MOVES[(m.arm - 1) ^ 1]
+            assert inverse_move(inv) is m
+            assert (inv.dr, inv.dc) == (-m.dr, -m.dc)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])  # grid serves any side; search stops at 4
+    def test_one_table_of_targets(self, n):
+        from tilelab.grid import _TARGETS
+
+        for i, row in enumerate(_TARGETS[n]):
+            r, c = divmod(i, n)
+            want = []
+            for m in MOVES:
+                nr, nc = r + m.dr, c + m.dc
+                want.append(nr * n + nc if 0 <= nr < n and 0 <= nc < n else -1)
+            assert list(row) == want
+            g = new_grid(n, list(range(1, i + 1)) + [None] + list(range(i + 1, n * n)))
+            assert [move_target(g, m) for m in MOVES] == [None if j < 0 else j for j in want]
+        assert len(_TARGETS[n]) == n * n
+
     def test_legal_moves_at_corner(self):
         # goal blank sits bottom-right: only U and L stay on the board
         assert legal_moves(goal(3)) == (Move.UP, Move.LEFT)

@@ -73,10 +73,11 @@ def exhaust_reference(g, k_max, ledger):
 def enumerate_reference(n, depth_limit=None, max_states=2_000_000):
     """Reference census: the per-state deque BFS that enumerate_reachable
     replaced, with the depth read back from the dict for every state."""
-    from tilelab.search import _bits, _move_targets
+    from tilelab.grid import _TARGETS
+    from tilelab.search import _bits
 
     b = _bits(n)
-    nbrs = [[j for j in row if j >= 0] for row in _move_targets(n)]
+    nbrs = [[j for j in row if j >= 0] for row in _TARGETS[n]]
     start = goal(n)
     code0 = encode(start.cells, n)
     depths = {code0: 0}
@@ -106,12 +107,12 @@ def enumerate_reference(n, depth_limit=None, max_states=2_000_000):
 def manhattan_ida_reference(g):
     """Reference solver: the Manhattan-only IDA* that the linear-conflict
     kernel replaced, children in U < D < R < L order; (psi, seq)."""
-    from tilelab.search import _move_targets
+    from tilelab.grid import _TARGETS
 
     n = g.n
     dist = [[abs(i // n - (v - 1) // n) + abs(i % n - (v - 1) % n) for i in range(n * n)]
             for v in range(n * n)]
-    steps = [[(k, j) for k, j in enumerate(row) if j >= 0] for row in _move_targets(n)]
+    steps = [[(k, j) for k, j in enumerate(row) if j >= 0] for row in _TARGETS[n]]
     cells = list(g.cells)
     path = []
 

@@ -129,6 +129,21 @@ class TestValidation:
         assert [(v, m) for v, m, _ in oracle_real_roots(at_cap).roots] == [(-1.0, 1), (1.0, 1)]
         assert count_real_roots_in(at_cap, -math.inf, math.inf) == 2
 
+    @pytest.mark.parametrize("p", [
+        complex_poly([0.0, 0.0, 1e300, 1e-10]),  # a float reading with a repeated factor
+        complex_poly([1e300, 1e-10]),
+        poly([-2 ** 2000, 1]),
+        poly([0, 0, -2 ** 2000, 1]),
+    ])
+    def test_float_range(self, p):
+        # the count reads p as the oracle does, so it refuses what the oracle refuses
+        errors = []
+        for route in (oracle_real_roots, lambda q: count_real_roots_in(q, -math.inf, math.inf)):
+            with pytest.raises(ValueError, match="past the float range") as exc:
+                route(p)
+            errors.append(str(exc.value))
+        assert len(set(errors)) == 1
+
     def test_roots_on_split_points_up_to_the_cap(self):
         # 36 roots on (0, 1): every midpoint of the first five halvings, so
         # every piece up to depth 5 has roots at its ends, and five more
