@@ -9,11 +9,14 @@ completely, so its shapes have no q.  Shapes are
 enumerated in a fixed order, each one induces a system of coefficient
 equations in the unknowns (r, c, q), and each system goes through an exact
 linear presolve followed by damped Gauss-Newton from a deterministic battery
-of starts.  A case can end three ways: solved, inconsistent (exact
-contradiction, or every start ran to a stationary point or a constraint
-violation), or no-convergence (anything less conclusive).  Real-mode
-answers are only accepted when the independent Sturm oracle agrees, so a
-wrong shape can cost time but never produce a wrong root set.
+of starts.  The first two starts of a shape run alone; the rest run in
+lockstep, as the rows of one array, and each row keeps the bits, counts
+and work charges it would have alone.  A case can end three ways: solved,
+inconsistent (exact contradiction, or every start ran to a stationary
+point or a constraint violation), or no-convergence (anything less
+conclusive).  Real-mode answers are only accepted when the independent
+Sturm oracle agrees, so a wrong shape can cost time but never produce a
+wrong root set.
 """
 
 from __future__ import annotations
@@ -52,6 +55,16 @@ GN_WORK_CAP = 100_000
 TOL = 1e-10        # max-norm bound on the coefficient residual
 MAX_ITERS = 100    # Gauss-Newton iterations per start
 STARTS = 32        # deterministic multi-start battery size
+# The first starts of a shape run alone (_gauss_newton), the rest in
+# lockstep (_runs).  On roots-find seeds 21-23, 239 of the 261 shapes
+# that Gauss-Newton solves accept at start 1 or 2, where a block would run
+# rows for starts that are never used; the 184 that fail run all 32.  On
+# seed 21 (total op time against one start at a time, best of 3), no solo
+# start gained only 1.1x and took the median request from 3 to 15-18 ms
+# (a complex block runs the one-row kernel row by row), one solo start
+# 1.3x with a 15 ms median; two gained 1.4-1.8x with the median flat, and
+# three 1.4-1.6x.
+_SOLO_STARTS = 2
 
 # shapes one enumeration may list (degree 36 has 84 250 in real mode, degree
 # 37 has 102 793); past it enumerate_patterns raises ResourceLimit
@@ -279,6 +292,102 @@ class VietaSystem:
                 cols[t : t + base.size, k + 1 + t] = base
         return cols
 
+    # The block kernel: row i of each method below is the method above at
+    # U[i], bit for bit.  Complex rows run the one-row kernel row by row
+    # (slices change the bits of a complex convolution); real rows share
+    # each stage's numpy calls (_convolve_rows).
+
+    def _coeff_rows(self, U: np.ndarray) -> np.ndarray:
+        if self.mode != REAL_MODE:
+            return np.array([self.coeffs(u) for u in U])
+        acc = np.ones((len(U), 1))
+        for i, m in enumerate(self.pattern.mults):
+            neg = -U[:, i, None]
+            for _ in range(m):
+                acc = _times_linear(acc, neg)
+        if self.cofactor_degree:
+            acc = _convolve_rows(acc, _cofactor_rows(U, self.k))
+        return U[:, self.k, None] * acc
+
+    def _jacobian_rows(self, U: np.ndarray) -> np.ndarray:
+        if self.mode != REAL_MODE:
+            return np.array([self.jacobian(u) for u in U])
+        k = self.k
+        one, c = np.ones((len(U), 1)), U[:, k, None]
+        cols = np.zeros((len(U), self.degree + 1, self.n_unknowns))
+        factors = []
+        for i, m in enumerate(self.pattern.mults):
+            neg, f = -U[:, i, None], one
+            for _ in range(m):
+                stub, f = f, _times_linear(f, neg)
+            factors.append((f, stub, m))
+        prefix = [one]
+        for f, _, _ in factors:
+            prefix.append(_convolve_rows(prefix[-1], f))
+        q = None
+        full = prefix[-1]
+        if self.cofactor_degree:
+            q = _cofactor_rows(U, k)
+            full = _convolve_rows(full, q)
+        cols[:, : full.shape[1], k] = full
+        for i, (_, stub, m) in enumerate(factors):
+            part = prefix[i]
+            for f_j, _, _ in factors[i + 1:]:
+                part = _convolve_rows(part, f_j)
+            col = -m * c * _convolve_rows(part, stub)
+            if q is not None:
+                col = _convolve_rows(col, q)
+            cols[:, : col.shape[1], i] = col
+        if q is not None:
+            base = c * prefix[-1]
+            for t in range(self.cofactor_degree):
+                cols[:, t : t + base.shape[1], k + 1 + t] = base
+        return cols
+
+
+def _cofactor_rows(U: np.ndarray, k: int) -> np.ndarray:
+    """Row i is the monic cofactor [b_0 .. b_{e-1}, 1] of U[i]."""
+    return np.concatenate([U[:, k + 1:], np.ones((len(U), 1))], axis=1)
+
+
+def _times_linear(a: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Row i is np.convolve(a[i], [neg[i], 1]), bit for bit, for real rows:
+    np.convolve adds each coefficient's products to 0.0, and with one of
+    the two products exact, slices keep the bits."""
+    out = np.zeros((len(a), a.shape[1] + 1))
+    out[:, :-1] += a * neg
+    out[:, 1:] += a
+    return out
+
+
+def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i is np.convolve(a[i], b[i]), bit for bit, for real rows.
+
+    Against one term v, np.convolve is a * v + 0.0, and against a monic
+    linear factor it is _times_linear.  Longer pairs run np.convolve row by
+    row: slices change the bits of a longer sum.
+    """
+    for x, y in ((a, b), (b, a)):
+        if y.shape[1] == 1:
+            return x * y + 0.0
+        if y.shape[1] == 2 and (y[:, 1] == 1.0).all():
+            return _times_linear(x, y[:, :1])
+    return np.array([np.convolve(x, y) for x, y in zip(a, b)])
+
+
+def _sumsq_rows(X: np.ndarray) -> np.ndarray:
+    """Row i is float(np.vdot(X[i], X[i]).real), bit for bit: a stacked
+    matmul keeps the dot product's bits, where einsum and sum do not."""
+    return (X.conj()[:, None, :] @ X[:, :, None])[:, 0, 0].real
+
+
+def _norm_rows(X: np.ndarray) -> np.ndarray:
+    """Row i is np.linalg.norm(X[i]), bit for bit: numpy takes a complex
+    vector's norm as sqrt(re . re + im . im)."""
+    if np.iscomplexobj(X):
+        return np.sqrt(_sumsq_rows(X.real) + _sumsq_rows(X.imag))
+    return np.sqrt(_sumsq_rows(X))
+
 
 def build_system(pattern: MultiplicityPattern, target: Poly, mode: str = REAL_MODE) -> VietaSystem:
     """The coefficient equations of one shape against one target.
@@ -459,8 +568,8 @@ class _WorkMeter:
     def __init__(self):
         self.left = GN_WORK_CAP
 
-    def spend(self) -> None:
-        self.left -= 1
+    def spend(self, units: int = 1) -> None:
+        self.left -= units
         if self.left < 0:
             raise ResourceLimit(
                 f"root search passed the cap of {GN_WORK_CAP} Gauss-Newton iterations "
@@ -487,21 +596,22 @@ def _trial(system: VietaSystem, u, lam: float, step):
 
 
 def _halving_candidates(u, step) -> np.ndarray:
-    """Column j is u + _HALVINGS[j] * step, bit for bit as _trial makes it.
+    """Column j is u + _HALVINGS[j] * step, bit for bit as _trial makes it;
+    given rows of u and step, column 29 r + j is that of row r.
 
     Each lam multiplies step as a broadcast scalar, as in _trial; with the
     operands the other way round, numpy's complex multiply may round
     differently (FMA or not), down to the sign of an underflowed zero.
     """
-    return (u + _HALVING_COLUMN * step).T.copy()
+    cands = u[..., None, :] + _HALVING_COLUMN * step[..., None, :]
+    return cands.reshape(-1, cands.shape[-1]).T.copy()
 
 
-def _halvings(system: VietaSystem, u, step, f: float, f1: float) -> list:
-    """The halvings the line search must still try after lam = 1 gave f1,
-    less those the exact kernel certainly rejects.
+def _halving_bounds(system: VietaSystem, cands) -> np.ndarray:
+    """Entry j is at most f2 / (1 - theta), where f2 is the exact kernel's
+    value at column j of cands (_halving_candidates).
 
-    Column j is the candidate u + _HALVINGS[j] * step
-    (_halving_candidates).  Every column's residual
+    Every column's residual
     c * prod (x - r_i)^m_i * q - t is expanded at once, coefficients high
     to low (tcol is the reversed target, as a column).  This route and the
     exact kernel's np.convolve stages are dot products of at most
@@ -510,18 +620,14 @@ def _halvings(system: VietaSystem, u, step, f: float, f1: float) -> list:
     FMA (the gamma_n bound, complex arithmetic included), where B_j = |c| |P|_j + |t_j| and every
     coefficient of |P| is at most prod (1 + |r_i|)^m_i * (1 + sum |b_t|).
     The exact f2 is then at least
-    (1 - theta) * sum max(0, |rhat_j| - 2 theta B_j)^2, and a candidate
-    whose bound is at least f cannot pass f2 < f.  theta is several times
-    the gamma bounds; a bound that is not finite certifies nothing.
+    (1 - theta) * sum max(0, |rhat_j| - 2 theta B_j)^2.  theta is several
+    times the gamma bounds.
     """
-    if not (math.isfinite(f) and f1 >= _BATCH_RATIO * f):
-        return _HALVINGS
     k, e = system.k, system.cofactor_degree
     theta = system._theta
     tcol = system.tvec[::-1, None]
     with np.errstate(all="ignore"):
-        cands = _halving_candidates(u, step)
-        acc = np.zeros((system.degree + 1, len(_HALVINGS)), dtype=system.dtype)
+        acc = np.zeros((system.degree + 1, cands.shape[1]), dtype=system.dtype)
         acc[0] = 1.0
         width = 1
         for i, m in enumerate(system.pattern.mults):
@@ -539,8 +645,19 @@ def _halvings(system: VietaSystem, u, step, f: float, f1: float) -> list:
             pbound *= 1.0 + mags[k + 1:].sum(axis=0)
         rhat -= 2.0 * theta * (np.abs(tcol) + (mags[k] + _UNDERFLOW) * pbound)
         np.maximum(rhat, 0.0, out=rhat)
-        low = np.add.reduce(rhat * rhat, axis=0)
-    bar = f / (1.0 - theta)
+        return np.add.reduce(rhat * rhat, axis=0)
+
+
+def _halvings(system: VietaSystem, u, step, f: float, f1: float) -> list:
+    """The halvings the line search must still try after lam = 1 gave f1,
+    less those the exact kernel certainly rejects (_halving_bounds): a
+    candidate whose bound is at least f cannot pass f2 < f.  The
+    certificate runs only when lam = 1 raised f at least _BATCH_RATIO-fold;
+    a bound that is not finite certifies nothing."""
+    if not (math.isfinite(f) and f1 >= _BATCH_RATIO * f):
+        return _HALVINGS
+    low = _halving_bounds(system, _halving_candidates(u, step))
+    bar = f / (1.0 - system._theta)
     return [lam for lam, lo in zip(_HALVINGS, low.tolist()) if not bar <= lo < math.inf]
 
 
@@ -595,6 +712,123 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, work: _WorkMeter):
             status = "stalled"
             break
     return u, float(np.max(np.abs(res))), status, iters
+
+
+def _line_search_rows(system: VietaSystem, U, RES, F, step, rows) -> np.ndarray:
+    """_gauss_newton's line search for each row listed, in lockstep: each
+    row takes the first lam, in the same order, whose exact residual is
+    smaller.
+
+    Every row tries lam = 1 at once, and the rows it rejects share one
+    certificate for the halvings they may skip (_halvings).  Each later
+    round tries the next 1, 2, 4, ... kept halvings of every row still
+    searching, so a row that rejects them all costs five rounds, not 29.
+    Rows that find a step move in place (U, RES and F).  Returns each
+    row's lam, 0 where none passed, in the rows' dtype: numpy's complex
+    multiply by a float column may round an underflowed zero otherwise
+    than by a scalar.
+    """
+    lams = np.array((1.0,) + _HALVINGS, dtype=U.dtype)
+    lam = np.zeros(len(U), dtype=U.dtype)
+    todo = np.zeros((len(U), len(lams)), dtype=bool)  # the lams each row has yet to try
+    # the candidates, row by row and each row's in order: lam = 1 first
+    who, j, width = rows, np.zeros(len(rows), dtype=int), 0
+    while who.size:
+        cand = U[who] + lams[j, None] * step[who]
+        r2 = system._coeff_rows(cand) - system.tvec
+        f2 = _sumsq_rows(r2)
+        better = np.flatnonzero(f2 < F[who])
+        first = np.ones(len(better), dtype=bool)  # each row's first passing lam
+        first[1:] = who[better[1:]] != who[better[:-1]]
+        first = better[first]
+        won = who[first]
+        U[won], RES[won], F[won], lam[won] = cand[first], r2[first], f2[first], lams[j[first]]
+        if width:
+            todo[who, j] = False
+            todo[won] = False
+        else:
+            # lam = 1 was each row's one candidate
+            lost = np.ones(len(rows), dtype=bool)
+            lost[first] = False
+            rows, f1 = rows[lost], f2[lost]
+            todo[rows, 1:] = True
+            gated = rows[np.isfinite(F[rows]) & (f1 >= _BATCH_RATIO * F[rows])]
+            if gated.size:
+                cands = _halving_candidates(U[gated], step[gated])
+                low = _halving_bounds(system, cands).reshape(len(gated), -1)
+                bar = F[gated, None] / (1.0 - system._theta)
+                todo[gated, 1:] = ~((bar <= low) & (low < math.inf))
+        rows = rows[todo[rows].any(axis=1)]
+        width = max(2 * width, 1)
+        pending = todo[rows]
+        who, j = np.nonzero(pending & (np.cumsum(pending, axis=1) <= width))
+        who = rows[who]
+    return lam
+
+
+def _gauss_newton_rows(system: VietaSystem, U):
+    """_gauss_newton from each row of U, all in lockstep: a round is one
+    coefficient map, one Jacobian and one line search (_line_search_rows)
+    for every row still running.  After each round, yields
+    {row: (u, residual, status, iterations)} for the rows that finished in
+    it, each exactly as _gauss_newton returns it."""
+    RES = system._coeff_rows(U) - system.tvec
+    F = _sumsq_rows(RES)
+    resid = np.abs(RES).max(axis=1)
+    rows = np.arange(len(U))
+    fin = resid < TOL
+    yield {i: (U[i].copy(), float(resid[i]), "converged", 0) for i in np.flatnonzero(fin)}
+    # an accepted step has f2 < f, so a finite residual (see _gauss_newton)
+    OK = np.isfinite(RES).all(axis=1)
+    for it in range(MAX_ITERS):
+        rows, U, RES, F, OK = rows[~fin], U[~fin], RES[~fin], F[~fin], OK[~fin]
+        if not rows.size:
+            return
+        status = np.full(len(U), "", dtype=object)
+        J = system._jacobian_rows(U)
+        live = OK & np.isfinite(J).all(axis=(1, 2))
+        step, rhs = np.zeros_like(U), -RES
+        for i in np.flatnonzero(live):
+            step[i] = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
+        live &= np.isfinite(step).all(axis=1)
+        lam = _line_search_rows(system, U, RES, F, step, np.flatnonzero(live))
+        moved = lam != 0
+        resid = np.abs(RES).max(axis=1)
+        status[~moved] = "stalled"
+        status[moved & (resid < TOL)] = "converged"
+        tiny = _norm_rows(lam[:, None] * step) <= 1e-14 * (1.0 + _norm_rows(U))
+        status[moved & ~(resid < TOL) & tiny] = "stalled"
+        fin = status != ""
+        yield {rows[i]: (U[i].copy(), float(resid[i]), status[i], it + 1) for i in np.flatnonzero(fin)}
+    yield {rows[i]: (U[i].copy(), float(resid[i]), "maxiter", MAX_ITERS)
+           for i in np.flatnonzero(~fin)}
+
+
+def _runs(system: VietaSystem, starts, work: _WorkMeter):
+    """(u, residual, status, iterations) from each start, in order, each
+    charged to the meter before it is yielded (a start costs at least one
+    unit, as in _gauss_newton).
+
+    The first _SOLO_STARTS starts run alone; the rest run in lockstep
+    blocks (_gauss_newton_rows).  A finished row waits for the rows before
+    it, and rows after one the caller accepts are dropped uncharged.  A
+    block takes all the starts left, up to min(STARTS, work.left) + 1 of
+    them: each row costs at least one unit, so the meter runs out before
+    any later row's turn.
+    """
+    starts = iter(starts)
+    for values in islice(starts, _SOLO_STARTS):
+        work.spend()
+        yield _gauss_newton(system, _start(system, values), work)
+    while block := [_start(system, v) for v in islice(starts, min(STARTS, work.left) + 1)]:
+        waiting, turn = {}, 0
+        for finished in _gauss_newton_rows(system, np.array(block)):
+            waiting.update(finished)
+            while turn in waiting:
+                result = waiting.pop(turn)
+                work.spend(max(1, result[3]))
+                turn += 1
+                yield result
 
 
 def _check_constraints(system: VietaSystem, u: np.ndarray):
@@ -694,10 +928,8 @@ def _solve_case(system: VietaSystem, starts, work: _WorkMeter) -> CaseOutcome:
     best_violation: tuple[float, str, tuple | None] | None = None
     saw_maxiter = False
     best_resid = math.inf
-    for values in starts:
-        work.spend()
+    for u, resid, status, iters in _runs(system, starts, work):
         starts_used += 1
-        u, resid, status, iters = _gauss_newton(system, _start(system, values), work)
         total_iters += iters
         best_resid = min(best_resid, resid)
         if status == "converged":

@@ -3,6 +3,8 @@ import json
 import math
 import random
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -872,3 +874,193 @@ class TestWorkCap:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("tilelab: resource limit: root search passed the cap of 50")
+
+
+# ---------------------------------------------------------------------------
+# the lockstep block: every start after the first two runs as a row of one
+# array, and each row keeps the bits of the one-start kernel
+
+BLOCK_SIZES = (1, 2, 3, 5, 33)
+
+
+def signed_entry(rng):
+    return rng.choice((0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-1e-3, 1e-3)))
+
+
+def random_block(rng, system, size):
+    n = system.n_unknowns
+    if system.mode == REAL_MODE:
+        return np.array([[signed_entry(rng) for _ in range(n)] for _ in range(size)])
+    return np.array([[complex(signed_entry(rng), signed_entry(rng)) for _ in range(n)]
+                     for _ in range(size)])
+
+
+class TestBlockKernel:
+    def test_convolve_rows_is_np_convolve_bit_for_bit(self):
+        rng = random.Random(7009)
+        routes = Counter()
+        for _ in range(3000):
+            size = rng.choice(BLOCK_SIZES)
+            widths = [rng.randint(1, 7) for _ in range(2)]
+            a, b = (np.array([[signed_entry(rng) for _ in range(w)] for _ in range(size)])
+                    for w in widths)
+            if rng.random() < 0.5:  # a monic linear factor, x - r
+                b = np.array([[signed_entry(rng), 1.0] for _ in range(size)])
+            if rng.random() < 0.5:
+                a, b = b, a
+            got = vieta._convolve_rows(a, b)
+            want = np.array([np.convolve(x, y) for x, y in zip(a, b)])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            routes[size, min(a.shape[1], b.shape[1]) >= 3] += 1
+        # every block size ran the slice route and the row-by-row route
+        assert all(routes[size, wide] > 50 for size in BLOCK_SIZES for wide in (False, True))
+
+    def test_block_rows_are_the_one_row_kernel_bytes(self, monkeypatch):
+        rng = random.Random(7008)
+        convolve, times_linear = np.convolve, vieta._times_linear
+        route = []
+
+        def rowwise(*args):
+            route.append("rows")
+            return convolve(*args)
+
+        def slices(*args):
+            route.append("slices")
+            return times_linear(*args)
+
+        monkeypatch.setattr(np, "convolve", rowwise)
+        monkeypatch.setattr(vieta, "_times_linear", slices)
+        routes, zeros = Counter(), 0
+        for _ in range(1500):
+            d = rng.randint(1, 7)
+            mode = rng.choice((REAL_MODE, COMPLEX_MODE))
+            pat = rng.choice(enumerate_patterns(d, mode))
+            system = build_system(pat, poly([0] * d + [1]), mode)
+            size = rng.choice(BLOCK_SIZES)
+            U = random_block(rng, system, size)
+            zeros += int(np.any(np.signbit(U.real) & (U.real == 0)))
+            route.clear()
+            C, J = system._coeff_rows(U), system._jacobian_rows(U)
+            routes.update((size, r) for r in set(route))
+            assert C.shape == (size, d + 1) and J.shape == (size, d + 1, system.n_unknowns)
+            for i, u in enumerate(U):
+                assert C[i].tobytes() == system.coeffs(u).tobytes()
+                assert J[i].tobytes() == system.jacobian(u).tobytes()
+            for X in (C, U):
+                sumsq, norm = vieta._sumsq_rows(X), vieta._norm_rows(X)
+                for i, x in enumerate(X):
+                    assert sumsq[i] == float(np.vdot(x, x).real)
+                    assert norm[i].tobytes() == np.float64(np.linalg.norm(x)).tobytes()
+        assert zeros > 500  # -0.0 entries were exercised
+        assert all(routes[size, r] > 20 for size in BLOCK_SIZES for r in ("rows", "slices"))
+
+
+def block_results(system, U0):
+    """Each row's result from _gauss_newton_rows, and the round it finished in."""
+    results, rounds = {}, {}
+    for n, finished in enumerate(vieta._gauss_newton_rows(system, U0)):
+        results.update(finished)
+        rounds.update((row, n) for row in finished)
+    assert sorted(results) == list(range(len(U0)))
+    return [results[i] for i in range(len(U0))], [rounds[i] for i in range(len(U0))]
+
+
+class TestLockstep:
+    def test_block_rows_match_the_one_start_loop(self):
+        rng = random.Random(1316)
+        statuses, iterations, overtaken = Counter(), 0, 0
+        for _ in range(60):
+            system, _ = random_system(rng)
+            U0 = np.array([vieta._start(system, v)
+                           for v in itertools.islice(vieta._start_battery(system), 8)])
+            got, rounds = block_results(system, U0)
+            for u0, (u, resid, status, iters) in zip(U0, got):
+                want_u, *want = vieta._gauss_newton(system, u0, vieta._WorkMeter())
+                assert u.dtype == want_u.dtype and u.tobytes() == want_u.tobytes()
+                assert [resid, status, iters] == want
+                statuses[status] += 1
+                iterations += iters
+            overtaken += any(later < earlier for earlier, later in zip(rounds, rounds[1:]))
+        assert iterations > 5_000 and overtaken > 10
+        assert all(statuses[s] > 20 for s in ("converged", "stalled", "maxiter"))
+
+    def test_the_earliest_accepted_start_wins(self, monkeypatch):
+        # (x - 1)(x - 2)(x - 3): two starts with coincident roots stall and
+        # run alone; in the block the exact roots converge before any
+        # iteration, ahead of the battery start before them
+        system = build_system(MultiplicityPattern((1, 1, 1)), poly([-6, 11, -6, 1]))
+        battery = list(itertools.islice(vieta._start_battery(system), 2))
+        starts = [[0.0] * 3, [5.0] * 3, battery[0], [1.0, 2.0, 3.0], battery[1]]
+        U0 = np.array([vieta._start(system, v) for v in starts[2:]])
+        (first, exact, _), rounds = block_results(system, U0)
+        assert exact[2:] == ("converged", 0) and first[2] == "converged" and first[3] > 0
+        assert rounds[1] < rounds[0]
+        got = vieta._solve_case(system, starts, vieta._WorkMeter())
+        monkeypatch.setattr(vieta, "_SOLO_STARTS", 10 ** 9)  # the one-start loop
+        want = vieta._solve_case(system, starts, vieta._WorkMeter())
+        assert got == want
+        assert got.status == SOLVED and got.starts_used == 3
+        alone = [vieta._gauss_newton(system, vieta._start(system, v), vieta._WorkMeter())
+                 for v in starts[:3]]
+        assert got.iterations == sum(iters for *_, iters in alone)
+        assert [s for _, _, s, _ in alone] == ["stalled", "stalled", "converged"]
+
+    def test_the_meter_runs_out_inside_a_block(self, monkeypatch):
+        # the pi cubic spends its first 1 360 units on shape 2,1, whose
+        # starts 3-32 run in one block
+        target = parse_poly_text(CUBIC)
+        system = build_system(MultiplicityPattern((2, 1)), target)
+        charges = [max(1, vieta._gauss_newton(system, vieta._start(system, v), vieta._WorkMeter())[3])
+                   for v in vieta._start_battery(system)]
+        assert sum(charges) == 1360
+        solo = sum(charges[:vieta._SOLO_STARTS])
+        for cap in (solo, solo + 1, solo + charges[2], solo + charges[2] + 7, 700, 1359):
+            monkeypatch.setattr(vieta, "GN_WORK_CAP", cap)
+            messages = []
+            for solo_starts in (2, 10 ** 9):
+                monkeypatch.setattr(vieta, "_SOLO_STARTS", solo_starts)
+                with pytest.raises(ResourceLimit) as exc:
+                    find_roots_report(target)
+                messages.append(str(exc.value))
+            assert messages[0] == messages[1]
+            assert f"cap of {cap} Gauss-Newton iterations" in messages[0]
+
+
+# every product of 2 and of 3 roots from this set, repeats allowed
+DOMAIN_ROOTS = tuple(Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/3", "1", "3/2"))
+DOMAIN = [*itertools.combinations_with_replacement(DOMAIN_ROOTS, 2),
+          *itertools.combinations_with_replacement(DOMAIN_ROOTS, 3)]
+
+
+def domain_text(roots, spelling):
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+    if spelling == "exact":
+        return ",".join(str(c) for c in coeffs)
+    return ",".join(format(Decimal(repr(float(c))), "f") for c in coeffs)
+
+
+class TestSmallDomainWalk:
+    """An exhaustive gate: every small product answers with its roots and
+    multiplicities, in both spellings and both modes.  A failure found here
+    is pinned, not dropped from the domain."""
+
+    @pytest.mark.parametrize("spelling", ["exact", "float"])
+    @pytest.mark.parametrize("mode", [REAL_MODE, COMPLEX_MODE])
+    def test_every_product_of_two_and_three_roots_answers(self, mode, spelling):
+        assert len(DOMAIN) == 28 + 84
+        bad = []
+        for roots in DOMAIN:
+            want = sorted(Counter(roots).items())
+            try:
+                got = [(complex(v), m) for v, m, _ in
+                       find_roots(parse_poly_text(domain_text(roots, spelling)), mode=mode).roots]
+            except NoPatternSolved:
+                bad.append((roots, "NoPatternSolved"))
+                continue
+            if len(got) != len(want) or any(
+                    abs(g - w) > 1e-6 * max(1, abs(w)) or gm != wm
+                    for (g, gm), (w, wm) in zip(got, want)):
+                bad.append((roots, got))
+        assert bad == []
