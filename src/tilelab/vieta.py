@@ -10,8 +10,9 @@ enumerated in a fixed order, each one induces a system of coefficient
 equations in the unknowns (r, c, q), and each system goes through an exact
 linear presolve followed by damped Gauss-Newton from a deterministic battery
 of starts.  The first two starts of a shape run alone; the rest run in
-lockstep, as the rows of one array, and each row keeps the bits, counts
-and work charges it would have alone.  A case can end three ways: solved,
+lockstep, as the rows of one array, with one stacked least-squares solve
+a round, and each row keeps the bits, counts and work charges it would
+have alone.  A case can end three ways: solved,
 inconsistent (exact contradiction, or every start ran to a stationary
 point or a constraint violation), or no-convergence (anything less
 conclusive).  Real-mode answers are only accepted when the independent
@@ -29,6 +30,7 @@ from functools import cached_property
 from itertools import chain, islice
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .poly import RATIONAL, Poly, RootSet, complex_poly, eval_horner, float_coeffs, json_scalar
 from .search import ResourceLimit
@@ -63,7 +65,10 @@ STARTS = 32        # deterministic multi-start battery size
 # start gained only 1.1x and took the median request from 3 to 15-18 ms
 # (a complex block runs the one-row kernel row by row), one solo start
 # 1.3x with a 15 ms median; two gained 1.4-1.8x with the median flat, and
-# three 1.4-1.6x.
+# three 1.4-1.6x.  With a block's least squares stacked (_lstsq_rows),
+# seed 21 still takes 2.14 s in all with a 7.2 ms median request for no
+# solo start, 2.30 s and 7.9 ms for one, 1.95 s and 1.9 ms for two and
+# 1.93 s and 1.8 ms for three (best of 3).
 _SOLO_STARTS = 2
 
 # shapes one enumeration may list (degree 36 has 84 250 in real mode, degree
@@ -389,6 +394,27 @@ def _norm_rows(X: np.ndarray) -> np.ndarray:
     return np.sqrt(_sumsq_rows(X))
 
 
+def _lstsq_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def _lstsq_rows(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row i is numpy's lstsq(J[i], rhs[i], rcond=None)[0], bit for bit,
+    from one call of the gufunc that lstsq wraps (lstsq itself refuses a
+    stack); a 2-d J with a 1-d rhs is one row.  The signature, rcond and
+    errstate are lstsq's, so a LAPACK failure raises LinAlgError under any
+    outer errstate.  Every entry must be finite: on a NaN, LAPACK prints
+    DLASCL errors and may never return.
+    """
+    m, n = J.shape[-2:]
+    signature = "DDd->Ddid" if np.iscomplexobj(J) else "ddd->ddid"
+    with np.errstate(call=_lstsq_failed, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        x = _umath_linalg.lstsq(J, rhs[..., None], np.finfo(J.dtype).eps * max(m, n),
+                                signature=signature)[0]
+    return x[..., 0]
+
+
 def build_system(pattern: MultiplicityPattern, target: Poly, mode: str = REAL_MODE) -> VietaSystem:
     """The coefficient equations of one shape against one target.
 
@@ -687,10 +713,10 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, work: _WorkMeter):
         iters = it + 1
         jac = system.jacobian(u)
         if not (finite_res and np.isfinite(jac).all()):
-            # lstsq would only print LAPACK errors and raise
+            # LAPACK would print DLASCL errors and may never return
             status = "stalled"
             break
-        step, *_ = np.linalg.lstsq(jac, -res, rcond=None)
+        step = _lstsq_rows(jac, -res)
         if not np.all(np.isfinite(step)):
             status = "stalled"
             break
@@ -787,9 +813,8 @@ def _gauss_newton_rows(system: VietaSystem, U):
         status = np.full(len(U), "", dtype=object)
         J = system._jacobian_rows(U)
         live = OK & np.isfinite(J).all(axis=(1, 2))
-        step, rhs = np.zeros_like(U), -RES
-        for i in np.flatnonzero(live):
-            step[i] = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
+        step = np.zeros_like(U)
+        step[live] = _lstsq_rows(J[live], -RES[live])
         live &= np.isfinite(step).all(axis=1)
         lam = _line_search_rows(system, U, RES, F, step, np.flatnonzero(live))
         moved = lam != 0

@@ -954,6 +954,69 @@ class TestBlockKernel:
         assert zeros > 500  # -0.0 entries were exercised
         assert all(routes[size, r] > 20 for size in BLOCK_SIZES for r in ("rows", "slices"))
 
+    def test_lstsq_rows_is_lstsq_bit_for_bit(self):
+        # every (equations, unknowns) shape up to degree 6, stacks of 1 and
+        # 33 rows; some rows rank-deficient, some scaled near 1e-300, and
+        # every entry finite (LAPACK may hang on a NaN)
+        rng = random.Random(2601)
+        kinds, deficient = Counter(), 0
+        for mode in (REAL_MODE, COMPLEX_MODE):
+            shapes = sorted({(d + 1, build_system(pat, poly([0] * d + [1]), mode).n_unknowns)
+                             for d in range(1, 7) for pat in enumerate_patterns(d, mode)})
+            assert len(shapes) > 5
+            dtype = np.float64 if mode == REAL_MODE else np.complex128
+
+            def entries(*dims):
+                values = [complex(signed_entry(rng), signed_entry(rng)) if mode == COMPLEX_MODE
+                          else signed_entry(rng) for _ in range(math.prod(dims))]
+                return np.array(values, dtype).reshape(dims)
+
+            for (m, n), size, _ in itertools.product(shapes, (1, 33), range(3)):
+                J, rhs = entries(size, m, n), entries(size, m)
+                for i in range(size):
+                    kind = rng.choice(("plain", "deficient", "tiny"))
+                    if kind == "deficient" and n > 1:
+                        a, b = rng.sample(range(n), 2)
+                        J[i, :, a] = J[i, :, b] * rng.uniform(-2, 2)
+                    elif kind == "deficient":
+                        J[i] = 0.0
+                    elif kind == "tiny":
+                        scale = rng.uniform(0.5, 2.0) * 1e-300
+                        J[i] *= scale
+                        rhs[i] *= scale
+                    kinds[size, kind] += 1
+                    deficient += int(np.linalg.matrix_rank(J[i]) < n)
+                assert np.isfinite(J).all() and np.isfinite(rhs).all()
+                got = vieta._lstsq_rows(J, rhs)
+                assert got.dtype == dtype and got.shape == (size, n)
+                for i in range(size):
+                    want = np.linalg.lstsq(J[i], rhs[i], rcond=None)[0]
+                    assert got[i].tobytes() == want.tobytes()
+                    assert vieta._lstsq_rows(J[i], rhs[i]).tobytes() == want.tobytes()
+        assert all(kinds[size, kind] > 20 for size in (1, 33) for kind in ("plain", "deficient", "tiny"))
+        assert deficient > 1000
+
+    def test_no_non_finite_row_reaches_the_least_squares(self, monkeypatch):
+        # the inputs of the non-finite and overflow tests above: the solo
+        # path and, past start 2, the block path hand _lstsq_rows only
+        # finite rows
+        lstsq_rows, rows = vieta._lstsq_rows, Counter()
+
+        def guarded(J, rhs):
+            assert np.isfinite(J).all() and np.isfinite(rhs).all()
+            rows[J.ndim] += len(J) if J.ndim == 3 else 1
+            return lstsq_rows(J, rhs)
+
+        monkeypatch.setattr(vieta, "_lstsq_rows", guarded)
+        for coeffs, mode in itertools.product(([1e300, 1e300, 1.0], [1e308, 1e308, 1e308]),
+                                              (REAL_MODE, COMPLEX_MODE)):
+            with np.errstate(all="ignore"):
+                try:
+                    find_roots_report(complex_poly(coeffs), mode)
+                except NoPatternSolved:
+                    pass
+        assert rows[2] > 0 and rows[3] > 0  # both paths solved finite rows
+
 
 def block_results(system, U0):
     """Each row's result from _gauss_newton_rows, and the round it finished in."""
