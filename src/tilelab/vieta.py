@@ -12,10 +12,12 @@ linear presolve followed by damped Gauss-Newton from a deterministic battery
 of starts.  The first two starts of a shape run alone; the rest run in
 lockstep, as the rows of one array, with one stacked least-squares solve
 a round, and each row keeps the bits, counts and work charges it would
-have alone.  A case can end three ways: solved,
-inconsistent (exact contradiction, or every start ran to a stationary
-point or a constraint violation), or no-convergence (anything less
-conclusive).  Real-mode answers are only accepted when the independent
+have alone.  The coefficient map and its Jacobian are written once, for
+one start or a stack of rows; only the convolution changes with the
+array's rank and the mode (VietaSystem._stages).  A case can end three
+ways: solved, inconsistent (exact contradiction, or every start ran to a
+stationary point or a constraint violation), or no-convergence (anything
+less conclusive).  Real-mode answers are only accepted when the independent
 Sturm oracle agrees, so a wrong shape can cost time but never produce a
 wrong root set.
 """
@@ -61,14 +63,9 @@ STARTS = 32        # deterministic multi-start battery size
 # lockstep (_runs).  On roots-find seeds 21-23, 239 of the 261 shapes
 # that Gauss-Newton solves accept at start 1 or 2, where a block would run
 # rows for starts that are never used; the 184 that fail run all 32.  On
-# seed 21 (total op time against one start at a time, best of 3), no solo
-# start gained only 1.1x and took the median request from 3 to 15-18 ms
-# (a complex block runs the one-row kernel row by row), one solo start
-# 1.3x with a 15 ms median; two gained 1.4-1.8x with the median flat, and
-# three 1.4-1.6x.  With a block's least squares stacked (_lstsq_rows),
-# seed 21 still takes 2.14 s in all with a 7.2 ms median request for no
-# solo start, 2.30 s and 7.9 ms for one, 1.95 s and 1.9 ms for two and
-# 1.93 s and 1.8 ms for three (best of 3).
+# seed 21 (best of 3), no solo start takes 2.27 s in all with a 7.5 ms
+# median request, one 2.32 s and 7.6 ms, two 2.02 s and 2.3 ms and three
+# 2.49 s and 3.0 ms.
 _SOLO_STARTS = 2
 
 # shapes one enumeration may list (degree 36 has 84 250 in real mode, degree
@@ -236,133 +233,122 @@ class VietaSystem:
         # (see _halvings)
         return 4.0 * (self.degree + 4) * (self.cofactor_degree + 4) * 2.0 ** -53
 
+    def _stages(self, u: np.ndarray):
+        """The pieces of the shape's expansion at u, one start or a stack of
+        rows: (one, lins, times, conv).  one is the empty product, lins[i]
+        the linear factor x - r_i, times(a, lins[i]) multiplies by it and
+        conv(a, b) convolves, row by row for a stack, each bit for bit as
+        np.convolve on one start.  Real rows share each stage's slices
+        (_times_linear, _convolve_rows); complex rows run np.convolve row by
+        row, since slices change the bits of a complex product.
+
+        lins[i] is [0.0 - r_i, 1], which is np.convolve([1], [-r_i, 1]) bit
+        for bit, so a product starts at its first factor; no later product
+        tells it from [-r_i, 1], since every sum starts from 0.0."""
+        k, dtype = self.k, self.dtype
+        if u.ndim == 1:
+            conv = np.convolve
+            lins = [np.array([0.0 - u[i], 1.0], dtype=dtype) for i in range(k)]
+            return self._one, lins, conv, conv
+        lins = np.ones((k, len(u), 2), dtype=dtype)
+        lins[:, :, 0] = 0.0 - u[:, :k].T
+        one = np.ones((len(u), 1), dtype=dtype)
+        if self.mode == REAL_MODE:
+            return one, lins, _times_linear, _convolve_rows
+        return one, lins, _convolve_each, _convolve_each
+
+    def _lead(self, u: np.ndarray):
+        """c: a scalar for one start, a column for a stack of rows."""
+        return u[self.k] if u.ndim == 1 else u[:, self.k, None]
+
+    def _cofactor(self, u: np.ndarray, one: np.ndarray) -> np.ndarray:
+        """The monic cofactor [b_0 .. b_{e-1}, 1], a row per row of u."""
+        return np.concatenate([u[..., self.k + 1:], one], axis=-1)
+
     def _product(self, u: np.ndarray) -> np.ndarray:
-        """Monic part: prod (x - r_i)^{m_i} * q(x), coefficients low to high."""
-        dtype = self.dtype
-        acc = self._one
-        for i, m in enumerate(self.pattern.mults):
-            lin = np.array([-u[i], 1.0], dtype=dtype)
-            # np.convolve([1], lin) adds each entry to 0.0: it is lin + 0.0 bit for bit
-            acc = lin + 0.0 if i == 0 else np.convolve(acc, lin)
+        """Monic part: prod (x - r_i)^{m_i} * q(x), coefficients low to high,
+        a row of them for each row of a stack."""
+        one, lins, times, conv = self._stages(u)
+        acc = one
+        for lin, m in zip(lins, self.pattern.mults):
+            acc = lin if acc is one else times(acc, lin)
             for _ in range(m - 1):
-                acc = np.convolve(acc, lin)
+                acc = times(acc, lin)
         if self.cofactor_degree:
-            acc = np.convolve(acc, np.concatenate([u[self.k + 1:], self._one]))
+            acc = conv(acc, self._cofactor(u, one))
         return acc
 
     def coeffs(self, u: np.ndarray) -> np.ndarray:
-        """Coefficient vector of the expanded shape at unknowns u."""
+        """Coefficient vector of the expanded shape at unknowns u, a row of
+        them for each row of a stack."""
         u = np.asarray(u, dtype=self.dtype)
-        return u[self.k] * self._product(u)
+        return self._lead(u) * self._product(u)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
         return self.coeffs(u) - self.tvec
 
     def jacobian(self, u: np.ndarray) -> np.ndarray:
-        """Analytic Jacobian of the coefficient map, one column per unknown."""
-        dtype, one, k = self.dtype, self._one, self.k
-        u = np.asarray(u, dtype=dtype)
-        c = u[k]
-        cols = np.zeros((self.degree + 1, self.n_unknowns), dtype=dtype)
+        """Analytic Jacobian of the coefficient map, one column per unknown,
+        a matrix of them for each row of a stack."""
+        k = self.k
+        u = np.asarray(u, dtype=self.dtype)
+        one, lins, times, conv = self._stages(u)
+        c = self._lead(u)
+        cols = np.zeros(u.shape[:-1] + (self.degree + 1, self.n_unknowns), dtype=self.dtype)
+
+        def mul(a, b):
+            # conv(a, b) without the empty product's stage: np.convolve([1], b)
+            # is b + 0.0, bit for bit where b is finite and not finite where
+            # b is not (a complex inf may turn to nan); only finiteness is
+            # read from a Jacobian that is not finite
+            return b + 0.0 if a is one else a + 0.0 if b is one else conv(a, b)
+
         factors = []  # (x - r_i)^{m_i}, its stub (x - r_i)^{m_i - 1}, m_i
-        for i, m in enumerate(self.pattern.mults):
-            lin = np.array([-u[i], 1.0], dtype=dtype)
-            f = one
-            for _ in range(m):
-                stub, f = f, np.convolve(f, lin)
+        for lin, m in zip(lins, self.pattern.mults):
+            stub, f = one, lin  # mul(one, lin) (see _stages)
+            for _ in range(m - 1):
+                stub, f = f, times(f, lin)
             factors.append((f, stub, m))
         # prefix[i] = f_0 * ... * f_{i-1}; prefix[k] is the whole root product
         prefix = [one]
         for f, _, _ in factors:
-            prefix.append(np.convolve(prefix[-1], f))
+            prefix.append(mul(prefix[-1], f))
         q = None
         full = prefix[-1]
         if self.cofactor_degree:
-            q = np.concatenate([u[k + 1:], one])
-            full = np.convolve(full, q)
-        cols[: full.size, k] = full  # d/dc
+            q = self._cofactor(u, one)
+            full = mul(full, q)
+        cols[..., : full.shape[-1], k] = full  # d/dc
         for i, (_, stub, m) in enumerate(factors):
             # d/dr_i of (x - r_i)^m is -m (x - r_i)^{m-1}
             part = prefix[i]
             for f_j, _, _ in factors[i + 1:]:
-                part = np.convolve(part, f_j)
-            col = -m * c * np.convolve(part, stub)
+                part = mul(part, f_j)
+            col = -m * c * mul(part, stub)
             if q is not None:
-                col = np.convolve(col, q)
-            cols[: col.size, i] = col
+                col = conv(col, q)
+            cols[..., : col.shape[-1], i] = col
         if q is not None:
             base = c * prefix[-1]
             for t in range(self.cofactor_degree):
                 # d/db_t multiplies the root product by x^t
-                cols[t : t + base.size, k + 1 + t] = base
-        return cols
-
-    # The block kernel: row i of each method below is the method above at
-    # U[i], bit for bit.  Complex rows run the one-row kernel row by row
-    # (slices change the bits of a complex convolution); real rows share
-    # each stage's numpy calls (_convolve_rows).
-
-    def _coeff_rows(self, U: np.ndarray) -> np.ndarray:
-        if self.mode != REAL_MODE:
-            return np.array([self.coeffs(u) for u in U])
-        acc = np.ones((len(U), 1))
-        for i, m in enumerate(self.pattern.mults):
-            neg = -U[:, i, None]
-            for _ in range(m):
-                acc = _times_linear(acc, neg)
-        if self.cofactor_degree:
-            acc = _convolve_rows(acc, _cofactor_rows(U, self.k))
-        return U[:, self.k, None] * acc
-
-    def _jacobian_rows(self, U: np.ndarray) -> np.ndarray:
-        if self.mode != REAL_MODE:
-            return np.array([self.jacobian(u) for u in U])
-        k = self.k
-        one, c = np.ones((len(U), 1)), U[:, k, None]
-        cols = np.zeros((len(U), self.degree + 1, self.n_unknowns))
-        factors = []
-        for i, m in enumerate(self.pattern.mults):
-            neg, f = -U[:, i, None], one
-            for _ in range(m):
-                stub, f = f, _times_linear(f, neg)
-            factors.append((f, stub, m))
-        prefix = [one]
-        for f, _, _ in factors:
-            prefix.append(_convolve_rows(prefix[-1], f))
-        q = None
-        full = prefix[-1]
-        if self.cofactor_degree:
-            q = _cofactor_rows(U, k)
-            full = _convolve_rows(full, q)
-        cols[:, : full.shape[1], k] = full
-        for i, (_, stub, m) in enumerate(factors):
-            part = prefix[i]
-            for f_j, _, _ in factors[i + 1:]:
-                part = _convolve_rows(part, f_j)
-            col = -m * c * _convolve_rows(part, stub)
-            if q is not None:
-                col = _convolve_rows(col, q)
-            cols[:, : col.shape[1], i] = col
-        if q is not None:
-            base = c * prefix[-1]
-            for t in range(self.cofactor_degree):
-                cols[:, t : t + base.shape[1], k + 1 + t] = base
+                cols[..., t : t + base.shape[-1], k + 1 + t] = base
         return cols
 
 
-def _cofactor_rows(U: np.ndarray, k: int) -> np.ndarray:
-    """Row i is the monic cofactor [b_0 .. b_{e-1}, 1] of U[i]."""
-    return np.concatenate([U[:, k + 1:], np.ones((len(U), 1))], axis=1)
-
-
-def _times_linear(a: np.ndarray, neg: np.ndarray) -> np.ndarray:
-    """Row i is np.convolve(a[i], [neg[i], 1]), bit for bit, for real rows:
-    np.convolve adds each coefficient's products to 0.0, and with one of
-    the two products exact, slices keep the bits."""
+def _times_linear(a: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """Row i is np.convolve(a[i], lin[i]), bit for bit, for real rows and a
+    monic linear lin[i]: np.convolve adds each coefficient's products to
+    0.0, and with one of the two products exact, slices keep the bits."""
     out = np.zeros((len(a), a.shape[1] + 1))
-    out[:, :-1] += a * neg
+    out[:, :-1] += a * lin[:, :1]
     out[:, 1:] += a
     return out
+
+
+def _convolve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i is np.convolve(a[i], b[i])."""
+    return np.array([np.convolve(x, y) for x, y in zip(a, b)])
 
 
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -376,8 +362,8 @@ def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if y.shape[1] == 1:
             return x * y + 0.0
         if y.shape[1] == 2 and (y[:, 1] == 1.0).all():
-            return _times_linear(x, y[:, :1])
-    return np.array([np.convolve(x, y) for x, y in zip(a, b)])
+            return _times_linear(x, y)
+    return _convolve_each(a, b)
 
 
 def _sumsq_rows(X: np.ndarray) -> np.ndarray:
@@ -761,7 +747,7 @@ def _line_search_rows(system: VietaSystem, U, RES, F, step, rows) -> np.ndarray:
     who, j, width = rows, np.zeros(len(rows), dtype=int), 0
     while who.size:
         cand = U[who] + lams[j, None] * step[who]
-        r2 = system._coeff_rows(cand) - system.tvec
+        r2 = system.residual(cand)
         f2 = _sumsq_rows(r2)
         better = np.flatnonzero(f2 < F[who])
         first = np.ones(len(better), dtype=bool)  # each row's first passing lam
@@ -798,7 +784,7 @@ def _gauss_newton_rows(system: VietaSystem, U):
     for every row still running.  After each round, yields
     {row: (u, residual, status, iterations)} for the rows that finished in
     it, each exactly as _gauss_newton returns it."""
-    RES = system._coeff_rows(U) - system.tvec
+    RES = system.residual(U)
     F = _sumsq_rows(RES)
     resid = np.abs(RES).max(axis=1)
     rows = np.arange(len(U))
@@ -811,7 +797,7 @@ def _gauss_newton_rows(system: VietaSystem, U):
         if not rows.size:
             return
         status = np.full(len(U), "", dtype=object)
-        J = system._jacobian_rows(U)
+        J = system.jacobian(U)
         live = OK & np.isfinite(J).all(axis=(1, 2))
         step = np.zeros_like(U)
         step[live] = _lstsq_rows(J[live], -RES[live])

@@ -326,7 +326,8 @@ class TestSerialization:
         assert parse_scalar("1.5") == 1.5
 
     def test_parse_scalar_rejects_junk(self):
-        for bad in ("", "x", "pi^", "1..2"):
+        # polynomial text has no imaginary unit
+        for bad in ("", "x", "pi^", "1..2", "1j", "2*1j"):
             with pytest.raises(ValueError):
                 parse_scalar(bad)
 

@@ -598,22 +598,66 @@ class TestKernelBits:
         def entry():
             return rng.choice((0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-1e-3, 1e-3)))
 
-        zeros = 0
+        def point(system):
+            if system.mode == REAL_MODE:
+                return np.array([entry() for _ in range(system.n_unknowns)])
+            return np.array([complex(entry(), entry()) for _ in range(system.n_unknowns)])
+
+        zeros, stacks = 0, Counter()
         for _ in range(2000):
             d = rng.randint(1, 7)
             mode = rng.choice((REAL_MODE, COMPLEX_MODE))
             pat = rng.choice(enumerate_patterns(d, mode))
             system = build_system(pat, poly([0] * d + [1]), mode)
-            if mode == REAL_MODE:
-                u = np.array([entry() for _ in range(system.n_unknowns)])
-            else:
-                u = np.array([complex(entry(), entry()) for _ in range(system.n_unknowns)])
+            u = point(system)
             zeros += int(np.any(np.signbit(u.real) & (u.real == 0)))
-            for got, want in ((system.coeffs(u), ref_coeffs(system, u)),
-                              (system.jacobian(u), ref_jacobian(system, u))):
+            one = (system.coeffs(u), system.jacobian(u))
+            for got, want in zip(one, (ref_coeffs(system, u), ref_jacobian(system, u))):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+            # a stack of rows, u first: row i is the plain expansion at U[i]
+            size = rng.choice((1, 2, 33))
+            U = np.array([u] + [point(system) for _ in range(size - 1)])
+            C, J = system.coeffs(U), system.jacobian(U)
+            assert C.dtype == J.dtype == U.dtype
+            assert C.shape == (size, d + 1) and J.shape == (size, d + 1, system.n_unknowns)
+            for i, row in enumerate(U):
+                assert C[i].tobytes() == ref_coeffs(system, row).tobytes()
+                assert J[i].tobytes() == ref_jacobian(system, row).tobytes()
+            if size == 1:
+                assert C[0].tobytes() == one[0].tobytes() and J[0].tobytes() == one[1].tobytes()
+            stacks[size, mode] += 1
         assert zeros > 500  # -0.0 entries were exercised
+        assert all(stacks[size, mode] > 100
+                   for size in (1, 2, 33) for mode in (REAL_MODE, COMPLEX_MODE))
+
+    def test_jacobian_is_finite_where_the_reference_is(self):
+        # the Jacobian skips the empty product's stages, which may turn a
+        # complex inf into nan: Gauss-Newton reads only finiteness there
+        rng = random.Random(7010)
+
+        def entry():
+            return rng.choice((0.0, -0.0, rng.uniform(-3, 3), rng.uniform(-1e160, 1e160),
+                               rng.uniform(-1e300, 1e300)))
+
+        seen = Counter()
+        with np.errstate(all="ignore"):
+            for _ in range(3000):
+                d = rng.randint(1, 7)
+                mode = rng.choice((REAL_MODE, COMPLEX_MODE))
+                pat = rng.choice(enumerate_patterns(d, mode))
+                system = build_system(pat, poly([0] * d + [1]), mode)
+                u = np.array([entry() if mode == REAL_MODE else complex(entry(), entry())
+                              for _ in range(system.n_unknowns)])
+                got, want = system.jacobian(u), ref_jacobian(system, u)
+                finite = bool(np.isfinite(want).all())
+                assert bool(np.isfinite(got).all()) == finite
+                if finite:
+                    assert got.tobytes() == want.tobytes()
+                assert system.jacobian(u[None])[0].tobytes() == got.tobytes()
+                seen[mode, finite] += 1
+        assert all(seen[mode, finite] > 200
+                   for mode in (REAL_MODE, COMPLEX_MODE) for finite in (False, True))
 
     def test_first_linear_step_is_plus_zero(self):
         values = (0.0, -0.0, 1.5, -2.0)
@@ -625,6 +669,22 @@ class TestKernelBits:
             lin = np.array([complex(*parts[:2]), complex(*parts[2:])])
             want = np.convolve(np.ones(1, dtype=np.complex128), lin)
             assert want.tobytes() == (lin + 0.0).tobytes()
+        # so the kernel builds x - r as [0.0 - r, 1], which is that first
+        # step, and no later product tells it from [-r, 1]: np.convolve sums
+        # from 0.0, and so do the slices of _times_linear
+        rng = random.Random(7011)
+        for parts in itertools.product(values, repeat=2):
+            for r in (parts[0], complex(*parts)):
+                plain, built = np.array([-r, 1.0]), np.array([0.0 - r, 1.0])
+                assert built.tobytes() == np.convolve(np.ones(1, plain.dtype), plain).tobytes()
+                for width in range(1, 6):
+                    acc = np.array([rng.choice(values) if plain.dtype == float
+                                    else complex(rng.choice(values), rng.choice(values))
+                                    for _ in range(width)])
+                    assert np.convolve(acc, built).tobytes() == np.convolve(acc, plain).tobytes()
+                    if plain.dtype == float:
+                        got, want = (vieta._times_linear(acc[None], lin[None]) for lin in (built, plain))
+                        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("argv, pin", [
         (("--poly=pi/2,-pi^2,0,2",), "roots_find_pi_cubic.json"),
@@ -939,9 +999,17 @@ class TestBlockKernel:
             size = rng.choice(BLOCK_SIZES)
             U = random_block(rng, system, size)
             zeros += int(np.any(np.signbit(U.real) & (U.real == 0)))
-            route.clear()
-            C, J = system._coeff_rows(U), system._jacobian_rows(U)
-            routes.update((size, r) for r in set(route))
+            outs, taken = [], []
+            for kernel in (system.coeffs, system.jacobian):
+                route.clear()
+                outs.append(kernel(U))
+                taken.append(set(route))
+            C, J = outs
+            routes.update((size, r) for r in set().union(*taken))
+            if mode == COMPLEX_MODE:
+                # slices change a complex product's bits: every stage runs
+                # np.convolve row by row (a lone root's product has no stage)
+                assert taken == [{"rows"} if d > 1 else set()] * 2
             assert C.shape == (size, d + 1) and J.shape == (size, d + 1, system.n_unknowns)
             for i, u in enumerate(U):
                 assert C[i].tobytes() == system.coeffs(u).tobytes()
