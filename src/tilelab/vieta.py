@@ -368,7 +368,9 @@ def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _sumsq_rows(X: np.ndarray) -> np.ndarray:
     """Row i is float(np.vdot(X[i], X[i]).real), bit for bit: a stacked
-    matmul keeps the dot product's bits, where einsum and sum do not."""
+    matmul keeps the dot product's bits, where einsum and sum do not.  X
+    must be C-ordered to keep a one-start f's bits: np.vdot rounds a
+    strided row otherwise than a contiguous one."""
     return (X.conj()[:, None, :] @ X[:, :, None])[:, 0, 0].real
 
 
@@ -580,7 +582,7 @@ class _WorkMeter:
     def __init__(self):
         self.left = GN_WORK_CAP
 
-    def spend(self, units: int = 1) -> None:
+    def spend(self, units: int) -> None:
         self.left -= units
         if self.left < 0:
             raise ResourceLimit(
@@ -592,9 +594,10 @@ class _WorkMeter:
 # (each one exact), in order
 _HALVINGS = tuple(0.5 ** j for j in range(1, 30))
 _HALVING_COLUMN = np.array(_HALVINGS)[:, None]
-# the halvings are batched only when lam = 1 raised f at least this many
-# times: a batch costs about three exact steps, and below this ratio it
-# rules out fewer than that on average (a halving or two usually passes)
+# a solo start (_gauss_newton) batches the halvings only when lam = 1
+# raised f at least this many times: a batch costs about three exact steps,
+# and below this ratio it rules out fewer than that on average (a halving
+# or two usually passes); a block tries every halving exactly instead
 _BATCH_RATIO = 64.0
 # an absolute term in the certificate's bound, far above gradual underflow
 _UNDERFLOW = 2.0 ** -1000
@@ -603,27 +606,27 @@ _UNDERFLOW = 2.0 ** -1000
 def _trial(system: VietaSystem, u, lam: float, step):
     """The exact kernel at u + lam * step: (candidate, residual, f2)."""
     cand = u + lam * step
-    r2 = cand[system.k] * system._product(cand) - system.tvec
+    r2 = system.residual(cand)
     return cand, r2, float(np.vdot(r2, r2).real)
 
 
 def _halving_candidates(u, step) -> np.ndarray:
-    """Column j is u + _HALVINGS[j] * step, bit for bit as _trial makes it;
-    given rows of u and step, column 29 r + j is that of row r.
+    """Row j is u + _HALVINGS[j] * step, bit for bit as _trial makes it;
+    given rows of u and step, row 29 r + j is that of row r.
 
     Each lam multiplies step as a broadcast scalar, as in _trial; with the
     operands the other way round, numpy's complex multiply may round
     differently (FMA or not), down to the sign of an underflowed zero.
     """
     cands = u[..., None, :] + _HALVING_COLUMN * step[..., None, :]
-    return cands.reshape(-1, cands.shape[-1]).T.copy()
+    return cands.reshape(-1, cands.shape[-1])
 
 
 def _halving_bounds(system: VietaSystem, cands) -> np.ndarray:
     """Entry j is at most f2 / (1 - theta), where f2 is the exact kernel's
-    value at column j of cands (_halving_candidates).
+    value at row j of cands (_halving_candidates).
 
-    Every column's residual
+    Every candidate's residual
     c * prod (x - r_i)^m_i * q - t is expanded at once, coefficients high
     to low (tcol is the reversed target, as a column).  This route and the
     exact kernel's np.convolve stages are dot products of at most
@@ -638,6 +641,7 @@ def _halving_bounds(system: VietaSystem, cands) -> np.ndarray:
     k, e = system.k, system.cofactor_degree
     theta = system._theta
     tcol = system.tvec[::-1, None]
+    cands = cands.T.copy()  # an unknown a row, a candidate a column
     with np.errstate(all="ignore"):
         acc = np.zeros((system.degree + 1, cands.shape[1]), dtype=system.dtype)
         acc[0] = 1.0
@@ -661,11 +665,12 @@ def _halving_bounds(system: VietaSystem, cands) -> np.ndarray:
 
 
 def _halvings(system: VietaSystem, u, step, f: float, f1: float) -> list:
-    """The halvings the line search must still try after lam = 1 gave f1,
-    less those the exact kernel certainly rejects (_halving_bounds): a
-    candidate whose bound is at least f cannot pass f2 < f.  The
-    certificate runs only when lam = 1 raised f at least _BATCH_RATIO-fold;
-    a bound that is not finite certifies nothing."""
+    """The halvings a solo start's line search (_gauss_newton) must still
+    try after lam = 1 gave f1, less those the exact kernel certainly
+    rejects (_halving_bounds): a candidate whose bound is at least f cannot
+    pass f2 < f.  The certificate runs only when lam = 1 raised f at least
+    _BATCH_RATIO-fold; a bound that is not finite certifies nothing.  A
+    block's rows need no certificate (_line_search_rows)."""
     if not (math.isfinite(f) and f1 >= _BATCH_RATIO * f):
         return _HALVINGS
     low = _halving_bounds(system, _halving_candidates(u, step))
@@ -673,18 +678,18 @@ def _halvings(system: VietaSystem, u, step, f: float, f1: float) -> list:
     return [lam for lam, lo in zip(_HALVINGS, low.tolist()) if not bar <= lo < math.inf]
 
 
-def _gauss_newton(system: VietaSystem, u0: np.ndarray, work: _WorkMeter):
+def _gauss_newton(system: VietaSystem, u0: np.ndarray):
     """Damped Gauss-Newton; returns (u, max-residual, status, iterations).
 
     status is "converged", "stalled" (no descent direction made progress,
     i.e. a stationary point of the squared residual, or the residual or
-    Jacobian is not finite), or "maxiter".  The caller pays for the first
-    iteration with the start; each later one spends a unit of work.  The
-    line search accepts the first step whose exact residual is smaller;
-    halvings it certainly rejects are skipped unevaluated (_halvings).
+    Jacobian is not finite), or "maxiter".  The caller charges the start
+    max(1, iterations) units of work (_runs).  The line search accepts the
+    first step whose exact residual is smaller; halvings it certainly
+    rejects are skipped unevaluated (_halvings).
     """
     u = np.array(u0, dtype=system.dtype)
-    res = u[system.k] * system._product(u) - system.tvec
+    res = system.residual(u)
     f = float(np.vdot(res, res).real)
     if float(np.max(np.abs(res))) < TOL:
         return u, float(np.max(np.abs(res))), "converged", 0
@@ -694,8 +699,6 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray, work: _WorkMeter):
     status = "maxiter"
     iters = 0
     for it in range(MAX_ITERS):
-        if it:
-            work.spend()
         iters = it + 1
         jac = system.jacobian(u)
         if not (finite_res and np.isfinite(jac).all()):
@@ -731,50 +734,33 @@ def _line_search_rows(system: VietaSystem, U, RES, F, step, rows) -> np.ndarray:
     row takes the first lam, in the same order, whose exact residual is
     smaller.
 
-    Every row tries lam = 1 at once, and the rows it rejects share one
-    certificate for the halvings they may skip (_halvings).  Each later
-    round tries the next 1, 2, 4, ... kept halvings of every row still
-    searching, so a row that rejects them all costs five rounds, not 29.
+    Every row tries lam = 1 in one call of the exact kernel, and every row
+    it rejects tries all 29 halvings in one more (_halving_candidates).
     Rows that find a step move in place (U, RES and F).  Returns each
     row's lam, 0 where none passed, in the rows' dtype: numpy's complex
     multiply by a float column may round an underflowed zero otherwise
     than by a scalar.
     """
-    lams = np.array((1.0,) + _HALVINGS, dtype=U.dtype)
     lam = np.zeros(len(U), dtype=U.dtype)
-    todo = np.zeros((len(U), len(lams)), dtype=bool)  # the lams each row has yet to try
-    # the candidates, row by row and each row's in order: lam = 1 first
-    who, j, width = rows, np.zeros(len(rows), dtype=int), 0
-    while who.size:
-        cand = U[who] + lams[j, None] * step[who]
-        r2 = system.residual(cand)
-        f2 = _sumsq_rows(r2)
-        better = np.flatnonzero(f2 < F[who])
-        first = np.ones(len(better), dtype=bool)  # each row's first passing lam
-        first[1:] = who[better[1:]] != who[better[:-1]]
-        first = better[first]
-        won = who[first]
-        U[won], RES[won], F[won], lam[won] = cand[first], r2[first], f2[first], lams[j[first]]
-        if width:
-            todo[who, j] = False
-            todo[won] = False
-        else:
-            # lam = 1 was each row's one candidate
-            lost = np.ones(len(rows), dtype=bool)
-            lost[first] = False
-            rows, f1 = rows[lost], f2[lost]
-            todo[rows, 1:] = True
-            gated = rows[np.isfinite(F[rows]) & (f1 >= _BATCH_RATIO * F[rows])]
-            if gated.size:
-                cands = _halving_candidates(U[gated], step[gated])
-                low = _halving_bounds(system, cands).reshape(len(gated), -1)
-                bar = F[gated, None] / (1.0 - system._theta)
-                todo[gated, 1:] = ~((bar <= low) & (low < math.inf))
-        rows = rows[todo[rows].any(axis=1)]
-        width = max(2 * width, 1)
-        pending = todo[rows]
-        who, j = np.nonzero(pending & (np.cumsum(pending, axis=1) <= width))
-        who = rows[who]
+    if not rows.size:  # a 0-row complex stack does not broadcast
+        return lam
+    cand = U[rows] + np.ones((len(rows), 1), dtype=U.dtype) * step[rows]
+    r2 = system.residual(cand)
+    f2 = _sumsq_rows(r2)
+    won = f2 < F[rows]
+    U[rows[won]], RES[rows[won]], F[rows[won]], lam[rows[won]] = cand[won], r2[won], f2[won], 1.0
+    rows = rows[~won]
+    if not rows.size:
+        return lam
+    # row r's halvings are candidates 29 r to 29 r + 28, in order
+    cand = _halving_candidates(U[rows], step[rows])
+    r2 = system.residual(cand)
+    f2 = _sumsq_rows(r2).reshape(len(rows), -1)
+    passed = f2 < F[rows, None]
+    found = passed.any(axis=1)
+    j = passed.argmax(axis=1)[found]  # each row's first passing halving
+    won, pick = rows[found], np.flatnonzero(found) * len(_HALVINGS) + j
+    U[won], RES[won], F[won], lam[won] = cand[pick], r2[pick], f2[found, j], _HALVING_COLUMN[j, 0]
     return lam
 
 
@@ -817,8 +803,7 @@ def _gauss_newton_rows(system: VietaSystem, U):
 
 def _runs(system: VietaSystem, starts, work: _WorkMeter):
     """(u, residual, status, iterations) from each start, in order, each
-    charged to the meter before it is yielded (a start costs at least one
-    unit, as in _gauss_newton).
+    charged max(1, iterations) units of work before it is yielded.
 
     The first _SOLO_STARTS starts run alone; the rest run in lockstep
     blocks (_gauss_newton_rows).  A finished row waits for the rows before
@@ -829,8 +814,9 @@ def _runs(system: VietaSystem, starts, work: _WorkMeter):
     """
     starts = iter(starts)
     for values in islice(starts, _SOLO_STARTS):
-        work.spend()
-        yield _gauss_newton(system, _start(system, values), work)
+        result = _gauss_newton(system, _start(system, values))
+        work.spend(max(1, result[3]))
+        yield result
     while block := [_start(system, v) for v in islice(starts, min(STARTS, work.left) + 1)]:
         waiting, turn = {}, 0
         for finished in _gauss_newton_rows(system, np.array(block)):

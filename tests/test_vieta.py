@@ -829,9 +829,9 @@ class TestLineSearchCertificate:
             u, step = vector(), vector()
             with np.errstate(all="ignore"):
                 cands = vieta._halving_candidates(u, step)
-                assert cands.shape == (n, len(vieta._HALVINGS)) and cands.dtype == u.dtype
+                assert cands.shape == (len(vieta._HALVINGS), n) and cands.dtype == u.dtype
                 for j, lam in enumerate(vieta._HALVINGS):
-                    assert cands[:, j].tobytes() == (u + lam * step).tobytes()
+                    assert cands[j].tobytes() == (u + lam * step).tobytes()
 
     def test_gauss_newton_matches_the_plain_line_search(self, monkeypatch):
         rng = random.Random(1315)
@@ -849,7 +849,7 @@ class TestLineSearchCertificate:
             system, _ = random_system(rng)
             for values in itertools.islice(vieta._start_battery(system), 3):
                 u0 = vieta._start(system, values)
-                u, resid, status, iters = vieta._gauss_newton(system, u0, vieta._WorkMeter())
+                u, resid, status, iters = vieta._gauss_newton(system, u0)
                 want_u, want_resid, want_status, want_iters = ref_gauss_newton(system, u0)
                 assert u.tobytes() == want_u.tobytes()
                 assert (resid, status, iters) == (want_resid, want_status, want_iters)
@@ -1085,6 +1085,43 @@ class TestBlockKernel:
                     pass
         assert rows[2] > 0 and rows[3] > 0  # both paths solved finite rows
 
+    def test_line_search_rows_is_the_plain_line_search(self):
+        # each listed row takes the first of lam = 1 and the 29 halvings
+        # whose _trial residual is smaller, or none; rows not listed, and
+        # rows where none passes, keep their bytes
+        rng = random.Random(7011)
+        outcomes = Counter()
+        for _ in range(250):
+            system, u = random_system(rng)
+            size = rng.choice(BLOCK_SIZES)
+            U = np.array([u + random_vector(rng, system, 10.0 ** rng.uniform(-14, 0))
+                          for _ in range(size)])
+            RES = system.residual(U)
+            F = vieta._sumsq_rows(RES)
+            # a Gauss-Newton step, shrunk or stretched, and half of them
+            # turned uphill, where no halving may pass
+            step = np.array([np.linalg.lstsq(system.jacobian(x), -r, rcond=None)[0]
+                             * rng.choice((1, -1)) * 10.0 ** rng.uniform(-3, 3)
+                             for x, r in zip(U, RES)])
+            rows = np.array(sorted(rng.sample(range(size), rng.randint(0, size))), dtype=int)
+            want = [U.copy(), RES.copy(), F.copy(), np.zeros(size, dtype=U.dtype)]
+            for i in rows:
+                for lam in (1.0,) + vieta._HALVINGS:
+                    cand, r2, f2 = vieta._trial(system, U[i], lam, step[i])
+                    if f2 < F[i]:
+                        for out, value in zip(want, (cand, r2, f2, lam)):
+                            out[i] = value
+                        outcomes["full" if lam == 1.0 else "halving"] += 1
+                        break
+                else:
+                    outcomes["none"] += 1
+            outcomes["empty", system.mode] += not rows.size
+            lam = vieta._line_search_rows(system, U, RES, F, step, rows)
+            for got, expected in zip((U, RES, F, lam), want):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert all(outcomes[o] > 200 for o in ("full", "halving", "none"))
+        assert outcomes["empty", REAL_MODE] > 10 and outcomes["empty", COMPLEX_MODE] > 10
+
 
 def block_results(system, U0):
     """Each row's result from _gauss_newton_rows, and the round it finished in."""
@@ -1106,7 +1143,7 @@ class TestLockstep:
                            for v in itertools.islice(vieta._start_battery(system), 8)])
             got, rounds = block_results(system, U0)
             for u0, (u, resid, status, iters) in zip(U0, got):
-                want_u, *want = vieta._gauss_newton(system, u0, vieta._WorkMeter())
+                want_u, *want = vieta._gauss_newton(system, u0)
                 assert u.dtype == want_u.dtype and u.tobytes() == want_u.tobytes()
                 assert [resid, status, iters] == want
                 statuses[status] += 1
@@ -1131,7 +1168,7 @@ class TestLockstep:
         want = vieta._solve_case(system, starts, vieta._WorkMeter())
         assert got == want
         assert got.status == SOLVED and got.starts_used == 3
-        alone = [vieta._gauss_newton(system, vieta._start(system, v), vieta._WorkMeter())
+        alone = [vieta._gauss_newton(system, vieta._start(system, v))
                  for v in starts[:3]]
         assert got.iterations == sum(iters for *_, iters in alone)
         assert [s for _, _, s, _ in alone] == ["stalled", "stalled", "converged"]
@@ -1141,11 +1178,14 @@ class TestLockstep:
         # starts 3-32 run in one block
         target = parse_poly_text(CUBIC)
         system = build_system(MultiplicityPattern((2, 1)), target)
-        charges = [max(1, vieta._gauss_newton(system, vieta._start(system, v), vieta._WorkMeter())[3])
+        charges = [max(1, vieta._gauss_newton(system, vieta._start(system, v))[3])
                    for v in vieta._start_battery(system)]
         assert sum(charges) == 1360
         solo = sum(charges[:vieta._SOLO_STARTS])
-        for cap in (solo, solo + 1, solo + charges[2], solo + charges[2] + 7, 700, 1359):
+        caps = (1, charges[0] - 1, charges[0] + 1,  # inside the solo starts
+                solo, solo + 1, solo + charges[2], solo + charges[2] + 7, 700, 1359)
+        assert charges[0] > 2 and charges[0] + 1 < solo
+        for cap in caps:
             monkeypatch.setattr(vieta, "GN_WORK_CAP", cap)
             messages = []
             for solo_starts in (2, 10 ** 9):
