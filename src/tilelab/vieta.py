@@ -239,8 +239,9 @@ class VietaSystem:
         the linear factor x - r_i, times(a, lins[i]) multiplies by it and
         conv(a, b) convolves, row by row for a stack, each bit for bit as
         np.convolve on one start.  Real rows share each stage's slices
-        (_times_linear, _convolve_rows); complex rows run np.convolve row by
-        row, since slices change the bits of a complex product.
+        (_times_linear, _convolve_rows); complex rows share each stage's
+        stacked dot products (_convolve_complex), since slices change the
+        bits of a complex product.
 
         lins[i] is [0.0 - r_i, 1], which is np.convolve([1], [-r_i, 1]) bit
         for bit, so a product starts at its first factor; no later product
@@ -255,7 +256,7 @@ class VietaSystem:
         one = np.ones((len(u), 1), dtype=dtype)
         if self.mode == REAL_MODE:
             return one, lins, _times_linear, _convolve_rows
-        return one, lins, _convolve_each, _convolve_each
+        return one, lins, _convolve_complex, _convolve_complex
 
     def _lead(self, u: np.ndarray):
         """c: a scalar for one start, a column for a stack of rows."""
@@ -351,12 +352,42 @@ def _convolve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([np.convolve(x, y) for x, y in zip(a, b)])
 
 
+def _convolve_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row i is np.convolve(a[i], b[i]), bit for bit, for complex rows.
+
+    np.convolve puts the wider operand first (equal widths keep their
+    order), reverses the other into a contiguous copy and takes each output
+    coefficient as one complex dot product of contiguous runs, which numpy
+    hands to BLAS (zdotu).  A stacked (rows, 1, n) @ (rows, n, 1) matmul
+    hands each row's product to the same dot, so one matmul per output
+    coefficient keeps the bits of every row.  Where a row's output is not
+    finite, matmul may pair nan and inf components otherwise, so such rows
+    run np.convolve itself.
+    """
+    x, y = (b, a) if b.shape[1] > a.shape[1] else (a, b)
+    n1, n2 = x.shape[1], y.shape[1]
+    x = np.ascontiguousarray(x)[:, None, :]
+    rev = y[:, ::-1, None].copy()
+    out = np.empty((len(a), n1 + n2 - 1), dtype=np.result_type(a, b))
+    for k in range(n1 + n2 - 1):
+        i0, i1 = max(0, k - n2 + 1), min(k, n1 - 1) + 1
+        j0 = n2 - 1 - k + i0
+        out[:, k] = (x[:, :, i0:i1] @ rev[:, j0:j0 + i1 - i0])[:, 0, 0]
+    if not np.isfinite(out).all():
+        bad = ~np.isfinite(out).all(axis=1)
+        out[bad] = _convolve_each(a[bad], b[bad])
+    return out
+
+
 def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row i is np.convolve(a[i], b[i]), bit for bit, for real rows.
 
     Against one term v, np.convolve is a * v + 0.0, and against a monic
     linear factor it is _times_linear.  Longer pairs run np.convolve row by
-    row: slices change the bits of a longer sum.
+    row: slices change the bits of a longer real sum, and a stacked matmul
+    does too, since numpy computes a real convolution's middle coefficients
+    in its own loop rather than by BLAS dots (_convolve_complex keeps the
+    bits of complex rows only).
     """
     for x, y in ((a, b), (b, a)):
         if y.shape[1] == 1:

@@ -955,6 +955,23 @@ def random_block(rng, system, size):
                      for _ in range(size)])
 
 
+def complex_entries(gen, shape, wild):
+    """Complex entries of the given shape: each part 0.0, -0.0 or uniform
+    in [-3, 3] or [-1e-3, 1e-3]; if wild, one part in 20 is instead near
+    1e160 or 1e300, inf, -inf or nan."""
+    parts = gen.uniform(-3.0, 3.0, shape + (2,))
+    kind = gen.integers(0, 100 if wild else 4, shape + (2,))
+    parts[kind == 0] = 0.0
+    parts[kind == 1] = -0.0
+    parts[kind == 2] *= 1e-3
+    parts[kind == 4] *= 1e160
+    parts[kind == 5] *= 1e300
+    parts[kind == 6] = np.inf
+    parts[kind == 7] = -np.inf
+    parts[kind == 8] = np.nan
+    return parts.view(np.complex128)[..., 0]
+
+
 class TestBlockKernel:
     def test_convolve_rows_is_np_convolve_bit_for_bit(self):
         rng = random.Random(7009)
@@ -975,9 +992,57 @@ class TestBlockKernel:
         # every block size ran the slice route and the row-by-row route
         assert all(routes[size, wide] > 50 for size in BLOCK_SIZES for wide in (False, True))
 
+    def test_convolve_complex_is_np_convolve_bit_for_bit(self, monkeypatch):
+        # complex stacks of every block size and of the line search's 29
+        # halvings a row, widths 1-7 in both orders, some second factors
+        # monic and linear; entries of +-0.0, and in some stacks entries
+        # near 1e160 and 1e300 that overflow, inf and nan
+        gen = np.random.default_rng(7012)
+        convolve, calls = np.convolve, []
+
+        def counted(*args):
+            calls.append(1)
+            return convolve(*args)
+
+        monkeypatch.setattr(np, "convolve", counted)
+        seen = Counter()
+        sizes = BLOCK_SIZES + tuple(29 * size for size in BLOCK_SIZES)
+        for _ in range(1500):
+            size = int(gen.choice(sizes))
+            wild = bool(gen.random() < 0.5)
+            widths = [int(w) for w in gen.integers(1, 8, 2)]
+            a, b = (complex_entries(gen, (size, w), wild) for w in widths)
+            if gen.random() < 0.3:  # a monic linear factor, x - r
+                b = np.ones((size, 2), dtype=np.complex128)
+                b[:, 0] = complex_entries(gen, (size,), wild)
+            if gen.random() < 0.5:
+                a, b = b, a
+            with np.errstate(all="ignore"):
+                calls.clear()
+                got = vieta._convolve_complex(a, b)
+                taken = len(calls)
+                want = np.array([convolve(x, y) for x, y in zip(a, b)])
+            assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+            for i in range(size):
+                assert got[i].tobytes() == want[i].tobytes()
+            finite = np.isfinite(want).all(axis=1)
+            # np.convolve runs for exactly the rows whose product is not finite
+            assert taken == int((~finite).sum())
+            seen[size] += 1
+            seen["wider second" if a.shape[1] < b.shape[1] else
+                 "equal" if a.shape[1] == b.shape[1] else "wider first"] += 1
+            seen["mixed"] += int(finite.any() and not finite.all())
+            seen["signed zero"] += int(np.signbit(a.real[a.real == 0]).any())
+            seen["overflow"] += int((np.isfinite(a).all(axis=1) & np.isfinite(b).all(axis=1)
+                                     & ~finite).any())
+            seen["nan or inf"] += int(not (np.isfinite(a).all() and np.isfinite(b).all()))
+        assert all(seen[size] > 50 for size in sizes)
+        assert all(seen[key] > 100 for key in ("wider second", "equal", "wider first", "mixed",
+                                               "signed zero", "overflow", "nan or inf"))
+
     def test_block_rows_are_the_one_row_kernel_bytes(self, monkeypatch):
         rng = random.Random(7008)
-        convolve, times_linear = np.convolve, vieta._times_linear
+        convolve, times_linear, stacked = np.convolve, vieta._times_linear, vieta._convolve_complex
         route = []
 
         def rowwise(*args):
@@ -988,8 +1053,13 @@ class TestBlockKernel:
             route.append("slices")
             return times_linear(*args)
 
+        def dots(*args):
+            route.append("dots")
+            return stacked(*args)
+
         monkeypatch.setattr(np, "convolve", rowwise)
         monkeypatch.setattr(vieta, "_times_linear", slices)
+        monkeypatch.setattr(vieta, "_convolve_complex", dots)
         routes, zeros = Counter(), 0
         for _ in range(1500):
             d = rng.randint(1, 7)
@@ -1007,9 +1077,10 @@ class TestBlockKernel:
             C, J = outs
             routes.update((size, r) for r in set().union(*taken))
             if mode == COMPLEX_MODE:
-                # slices change a complex product's bits: every stage runs
-                # np.convolve row by row (a lone root's product has no stage)
-                assert taken == [{"rows"} if d > 1 else set()] * 2
+                # every stage of a finite complex stack runs the stacked dot
+                # products and no np.convolve (a lone root's product has no
+                # stage)
+                assert taken == [{"dots"} if d > 1 else set()] * 2
             assert C.shape == (size, d + 1) and J.shape == (size, d + 1, system.n_unknowns)
             for i, u in enumerate(U):
                 assert C[i].tobytes() == system.coeffs(u).tobytes()
@@ -1020,7 +1091,30 @@ class TestBlockKernel:
                     assert sumsq[i] == float(np.vdot(x, x).real)
                     assert norm[i].tobytes() == np.float64(np.linalg.norm(x)).tobytes()
         assert zeros > 500  # -0.0 entries were exercised
-        assert all(routes[size, r] > 20 for size in BLOCK_SIZES for r in ("rows", "slices"))
+        assert all(routes[size, r] > 20 for size in BLOCK_SIZES for r in ("rows", "slices", "dots"))
+        # complex stacks that mix finite rows with rows whose products
+        # overflow: np.convolve serves only the latter, and every row is
+        # still the one-row kernel's bytes
+        mixed = Counter()
+        with np.errstate(all="ignore"):
+            for _ in range(600):
+                d = rng.randint(2, 7)
+                pat = rng.choice(enumerate_patterns(d, COMPLEX_MODE))
+                system = build_system(pat, poly([0] * d + [1]), COMPLEX_MODE)
+                size = rng.choice(BLOCK_SIZES[1:])
+                U = random_block(rng, system, size)
+                for i in rng.sample(range(size), rng.randint(1, (size + 1) // 2)):
+                    U[i, rng.randrange(system.n_unknowns)] *= rng.choice((1e160, 1e300))
+                for kernel in (system.coeffs, system.jacobian):
+                    route.clear()
+                    X = kernel(U)
+                    assert "slices" not in route
+                    finite = np.isfinite(X.reshape(size, -1)).all(axis=1)
+                    assert ("rows" in route) == (not finite.all())
+                    for i, u in enumerate(U):
+                        assert X[i].tobytes() == kernel(u).tobytes()
+                    mixed[kernel.__name__] += int(finite.any() and not finite.all())
+        assert all(mixed[name] > 100 for name in ("coeffs", "jacobian"))
 
     def test_lstsq_rows_is_lstsq_bit_for_bit(self):
         # every (equations, unknowns) shape up to degree 6, stacks of 1 and
