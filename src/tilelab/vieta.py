@@ -223,16 +223,6 @@ class VietaSystem:
         k = self.k
         return u[:k], u[k], u[k + 1:]
 
-    @cached_property
-    def _mult_column(self) -> np.ndarray:
-        return np.array(self.pattern.mults, dtype=np.float64)[:, None]
-
-    @cached_property
-    def _theta(self) -> float:
-        # rounding bound of both residual routes, relative to |c| |P|_j + |t_j|
-        # (see _halvings)
-        return 4.0 * (self.degree + 4) * (self.cofactor_degree + 4) * 2.0 ** -53
-
     def _stages(self, u: np.ndarray):
         """The pieces of the shape's expansion at u, one start or a stack of
         rows: (one, lins, times, conv).  one is the empty product, lins[i]
@@ -401,7 +391,14 @@ def _sumsq_rows(X: np.ndarray) -> np.ndarray:
     """Row i is float(np.vdot(X[i], X[i]).real), bit for bit: a stacked
     matmul keeps the dot product's bits, where einsum and sum do not.  X
     must be C-ordered to keep a one-start f's bits: np.vdot rounds a
-    strided row otherwise than a contiguous one."""
+    strided row otherwise than a contiguous one.  Some BLAS kernels
+    (OpenBLAS's Prescott ddot) also round a real row that starts off a
+    16-byte boundary otherwise than a fresh vector, so the rows of a real
+    stack of odd width are first copied into rows of even width."""
+    if X.dtype == np.float64 and X.flags.c_contiguous and X.shape[1] % 2:
+        even = np.empty((len(X), X.shape[1] + 1))
+        even[:, :-1] = X
+        return (even[:, None, :-1] @ even[:, :-1, None])[:, 0, 0]
     return (X.conj()[:, None, :] @ X[:, :, None])[:, 0, 0].real
 
 
@@ -625,13 +622,11 @@ class _WorkMeter:
 # (each one exact), in order
 _HALVINGS = tuple(0.5 ** j for j in range(1, 30))
 _HALVING_COLUMN = np.array(_HALVINGS)[:, None]
-# a solo start (_gauss_newton) batches the halvings only when lam = 1
-# raised f at least this many times: a batch costs about three exact steps,
-# and below this ratio it rules out fewer than that on average (a halving
-# or two usually passes); a block tries every halving exactly instead
+# a solo start (_gauss_newton) tries all 29 halvings in one exact call
+# (_halving_trials) only when lam = 1 raised f at least this many times: the
+# call costs about three to seven one-by-one steps, and below this ratio a
+# halving or two usually passes; a block's rows always make the call
 _BATCH_RATIO = 64.0
-# an absolute term in the certificate's bound, far above gradual underflow
-_UNDERFLOW = 2.0 ** -1000
 
 
 def _trial(system: VietaSystem, u, lam: float, step):
@@ -642,8 +637,9 @@ def _trial(system: VietaSystem, u, lam: float, step):
 
 
 def _halving_candidates(u, step) -> np.ndarray:
-    """Row j is u + _HALVINGS[j] * step, bit for bit as _trial makes it;
-    given rows of u and step, row 29 r + j is that of row r.
+    """The candidates of _halving_trials: row j is u + _HALVINGS[j] * step,
+    bit for bit as _trial makes it; given rows of u and step, row 29 r + j
+    is that of row r.
 
     Each lam multiplies step as a broadcast scalar, as in _trial; with the
     operands the other way round, numpy's complex multiply may round
@@ -653,60 +649,15 @@ def _halving_candidates(u, step) -> np.ndarray:
     return cands.reshape(-1, cands.shape[-1])
 
 
-def _halving_bounds(system: VietaSystem, cands) -> np.ndarray:
-    """Entry j is at most f2 / (1 - theta), where f2 is the exact kernel's
-    value at row j of cands (_halving_candidates).
-
-    Every candidate's residual
-    c * prod (x - r_i)^m_i * q - t is expanded at once, coefficients high
-    to low (tcol is the reversed target, as a column).  This route and the
-    exact kernel's np.convolve stages are dot products of at most
-    max(2, e+1) terms, so each lies within theta * B_j of the true
-    residual at the candidate, in any summation order and with or without
-    FMA (the gamma_n bound, complex arithmetic included), where B_j = |c| |P|_j + |t_j| and every
-    coefficient of |P| is at most prod (1 + |r_i|)^m_i * (1 + sum |b_t|).
-    The exact f2 is then at least
-    (1 - theta) * sum max(0, |rhat_j| - 2 theta B_j)^2.  theta is several
-    times the gamma bounds.
-    """
-    k, e = system.k, system.cofactor_degree
-    theta = system._theta
-    tcol = system.tvec[::-1, None]
-    cands = cands.T.copy()  # an unknown a row, a candidate a column
-    with np.errstate(all="ignore"):
-        acc = np.zeros((system.degree + 1, cands.shape[1]), dtype=system.dtype)
-        acc[0] = 1.0
-        width = 1
-        for i, m in enumerate(system.pattern.mults):
-            for _ in range(m):
-                acc[1:width + 1] -= acc[:width] * cands[i]
-                width += 1
-        if e:
-            base = acc[:width].copy()
-            for t in range(1, e + 1):
-                acc[t:t + width] += base * cands[k + 1 + e - t]
-        rhat = np.abs(acc * cands[k] - tcol)
-        mags = np.abs(cands)
-        pbound = np.prod((1.0 + mags[:k]) ** system._mult_column, axis=0)
-        if e:
-            pbound *= 1.0 + mags[k + 1:].sum(axis=0)
-        rhat -= 2.0 * theta * (np.abs(tcol) + (mags[k] + _UNDERFLOW) * pbound)
-        np.maximum(rhat, 0.0, out=rhat)
-        return np.add.reduce(rhat * rhat, axis=0)
-
-
-def _halvings(system: VietaSystem, u, step, f: float, f1: float) -> list:
-    """The halvings a solo start's line search (_gauss_newton) must still
-    try after lam = 1 gave f1, less those the exact kernel certainly
-    rejects (_halving_bounds): a candidate whose bound is at least f cannot
-    pass f2 < f.  The certificate runs only when lam = 1 raised f at least
-    _BATCH_RATIO-fold; a bound that is not finite certifies nothing.  A
-    block's rows need no certificate (_line_search_rows)."""
-    if not (math.isfinite(f) and f1 >= _BATCH_RATIO * f):
-        return _HALVINGS
-    low = _halving_bounds(system, _halving_candidates(u, step))
-    bar = f / (1.0 - system._theta)
-    return [lam for lam, lo in zip(_HALVINGS, low.tolist()) if not bar <= lo < math.inf]
+def _halving_trials(system: VietaSystem, U, step):
+    """The exact kernel at all 29 halvings of each row of U and step (or of
+    one start) in one call: (candidates, residuals, f2), where candidate
+    and residual 29 r + j belong to f2[r, j], each bit for bit as _trial
+    gives it: the stacked kernel keeps np.convolve's bits, and _sumsq_rows
+    np.vdot's on these C-ordered rows."""
+    cands = _halving_candidates(U, step)
+    r2s = system.residual(cands)
+    return cands, r2s, _sumsq_rows(r2s).reshape(-1, len(_HALVINGS))
 
 
 def _gauss_newton(system: VietaSystem, u0: np.ndarray):
@@ -716,8 +667,9 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray):
     i.e. a stationary point of the squared residual, or the residual or
     Jacobian is not finite), or "maxiter".  The caller charges the start
     max(1, iterations) units of work (_runs).  The line search accepts the
-    first step whose exact residual is smaller; halvings it certainly
-    rejects are skipped unevaluated (_halvings).
+    first of lam = 1 and its 29 halvings whose exact residual is smaller.
+    The halvings run one by one, or in one exact call (_halving_trials)
+    when lam = 1 raised a finite f at least _BATCH_RATIO-fold.
     """
     u = np.array(u0, dtype=system.dtype)
     res = system.residual(u)
@@ -743,8 +695,16 @@ def _gauss_newton(system: VietaSystem, u0: np.ndarray):
         lam = 1.0
         cand, r2, f2 = _trial(system, u, lam, step)
         if not f2 < f:
-            for lam in _halvings(system, u, step, f, f2):
-                cand, r2, f2 = _trial(system, u, lam, step)
+            if math.isfinite(f) and f2 >= _BATCH_RATIO * f:
+                cands, r2s, f2s = _halving_trials(system, u, step)
+                # the first halving that passes, if any; its row is copied,
+                # since a row of the batch may start off a 16-byte boundary
+                # (_sumsq_rows)
+                tries = [(_HALVINGS[j], cands[j].copy(), r2s[j], float(f2s[0, j]))
+                         for j in np.flatnonzero(f2s[0] < f)[:1]]
+            else:
+                tries = ((lam, *_trial(system, u, lam, step)) for lam in _HALVINGS)
+            for lam, cand, r2, f2 in tries:
                 if f2 < f:
                     break
             else:
@@ -766,7 +726,7 @@ def _line_search_rows(system: VietaSystem, U, RES, F, step, rows) -> np.ndarray:
     smaller.
 
     Every row tries lam = 1 in one call of the exact kernel, and every row
-    it rejects tries all 29 halvings in one more (_halving_candidates).
+    it rejects tries all 29 halvings in one more (_halving_trials).
     Rows that find a step move in place (U, RES and F).  Returns each
     row's lam, 0 where none passed, in the rows' dtype: numpy's complex
     multiply by a float column may round an underflowed zero otherwise
@@ -784,9 +744,7 @@ def _line_search_rows(system: VietaSystem, U, RES, F, step, rows) -> np.ndarray:
     if not rows.size:
         return lam
     # row r's halvings are candidates 29 r to 29 r + 28, in order
-    cand = _halving_candidates(U[rows], step[rows])
-    r2 = system.residual(cand)
-    f2 = _sumsq_rows(r2).reshape(len(rows), -1)
+    cand, r2, f2 = _halving_trials(system, U[rows], step[rows])
     passed = f2 < F[rows, None]
     found = passed.any(axis=1)
     j = passed.argmax(axis=1)[found]  # each row's first passing halving

@@ -79,3 +79,46 @@ def test_lapack_is_entered_only_where_its_inputs_are_guarded():
     free = {"numpy.linalg.norm", "numpy.linalg.LinAlgError"}
     assert allowed <= uses  # the two entry points are still read
     assert {u for u in uses if u[1] not in free} == allowed
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree):
+    """(name, node) for each private module-level function, class and
+    constant of a module, and each private method or property of its
+    classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and _is_private(member.name):
+                    yield member.name, member
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and _is_private(name.id):
+                        yield name.id, node
+
+
+def test_every_private_name_is_read():
+    # a private name that nothing reads outside its own definition is dead
+    # code: a function, class, constant, method or property
+    trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    reads = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.attr, []).append(node)
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if all(id(node) in own for node in reads.get(name, ())):
+                dead.append(f"{module}.{name}")
+    assert dead == []

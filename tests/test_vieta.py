@@ -772,6 +772,8 @@ def random_system(rng):
         target = complex_poly([value() for _ in range(d)] + [c])
     system = build_system(pat, target, mode)
     return system, np.array(roots + [c] + cofactor, dtype=system.dtype)
+
+
 def random_vector(rng, system, scale):
     n = system.n_unknowns
     if system.mode == REAL_MODE:
@@ -780,35 +782,8 @@ def random_vector(rng, system, scale):
 
 
 class TestLineSearchCertificate:
-    """The batched rejection step skips only halvings the exact kernel rejects."""
-
-    def test_certified_halvings_are_rejected_by_the_exact_kernel(self):
-        rng = random.Random(1313)
-        certified = sharp = 0
-        for _ in range(500):
-            system, u = random_system(rng)
-            if rng.random() < 0.5:  # near the point, where rounding decides
-                u = u + random_vector(rng, system, 10.0 ** rng.uniform(-14, -3))
-            if rng.random() < 0.5:  # a Gauss-Newton step, shrunk or stretched
-                res = system.residual(u)
-                step, *_ = np.linalg.lstsq(system.jacobian(u), -res, rcond=None)
-                step = step * 10.0 ** rng.uniform(-3, 3)
-            else:
-                step = random_vector(rng, system, 10.0 ** rng.uniform(-12, 2))
-            exact = [vieta._trial(system, u, lam, step)[2] for lam in vieta._HALVINGS]
-            res = system.residual(u)
-            pick = rng.choice(exact)
-            # f at u, at a candidate's own value, just above it (so that
-            # candidate must be kept) and at the smallest candidate value
-            for f in (float(np.vdot(res, res).real), pick, float(np.nextafter(pick, math.inf)),
-                      min(exact)):
-                kept = vieta._halvings(system, u, step, f, math.inf)
-                for lam, f2 in zip(vieta._HALVINGS, exact):
-                    if lam not in kept:
-                        certified += 1
-                        sharp += f == pick
-                        assert f2 >= f, (system.pattern.label(), system.mode, lam)
-        assert certified > 20_000 and sharp > 2_000  # the certificate decided often
+    """The line search evaluates every halving exactly, one by one or all 29
+    in one call, and a start whose residual is not finite stalls."""
 
     def test_batched_candidates_are_the_scalar_candidates_bit_for_bit(self):
         rng = random.Random(1314)
@@ -835,15 +810,14 @@ class TestLineSearchCertificate:
 
     def test_gauss_newton_matches_the_plain_line_search(self, monkeypatch):
         rng = random.Random(1315)
-        batched = vieta._halvings
-        skipped = []
+        trials = vieta._halving_trials
+        solo = []
 
-        def spy(*args):
-            kept = batched(*args)
-            skipped.append(len(vieta._HALVINGS) - len(kept))
-            return kept
+        def spy(system, U, step):
+            solo.append(U.ndim == 1)
+            return trials(system, U, step)
 
-        monkeypatch.setattr(vieta, "_halvings", spy)
+        monkeypatch.setattr(vieta, "_halving_trials", spy)
         iterations = 0
         for _ in range(40):
             system, _ = random_system(rng)
@@ -854,7 +828,8 @@ class TestLineSearchCertificate:
                 assert u.tobytes() == want_u.tobytes()
                 assert (resid, status, iters) == (want_resid, want_status, want_iters)
                 iterations += iters
-        assert iterations > 2_000 and sum(skipped) > 4_000  # the batch ran and skipped steps
+        # the one-start batch of all 29 halvings ran often
+        assert iterations > 2_000 and sum(solo) > 1_000
 
     @pytest.mark.parametrize("coeffs, mode", [
         ([1e300, 1e300, 1.0], REAL_MODE),
@@ -1088,6 +1063,7 @@ class TestBlockKernel:
             for X in (C, U):
                 sumsq, norm = vieta._sumsq_rows(X), vieta._norm_rows(X)
                 for i, x in enumerate(X):
+                    x = x.copy()  # a fresh vector, as a one-start loop has
                     assert sumsq[i] == float(np.vdot(x, x).real)
                     assert norm[i].tobytes() == np.float64(np.linalg.norm(x)).tobytes()
         assert zeros > 500  # -0.0 entries were exercised
@@ -1179,13 +1155,18 @@ class TestBlockKernel:
                     pass
         assert rows[2] > 0 and rows[3] > 0  # both paths solved finite rows
 
+    @np.errstate(over="ignore", invalid="ignore")
     def test_line_search_rows_is_the_plain_line_search(self):
         # each listed row takes the first of lam = 1 and the 29 halvings
         # whose _trial residual is smaller, or none; rows not listed, and
         # rows where none passes, keep their bytes
         rng = random.Random(7011)
         outcomes = Counter()
-        for _ in range(250):
+
+        def stretch():  # a third of the steps overflow the residual
+            return 10.0 ** (rng.uniform(150, 300) if rng.random() < 1 / 3 else rng.uniform(-3, 3))
+
+        for _ in range(400):
             system, u = random_system(rng)
             size = rng.choice(BLOCK_SIZES)
             U = np.array([u + random_vector(rng, system, 10.0 ** rng.uniform(-14, 0))
@@ -1195,13 +1176,14 @@ class TestBlockKernel:
             # a Gauss-Newton step, shrunk or stretched, and half of them
             # turned uphill, where no halving may pass
             step = np.array([np.linalg.lstsq(system.jacobian(x), -r, rcond=None)[0]
-                             * rng.choice((1, -1)) * 10.0 ** rng.uniform(-3, 3)
+                             * rng.choice((1, -1)) * stretch()
                              for x, r in zip(U, RES)])
             rows = np.array(sorted(rng.sample(range(size), rng.randint(0, size))), dtype=int)
             want = [U.copy(), RES.copy(), F.copy(), np.zeros(size, dtype=U.dtype)]
             for i in rows:
                 for lam in (1.0,) + vieta._HALVINGS:
                     cand, r2, f2 = vieta._trial(system, U[i], lam, step[i])
+                    outcomes["not finite"] += not math.isfinite(f2)
                     if f2 < F[i]:
                         for out, value in zip(want, (cand, r2, f2, lam)):
                             out[i] = value
@@ -1214,6 +1196,7 @@ class TestBlockKernel:
             for got, expected in zip((U, RES, F, lam), want):
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
         assert all(outcomes[o] > 200 for o in ("full", "halving", "none"))
+        assert outcomes["not finite"] > 100
         assert outcomes["empty", REAL_MODE] > 10 and outcomes["empty", COMPLEX_MODE] > 10
 
 
