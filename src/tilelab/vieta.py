@@ -14,7 +14,11 @@ lockstep, as the rows of one array, with one stacked least-squares solve
 a round, and each row keeps the bits, counts and work charges it would
 have alone.  The coefficient map and its Jacobian are written once, for
 one start or a stack of rows; only the convolution changes with the
-array's rank and the mode (VietaSystem._stages).  A case can end three
+array's rank and the mode (VietaSystem._stages).  Both keep one rule, for
+one start and for each row of a stack alike: every finite entry has the
+bits of the plain expansion by np.convolve, and an entry is not finite
+exactly where the plain expansion's is not, since Gauss-Newton reads
+nothing but finiteness there.  A case can end three
 ways: solved, inconsistent (exact contradiction, or every start ran to a
 stationary point or a constraint violation), or no-convergence (anything
 less conclusive).  Real-mode answers are only accepted when the independent
@@ -227,8 +231,9 @@ class VietaSystem:
         """The pieces of the shape's expansion at u, one start or a stack of
         rows: (one, lins, times, conv).  one is the empty product, lins[i]
         the linear factor x - r_i, times(a, lins[i]) multiplies by it and
-        conv(a, b) convolves, row by row for a stack, each bit for bit as
-        np.convolve on one start.  Real rows share each stage's slices
+        conv(a, b) convolves, row by row for a stack, each as np.convolve
+        on one start: bit for bit in every finite entry, and not finite in
+        the same entries.  Real rows share each stage's slices
         (_times_linear, _convolve_rows); complex rows share each stage's
         stacked dot products (_convolve_complex), since slices change the
         bits of a complex product.
@@ -337,22 +342,18 @@ def _times_linear(a: np.ndarray, lin: np.ndarray) -> np.ndarray:
     return out
 
 
-def _convolve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row i is np.convolve(a[i], b[i])."""
-    return np.array([np.convolve(x, y) for x, y in zip(a, b)])
-
-
 def _convolve_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row i is np.convolve(a[i], b[i]), bit for bit, for complex rows.
+    """Row i is np.convolve(a[i], b[i]) for complex rows: bit for bit in
+    every finite entry, and not finite in the same entries.
 
     np.convolve puts the wider operand first (equal widths keep their
     order), reverses the other into a contiguous copy and takes each output
     coefficient as one complex dot product of contiguous runs, which numpy
     hands to BLAS (zdotu).  A stacked (rows, 1, n) @ (rows, n, 1) matmul
     hands each row's product to the same dot, so one matmul per output
-    coefficient keeps the bits of every row.  Where a row's output is not
-    finite, matmul may pair nan and inf components otherwise, so such rows
-    run np.convolve itself.
+    coefficient keeps the bits of every finite entry.  An entry whose dot
+    meets an inf or a nan, or overflows, is not finite either way, though
+    matmul may pair its nan and inf components otherwise.
     """
     x, y = (b, a) if b.shape[1] > a.shape[1] else (a, b)
     n1, n2 = x.shape[1], y.shape[1]
@@ -363,9 +364,6 @@ def _convolve_complex(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         i0, i1 = max(0, k - n2 + 1), min(k, n1 - 1) + 1
         j0 = n2 - 1 - k + i0
         out[:, k] = (x[:, :, i0:i1] @ rev[:, j0:j0 + i1 - i0])[:, 0, 0]
-    if not np.isfinite(out).all():
-        bad = ~np.isfinite(out).all(axis=1)
-        out[bad] = _convolve_each(a[bad], b[bad])
     return out
 
 
@@ -374,17 +372,18 @@ def _convolve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Against one term v, np.convolve is a * v + 0.0, and against a monic
     linear factor it is _times_linear.  Longer pairs run np.convolve row by
-    row: slices change the bits of a longer real sum, and a stacked matmul
-    does too, since numpy computes a real convolution's middle coefficients
-    in its own loop rather than by BLAS dots (_convolve_complex keeps the
-    bits of complex rows only).
+    row into rows of the product's width, which an empty stack keeps too:
+    slices change the bits of a longer real sum, and a stacked matmul does
+    too, since numpy computes a real convolution's middle coefficients in
+    its own loop rather than by BLAS dots (_convolve_complex keeps the bits
+    of complex rows only).
     """
     for x, y in ((a, b), (b, a)):
         if y.shape[1] == 1:
             return x * y + 0.0
         if y.shape[1] == 2 and (y[:, 1] == 1.0).all():
             return _times_linear(x, y)
-    return _convolve_each(a, b)
+    return np.fromiter(map(np.convolve, a, b), (float, a.shape[1] + b.shape[1] - 1), len(a))
 
 
 def _sumsq_rows(X: np.ndarray) -> np.ndarray:
@@ -652,9 +651,12 @@ def _halving_candidates(u, step) -> np.ndarray:
 def _halving_trials(system: VietaSystem, U, step):
     """The exact kernel at all 29 halvings of each row of U and step (or of
     one start) in one call: (candidates, residuals, f2), where candidate
-    and residual 29 r + j belong to f2[r, j], each bit for bit as _trial
-    gives it: the stacked kernel keeps np.convolve's bits, and _sumsq_rows
-    np.vdot's on these C-ordered rows."""
+    and residual 29 r + j belong to f2[r, j], each as _trial gives it.
+    The candidates keep their bits; a residual keeps the bits of every
+    finite entry and is not finite in the same entries (see _stages), and
+    _sumsq_rows keeps np.vdot's bits on these C-ordered rows.  So f2 has
+    _trial's bits where it is finite and is not finite where _trial's is
+    not, and the first halving with f2 < f is the same."""
     cands = _halving_candidates(U, step)
     r2s = system.residual(cands)
     return cands, r2s, _sumsq_rows(r2s).reshape(-1, len(_HALVINGS))
@@ -733,7 +735,7 @@ def _line_search_rows(system: VietaSystem, U, RES, F, step, rows) -> np.ndarray:
     than by a scalar.
     """
     lam = np.zeros(len(U), dtype=U.dtype)
-    if not rows.size:  # a 0-row complex stack does not broadcast
+    if not rows.size:  # no row to try: skip the kernel calls
         return lam
     cand = U[rows] + np.ones((len(rows), 1), dtype=U.dtype) * step[rows]
     r2 = system.residual(cand)

@@ -1,7 +1,10 @@
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -524,7 +527,41 @@ class TestRoundTrips:
 # ---------------------------------------------------------------------------
 # the Gauss-Newton kernel keeps the bits of the straightforward expansion
 
-DATA_DIR = Path(__file__).resolve().parent / "data"
+TESTS_DIR = Path(__file__).resolve().parent
+DATA_DIR = TESTS_DIR / "data"
+# The pinned documents and counts are the bits of one OpenBLAS kernel, since
+# every BLAS call the kernel makes rounds otherwise under another: each is
+# made in a child process under Haswell, which every x86-64-v3 CPU can run,
+# whichever kernel this process has.  The child runs this checkout's src.
+PIN_ENV = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(TESTS_DIR.parent / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def on_pinned_kernel(*argv):
+    """python argv, run in a child process on the pinned kernel."""
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=300, env=PIN_ENV)
+
+
+def pinned(name, *args):
+    """This module's name(*args), run on the pinned kernel; its value comes
+    back as JSON."""
+    code = (f"import json, sys; sys.path.insert(0, {str(TESTS_DIR)!r}); import test_vieta; "
+            f"print(json.dumps(test_vieta.{name}(*{args!r})))")
+    proc = on_pinned_kernel("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def assert_bits_where_finite(got, want):
+    """The rule of the coefficient map and the Jacobian, for one start and
+    for each row of a stack: got has want's bits in every finite entry and
+    is not finite in the same entries (Gauss-Newton reads nothing but
+    finiteness there)."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    finite = np.isfinite(want)
+    assert (np.isfinite(got) == finite).all()
+    assert got[finite].tobytes() == want[finite].tobytes()
 
 
 def ref_product(system, u):
@@ -615,9 +652,10 @@ class TestKernelBits:
             for got, want in zip(one, (ref_coeffs(system, u), ref_jacobian(system, u))):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
-            # a stack of rows, u first: row i is the plain expansion at U[i]
-            size = rng.choice((1, 2, 33))
-            U = np.array([u] + [point(system) for _ in range(size - 1)])
+            # a stack of rows, u first: row i is the plain expansion at U[i];
+            # an empty stack keeps the width of a row
+            size = rng.choice((0, 1, 2, 33))
+            U = np.array([u] + [point(system) for _ in range(size - 1)])[:size]
             C, J = system.coeffs(U), system.jacobian(U)
             assert C.dtype == J.dtype == U.dtype
             assert C.shape == (size, d + 1) and J.shape == (size, d + 1, system.n_unknowns)
@@ -629,11 +667,13 @@ class TestKernelBits:
             stacks[size, mode] += 1
         assert zeros > 500  # -0.0 entries were exercised
         assert all(stacks[size, mode] > 100
-                   for size in (1, 2, 33) for mode in (REAL_MODE, COMPLEX_MODE))
+                   for size in (0, 1, 2, 33) for mode in (REAL_MODE, COMPLEX_MODE))
 
     def test_jacobian_is_finite_where_the_reference_is(self):
         # the Jacobian skips the empty product's stages, which may turn a
-        # complex inf into nan: Gauss-Newton reads only finiteness there
+        # complex inf into nan, and a stack's complex products may pair nan
+        # and inf otherwise than np.convolve: both keep the reference's bits
+        # where it is finite and are not finite where it is not
         rng = random.Random(7010)
 
         def entry():
@@ -649,13 +689,11 @@ class TestKernelBits:
                 system = build_system(pat, poly([0] * d + [1]), mode)
                 u = np.array([entry() if mode == REAL_MODE else complex(entry(), entry())
                               for _ in range(system.n_unknowns)])
-                got, want = system.jacobian(u), ref_jacobian(system, u)
-                finite = bool(np.isfinite(want).all())
-                assert bool(np.isfinite(got).all()) == finite
-                if finite:
-                    assert got.tobytes() == want.tobytes()
-                assert system.jacobian(u[None])[0].tobytes() == got.tobytes()
-                seen[mode, finite] += 1
+                want = ref_jacobian(system, u)
+                assert_bits_where_finite(system.jacobian(u), want)
+                assert_bits_where_finite(system.jacobian(u[None])[0], want)
+                assert_bits_where_finite(system.coeffs(u[None])[0], ref_coeffs(system, u))
+                seen[mode, bool(np.isfinite(want).all())] += 1
         assert all(seen[mode, finite] > 200
                    for mode in (REAL_MODE, COMPLEX_MODE) for finite in (False, True))
 
@@ -694,20 +732,21 @@ class TestKernelBits:
         # x^4 - 3x^2 + 4 has no real roots: eight shapes fail before q4
         (("--poly=4,0,-3,0,1",), "roots_find_quartic_cofactor.json"),
     ])
-    def test_roots_find_document_is_pinned(self, capsys, argv, pin):
+    def test_roots_find_document_is_pinned(self, argv, pin):
         want = (DATA_DIR / pin).read_text()
         doc = json.loads(want)
+        proc = on_pinned_kernel("-m", "tilelab.cli", "roots", "find", *argv)
         # no real roots is exit 1
-        assert main(["roots", "find", *argv]) == (0 if doc["roots"] else 1)
-        assert capsys.readouterr().out == want
+        assert (proc.returncode, proc.stdout) == (0 if doc["roots"] else 1, want), proc.stderr
         assert sum(o["iterations"] for o in doc["outcomes"]) > 1000  # Gauss-Newton ran
 
-    def test_real_mode_collision_document_is_pinned(self, capsys):
+    def test_real_mode_collision_document_is_pinned(self):
         # (x - 1)^2 (x - 2) in generic order: 1,1,1 collides, and 2,1 solves
         # from the real parts of the welded values, its one warm start
         want = (DATA_DIR / "roots_find_cubic_collision.json").read_text()
-        assert main(["roots", "find", "--poly=-2,5,-4,1", "--order", "generic"]) == 0
-        assert capsys.readouterr().out == want
+        proc = on_pinned_kernel("-m", "tilelab.cli", "roots", "find", "--poly=-2,5,-4,1",
+                                "--order", "generic")
+        assert (proc.returncode, proc.stdout) == (0, want), proc.stderr
         first, second = json.loads(want)["outcomes"]
         assert "roots collided" in first["reason"]
         assert (second["case"], second["status"], second["starts_used"]) == ("2,1", SOLVED, 1)
@@ -875,17 +914,30 @@ class TestLineSearchCertificate:
         assert outcome.reason.endswith("but then r^1 lies past the float range")
 
 
+def capped_reports(caps):
+    """find_roots_report(CUBIC) under each GN_WORK_CAP, the default first:
+    its JSON document, or the message of the ResourceLimit it raises."""
+    default, out = vieta.GN_WORK_CAP, []
+    try:
+        for cap in (default, *caps):
+            vieta.GN_WORK_CAP = cap
+            try:
+                out.append(find_roots_report(parse_poly_text(CUBIC)).to_json())
+            except ResourceLimit as exc:
+                out.append(str(exc))
+    finally:
+        vieta.GN_WORK_CAP = default
+    return out
+
+
 class TestWorkCap:
-    def test_cap_counts_iterations_and_zero_iteration_starts(self, monkeypatch):
-        target = parse_poly_text(CUBIC)
-        want = find_roots_report(target).to_json()
-        # 1 366 iterations over 33 starts, each start iterating at least once
-        assert sum(o["iterations"] for o in want["outcomes"]) == 1366
-        monkeypatch.setattr(vieta, "GN_WORK_CAP", 1366)
-        assert find_roots_report(target).to_json() == want
-        monkeypatch.setattr(vieta, "GN_WORK_CAP", 1365)
-        with pytest.raises(ResourceLimit):
-            find_roots_report(target)
+    def test_cap_counts_iterations_and_zero_iteration_starts(self):
+        # 1 365 iterations over 33 starts, each start iterating at least once
+        want, at_cap, past_cap = pinned("capped_reports", (1365, 1364))
+        assert sum(o["iterations"] for o in want["outcomes"]) == 1365
+        assert sum(o["starts_used"] for o in want["outcomes"]) == 33
+        assert at_cap == want
+        assert past_cap.startswith("root search passed the cap of 1364 ")
 
     def test_a_start_without_iterations_costs_one(self, monkeypatch):
         system = build_system(MultiplicityPattern((2, 1)), poly([-2, 5, -4, 1]))
@@ -971,7 +1023,9 @@ class TestBlockKernel:
         # complex stacks of every block size and of the line search's 29
         # halvings a row, widths 1-7 in both orders, some second factors
         # monic and linear; entries of +-0.0, and in some stacks entries
-        # near 1e160 and 1e300 that overflow, inf and nan
+        # near 1e160 and 1e300 that overflow, inf and nan.  Every row keeps
+        # np.convolve's bits where it is finite and is not finite where it
+        # is not, and np.convolve itself never runs
         gen = np.random.default_rng(7012)
         convolve, calls = np.convolve, []
 
@@ -998,11 +1052,10 @@ class TestBlockKernel:
                 taken = len(calls)
                 want = np.array([convolve(x, y) for x, y in zip(a, b)])
             assert got.dtype == want.dtype == np.complex128 and got.shape == want.shape
+            assert taken == 0
             for i in range(size):
-                assert got[i].tobytes() == want[i].tobytes()
+                assert_bits_where_finite(got[i], want[i])
             finite = np.isfinite(want).all(axis=1)
-            # np.convolve runs for exactly the rows whose product is not finite
-            assert taken == int((~finite).sum())
             seen[size] += 1
             seen["wider second" if a.shape[1] < b.shape[1] else
                  "equal" if a.shape[1] == b.shape[1] else "wider first"] += 1
@@ -1069,8 +1122,9 @@ class TestBlockKernel:
         assert zeros > 500  # -0.0 entries were exercised
         assert all(routes[size, r] > 20 for size in BLOCK_SIZES for r in ("rows", "slices", "dots"))
         # complex stacks that mix finite rows with rows whose products
-        # overflow: np.convolve serves only the latter, and every row is
-        # still the one-row kernel's bytes
+        # overflow: every stage still runs the stacked dot products and no
+        # np.convolve, and every row keeps the one-row kernel's bytes where
+        # they are finite and is not finite where they are not
         mixed = Counter()
         with np.errstate(all="ignore"):
             for _ in range(600):
@@ -1084,11 +1138,10 @@ class TestBlockKernel:
                 for kernel in (system.coeffs, system.jacobian):
                     route.clear()
                     X = kernel(U)
-                    assert "slices" not in route
+                    assert set(route) == {"dots"}
                     finite = np.isfinite(X.reshape(size, -1)).all(axis=1)
-                    assert ("rows" in route) == (not finite.all())
                     for i, u in enumerate(U):
-                        assert X[i].tobytes() == kernel(u).tobytes()
+                        assert_bits_where_finite(X[i], kernel(u))
                     mixed[kernel.__name__] += int(finite.any() and not finite.all())
         assert all(mixed[name] > 100 for name in ("coeffs", "jacobian"))
 
@@ -1210,6 +1263,36 @@ def block_results(system, U0):
     return [results[i] for i in range(len(U0))], [rounds[i] for i in range(len(U0))]
 
 
+def meter_runs_out():
+    """The charge of each start of the pi cubic's shape 2,1, and for each cap
+    below their sum, the ResourceLimit messages of find_roots_report(CUBIC)
+    with the first two starts alone and the rest in a block, and with every
+    start alone: (charges, [(cap, messages)])."""
+    target = parse_poly_text(CUBIC)
+    system = build_system(MultiplicityPattern((2, 1)), target)
+    charges = [max(1, vieta._gauss_newton(system, vieta._start(system, v))[3])
+               for v in vieta._start_battery(system)]
+    solo = sum(charges[:vieta._SOLO_STARTS])
+    caps = (1, charges[0] - 1, charges[0] + 1,  # inside the solo starts
+            solo, solo + 1, solo + charges[2], solo + charges[2] + 7, 700, sum(charges) - 1)
+    default, runs = (vieta.GN_WORK_CAP, vieta._SOLO_STARTS), []
+    try:
+        for cap in caps:
+            messages = []
+            for solo_starts in (2, 10 ** 9):
+                vieta.GN_WORK_CAP, vieta._SOLO_STARTS = cap, solo_starts
+                try:
+                    find_roots_report(target)
+                except ResourceLimit as exc:
+                    messages.append(str(exc))
+                else:
+                    messages.append(None)
+            runs.append((cap, messages))
+    finally:
+        vieta.GN_WORK_CAP, vieta._SOLO_STARTS = default
+    return charges, runs
+
+
 class TestLockstep:
     def test_block_rows_match_the_one_start_loop(self):
         rng = random.Random(1316)
@@ -1250,34 +1333,24 @@ class TestLockstep:
         assert got.iterations == sum(iters for *_, iters in alone)
         assert [s for _, _, s, _ in alone] == ["stalled", "stalled", "converged"]
 
-    def test_the_meter_runs_out_inside_a_block(self, monkeypatch):
-        # the pi cubic spends its first 1 360 units on shape 2,1, whose
+    def test_the_meter_runs_out_inside_a_block(self):
+        # the pi cubic spends its first 1 359 units on shape 2,1, whose
         # starts 3-32 run in one block
-        target = parse_poly_text(CUBIC)
-        system = build_system(MultiplicityPattern((2, 1)), target)
-        charges = [max(1, vieta._gauss_newton(system, vieta._start(system, v))[3])
-                   for v in vieta._start_battery(system)]
-        assert sum(charges) == 1360
+        charges, runs = pinned("meter_runs_out")
+        assert sum(charges) == 1359
         solo = sum(charges[:vieta._SOLO_STARTS])
-        caps = (1, charges[0] - 1, charges[0] + 1,  # inside the solo starts
-                solo, solo + 1, solo + charges[2], solo + charges[2] + 7, 700, 1359)
-        assert charges[0] > 2 and charges[0] + 1 < solo
-        for cap in caps:
-            monkeypatch.setattr(vieta, "GN_WORK_CAP", cap)
-            messages = []
-            for solo_starts in (2, 10 ** 9):
-                monkeypatch.setattr(vieta, "_SOLO_STARTS", solo_starts)
-                with pytest.raises(ResourceLimit) as exc:
-                    find_roots_report(target)
-                messages.append(str(exc.value))
-            assert messages[0] == messages[1]
-            assert f"cap of {cap} Gauss-Newton iterations" in messages[0]
+        assert charges[0] > 2 and charges[0] + 1 < solo  # three caps inside the solo starts
+        for cap, (blocked, alone) in runs:
+            # the block and the one-start loop run out at the same start
+            assert blocked is not None and blocked == alone
+            assert f"cap of {cap} Gauss-Newton iterations" in blocked
 
 
-# every product of 2 and of 3 roots from this set, repeats allowed
+# every product of 2, of 3 and of 4 roots from this set, repeats allowed
 DOMAIN_ROOTS = tuple(Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1/3", "1", "3/2"))
 DOMAIN = [*itertools.combinations_with_replacement(DOMAIN_ROOTS, 2),
           *itertools.combinations_with_replacement(DOMAIN_ROOTS, 3)]
+DOMAIN_4 = list(itertools.combinations_with_replacement(DOMAIN_ROOTS, 4))
 
 
 def domain_text(roots, spelling):
@@ -1289,26 +1362,37 @@ def domain_text(roots, spelling):
     return ",".join(format(Decimal(repr(float(c))), "f") for c in coeffs)
 
 
+def unanswered(domain, mode, spelling):
+    """The products of the domain that fail or answer wrong."""
+    bad = []
+    for roots in domain:
+        want = sorted(Counter(roots).items())
+        try:
+            got = [(complex(v), m) for v, m, _ in
+                   find_roots(parse_poly_text(domain_text(roots, spelling)), mode=mode).roots]
+        except NoPatternSolved:
+            bad.append((roots, "NoPatternSolved"))
+            continue
+        if len(got) != len(want) or any(
+                abs(g - w) > 1e-6 * max(1, abs(w)) or gm != wm
+                for (g, gm), (w, wm) in zip(got, want)):
+            bad.append((roots, got))
+    return bad
+
+
 class TestSmallDomainWalk:
     """An exhaustive gate: every small product answers with its roots and
-    multiplicities, in both spellings and both modes.  A failure found here
-    is pinned, not dropped from the domain."""
+    multiplicities, in both modes, and up to degree 3 in both spellings.  A
+    failure found here is pinned, not dropped from the domain."""
 
     @pytest.mark.parametrize("spelling", ["exact", "float"])
     @pytest.mark.parametrize("mode", [REAL_MODE, COMPLEX_MODE])
     def test_every_product_of_two_and_three_roots_answers(self, mode, spelling):
         assert len(DOMAIN) == 28 + 84
-        bad = []
-        for roots in DOMAIN:
-            want = sorted(Counter(roots).items())
-            try:
-                got = [(complex(v), m) for v, m, _ in
-                       find_roots(parse_poly_text(domain_text(roots, spelling)), mode=mode).roots]
-            except NoPatternSolved:
-                bad.append((roots, "NoPatternSolved"))
-                continue
-            if len(got) != len(want) or any(
-                    abs(g - w) > 1e-6 * max(1, abs(w)) or gm != wm
-                    for (g, gm), (w, wm) in zip(got, want)):
-                bad.append((roots, got))
-        assert bad == []
+        assert unanswered(DOMAIN, mode, spelling) == []
+
+    @pytest.mark.parametrize("mode", [REAL_MODE, COMPLEX_MODE])
+    def test_every_product_of_four_roots_answers(self, mode):
+        # the exact spelling only, which halves the cost
+        assert len(DOMAIN_4) == 210
+        assert unanswered(DOMAIN_4, mode, "exact") == []
