@@ -1,8 +1,8 @@
 """Command line front end.
 
-One invocation produces exactly one JSON document on standard output (or a
-flat key = value rendering with --format text); diagnostics go to standard
-error.  Exit codes separate "the answer is no" from "could not answer":
+One invocation produces exactly one JSON document on standard output;
+diagnostics go to standard error.  Exit codes separate "the answer is no"
+from "could not answer":
 
     0  success
     1  domain-negative result (invalid solution, unsolvable grid, no
@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
 from itertools import chain
 
 from .cost import MOVE_DECISION_CEILINGS, CostLedger, budget, instrumented_apply, instrumented_verify
@@ -78,34 +77,21 @@ def _load_grid_arg(path: str):
 
 
 def _load_poly_arg(args) -> Poly:
-    if getattr(args, "poly", None) is not None:
+    if args.poly is not None:
         try:
             return parse_poly_text(args.poly)
         except ValueError as exc:
             raise _UsageError(f"bad polynomial text: {exc}") from exc
-    path = getattr(args, "infile", None)
-    if path is None:
-        raise _UsageError("one of --poly or --in is required")
     try:
-        text = _read_text(path)
+        text = _read_text(args.infile)
         if text.lstrip().startswith("{"):
             return poly_from_json(json.loads(text))
         return parse_poly_text(text)
     except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot load polynomial from {path}: {exc}") from exc
+        raise _UsageError(f"cannot load polynomial from {args.infile}: {exc}") from exc
     except RecursionError:  # the JSON decoder recurses once per nesting level
-        raise _UsageError(f"cannot load polynomial from {path}: JSON is nested too deeply") from None
-
-
-def _flat(doc, prefix=""):
-    if isinstance(doc, dict):
-        for key, val in doc.items():
-            yield from _flat(val, f"{prefix}.{key}" if prefix else str(key))
-    elif isinstance(doc, (list, tuple)):
-        for i, val in enumerate(doc):
-            yield from _flat(val, f"{prefix}[{i}]")
-    else:
-        yield f"{prefix} = {json.dumps(doc)}"
+        raise _UsageError(f"cannot load polynomial from {args.infile}: "
+                          "JSON is nested too deeply") from None
 
 
 def _blocks(chunks, size: int = 4096):
@@ -121,24 +107,10 @@ def _blocks(chunks, size: int = 4096):
         yield "".join(block)
 
 
-def _emit(doc: dict, args) -> None:
-    """Write doc to stdout, and to --out when given, block by block, so a
-    large document is never held as one string."""
-    if args.format == "json":
-        chunks = chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])
-    else:
-        chunks = (line + "\n" for line in _flat(doc))
-    sinks = [sys.stdout]
-    with ExitStack() as stack:
-        out = getattr(args, "out", None)
-        if out:
-            try:
-                sinks.append(stack.enter_context(open(out, "w", encoding="utf-8")))
-            except OSError as exc:
-                raise _UsageError(f"cannot write {out}: {exc}") from exc
-        for block in _blocks(chunks):
-            for sink in sinks:
-                sink.write(block)
+def _emit(doc: dict) -> None:
+    """Write doc to stdout as indented JSON, block by block, so a large
+    document is never held as one string."""
+    sys.stdout.writelines(_blocks(chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +142,7 @@ def _cmd_puzzle_solve(args) -> int:
         kmax = SOLVE_EXHAUST_KMAX if args.kmax is None else args.kmax
         _, ledger, seq = _exhaust(args.infile, kmax)
         if seq is None:
-            _emit({"found": False, "kmax": kmax}, args)
+            _emit({"found": False, "kmax": kmax})
             return DOMAIN_NEGATIVE
         # candidates probed until the winner; the empty-sequence
         # pre-check is not a candidate and does not count
@@ -180,24 +152,17 @@ def _cmd_puzzle_solve(args) -> int:
             "expanded": candidate_rank(seq),
             "decisions": ledger.decisions,
         }
-        _emit(doc, args)
+        _emit(doc)
         return 0
     if args.kmax is not None:
         raise _UsageError("--kmax applies only to --algo exhaust")
     try:
         res = solve_optimal(_load_grid_arg(args.infile))
     except Unsolvable as exc:
-        _emit({"solvable": False, "reason": str(exc)}, args)
+        _emit({"solvable": False, "reason": str(exc)})
         return DOMAIN_NEGATIVE
-    _emit(
-        {
-            "solvable": True,
-            "psi": res.psi,
-            "seq": format_moves(res.seq),
-            "expanded": res.expanded,
-        },
-        args,
-    )
+    _emit({"solvable": True, "psi": res.psi, "seq": format_moves(res.seq),
+           "expanded": res.expanded})
     return 0
 
 
@@ -207,7 +172,7 @@ def _cmd_puzzle_verify(args) -> int:
     ledger = CostLedger()
     valid = instrumented_verify(g, seq, ledger)
     cap = budget("verify", g.n, len(seq))
-    _emit(_ledger_doc({"valid": valid}, ledger, "budget", cap.ceiling, args.emit_ledger), args)
+    _emit(_ledger_doc({"valid": valid}, ledger, "budget", cap.ceiling, args.emit_ledger))
     return 0 if valid else DOMAIN_NEGATIVE
 
 
@@ -221,14 +186,14 @@ def _cmd_puzzle_enumerate(args) -> int:
         "depth_histogram": list(table.depth_histogram),
         "complete": table.complete,
     }
-    _emit(doc, args)
+    _emit(doc)
     return 0
 
 
 def _cmd_puzzle_bounds(args) -> int:
     table = enumerate_reachable(args.n)
     doc = claim_report(args.n, table).to_json()
-    _emit(doc, args)
+    _emit(doc)
     return 0
 
 
@@ -240,7 +205,7 @@ def _cmd_puzzle_cost(args) -> int:
     for mv in seq:
         cur = instrumented_apply(cur, mv, ledger)
     ceiling = MOVE_DECISION_CEILINGS["guard_chain"] * len(seq)
-    _emit(_ledger_doc({}, ledger, "ceiling", ceiling, args.emit_ledger), args)
+    _emit(_ledger_doc({}, ledger, "ceiling", ceiling, args.emit_ledger))
     return 0
 
 
@@ -254,7 +219,7 @@ def _cmd_puzzle_exhaust(args) -> int:
         head = {"found": True, "psi": len(seq), "seq": format_moves(seq)}
     # the not-found document has no per_primitive field
     per_primitive = args.emit_ledger and seq is not None
-    _emit(_ledger_doc(head, ledger, "budget", cap.ceiling, per_primitive), args)
+    _emit(_ledger_doc(head, ledger, "budget", cap.ceiling, per_primitive))
     return DOMAIN_NEGATIVE if seq is None else 0
 
 
@@ -274,10 +239,10 @@ def _cmd_roots_find(args) -> int:
             "outcomes": [o.to_json() for o in exc.outcomes],
             "error": "no factorization shape solved",
         }
-        _emit(doc, args)
+        _emit(doc)
         return DOMAIN_NEGATIVE
     doc = rep.to_json()
-    _emit(doc, args)
+    _emit(doc)
     return 0 if rep.roots.count > 0 else DOMAIN_NEGATIVE
 
 
@@ -298,7 +263,7 @@ def _cmd_roots_verify(args) -> int:
         "is_root": mult is not None,
         "multiplicity": mult,
     }
-    _emit(doc, args)
+    _emit(doc)
     return 0 if mult is not None else DOMAIN_NEGATIVE
 
 
@@ -317,7 +282,7 @@ def _cmd_roots_cases(args) -> int:
             for p in pats
         ],
     }
-    _emit(doc, args)
+    _emit(doc)
     return 0
 
 
@@ -377,7 +342,7 @@ def _cmd_report(args) -> int:
                 }
             )
     doc = {"bounds": bounds, "polynomials": polynomials, "norm_checks": norm_checks}
-    _emit(doc, args)
+    _emit(doc)
     return 0
 
 
@@ -385,11 +350,11 @@ def _cmd_report(args) -> int:
 # parser
 
 
-def _add_common(sub):
-    sub.add_argument("--format", choices=("json", "text"), default="json",
-                     help="output rendering (default json)")
-    sub.add_argument("--out", default=None, metavar="PATH",
-                     help="also write the document to this file")
+def _add_poly_source(sub):
+    """--poly or --in: exactly one must be given."""
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--poly", help='low-to-high coefficients, e.g. "pi/2,-pi^2,0,2"')
+    source.add_argument("--in", dest="infile", help="polynomial file (text or JSON); - for stdin")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,68 +374,55 @@ def build_parser() -> argparse.ArgumentParser:
                          default="auto")
     p_solve.add_argument("--kmax", type=int,
                          help=f"sequence length cap for --algo exhaust (default {SOLVE_EXHAUST_KMAX})")
-    _add_common(p_solve)
     p_solve.set_defaults(func=_cmd_puzzle_solve)
 
     p_verify = pz.add_parser("verify", help="check a claimed solution")
     p_verify.add_argument("--in", dest="infile", required=True)
     p_verify.add_argument("--seq", required=True, help='move letters, e.g. "RDDRD"')
     p_verify.add_argument("--emit-ledger", action="store_true")
-    _add_common(p_verify)
     p_verify.set_defaults(func=_cmd_puzzle_verify)
 
     p_enum = pz.add_parser("enumerate", help="census of the goal component")
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--depth-limit", type=int, default=None)
     p_enum.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
-    _add_common(p_enum)
     p_enum.set_defaults(func=_cmd_puzzle_enumerate)
 
     p_bounds = pz.add_parser("bounds", help="claim-check the published bounds")
     p_bounds.add_argument("--n", type=int, choices=(2, 3), required=True)
-    _add_common(p_bounds)
     p_bounds.set_defaults(func=_cmd_puzzle_bounds)
 
     p_cost = pz.add_parser("cost", help="decision cost of applying a sequence")
     p_cost.add_argument("--in", dest="infile", required=True)
     p_cost.add_argument("--seq", required=True)
     p_cost.add_argument("--emit-ledger", action="store_true")
-    _add_common(p_cost)
     p_cost.set_defaults(func=_cmd_puzzle_cost)
 
     p_ex = pz.add_parser("exhaust", help="brute-force search with budget accounting")
     p_ex.add_argument("--in", dest="infile", required=True)
     p_ex.add_argument("--kmax", type=int, required=True)
     p_ex.add_argument("--emit-ledger", action="store_true")
-    _add_common(p_ex)
     p_ex.set_defaults(func=_cmd_puzzle_exhaust)
 
     roots = groups.add_parser("roots", help="polynomial root operations")
     rt = roots.add_subparsers(dest="command", required=True)
 
     r_find = rt.add_parser("find", help="roots via factorization-shape matching")
-    r_find.add_argument("--poly", default=None,
-                        help='low-to-high coefficients, e.g. "pi/2,-pi^2,0,2"')
-    r_find.add_argument("--in", dest="infile", default=None,
-                        help="polynomial file (text or JSON)")
+    _add_poly_source(r_find)
     r_find.add_argument("--mode", choices=("real", "complex"), default="real")
     r_find.add_argument("--order", choices=("merged", "generic"), default=None,
                         help="case order (default: merged in real mode, generic in complex)")
-    _add_common(r_find)
     r_find.set_defaults(func=_cmd_roots_find)
 
     r_verify = rt.add_parser("verify", help="residual check for a claimed root")
-    r_verify.add_argument("--poly", default=None)
-    r_verify.add_argument("--in", dest="infile", default=None)
+    _add_poly_source(r_verify)
     r_verify.add_argument("--root", required=True)
-    _add_common(r_verify)
     r_verify.set_defaults(func=_cmd_roots_verify)
 
     r_cases = rt.add_parser("cases", help="list factorization shapes for a degree")
     r_cases.add_argument("--degree", type=int, required=True)
     r_cases.add_argument("--mode", choices=("real", "complex"), default="real")
     r_cases.add_argument("--order", choices=("merged", "generic"), default=None)
-    _add_common(r_cases)
     r_cases.set_defaults(func=_cmd_roots_cases)
 
     rep = groups.add_parser("report", help="aggregate claim-check report")
@@ -479,7 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--poly-corpus", default=None,
                      help="text file, one polynomial per line; consecutive "
                           "non-overlapping pairs feed the norm check")
-    _add_common(rep)
     rep.set_defaults(func=_cmd_report)
 
     return top

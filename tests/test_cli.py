@@ -273,6 +273,15 @@ class TestRootsFind:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("command", [("find",), ("verify", "--root", "1")])
+    def test_poly_and_file_together_is_usage_error(self, command, tmp_path):
+        # one polynomial source: --in is never silently ignored for --poly
+        path = tmp_path / "p.txt"
+        path.write_text("-1,0,1\n")
+        code, out, err = run("roots", *command, "--poly=0,1", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert "not allowed with argument" in err
+
 
 class TestRootsVerify:
     def test_exact_root(self):
@@ -399,32 +408,35 @@ class TestOutputPlumbing:
         _, out2, _ = run("puzzle", "solve", "--in", grid_file)
         assert out1 == out2
 
-    def test_out_file_duplicates_stdout(self, grid_file, tmp_path):
-        dest = tmp_path / "doc.json"
-        _, out, _ = run("puzzle", "solve", "--in", grid_file,
-                        "--out", str(dest))
-        assert dest.read_text() == out
-
-    def test_large_document_streams_identical_bytes(self, tmp_path):
-        dest = tmp_path / "cases.json"
-        code, out, _ = run("roots", "cases", "--degree", "30", "--out", str(dest))
+    def test_large_document_streams_identical_bytes(self):
+        code, out, _ = run("roots", "cases", "--degree", "30")
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        assert dest.read_text() == out
 
-    def test_unwritable_out_is_usage_error(self, grid_file, tmp_path):
-        code, out, err = run("puzzle", "solve", "--in", grid_file,
-                             "--out", str(tmp_path / "missing" / "doc.json"))
-        assert (code, out) == (2, "")
-        assert err.startswith("tilelab: error: cannot write")
-
-    def test_text_format(self, grid_file):
-        code, out, _ = run("puzzle", "solve", "--in", grid_file,
-                           "--format", "text")
-        assert code == 0
-        lines = dict(line.split(" = ", 1) for line in out.strip().splitlines())
-        assert lines["psi"] == "5"
-        assert lines["seq"] == '"RDDRD"'
+    @pytest.mark.parametrize("argv", [
+        ("puzzle", "solve", "--in", "-"),
+        ("puzzle", "verify", "--in", "-", "--seq", "RDDRD"),
+        ("puzzle", "enumerate", "--n", "2"),
+        ("puzzle", "bounds", "--n", "2"),
+        ("puzzle", "cost", "--in", "-", "--seq", "RDDRD"),
+        ("puzzle", "exhaust", "--in", "-", "--kmax", "5"),
+        ("roots", "find", "--poly=-1,0,1"),
+        ("roots", "verify", "--poly=-1,0,1", "--root", "1"),
+        ("roots", "cases", "--degree", "2"),
+        ("report",),
+    ], ids=lambda argv: "-".join(argv[:2]))
+    def test_json_on_stdout_is_the_only_output(self, argv, capsys, monkeypatch, tmp_path):
+        # a request that answers with exit 0 is refused once it asks for
+        # another rendering or a file sink
+        monkeypatch.setattr("sys.stdin", io.StringIO(EXAMPLE_GRID))
+        assert main(list(argv)) == 0
+        json.loads(capsys.readouterr().out)
+        for extra in (("--format", "text"), ("--format", "json"), ("--out", str(tmp_path / "doc"))):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, *extra])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        assert not (tmp_path / "doc").exists()
 
 
 @pytest.mark.parametrize("argv, stdin, code, stderr_line", [

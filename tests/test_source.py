@@ -1,7 +1,10 @@
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
+
+from tilelab import cli
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "tilelab").glob("*.py"))
 
@@ -122,3 +125,26 @@ def test_every_private_name_is_read():
             if all(id(node) in own for node in reads.get(name, ())):
                 dead.append(f"{module}.{name}")
     assert dead == []
+
+
+def _option_dests(parser):
+    """The dest of every option of parser and of its subparsers, --help
+    aside."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_dests(sub)
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            yield action.dest
+
+
+def test_every_cli_option_is_read():
+    # a flag that no handler reads does nothing: every option's dest must
+    # be read as args.<dest> somewhere in cli.py
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    reads = {node.attr for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+             and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    dests = set(_option_dests(cli.build_parser()))
+    assert len(dests) > 10
+    assert sorted(dests - reads) == []
