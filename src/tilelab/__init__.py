@@ -9,6 +9,7 @@ multiplicities, cross-checked by an exact real-root oracle that isolates
 roots by Descartes bisection.
 """
 
+from .limits import ResourceLimit
 from .grid import (
     BLANK,
     DuplicateTile,
@@ -44,7 +45,6 @@ from .search import (
     EXHAUST_CANDIDATE_CAP,
     NotFound,
     ReachabilityTable,
-    ResourceLimit,
     SearchResult,
     Unsolvable,
     candidate_rank,
@@ -94,7 +94,6 @@ from .poly import (
     eval_naive,
     float_coeffs,
     format_poly_text,
-    is_nicely_factored,
     max_norm,
     mul,
     multiplicity,
@@ -109,7 +108,7 @@ from .poly import (
     verify_root,
     zero,
 )
-from .sturm import count_real_roots_in, oracle_real_roots, root_bound
+from .sturm import count_real_roots_in, is_nicely_factored, oracle_real_roots, root_bound
 from .vieta import (
     COMPLEX_MODE,
     INCONSISTENT,

@@ -24,6 +24,7 @@ from itertools import chain
 
 from .cost import MOVE_DECISION_CEILINGS, CostLedger, budget, instrumented_apply, instrumented_verify
 from .grid import format_moves, load_grid, parse_moves
+from .limits import ResourceLimit
 from .poly import (
     MULTIPLICITY_TOL,
     Poly,
@@ -38,7 +39,6 @@ from .poly import (
 from .search import (
     DEFAULT_STATE_CAP,
     NotFound,
-    ResourceLimit,
     Unsolvable,
     candidate_rank,
     enumerate_reachable,
@@ -57,11 +57,6 @@ RESOURCE_LIMIT = 3
 SOLVE_EXHAUST_KMAX = 8
 
 
-class _UsageError(ValueError):
-    """Malformed input found by the CLI itself; main reports it, like every
-    other ValueError, with exit 2."""
-
-
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -73,7 +68,7 @@ def _load_grid_arg(path: str):
     try:
         return load_grid(_read_text(path))
     except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot load grid from {path}: {exc}") from exc
+        raise ValueError(f"cannot load grid from {path}: {exc}") from exc
 
 
 def _load_poly_arg(args) -> Poly:
@@ -81,16 +76,16 @@ def _load_poly_arg(args) -> Poly:
         try:
             return parse_poly_text(args.poly)
         except ValueError as exc:
-            raise _UsageError(f"bad polynomial text: {exc}") from exc
+            raise ValueError(f"bad polynomial text: {exc}") from exc
     try:
         text = _read_text(args.infile)
         if text.lstrip().startswith("{"):
             return poly_from_json(json.loads(text))
         return parse_poly_text(text)
     except (OSError, ValueError) as exc:
-        raise _UsageError(f"cannot load polynomial from {args.infile}: {exc}") from exc
+        raise ValueError(f"cannot load polynomial from {args.infile}: {exc}") from exc
     except RecursionError:  # the JSON decoder recurses once per nesting level
-        raise _UsageError(f"cannot load polynomial from {args.infile}: "
+        raise ValueError(f"cannot load polynomial from {args.infile}: "
                           "JSON is nested too deeply") from None
 
 
@@ -155,7 +150,7 @@ def _cmd_puzzle_solve(args) -> int:
         _emit(doc)
         return 0
     if args.kmax is not None:
-        raise _UsageError("--kmax applies only to --algo exhaust")
+        raise ValueError("--kmax applies only to --algo exhaust")
     try:
         res = solve_optimal(_load_grid_arg(args.infile))
     except Unsolvable as exc:
@@ -254,7 +249,7 @@ def _cmd_roots_verify(args) -> int:
         try:
             root = complex(args.root)
         except ValueError as exc:
-            raise _UsageError(f"cannot parse root value {args.root!r}") from exc
+            raise ValueError(f"cannot parse root value {args.root!r}") from exc
     residual, mult = verify_root(p, root)
     doc = {
         "root": json_scalar(root),
@@ -306,13 +301,13 @@ def _cmd_report(args) -> int:
                 if ln.strip() and not ln.strip().startswith("#")
             ]
         except OSError as exc:
-            raise _UsageError(f"cannot read corpus {args.poly_corpus}: {exc}") from exc
+            raise ValueError(f"cannot read corpus {args.poly_corpus}: {exc}") from exc
         polys = []
         for ln in lines:
             try:
                 polys.append((ln, parse_poly_text(ln)))
             except ValueError as exc:
-                raise _UsageError(f"bad corpus line {ln!r}: {exc}") from exc
+                raise ValueError(f"bad corpus line {ln!r}: {exc}") from exc
         for text, p in polys:
             entry = {"poly": text}
             if p.degree is None or p.degree < 1:
@@ -322,7 +317,7 @@ def _cmd_report(args) -> int:
                 try:
                     found = oracle_real_roots(p)
                 except ValueError as exc:
-                    raise _UsageError(f"bad corpus line {text!r}: {exc}") from exc
+                    raise ValueError(f"bad corpus line {text!r}: {exc}") from exc
                 entry["tau"] = found.count
                 entry["roots"] = found.to_json()["roots"]
             polynomials.append(entry)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .grid import Move, TileGrid, _swap, goal, move_target
+from .limits import require_int
 
 PRIMITIVES = ("guard", "swap", "offset", "relocate", "reverse_offset", "compare")
 
@@ -72,21 +73,11 @@ class Budget:
     ceiling: int
 
 
-def _check_ints(n, k) -> None:
-    # type() rather than isinstance(): a bool is an int, but never a side or
-    # a move count
-    if type(n) is not int or type(k) is not int:
-        raise ValueError(f"n and k must be ints, got n={n!r}, k={k!r}")
-
-
 def budget(kind: str, n: int, k: int) -> Budget:
     """Decision ceilings: "verify" allows n^2 + 27k + 1, "search" allows
     4^k (n^2 + 2) + 27k (exact big-integer arithmetic)."""
-    _check_ints(n, k)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    require_int("n", n, 2)
+    require_int("k", k, 0)
     if kind == "verify":
         ceiling = n * n + 27 * k + 1
     elif kind == "search":
@@ -155,7 +146,6 @@ def polytime_witness(decisions: int, program_length: int, n: int, k: int) -> boo
         raise ValueError("program_length must be at least 1")
     if decisions < 0:
         raise ValueError("decisions must be nonnegative")
-    _check_ints(n, k)
-    if n < 2 or k < 0:
-        raise ValueError("need n >= 2 and k >= 0")
+    require_int("n", n, 2)
+    require_int("k", k, 0)
     return decisions <= (program_length ** 2 + 1) ** (n * n + 27 * k + 1)

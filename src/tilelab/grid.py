@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+from .limits import require_int
+
 BLANK = 0  # internal marker; the public blank spelling is None (JSON null, "_" in text)
 
 
@@ -92,21 +94,13 @@ class TileGrid:
         return [list(self.cells[i * n:(i + 1) * n]) for i in range(n)]
 
 
-def _check_side(n) -> None:
-    # type() rather than isinstance(): a bool is an int, but never a side
-    if type(n) is not int:
-        raise ValueError(f"grid side must be an int, got {n!r}")
-    if n < 2:
-        raise ValueError(f"grid side must be at least 2, got {n}")
-
-
 def new_grid(n: int, entries: Sequence[int | None]) -> TileGrid:
     """Validate and build a grid from row-major entries (None or 0 = blank).
 
     Raises MissingBlank/MultipleBlanks/ValueOutOfRange/DuplicateTile on bad
     contents and ValueError on a bad shape.
     """
-    _check_side(n)
+    require_int("grid side", n, 2)
     cells = tuple(BLANK if v is None else v for v in entries)
     if len(cells) != n * n:
         raise ValueError(f"expected {n * n} entries, got {len(cells)}")
@@ -129,7 +123,7 @@ def new_grid(n: int, entries: Sequence[int | None]) -> TileGrid:
 
 def goal(n: int) -> TileGrid:
     """Goal grid: cell (i, j) holds (i-1)*n + j, blank in the bottom-right corner."""
-    _check_side(n)
+    require_int("grid side", n, 2)
     cells = tuple(range(1, n * n)) + (BLANK,)
     return TileGrid(n, cells, n * n - 1)
 
@@ -271,11 +265,9 @@ def grid_from_json(doc: dict | str) -> TileGrid:
             doc = json.loads(doc)
         except RecursionError:  # the decoder recurses once per nesting level
             raise ValueError("grid JSON is nested too deeply") from None
-    # type() rather than isinstance(): a bool n is malformed, not 0 or 1
-    if (not isinstance(doc, dict) or type(doc.get("n")) is not int
-            or not isinstance(doc.get("cells"), list)):
+    if not isinstance(doc, dict) or not isinstance(doc.get("cells"), list):
         raise ValueError('grid JSON must be {"n": int, "cells": [...]}')
-    return new_grid(doc["n"], doc["cells"])
+    return new_grid(doc.get("n"), doc["cells"])  # new_grid checks n
 
 
 def load_grid(text: str) -> TileGrid:

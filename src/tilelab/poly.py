@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .search import ResourceLimit
+from .limits import ResourceLimit
 
 RATIONAL = "rational"
 COMPLEX = "complex"
@@ -307,23 +307,6 @@ def verify_root(p: Poly, r) -> tuple[float, int | None]:
     if not math.isfinite(residual):
         raise ValueError(f"the polynomial's value at {shown} lies past the float range")
     return residual, _deflations(work, x) or None
-
-
-def is_nicely_factored(p: Poly) -> bool:
-    """True iff p splits into linear factors over its working field.
-
-    Complex kind: always true for nonzero p (fundamental theorem).  Rational
-    kind: every irreducible factor must be linear, decided exactly on the
-    square-free split (sturm.splits_over_rationals), which raises
-    ResourceLimit above sturm.ORACLE_DEGREE_CAP.
-    """
-    if p.is_zero():
-        return False
-    if p.kind == COMPLEX:
-        return True
-    from .sturm import splits_over_rationals  # sturm imports this module
-
-    return splits_over_rationals(list(p.coeffs))
 
 
 @dataclass(frozen=True)

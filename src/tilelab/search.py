@@ -24,6 +24,7 @@ import numpy as np
 
 from . import cost
 from .grid import _TARGETS, BLANK, MOVES, MoveSeq, TileGrid, goal
+from .limits import ResourceLimit, require_int
 
 DEFAULT_STATE_CAP = 2_000_000
 EXHAUST_CANDIDATE_CAP = 2 ** 24  # k_max <= 11; each further length costs ~4x
@@ -31,11 +32,6 @@ EXHAUST_CANDIDATE_CAP = 2 ** 24  # k_max <= 11; each further length costs ~4x
 
 class Unsolvable(Exception):
     """The grid is not in the goal's reachable component."""
-
-
-class ResourceLimit(Exception):
-    """A configured cap was exceeded: states, depth, exhaust candidates or the
-    size of an exact coefficient (poly.EXACT_BITS_CAP)."""
 
 
 class NotFound(Exception):
@@ -155,19 +151,14 @@ def enumerate_reachable(n: int, depth_limit: int | None = None,
     by depth_limit is incomplete even when the limit equals the diameter,
     since the BFS never expanded the last level to see that it was.
     """
-    for name, value in (("n", n), ("depth_limit", 0 if depth_limit is None else depth_limit),
-                        ("max_states", max_states)):
-        # a bool is an int to isinstance(), but never a side or a limit
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{name} must be an int, got {value!r}")
+    require_int("n", n)
+    if depth_limit is not None:
+        require_int("depth_limit", depth_limit, 0)
+    require_int("max_states", max_states, 1)
     if n > 4:
         raise ValueError("enumeration is supported for n <= 4")
     if n == 4 and depth_limit is None:
         raise ValueError("full enumeration beyond n = 3 needs an explicit depth_limit")
-    if depth_limit is not None and depth_limit < 0:
-        raise ValueError(f"depth_limit must be nonnegative, got {depth_limit}")
-    if max_states < 1:
-        raise ValueError(f"max_states must be at least 1, got {max_states}")
     valid, shift, delta, child = _census_tables(n)
     mask = np.uint64((1 << _bits(n)) - 1)
     start = goal(n)
@@ -455,9 +446,7 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
     whole run inside budget("search", n, k_max).  k_max must be a
     nonnegative int (ValueError otherwise, bool included).
     """
-    # type() rather than isinstance(): a bool is an int, but never a length
-    if type(k_max) is not int or k_max < 0:
-        raise ValueError(f"k_max must be a nonnegative int, got {k_max!r}")
+    require_int("k_max", k_max, 0)
     candidates = 0
     for length in range(1, k_max + 1):  # stops early, so a huge k_max is cheap
         candidates += 4 ** length

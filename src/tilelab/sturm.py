@@ -54,7 +54,9 @@ from itertools import zip_longest
 
 import numpy as np
 
+from .limits import ResourceLimit
 from .poly import (
+    COMPLEX,
     RATIONAL,
     Poly,
     RootSet,
@@ -62,7 +64,6 @@ from .poly import (
     eval_horner,
     float_coeffs,
 )
-from .search import ResourceLimit
 
 
 def _simplest_rational(lo: int, hi: int, den: int, closed: bool) -> tuple[int, int]:
@@ -575,16 +576,20 @@ def oracle_real_roots(p: Poly) -> RootSet:
     return RootSet(tuple(roots))
 
 
-def splits_over_rationals(coeffs: list[Fraction]) -> bool:
-    """True iff the exact polynomial with these low-first coefficients is
-    a product of linear factors over Q.
+def is_nicely_factored(p: Poly) -> bool:
+    """True iff p splits into linear factors over its working field.
 
-    It is exactly when _isolate finds deg s_m real roots for each factor
-    s_m of square_free_split, and every one of them is rational: an exact
-    hit, or a bracket in which _pin_root decides so.  Raises ResourceLimit
-    above ORACLE_DEGREE_CAP.
+    Complex kind: always true for nonzero p (fundamental theorem).
+    Rational kind: exactly when _isolate finds deg s_m real roots for each
+    factor s_m of square_free_split, and every one of them is rational: an
+    exact hit, or a bracket in which _pin_root decides so.  Raises
+    ResourceLimit above ORACLE_DEGREE_CAP.
     """
-    for s in square_free_split(_capped(coeffs)).values():
+    if p.is_zero():
+        return False
+    if p.kind == COMPLEX:
+        return True
+    for s in square_free_split(_capped(list(p.coeffs))).values():
         roots = _isolate(s, -_bound(s), _bound(s), 1)
         if len(roots) < len(s) - 1 or any(a != b and _pin_root(s, a, b, den, True) is None
                                           for a, b, den in roots):

@@ -14,11 +14,19 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .grid import Move, TileGrid, apply_seq, goal, grids_equal
+from .limits import require_int
 from .search import ReachabilityTable, enumerate_reachable
 
 
 class DomainError(ValueError):
     """Bound formula evaluated outside its stated domain."""
+
+
+def _check_domain(n, least: int) -> None:
+    """ValueError unless n is an int, DomainError when it is below least."""
+    require_int("n", n)
+    if n < least:
+        raise DomainError(f"need n >= {least}, got {n}")
 
 
 def verify_solution(g: TileGrid, seq: Iterable[Move]) -> bool:
@@ -31,8 +39,7 @@ def verify_solution(g: TileGrid, seq: Iterable[Move]) -> bool:
 
 def configuration_count(n: int) -> int:
     """Number of distinct grids of side n: (n^2)!."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    _check_domain(n, 2)
     return math.factorial(n * n)
 
 
@@ -42,8 +49,7 @@ def optimal_moves_log_bound(n: int) -> float:
     math.log on the exact big-integer factorial is correctly rounded; tests
     cross-check against a 50-digit recomputation.
     """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    _check_domain(n, 2)
     return math.log(math.factorial(n * n)) / math.log(4)
 
 
@@ -59,23 +65,20 @@ def _log_bound_floor(n: int) -> int:
 def solvable_states_branching_bound(n: int) -> int:
     """Published bound on the number of solvable states: 4 * 3^m * 4^m + 4
     with m = floor((log4((n^2)!) - 1) / 2), the floor taken exactly."""
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
+    _check_domain(n, 2)
     m = _log_bound_floor(n)
     return 4 * 3 ** m * 4 ** m + 4
 
 
 def solvable_states_mobility_bound(n: int) -> int:
     """Published bound on the number of solvable states: 4(n^2 - n - 4)."""
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
+    _check_domain(n, 3)
     return 4 * (n * n - n - 4)
 
 
 def optimal_moves_mobility_bound(n: int) -> int:
     """Published bound on the optimal move count: 4(n^2 - n - 2)."""
-    if n < 3:
-        raise DomainError(f"need n >= 3, got {n}")
+    _check_domain(n, 3)
     return 4 * (n * n - n - 2)
 
 

@@ -38,8 +38,8 @@ from itertools import chain, islice
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .poly import RATIONAL, Poly, RootSet, complex_poly, eval_horner, float_coeffs, json_scalar
-from .search import ResourceLimit
+from .limits import ResourceLimit, require_int
+from .poly import RATIONAL, Poly, RootSet, eval_horner, float_coeffs, json_scalar, poly
 from .sturm import count_real_roots_in, oracle_real_roots
 
 REAL_MODE = "real"
@@ -99,16 +99,12 @@ class MultiplicityPattern:
 
     def __post_init__(self):
         object.__setattr__(self, "mults", tuple(self.mults))
-        # type() rather than isinstance(): a bool is an int, but never a
-        # multiplicity or a degree
-        if any(type(m) is not int or m < 1 for m in self.mults):
-            raise ValueError(f"multiplicities must be ints of at least 1, got {self.mults!r}")
+        for m in self.mults:
+            require_int("multiplicity", m, 1)
         if list(self.mults) != sorted(self.mults, reverse=True):
             raise ValueError("multiplicities must be nonincreasing")
-        e = self.cofactor_degree
-        if type(e) is not int or e < 0:
-            raise ValueError(f"cofactor degree must be a nonnegative int, got {e!r}")
-        if not self.mults and e == 0:
+        require_int("cofactor degree", self.cofactor_degree, 0)
+        if not self.mults and self.cofactor_degree == 0:
             raise ValueError("pattern needs at least one root or a cofactor")
 
     @property
@@ -152,11 +148,7 @@ def enumerate_patterns(d: int, mode: str = REAL_MODE, order: str | None = None) 
     generic order in complex mode.  More than SHAPE_CAP shapes raise
     ResourceLimit before the rest are built.
     """
-    # type() rather than isinstance(): a bool is an int, but never a degree
-    if type(d) is not int:
-        raise ValueError(f"degree must be an int, got {d!r}")
-    if d < 1:
-        raise ValueError("degree must be at least 1")
+    require_int("degree", d, 1)
     if mode not in (REAL_MODE, COMPLEX_MODE):
         raise ValueError(f"unknown mode {mode!r}")
     if order is None:
@@ -859,8 +851,8 @@ def _check_constraints(system: VietaSystem, u: np.ndarray):
 
 def _cofactor_real_roots(b) -> int:
     """Distinct real roots of the monic x^e + b_{e-1} x^{e-1} + ... + b_0,
-    read from floats."""
-    probe = complex_poly([float(np.real(v)) for v in b] + [1.0])
+    read in b's own kind: exactly when b is exact."""
+    probe = poly(list(b) + [1])
     return count_real_roots_in(probe, -math.inf, math.inf)
 
 
@@ -891,8 +883,9 @@ def solve_case(system: VietaSystem, warm_starts: tuple = ()) -> CaseOutcome:
     roots, nonzero leading scalar, root-free cofactor).  Inconsistent means
     an exact contradiction, or every start certifiably ran out of descent
     (stationary point) or violated a constraint.  Anything weaker, such as
-    a start still moving at the iteration cap, is NoConvergence.  Work past
-    GN_WORK_CAP raises ResourceLimit.
+    a start still moving at the iteration cap, is NoConvergence; its reason
+    also counts the starts that converged but broke a constraint, and names
+    the best one's cause.  Work past GN_WORK_CAP raises ResourceLimit.
 
     The numeric stage runs the warm starts in order, then the STARTS
     battery.  A warm start is a sequence of k root values (real mode uses
@@ -914,6 +907,7 @@ def _solve_case(system: VietaSystem, starts, work: _WorkMeter) -> CaseOutcome:
     total_iters = 0
     starts_used = 0
     best_violation: tuple[float, str, tuple | None] | None = None
+    violations = 0
     saw_maxiter = False
     best_resid = math.inf
     for u, resid, status, iters in _runs(system, starts, work):
@@ -934,6 +928,7 @@ def _solve_case(system: VietaSystem, starts, work: _WorkMeter) -> CaseOutcome:
                     cofactor=tuple(_native(v) for v in b),
                     residual=resid, iterations=total_iters, starts_used=starts_used,
                 )
+            violations += 1
             if best_violation is None or resid < best_violation[0]:
                 best_violation = (resid, why, merged)
         elif status == "maxiter":
@@ -943,6 +938,9 @@ def _solve_case(system: VietaSystem, starts, work: _WorkMeter) -> CaseOutcome:
         reason = "no start was run"
     elif saw_maxiter:
         reason = f"iteration cap reached with best residual {best_resid:.3e}"
+        if best_violation is not None:
+            reason += (f"; {violations} of {starts_used} starts violated a constraint "
+                       f"({best_violation[1]})")
     elif best_violation is not None:
         reason = f"every start stalled or violated a constraint ({best_violation[1]})"
     else:

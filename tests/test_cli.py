@@ -232,6 +232,19 @@ class TestRootsFind:
         assert doc["tau"] == 0
         assert doc["case"] == "q2"
 
+    def test_exact_cofactor_is_counted_exactly(self):
+        # x^2 - 2/3 x + 1/9 + 10^-20 has no real roots; its coefficients
+        # rounded to floats give (x - 1/3)^2, which has one
+        text = json.dumps({"coeffs": ["100000000000000000009/900000000000000000000", "-2/3", 1],
+                           "kind": "rational"})
+        code, out, _ = run("roots", "find", "--in", "-", stdin=text)
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["tau"], doc["case"]) == (0, "q2")
+        assert doc["outcomes"][-1] == {"case": "q2", "status": "solved", "iterations": 0,
+                                       "starts_used": 0, "roots": [], "residual": 0.0,
+                                       "cofactor": [1 / 9, -2 / 3]}
+
     def test_complex_mode(self):
         code, out, _ = run("roots", "find", "--poly", "1,0,1",
                            "--mode", "complex")

@@ -197,7 +197,7 @@ class TestBudget:
     @pytest.mark.parametrize("kind", ["verify", "search"])
     @pytest.mark.parametrize("n, k", [(3, 1.5), (3, True), (2.0, 1), (True, 1)])
     def test_sizes_must_be_ints(self, kind, n, k):
-        with pytest.raises(ValueError, match="n and k must be ints"):
+        with pytest.raises(ValueError, match="[nk] must be an int"):
             budget(kind, n, k)
 
     def test_fields(self):
@@ -248,5 +248,5 @@ class TestPolytimeWitness:
 
     @pytest.mark.parametrize("n, k", [(2.0, 1), (True, 1), (3, 1.0), (3, False)])
     def test_sizes_must_be_ints(self, n, k):
-        with pytest.raises(ValueError, match="n and k must be ints"):
+        with pytest.raises(ValueError, match="[nk] must be an int"):
             polytime_witness(10, 5, n, k)

@@ -276,7 +276,7 @@ class TestMalformedInput:
         raises_only_value_error(load_grid, json.dumps({"n": n, "cells": cells}))
 
     def test_bool_side_is_rejected(self):
-        with pytest.raises(ValueError, match="grid JSON must be"):
+        with pytest.raises(ValueError, match="grid side must be an int"):
             grid_from_json({"n": True, "cells": [1, None]})
 
     @given(st.text())

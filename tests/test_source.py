@@ -148,3 +148,45 @@ def test_every_cli_option_is_read():
     dests = set(_option_dests(cli.build_parser()))
     assert len(dests) > 10
     assert sorted(dests - reads) == []
+
+
+# each chain lists modules in import order: a module may import only the
+# modules before it in its chain, so the tile stack and the root finder
+# share limits alone, and only cli and __init__ join them
+IMPORT_CHAINS = (("limits", "grid", "cost", "search", "verify"),
+                 ("limits", "poly", "sturm", "vieta"))
+
+
+def _package_imports(tree):
+    """The tilelab modules a module imports: the package imports itself by
+    relative name only."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("tilelab") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module.split(".")[0]] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("tilelab")
+    return out
+
+
+def test_imports_sit_at_module_level():
+    # an import inside a function hides a cycle from the module header
+    nested = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        nested += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+    assert nested == []
+
+
+def test_imports_run_one_way_along_two_chains():
+    imports = {path.stem: _package_imports(ast.parse(path.read_text(), filename=str(path)))
+               for path in SOURCES}
+    assert imports["limits"] == set()
+    for chain in IMPORT_CHAINS:
+        for i, module in enumerate(chain):
+            assert imports[module] <= set(chain[:i]), module
+    assert set(imports) - {m for chain in IMPORT_CHAINS for m in chain} == {"cli", "__init__"}

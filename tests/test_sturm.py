@@ -512,7 +512,7 @@ class TestIntegerChain:
                 want = sum(lo < value <= hi for value, _, _ in rs.roots)
                 assert count_real_roots_in(p, lo, hi) == want
         assert [rs.roots for rs in got] == [ref_oracle(p) for p in polys]
-        assert [sturm.splits_over_rationals(list(p.coeffs)) for p in polys[:22]] == splits
+        assert [sturm.is_nicely_factored(p) for p in polys[:22]] == splits
         assert True in splits and False in splits
 
     def test_float_endpoint_is_counted_exactly(self):
@@ -633,7 +633,7 @@ class TestPinRoot:
         found = check_isolation(s, -2, 2, 1)
         assert (0, 0, 2) in found
         assert [(v, m) for v, m, _ in oracle_real_roots(p).roots] == [(-0.001, 1), (0.0, 1), (0.001, 1)]
-        assert sturm.splits_over_rationals(list(exact.coeffs))
+        assert sturm.is_nicely_factored(exact)
         assert count_real_roots_in(p, 0, 1) == 1  # lo on a root
         assert count_real_roots_in(p, Fraction(-1, 1000), 0) == 1
         assert count_real_roots_in(p, -math.inf, 0) == 2

@@ -14,6 +14,7 @@ from tilelab import (
     optimal_moves_log_bound,
     optimal_moves_mobility_bound,
     parse_moves,
+    polytime_witness,
     solvable_states_branching_bound,
     solvable_states_mobility_bound,
     verify_solution,
@@ -81,6 +82,18 @@ class TestBoundFormulas:
         for fn in (solvable_states_mobility_bound, optimal_moves_mobility_bound):
             with pytest.raises(DomainError):
                 fn(2)
+
+    @pytest.mark.parametrize("fn", [
+        configuration_count, optimal_moves_log_bound, solvable_states_branching_bound,
+        solvable_states_mobility_bound, optimal_moves_mobility_bound,
+        lambda n: polytime_witness(1, 1, n, 0),
+    ])
+    @pytest.mark.parametrize("n", [3.5, 2.0, True, 3.0])
+    def test_non_int_side_is_a_value_error(self, fn, n):
+        # a malformed argument, not a point outside the formula's domain
+        with pytest.raises(ValueError, match="n must be an int") as exc:
+            fn(n)
+        assert not isinstance(exc.value, DomainError)
 
 
 class TestClaimReport:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -16,7 +17,6 @@ import pytest
 
 from tilelab import vieta
 from tilelab.cli import main
-from tilelab.search import ResourceLimit
 from tilelab import (
     COMPLEX_MODE,
     DegreeMismatch,
@@ -25,6 +25,7 @@ from tilelab import (
     NO_CONVERGENCE,
     NoPatternSolved,
     REAL_MODE,
+    ResourceLimit,
     RootSet,
     SOLVED,
     VietaSystem,
@@ -76,12 +77,12 @@ class TestPattern:
         assert pat.total == 6
 
     @pytest.mark.parametrize("mults, cofactor_degree, match", [
-        ((2.5,), 0, "multiplicities must be ints"),
-        ((2.0,), 0, "multiplicities must be ints"),
-        ((True,), 0, "multiplicities must be ints"),
-        (("2",), 0, "multiplicities must be ints"),
-        ((2,), 1.5, "cofactor degree must be a nonnegative int"),
-        ((2,), True, "cofactor degree must be a nonnegative int"),
+        ((2.5,), 0, "multiplicity must be an int"),
+        ((2.0,), 0, "multiplicity must be an int"),
+        ((True,), 0, "multiplicity must be an int"),
+        (("2",), 0, "multiplicity must be an int"),
+        ((2,), 1.5, "cofactor degree must be an int"),
+        ((2,), True, "cofactor degree must be an int"),
     ])
     def test_non_int_parts_are_rejected(self, mults, cofactor_degree, match):
         with pytest.raises(ValueError, match=match):
@@ -289,6 +290,16 @@ class TestSolveCase:
         out = solve_case(build_system(MultiplicityPattern((2, 1)), target))
         assert out.status == INCONSISTENT
         assert out.starts_used == 32  # every start had to be exhausted
+
+    def test_capped_case_names_its_constraint_violations(self):
+        # x (x + 2)(x^2 + 1): most starts of 1+q3 converge, each to a
+        # cofactor with a real root, and the others reach the cap
+        target = poly([0, 2, 1, 2, 1])
+        out = solve_case(build_system(MultiplicityPattern((1,), 3), target))
+        assert out.status == NO_CONVERGENCE
+        assert re.fullmatch(r"iteration cap reached with best residual \S+; \d+ of 32 starts "
+                            r"violated a constraint \(cofactor acquired 1 real root\(s\)\)",
+                            out.reason), out.reason
 
     def test_all_simple_shape_solves(self):
         target = parse_poly_text(CUBIC)
@@ -820,7 +831,7 @@ def random_vector(rng, system, scale):
     return np.array([scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)])
 
 
-class TestLineSearchCertificate:
+class TestLineSearch:
     """The line search evaluates every halving exactly, one by one or all 29
     in one call, and a start whose residual is not finite stalls."""
 
@@ -930,6 +941,14 @@ def capped_reports(caps):
     return out
 
 
+def work_counts(texts):
+    """(cases, Gauss-Newton iterations, starts) of find_roots_report on
+    each polynomial text."""
+    reports = [find_roots_report(parse_poly_text(text)).outcomes for text in texts]
+    return [[len(rows), sum(o.iterations for o in rows), sum(o.starts_used for o in rows)]
+            for rows in reports]
+
+
 class TestWorkCap:
     def test_cap_counts_iterations_and_zero_iteration_starts(self):
         # 1 365 iterations over 33 starts, each start iterating at least once
@@ -938,6 +957,11 @@ class TestWorkCap:
         assert sum(o["starts_used"] for o in want["outcomes"]) == 33
         assert at_cap == want
         assert past_cap.startswith("root search passed the cap of 1364 ")
+
+    def test_roadmap_rows(self):
+        # the two rows of the ROADMAP work table beside the pi cubic above
+        got = pinned("work_counts", ("2,-3,0,1,0,1", "1,0,0,0,0,0,1"))
+        assert got == [[13, 13650, 355], [23, 27302, 672]]
 
     def test_a_start_without_iterations_costs_one(self, monkeypatch):
         system = build_system(MultiplicityPattern((2, 1)), poly([-2, 5, -4, 1]))
