@@ -7,8 +7,9 @@ bound is the Manhattan distance plus linear conflicts, updated move by
 move: the length-then-lexicographic first optimal witness, which any
 admissible bound yields, so a tighter bound changes only the node count.
 exhaust_sequences is the brute-force enumerator over raw move strings; it
-exists to be metered, so it compares every candidate, but it walks them as
-a tree and shares each prefix instead of replaying it.
+exists to be metered, so it compares every candidate, but it builds each
+length's candidates at once as packed codes, each from its prefix's code,
+instead of replaying the prefix.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .limits import ResourceLimit, require_int
 
 DEFAULT_STATE_CAP = 2_000_000
 EXHAUST_CANDIDATE_CAP = 2 ** 24  # k_max <= 11; each further length costs ~4x
+EXHAUST_BLOCK = 2 ** 14  # prefixes the exhaust walk extends at once: 2^16 candidates
 
 
 class Unsolvable(Exception):
@@ -103,28 +105,35 @@ def decode(code: int, n: int) -> tuple[int, ...]:
 
 @cache
 def _census_tables(n: int):
-    """(valid, shift, delta, child): the moves of the census BFS on side n.
+    """(valid, shift, delta, child): the moves on side n, of the census BFS
+    and of the exhaust walk.
 
     Each is indexed by slot * 4 + k, where slot = blank * 5 + undo names
     the blank's cell and the move that would undo the last one (undo = 4
     at the root, which has none), and k is the move (U, D, R, L).
     valid says the move stays on the board (grid's _TARGETS) and is not
     the undo move; the tile it slides sits at bit shift; child = parent +
-    tile * delta, modulo 2^64, and child names the child's slot, whose
-    undo move is k ^ 1.
+    tile * delta, and child names the child's slot, whose undo move is
+    k ^ 1.  A move off the board is the identity, as in total mode: the
+    blank slides onto itself (delta 0) and keeps its cell.  shift and delta
+    are uint64, delta modulo 2^64, while codes fit in 64 bits (n <= 4), and
+    object arrays of exact Python ints beyond.
     """
     b = _bits(n)
+    wide = b * n * n > 64
     valid, shift, delta, child = [], [], [], []
     for bi, row in enumerate(_TARGETS[n]):
         for undo in range(5):
             for k, j in enumerate(row):
                 valid.append(j >= 0 and k != undo)
-                j = max(j, 0)  # an invalid move is never read
+                j = bi if j < 0 else j  # off the board: the identity
                 shift.append(j * b)
-                delta.append(((1 << bi * b) - (1 << j * b)) % (1 << 64))
+                d = (1 << bi * b) - (1 << j * b)
+                delta.append(d if wide else d % (1 << 64))
                 child.append(j * 5 + (k ^ 1))
-    return (np.array(valid), np.array(shift, dtype=np.uint64),
-            np.array(delta, dtype=np.uint64), np.array(child))
+    dtype = object if wide else np.uint64
+    return (np.array(valid), np.array(shift, dtype=dtype),
+            np.array(delta, dtype=dtype), np.array(child))
 
 
 def enumerate_reachable(n: int, depth_limit: int | None = None,
@@ -431,20 +440,62 @@ def candidate_rank(seq: MoveSeq) -> int:
     return (4 ** len(seq) - 4) // 3 + within + 1
 
 
+def _exhaust_walk(g: TileGrid, k_max: int) -> MoveSeq | None:
+    """The first sequence of length 0..k_max (length-then-lex) whose
+    total-mode application reaches goal, or None; see exhaust_sequences."""
+    n = g.n
+    _, shift, delta, child = _census_tables(n)
+    # the root slots (undo = 4), where all four moves are on the table
+    shift, delta, child = (t.reshape(-1, 5, 4)[:, 4] for t in (shift, delta, child))
+    moved = child // 5  # the blank's cell after each move
+    mask = delta.dtype.type((1 << _bits(n)) - 1)
+    target = encode(goal(n).cells, n)
+    codes = np.array([encode(g.cells, n)], dtype=delta.dtype)
+    if codes[0] == target:
+        return ()
+    blanks = np.array([g.blank_index])
+    for length in range(1, k_max + 1):
+        keep = length < k_max  # the last length is compared, never stored
+        if keep:
+            next_codes = np.empty(4 * len(codes), dtype=codes.dtype)
+            next_blanks = np.empty(4 * len(codes), dtype=blanks.dtype)
+        for s in range(0, len(codes), EXHAUST_BLOCK):
+            parents = codes[s:s + EXHAUST_BLOCK, None]
+            at = blanks[s:s + EXHAUST_BLOCK]
+            kids = (parents + ((parents >> shift[at]) & mask) * delta[at]).ravel()
+            hits = np.flatnonzero(kids == target)
+            if len(hits):
+                index = 4 * s + int(hits[0])  # its base-4 digits are the moves
+                return tuple(MOVES[index >> 2 * p & 3] for p in reversed(range(length)))
+            if keep:
+                next_codes[4 * s:4 * s + len(kids)] = kids
+                next_blanks[4 * s:4 * s + len(kids)] = moved[at].ravel()
+        if keep:
+            codes, blanks = next_codes, next_blanks
+    return None
+
+
 def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
     """First sequence (length-then-lex, U < D < R < L) whose total-mode
     application reaches goal; the empty sequence is checked first.
 
     Theta(4^k) probes; raises NotFound when no candidate works, and
     ResourceLimit before the walk when there are more than
-    EXHAUST_CANDIDATE_CAP candidates of length 1..k_max.  Each length
-    is one depth-first walk of the candidate tree: a move is applied to a
-    mutable cell list on the way down and undone on the way back, so every
-    candidate is compared against the goal without replaying its prefix.
-    With a ledger, each candidate costs one probe decision and the winning
-    sequence is replayed through the instrumented verifier, which keeps the
-    whole run inside budget("search", n, k_max).  k_max must be a
-    nonnegative int (ValueError otherwise, bool included).
+    EXHAUST_CANDIDATE_CAP candidates of length 1..k_max.  The walk goes a
+    length at a time over packed codes (uint64 for n <= 4, Python ints in
+    object arrays beyond): candidate 4 * i + k of length L is candidate i
+    of length L - 1 followed by move k, its code made from its prefix's by
+    one gather from _census_tables, where a move off the board changes
+    nothing.  So each length's array is in lexicographic order, and the
+    first index equal to the goal's code is the winner, its base-4 digits
+    its moves.  Prefixes are extended EXHAUST_BLOCK at a time, compared
+    block by block, and the walk stops at the block that holds the first
+    hit; the last length is never stored.  With a ledger, each candidate up
+    to the hit costs one probe decision (those computed after it in its
+    block are not charged) and the winning sequence is replayed through the
+    instrumented verifier, which keeps the whole run inside budget("search",
+    n, k_max).  k_max must be a nonnegative int (ValueError otherwise, bool
+    included).
     """
     require_int("k_max", k_max, 0)
     candidates = 0
@@ -453,35 +504,8 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
         if candidates > EXHAUST_CANDIDATE_CAP:
             raise ResourceLimit(f"k_max {k_max} gives more than "
                                 f"{EXHAUST_CANDIDATE_CAP} candidate sequences")
-    targets = _TARGETS[g.n]
-    cells = list(g.cells)
-    goal_cells = list(goal(g.n).cells)
-    path: list[int] = []  # move indices, appended as the walk unwinds
-
-    def walk(bi: int, left: int) -> bool:
-        """True when some candidate extending the current prefix by `left`
-        moves reaches goal; tries them in lexicographic order."""
-        for k, j in enumerate(targets[bi]):
-            if j < 0:  # total mode: the boundary move changes nothing
-                hit = walk(bi, left - 1) if left > 1 else cells == goal_cells
-            else:
-                v = cells[j]
-                cells[bi] = v
-                cells[j] = BLANK
-                hit = walk(j, left - 1) if left > 1 else cells == goal_cells
-                cells[j] = v
-                cells[bi] = BLANK
-            if hit:
-                path.append(k)
-                return True
-        return False
-
-    found = cells == goal_cells
-    length = 0
-    while not found and length < k_max:
-        length += 1
-        found = walk(g.blank_index, length)
-    seq = tuple(MOVES[k] for k in reversed(path))
+    seq = _exhaust_walk(g, k_max)
+    found = seq is not None
     if ledger is not None:
         # the walk stops at the first hit in length-lex order, so it has
         # compared candidate_rank(seq) candidates, or all of them, plus

@@ -127,8 +127,9 @@ def claim_report(n: int, table: ReachabilityTable | None = None) -> BoundReport:
     placements times tile arrangements).  A given table must be a complete
     census of side n (ReachabilityTable.complete): a census cut by a depth
     limit undercounts both the states and the diameter, so grading against
-    it is a ValueError.
+    it is a ValueError, as is an n that is not an int (bool included).
     """
+    require_int("n", n)
     if n not in (2, 3):
         raise DomainError("claim reports are desk-scale: n must be 2 or 3")
     if table is None:

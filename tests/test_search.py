@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import deque
 from itertools import permutations
 
@@ -33,6 +34,7 @@ from tilelab import (
     solve_optimal,
     verify_solution,
 )
+from tilelab import search
 from tilelab.grid import BLANK
 from tilelab.search import _bits, _census_tables, _ida_tables, _lower_bound
 
@@ -68,6 +70,31 @@ def exhaust_reference(g, k_max, ledger):
             instrumented_verify(g, cand, ledger)
             return cand
     raise NotFound
+
+
+def assert_exhaust_matches_reference(sides):
+    """exhaust_sequences against exhaust_reference, sequences and ledger
+    snapshots, from random walks of 0-8 moves on each side at k_max 0..6."""
+    rng = random.Random(41)
+    outcomes = {"found": 0, "not_found": 0}
+    for n in sides:
+        starts = []
+        for walk in (0, 2, 4, 6, 8):
+            g, last = goal(n), None
+            for _ in range(walk):
+                m = rng.choice([m for m in legal_moves(g) if m is not last])
+                g, last = apply_seq(g, (m,)), inverse_move(m)
+            starts.append(g)
+        for g in starts:
+            for k_max in range(7):
+                want_ledger, got_ledger = CostLedger(), CostLedger()
+                want = outcome(exhaust_reference, g, k_max, want_ledger)
+                got = outcome(exhaust_sequences, g, k_max, got_ledger)
+                assert got == want
+                assert got_ledger.snapshot() == want_ledger.snapshot()
+                assert outcome(exhaust_sequences, g, k_max, None) == got
+                outcomes["found" if got is not None else "not_found"] += 1
+    assert outcomes["found"] > 0 and outcomes["not_found"] > 0
 
 
 def enumerate_reference(n, depth_limit=None, max_states=2_000_000):
@@ -286,10 +313,10 @@ class TestCensus:
 
 
 class TestCensusTables:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_slot_and_move(self, n):
         """Each table entry against the grid layer: a random arrangement per
-        blank cell, moved by apply_seq."""
+        blank cell, moved by apply_seq, or by total mode off the board."""
         valid, shift, delta, child = _census_tables(n)
         mask = (1 << _bits(n)) - 1
         rng = random.Random(n)
@@ -302,13 +329,13 @@ class TestCensusTables:
             for undo in range(5):
                 for k, m in enumerate(MOVES):
                     e = (bi * 5 + undo) * 4 + k
-                    if m not in legal or k == undo:
-                        assert not valid[e]
-                        continue
-                    assert valid[e]
-                    nxt = apply_seq(g, (m,))
+                    assert valid[e] == (m in legal and k != undo)
+                    nxt = apply_seq(g, (m,), total=True)
                     tile = (parent >> int(shift[e])) & mask
-                    assert (parent + tile * int(delta[e])) % (1 << 64) == encode(nxt.cells, n)
+                    code = parent + tile * int(delta[e])
+                    if n <= 4:  # uint64 tables wrap modulo 2^64
+                        code %= 1 << 64
+                    assert code == encode(nxt.cells, n)
                     assert child[e] == nxt.blank_index * 5 + (k ^ 1)
                     assert MOVES[k ^ 1] == inverse_move(m)
 
@@ -519,26 +546,29 @@ class TestExhaust:
         assert candidate_rank(parse_moves("RDDRD")) == 942
 
     def test_matches_per_candidate_reference(self):
-        rng = random.Random(41)
-        outcomes = {"found": 0, "not_found": 0}
-        for n in (2, 3, 4):
-            starts = []
-            for walk in (0, 2, 4, 6, 8):
-                g, last = goal(n), None
-                for _ in range(walk):
-                    m = rng.choice([m for m in legal_moves(g) if m is not last])
-                    g, last = apply_seq(g, (m,)), inverse_move(m)
-                starts.append(g)
-            for g in starts:
-                for k_max in range(7):
-                    want_ledger, got_ledger = CostLedger(), CostLedger()
-                    want = outcome(exhaust_reference, g, k_max, want_ledger)
-                    got = outcome(exhaust_sequences, g, k_max, got_ledger)
-                    assert got == want
-                    assert got_ledger.snapshot() == want_ledger.snapshot()
-                    assert outcome(exhaust_sequences, g, k_max, None) == got
-                    outcomes["found" if got is not None else "not_found"] += 1
-        assert outcomes["found"] > 0 and outcomes["not_found"] > 0
+        assert_exhaust_matches_reference((2, 3, 4, 5))
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_boundaries_match_the_reference(self, monkeypatch, block):
+        # the default block never splits a length up to 6, so the hit's
+        # index 4 * s + hit is tested with blocks of one and three prefixes
+        monkeypatch.setattr(search, "EXHAUST_BLOCK", block)
+        assert_exhaust_matches_reference((2, 3, 4, 5))
+
+    def test_unsolvable_4x4_at_the_cap_edge(self):
+        # every candidate of length 1..11 compared, and the last length,
+        # 4^11 codes, never stored
+        g = new_grid(4, list(range(1, 14)) + [15, 14, None])
+        ledger = CostLedger()
+        tracemalloc.start()
+        try:
+            with pytest.raises(NotFound):
+                exhaust_sequences(g, 11, ledger)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ledger.decisions == 1 + (4 ** 12 - 4) // 3 == 5_592_405
+        assert peak < 64 * 2 ** 20
 
     def test_returns_shortest_then_lex_first(self):
         # depth-1 state: both U...U paddings and the exact move exist; the

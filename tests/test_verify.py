@@ -154,6 +154,13 @@ class TestClaimReport:
         with pytest.raises(DomainError):
             claim_report(4)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, 3.0, "3"])
+    def test_non_int_side_is_a_value_error(self, n):
+        # the int-argument rule of the bound functions, before the scale test
+        with pytest.raises(ValueError, match="n must be an int") as exc:
+            claim_report(n)
+        assert not isinstance(exc.value, DomainError)
+
     def test_to_json_shape(self, table2):
         doc = claim_report(2, table2).to_json()
         assert set(doc) == {"n", "ground_truth", "bounds", "verdicts"}

@@ -83,7 +83,8 @@ class TestPattern:
         (("2",), 0, "multiplicity must be an int"),
         ((2,), 1.5, "cofactor degree must be an int"),
         ((2,), True, "cofactor degree must be an int"),
-    ])
+    ], ids=["float-multiplicity", "integral-float-multiplicity", "bool-multiplicity",
+            "str-multiplicity", "float-cofactor-degree", "bool-cofactor-degree"])
     def test_non_int_parts_are_rejected(self, mults, cofactor_degree, match):
         with pytest.raises(ValueError, match=match):
             MultiplicityPattern(mults, cofactor_degree)
