@@ -186,9 +186,7 @@ def _cmd_puzzle_enumerate(args) -> int:
 
 
 def _cmd_puzzle_bounds(args) -> int:
-    table = enumerate_reachable(args.n)
-    doc = claim_report(args.n, table).to_json()
-    _emit(doc)
+    _emit(claim_report(args.n).to_json())
     return 0
 
 
@@ -286,11 +284,7 @@ def _cmd_roots_cases(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    sizes = args.n or [2]
-    bounds = []
-    for n in sorted(set(sizes)):
-        table = enumerate_reachable(n)
-        bounds.append(claim_report(n, table).to_json())
+    bounds = [claim_report(n).to_json() for n in sorted(set(args.n or [2]))]
     polynomials = []
     norm_checks = []
     if args.poly_corpus:

@@ -83,7 +83,7 @@ class Poly:
         return eval_horner(self, x)
 
 
-def _normalize(coeffs: list, kind: str) -> tuple:
+def _normalize(coeffs: list) -> tuple:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
@@ -101,7 +101,7 @@ def poly(coeffs: Sequence, kind: str | None = None) -> Poly:
         kind = RATIONAL if exact else COMPLEX
     if kind not in (RATIONAL, COMPLEX):
         raise ValueError(f"unknown coefficient kind {kind!r}")
-    return Poly(_normalize([_coerce(kind, v) for v in values], kind), kind)
+    return Poly(_normalize([_coerce(kind, v) for v in values]), kind)
 
 
 def rational_poly(coeffs: Sequence) -> Poly:
@@ -145,7 +145,7 @@ def add(p: Poly, q: Poly) -> Poly:
     out = list(p.coeffs) + [_coerce(kind, 0)] * max(0, len(q.coeffs) - len(p.coeffs))
     for i, c in enumerate(q.coeffs):
         out[i] += c
-    return Poly(_normalize(out, kind), kind)
+    return Poly(_normalize(out), kind)
 
 
 def convolve(a: Sequence, b: Sequence, zero_value):
@@ -164,7 +164,7 @@ def convolve(a: Sequence, b: Sequence, zero_value):
 def mul(p: Poly, q: Poly) -> Poly:
     kind = _check_kinds(p, q)
     z = _coerce(kind, 0)
-    return Poly(_normalize(convolve(p.coeffs, q.coeffs, z), kind), kind)
+    return Poly(_normalize(convolve(p.coeffs, q.coeffs, z)), kind)
 
 
 def max_norm(p: Poly):
@@ -236,7 +236,7 @@ def synthetic_divide(p: Poly, r) -> tuple[Poly, object]:
         out.append(acc)
     out.reverse()
     remainder = out[0]
-    return Poly(_normalize(out[1:], p.kind), p.kind), remainder
+    return Poly(_normalize(out[1:]), p.kind), remainder
 
 
 def _deflations(p: Poly, r) -> int:

@@ -14,6 +14,7 @@ instead of replaying the prefix.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from bisect import bisect_left
 from functools import cache, cached_property
@@ -29,7 +30,10 @@ from .limits import ResourceLimit, require_int
 
 DEFAULT_STATE_CAP = 2_000_000
 EXHAUST_CANDIDATE_CAP = 2 ** 24  # k_max <= 11; each further length costs ~4x
-EXHAUST_BLOCK = 2 ** 14  # prefixes the exhaust walk extends at once: 2^16 candidates
+EXHAUST_BYTE_CAP = 2 ** 26  # bytes the exhaust walk may hold; a 4x4 at k_max 11 needs ~23 MiB
+# uint64 prefixes the exhaust walk extends at once (2^16 candidates); as
+# many bytes of wider codes
+EXHAUST_BLOCK = 2 ** 14
 
 
 class Unsolvable(Exception):
@@ -52,10 +56,10 @@ class ReachabilityTable:
     """Exact census of the goal's component, or of its first levels.
 
     codes holds every packed state in discovery order: level by level, and
-    within a level by parent, then U < D < R < L.  The packed state ->
-    depth dict, states, is built from codes and depth_histogram only when
-    first read, with the same insertion order.  complete is true when the
-    BFS saw its frontier empty, so the census holds the whole component.
+    within a level by parent, then U < D < R < L; the depths follow from
+    depth_histogram.  depth_of reads a sorted index of the codes with their
+    depths, built only when first needed.  complete is true when the BFS
+    saw its frontier empty, so the census holds the whole component.
     """
 
     n: int
@@ -72,16 +76,22 @@ class ReachabilityTable:
         return len(self.depth_histogram) - 1
 
     @cached_property
-    def states(self) -> dict[int, int]:
-        depths = np.repeat(np.arange(len(self.depth_histogram)), self.depth_histogram)
-        return dict(zip(self.codes.tolist(), depths.tolist()))
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(codes in ascending order, the depth of each)."""
+        levels = np.arange(len(self.depth_histogram), dtype=np.uint8)  # 4x4 diameter: 80
+        order = np.argsort(self.codes)
+        return self.codes[order], np.repeat(levels, self.depth_histogram)[order]
 
     def depth_of(self, g: TileGrid) -> int | None:
         """g's depth, or None when g lies outside the census; a grid of
         another side is a ValueError."""
         if g.n != self.n:
             raise ValueError(f"grid is {g.n}x{g.n}, table is for n={self.n}")
-        return self.states.get(encode(g.cells, self.n))
+        codes, depths = self._index
+        # a Python int would promote the uint64 codes to float64 on every call
+        code = codes.dtype.type(encode(g.cells, self.n))
+        i = np.searchsorted(codes, code)
+        return int(depths[i]) if i < len(codes) and codes[i] == code else None
 
 
 def _bits(n: int) -> int:
@@ -440,7 +450,7 @@ def candidate_rank(seq: MoveSeq) -> int:
     return (4 ** len(seq) - 4) // 3 + within + 1
 
 
-def _exhaust_walk(g: TileGrid, k_max: int) -> MoveSeq | None:
+def _exhaust_walk(g: TileGrid, k_max: int, block: int) -> MoveSeq | None:
     """The first sequence of length 0..k_max (length-then-lex) whose
     total-mode application reaches goal, or None; see exhaust_sequences."""
     n = g.n
@@ -459,9 +469,9 @@ def _exhaust_walk(g: TileGrid, k_max: int) -> MoveSeq | None:
         if keep:
             next_codes = np.empty(4 * len(codes), dtype=codes.dtype)
             next_blanks = np.empty(4 * len(codes), dtype=blanks.dtype)
-        for s in range(0, len(codes), EXHAUST_BLOCK):
-            parents = codes[s:s + EXHAUST_BLOCK, None]
-            at = blanks[s:s + EXHAUST_BLOCK]
+        for s in range(0, len(codes), block):
+            parents = codes[s:s + block, None]
+            at = blanks[s:s + block]
             kids = (parents + ((parents >> shift[at]) & mask) * delta[at]).ravel()
             hits = np.flatnonzero(kids == target)
             if len(hits):
@@ -481,14 +491,17 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
 
     Theta(4^k) probes; raises NotFound when no candidate works, and
     ResourceLimit before the walk when there are more than
-    EXHAUST_CANDIDATE_CAP candidates of length 1..k_max.  The walk goes a
+    EXHAUST_CANDIDATE_CAP candidates of length 1..k_max, or when the walk
+    would hold more than EXHAUST_BYTE_CAP bytes, which bounds the side
+    too.  The walk goes a
     length at a time over packed codes (uint64 for n <= 4, Python ints in
     object arrays beyond): candidate 4 * i + k of length L is candidate i
     of length L - 1 followed by move k, its code made from its prefix's by
     one gather from _census_tables, where a move off the board changes
     nothing.  So each length's array is in lexicographic order, and the
     first index equal to the goal's code is the winner, its base-4 digits
-    its moves.  Prefixes are extended EXHAUST_BLOCK at a time, compared
+    its moves.  Prefixes are extended a block at a time (EXHAUST_BLOCK
+    uint64 codes, or as many bytes of wider ones), compared
     block by block, and the walk stops at the block that holds the first
     hit; the last length is never stored.  With a ledger, each candidate up
     to the hit costs one probe decision (those computed after it in its
@@ -504,7 +517,17 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
         if candidates > EXHAUST_CANDIDATE_CAP:
             raise ResourceLimit(f"k_max {k_max} gives more than "
                                 f"{EXHAUST_CANDIDATE_CAP} candidate sequences")
-    seq = _exhaust_walk(g, k_max)
+    # a stored candidate is its code (a uint64, or a pointer to an exact int
+    # of at most _bits(n)·n² bits) and its blank's cell; the walk holds
+    # lengths k_max - 1 and k_max - 2 (5·4^k_max / 16 candidates) while it
+    # builds the first, a block's temporaries, and _census_tables' 20 n² moves
+    width = _bits(g.n) * g.n ** 2
+    code = 8 if width <= 64 else 8 + sys.getsizeof(1 << width - 1)
+    block = max(1, EXHAUST_BLOCK * 8 // code)
+    held = (5 * 4 ** k_max // 16 + 16 * block + 20 * g.n ** 2) * (code + 8)
+    if held > EXHAUST_BYTE_CAP:
+        raise ResourceLimit(f"k_max {k_max} at n = {g.n} needs {held >> 20} MiB, over the byte cap")
+    seq = _exhaust_walk(g, k_max, block)
     found = seq is not None
     if ledger is not None:
         # the walk stops at the first hit in length-lex order, so it has

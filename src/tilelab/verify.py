@@ -10,7 +10,7 @@ expected, correct output there, not an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable
 
 from .grid import Move, TileGrid, apply_seq, goal, grids_equal
@@ -82,52 +82,46 @@ def optimal_moves_mobility_bound(n: int) -> int:
     return 4 * (n * n - n - 2)
 
 
+# (report key, bound function, the census fact it bounds), in document order.
+# A bound holds when the fact is at most the bound, and is untested where
+# its function raises DomainError: the function states its own domain.
+CLAIMS = (
+    ("optimal_moves_log_bound", optimal_moves_log_bound, "diameter"),
+    ("solvable_states_branching_bound", solvable_states_branching_bound, "solvable_states"),
+    ("solvable_states_mobility_bound", solvable_states_mobility_bound, "solvable_states"),
+    ("optimal_moves_mobility_bound", optimal_moves_mobility_bound, "diameter"),
+)
+
+
 @dataclass
 class BoundReport:
-    """Each published bound next to ground truth, with a per-claim verdict.
+    """Each published bound next to ground truth, with a per-claim verdict,
+    keyed as in the emitted document.
 
     Verdicts are "holds", "fails", or "untested" (formula domain excludes
-    this n).  The report is emitted verbatim; a failing claim stays failing.
+    this n, and the bound is None).  The report is emitted verbatim; a
+    failing claim stays failing.
     """
 
     n: int
-    ground_truth_count: int
-    ground_truth_diameter: int
-    log_bound: float
-    branching_bound: int
-    mobility_bound: int | None
-    quadratic_move_bound: int | None
-    configuration_count: int
-    verdicts: dict[str, str] = field(default_factory=dict)
+    ground_truth: dict[str, int]        # solvable_states, diameter
+    bounds: dict[str, int | float | None]
+    verdicts: dict[str, str]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "ground_truth": {
-                "solvable_states": self.ground_truth_count,
-                "diameter": self.ground_truth_diameter,
-            },
-            "bounds": {
-                "optimal_moves_log_bound": self.log_bound,
-                "solvable_states_branching_bound": self.branching_bound,
-                "solvable_states_mobility_bound": self.mobility_bound,
-                "optimal_moves_mobility_bound": self.quadratic_move_bound,
-                "configuration_count": self.configuration_count,
-            },
-            "verdicts": dict(self.verdicts),
-        }
+        return asdict(self)
 
 
 def claim_report(n: int, table: ReachabilityTable | None = None) -> BoundReport:
     """Evaluate every bound at n and compare against the BFS census.
 
-    A size bound holds iff the true solvable-state count stays below it; a
-    move bound holds iff the true diameter stays below it.  The grid-count
-    formula is checked against an independent combinatorial count (blank
-    placements times tile arrangements).  A given table must be a complete
-    census of side n (ReachabilityTable.complete): a census cut by a depth
-    limit undercounts both the states and the diameter, so grading against
-    it is a ValueError, as is an n that is not an int (bool included).
+    Each row of CLAIMS is graded against the census fact it bounds.  The
+    grid-count formula is checked against an independent combinatorial
+    count (blank placements times tile arrangements).  A given table must
+    be a complete census of side n (ReachabilityTable.complete): a census
+    cut by a depth limit undercounts both the states and the diameter, so
+    grading against it is a ValueError, as is an n that is not an int
+    (bool included).
     """
     require_int("n", n)
     if n not in (2, 3):
@@ -139,39 +133,18 @@ def claim_report(n: int, table: ReachabilityTable | None = None) -> BoundReport:
     elif not table.complete:
         raise ValueError("table is a census cut by its depth limit, not the whole component")
 
-    count, diameter = table.count, table.diameter
-    log_bound = optimal_moves_log_bound(n)
-    branching = solvable_states_branching_bound(n)
-    mobility = quadratic = None
-    verdicts = {
-        "optimal_moves_log_bound": "holds" if diameter <= log_bound else "fails",
-        "solvable_states_branching_bound": "holds" if count <= branching else "fails",
-    }
-    if n >= 3:
-        mobility = solvable_states_mobility_bound(n)
-        quadratic = optimal_moves_mobility_bound(n)
-        verdicts["solvable_states_mobility_bound"] = (
-            "holds" if count <= mobility else "fails")
-        verdicts["optimal_moves_mobility_bound"] = (
-            "holds" if diameter <= quadratic else "fails")
-    else:
-        verdicts["solvable_states_mobility_bound"] = "untested"
-        verdicts["optimal_moves_mobility_bound"] = "untested"
-
+    truth = {"solvable_states": table.count, "diameter": table.diameter}
+    bounds, verdicts = {}, {}
+    for key, bound, fact in CLAIMS:
+        try:
+            bounds[key] = bound(n)
+        except DomainError:
+            bounds[key], verdicts[key] = None, "untested"
+        else:
+            verdicts[key] = "holds" if truth[fact] <= bounds[key] else "fails"
     # independent route: choose the blank cell, then arrange the tiles
-    independent_total = n * n * math.factorial(n * n - 1)
-    claimed_total = configuration_count(n)
+    bounds["configuration_count"] = configuration_count(n)
     verdicts["configuration_count"] = (
-        "holds" if claimed_total == independent_total else "fails")
-
-    return BoundReport(
-        n=n,
-        ground_truth_count=count,
-        ground_truth_diameter=diameter,
-        log_bound=log_bound,
-        branching_bound=branching,
-        mobility_bound=mobility,
-        quadratic_move_bound=quadratic,
-        configuration_count=claimed_total,
-        verdicts=verdicts,
-    )
+        "holds" if bounds["configuration_count"] == n * n * math.factorial(n * n - 1)
+        else "fails")
+    return BoundReport(n, truth, bounds, verdicts)

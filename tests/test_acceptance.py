@@ -50,6 +50,7 @@ from tilelab import (
     solve_optimal,
     verify_solution,
 )
+from conftest import code_depths
 
 EXAMPLE_CELLS = (1, 0, 2, 4, 5, 6, 3, 8, 9, 10, 7, 11, 13, 14, 15, 12)
 
@@ -109,7 +110,7 @@ def test_c04_bound_formulas():
 def test_c05_decision_budgets():
     # every n=2 state, verified with its optimal sequence
     table2 = enumerate_reachable(2)
-    for key, depth in table2.states.items():
+    for key, depth in code_depths(table2):
         g = new_grid(2, decode(key, 2))
         seq = solve_optimal(g).seq
         assert len(seq) == depth
@@ -130,7 +131,7 @@ def test_c05_decision_budgets():
         assert ledger.decisions <= budget("verify", n, len(seq)).ceiling
 
     # brute-force search over all n=2 states stays inside its budget
-    for key in table2.states:
+    for key in table2.codes.tolist():
         g = new_grid(2, decode(key, 2))
         ledger = CostLedger()
         exhaust_sequences(g, 6, ledger)

@@ -1,10 +1,12 @@
 import cmath
+import hashlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tilelab import ResourceLimit, load_grid, parse_poly_text, poly_from_json, vieta
+from tilelab import (
+    ResourceLimit, format_grid_text, goal, load_grid, parse_poly_text, poly_from_json, vieta)
 from tilelab.cli import main
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -174,6 +177,21 @@ class TestPuzzleBounds:
         assert doc["verdicts"]["configuration_count"] == "holds"
         assert doc["verdicts"]["solvable_states_branching_bound"] == "fails"
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("puzzle", "bounds", "--n", "2"),
+         "c24835a4a69c1cee3289aa08adcec6b5a0ff431c01477365219a545e84cd8e4b"),
+        (("puzzle", "bounds", "--n", "3"),
+         "b9a76a88c10e30357adcaf5f76b2fc1fdc8b2c3c13ee1e9b9aa836d176b94916"),
+        (("report", "--n", "2", "--n", "3"),
+         "e9df5ea792d177e21891524c00d9ecc58ba3f265894414e77b8f1fbc9b89602f"),
+    ], ids=["bounds-2", "bounds-3", "report-2-3"])
+    def test_document_bytes_are_pinned(self, argv, digest):
+        # key order and the log bound's digits, which the schema leaves open
+        proc = subprocess.run([sys.executable, "-m", "tilelab.cli", *argv],
+                              capture_output=True, timeout=120, env=CHILD_ENV)
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
     def test_out_of_range_n_rejected_by_parser(self):
         code, out, _ = run("puzzle", "bounds", "--n", "4")
         assert code == 2
@@ -210,6 +228,23 @@ class TestPuzzleExhaust:
         check(doc, "puzzle_exhaust.schema.json")
         assert doc["found"] is False
         assert doc["within"] is True
+
+
+    def test_wide_grid_over_the_byte_cap_exits_3(self, tmp_path, capsys):
+        # 4^6 stored 64x64 codes and the move tables would take ~500 MiB;
+        # the request is refused before either is built
+        path = tmp_path / "wide.txt"
+        path.write_text(format_grid_text(goal(64)))
+        tracemalloc.start()
+        try:
+            code = main(["puzzle", "exhaust", "--in", str(path), "--kmax", "7"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.startswith("tilelab: resource limit: k_max 7 at n = 64 needs ")
+        assert peak < 8 * 2 ** 20
 
 
 class TestRootsFind:

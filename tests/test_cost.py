@@ -143,14 +143,14 @@ class TestInstrumentedVerify:
 
     def test_agrees_with_plain_verifier(self, table2):
         rng = random.Random(23)
-        for code in table2.states:
+        for code in table2.codes.tolist():
             g = new_grid(2, decode(code, 2))
             seq = tuple(rng.choice(MOVES) for _ in range(rng.randrange(6)))
             ledger = CostLedger()
             assert instrumented_verify(g, seq, ledger) == verify_solution(g, seq)
 
     def test_within_budget_exhaustively_n2(self, table2):
-        for code in table2.states:
+        for code in table2.codes.tolist():
             g = new_grid(2, decode(code, 2))
             seq = solve_optimal(g).seq
             ledger = CostLedger()

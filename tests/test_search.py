@@ -37,6 +37,7 @@ from tilelab import (
 from tilelab import search
 from tilelab.grid import BLANK
 from tilelab.search import _bits, _census_tables, _ida_tables, _lower_bound
+from conftest import code_depths
 
 # the 31-move 3x3 grid  6 4 7 / 8 5 _ / 3 2 1
 DEEPEST3 = (6, 4, 7, 8, 5, 0, 3, 2, 1)
@@ -229,6 +230,20 @@ class TestCensus:
         swapped = new_grid(2, [2, 1, 3, None])
         assert table2.depth_of(swapped) is None
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_depth_of_matches_the_reference_on_every_state(self, n, table2, table3):
+        table = table2 if n == 2 else table3
+        depths, _, _ = enumerate_reference(n)
+        assert len(depths) == table.count
+        for code, depth in depths.items():
+            assert table.depth_of(new_grid(n, decode(code, n))) == depth
+
+    def test_depth_of_is_none_off_the_2x2_component(self, table2):
+        off = [perm for perm in permutations(range(4)) if not is_solvable(new_grid(2, perm))]
+        assert len(off) == 12
+        for perm in off:
+            assert table2.depth_of(new_grid(2, perm)) is None
+
     def test_depth_of_another_side_is_an_error(self, table2):
         # encoded with the table's side, the 3x3 goal would read as unreachable
         with pytest.raises(ValueError, match="table is for n=2"):
@@ -258,7 +273,7 @@ class TestCensus:
     def test_matches_deque_reference(self, n, limit, table3):
         t = table3 if n == 3 else enumerate_reachable(n, depth_limit=limit)
         states, hist, diameter = enumerate_reference(n, depth_limit=limit)
-        assert list(t.states.items()) == list(states.items())  # insertion order too
+        assert code_depths(t) == list(states.items())  # discovery order too
         assert (t.count, t.depth_histogram, t.diameter) == (len(states), hist, diameter)
 
     @pytest.mark.parametrize("n, limit", [(3, None), (4, 12)])
@@ -357,7 +372,7 @@ class TestEncoding:
 class TestSolvability:
     def test_matches_bfs_membership_exhaustively(self, table2):
         # all 24 arrangements of {blank, 1, 2, 3}: parity test == BFS membership
-        member = {decode(code, 2) for code in table2.states}
+        member = {decode(code, 2) for code in table2.codes.tolist()}
         agree = 0
         for perm in permutations(range(4)):
             g = new_grid(2, perm)
@@ -380,7 +395,7 @@ class TestSolvability:
 
 class TestSolveOptimal:
     def test_all_n2_states_match_census(self, table2):
-        for code, depth in table2.states.items():
+        for code, depth in code_depths(table2):
             g = new_grid(2, decode(code, 2))
             res = solve_optimal(g)
             assert res.psi == depth == len(res.seq)
@@ -400,10 +415,9 @@ class TestSolveOptimal:
 
     def test_bfs_and_ida_agree(self, table3):
         rng = random.Random(9)
-        codes = rng.sample(sorted(table3.states), 12)
-        for code in codes:
+        for code, depth in rng.sample(sorted(code_depths(table3)), 12):
             g = new_grid(3, decode(code, 3))
-            assert solve_optimal(g).psi == table3.states[code]
+            assert solve_optimal(g).psi == depth
 
     def test_ida_on_n4(self, example_grid):
         res = solve_optimal(example_grid)
@@ -416,7 +430,7 @@ class TestSolveOptimal:
 
     def test_depth_stratified_n3_gives_lex_first_witness(self, table3):
         by_depth = {}
-        for code, depth in sorted(table3.states.items()):
+        for code, depth in sorted(code_depths(table3)):
             by_depth.setdefault(depth, []).append(code)
         assert len(by_depth[31]) == 2
         rng = random.Random(31)
@@ -459,7 +473,7 @@ class TestLowerBound:
     def test_admissible_on_the_whole_3x3_census(self, table3):
         # h changes by 1 on every move and is 0 at the goal, so it also
         # has the parity of the depth
-        bad = [code for code, depth in table3.states.items()
+        bad = [code for code, depth in code_depths(table3)
                if not (h := _lower_bound(decode(code, 3), 3)[0]) <= depth or (depth - h) % 2]
         assert bad == []
 
@@ -532,7 +546,7 @@ class TestExhaust:
 
     def test_ledgered_run_stays_inside_budget(self, table2):
         from tilelab import exhaust_sequences
-        for code, depth in table2.states.items():
+        for code, depth in code_depths(table2):
             g = new_grid(2, decode(code, 2))
             ledger = CostLedger()
             seq = exhaust_sequences(g, depth, ledger)
@@ -552,6 +566,7 @@ class TestExhaust:
     def test_block_boundaries_match_the_reference(self, monkeypatch, block):
         # the default block never splits a length up to 6, so the hit's
         # index 4 * s + hit is tested with blocks of one and three prefixes
+        # (n = 5's wider codes scale three down to one)
         monkeypatch.setattr(search, "EXHAUST_BLOCK", block)
         assert_exhaust_matches_reference((2, 3, 4, 5))
 
@@ -569,6 +584,38 @@ class TestExhaust:
             tracemalloc.stop()
         assert ledger.decisions == 1 + (4 ** 12 - 4) // 3 == 5_592_405
         assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("n, k_max", [(8, 11), (64, 7)])
+    def test_over_the_byte_cap_is_refused_before_the_walk(self, n, k_max):
+        # the walk would store 4^10 exact 384-bit codes at n = 8, and at
+        # n = 64 the move tables alone pass the cap
+        ledger = CostLedger()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="over the byte cap"):
+                exhaust_sequences(goal(n), k_max, ledger)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ledger.decisions == 0
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("n, witness", [(8, "UUUULDDDDR"), (16, "UUUURDDDD")])
+    def test_wide_grid_at_the_byte_cap_edge(self, n, witness):
+        # at the largest k_max the cap admits, the walk stores length
+        # k_max - 1 whole before it meets the witness, early in length k_max
+        seq = parse_moves(witness)
+        k_max = len(seq)
+        with pytest.raises(ResourceLimit, match="over the byte cap"):
+            exhaust_sequences(goal(n), k_max + 1)
+        g = apply_seq(goal(n), reverse_seq(seq))
+        tracemalloc.start()
+        try:
+            assert exhaust_sequences(g, k_max) == seq
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < search.EXHAUST_BYTE_CAP
 
     def test_returns_shortest_then_lex_first(self):
         # depth-1 state: both U...U paddings and the exact move exist; the

@@ -99,8 +99,7 @@ class TestBoundFormulas:
 class TestClaimReport:
     def test_n2_verdicts(self, table2):
         rep = claim_report(2, table2)
-        assert rep.ground_truth_count == 12
-        assert rep.ground_truth_diameter == 6
+        assert rep.ground_truth == {"solvable_states": 12, "diameter": 6}
         assert rep.verdicts == {
             "optimal_moves_log_bound": "fails",
             "solvable_states_branching_bound": "fails",
@@ -108,13 +107,12 @@ class TestClaimReport:
             "optimal_moves_mobility_bound": "untested",
             "configuration_count": "holds",
         }
-        assert rep.mobility_bound is None
-        assert rep.quadratic_move_bound is None
+        assert rep.bounds["solvable_states_mobility_bound"] is None
+        assert rep.bounds["optimal_moves_mobility_bound"] is None
 
     def test_n3_verdicts(self, table3):
         rep = claim_report(3, table3)
-        assert rep.ground_truth_count == 181440
-        assert rep.ground_truth_diameter == 31
+        assert rep.ground_truth == {"solvable_states": 181440, "diameter": 31}
         assert rep.verdicts == {
             "optimal_moves_log_bound": "fails",
             "solvable_states_branching_bound": "fails",
@@ -122,19 +120,20 @@ class TestClaimReport:
             "optimal_moves_mobility_bound": "fails",
             "configuration_count": "holds",
         }
-        assert rep.mobility_bound == 8
-        assert rep.quadratic_move_bound == 16
+        assert rep.bounds["solvable_states_mobility_bound"] == 8
+        assert rep.bounds["optimal_moves_mobility_bound"] == 16
 
-    def test_report_leaves_the_state_dict_unbuilt(self):
+    def test_report_leaves_the_index_unbuilt(self):
+        # the report reads the census counts; only depth_of sorts the codes
         table = enumerate_reachable(3)
         claim_report(3, table)
-        assert "states" not in table.__dict__
+        assert "_index" not in table.__dict__
         assert table.depth_of(goal(3)) == 0
         assert table.depth_of(new_grid(3, [6, 4, 7, 8, 5, None, 3, 2, 1])) == 31
 
     def test_report_builds_own_table_when_omitted(self):
         rep = claim_report(2)
-        assert rep.ground_truth_count == 12
+        assert rep.ground_truth["solvable_states"] == 12
 
     def test_table_size_mismatch(self, table2):
         with pytest.raises(ValueError):
