@@ -12,7 +12,6 @@ against an independent bisection oracle, is the answer.
 from tilelab import (
     enumerate_patterns,
     eval_horner,
-    find_roots,
     find_roots_report,
     format_poly_text,
     max_norm,
@@ -47,9 +46,9 @@ print("\nbisection oracle finds:", [round(float(v), 10) for v in oracle.values()
 
 # shapes with no real part fall through to pure even cofactors
 q = parse_poly_text("1, 0, 1")
-print("\nx^2 + 1 over the reals:", find_roots(q).to_json())
+print("\nx^2 + 1 over the reals:", find_roots_report(q).roots.to_json())
 print("x^2 + 1 over the complexes:",
-      [v for v, _, _ in find_roots(q, mode="complex").roots])
+      [v for v, _, _ in find_roots_report(q, mode="complex").roots.roots])
 
 # a repeated root shows up as a collision: the all-simple shape welds
 # two of its roots together and the walk re-dispatches the merged shape

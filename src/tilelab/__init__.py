@@ -21,8 +21,6 @@ from .grid import (
     MultipleBlanks,
     TileGrid,
     ValueOutOfRange,
-    apply_move,
-    apply_move_total,
     apply_seq,
     format_grid_text,
     format_moves,
@@ -31,7 +29,6 @@ from .grid import (
     grid_to_json,
     grids_equal,
     inverse_move,
-    is_goal,
     legal_moves,
     load_grid,
     move_target,
@@ -42,7 +39,6 @@ from .grid import (
 )
 from .search import (
     DEFAULT_STATE_CAP,
-    EXHAUST_CANDIDATE_CAP,
     NotFound,
     ReachabilityTable,
     SearchResult,
@@ -103,10 +99,8 @@ from .poly import (
     poly,
     poly_from_json,
     poly_to_json,
-    rational_poly,
     synthetic_divide,
     verify_root,
-    zero,
 )
 from .sturm import count_real_roots_in, is_nicely_factored, oracle_real_roots, root_bound
 from .vieta import (
@@ -123,7 +117,6 @@ from .vieta import (
     VietaSystem,
     build_system,
     enumerate_patterns,
-    find_roots,
     find_roots_report,
     solve_case,
 )

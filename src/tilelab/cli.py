@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import chain
 
 from .cost import MOVE_DECISION_CEILINGS, CostLedger, budget, instrumented_apply, instrumented_verify
 from .grid import format_moves, load_grid, parse_moves
@@ -89,23 +88,11 @@ def _load_poly_arg(args) -> Poly:
                           "JSON is nested too deeply") from None
 
 
-def _blocks(chunks, size: int = 4096):
-    """Join consecutive chunks into blocks of at least size characters."""
-    block, length = [], 0
-    for chunk in chunks:
-        block.append(chunk)
-        length += len(chunk)
-        if length >= size:
-            yield "".join(block)
-            block, length = [], 0
-    if block:
-        yield "".join(block)
-
-
 def _emit(doc: dict) -> None:
-    """Write doc to stdout as indented JSON, block by block, so a large
-    document is never held as one string."""
-    sys.stdout.writelines(_blocks(chain(json.JSONEncoder(indent=2).iterencode(doc), ["\n"])))
+    """Write doc to stdout as indented JSON; json.dump writes it chunk by
+    chunk, so a large document is never held as one string."""
+    json.dump(doc, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A grid of side n holds the tiles 1..n*n-1 plus one blank cell.  Moves are
 named for the direction the blank travels: U and D change the blank's row
 by -1/+1, R and L change its column by +1/-1.  (U, D) and (R, L) are
-inverse pairs.  Strict application raises on a move that would push the
-blank off the board; total application returns the grid unchanged instead.
+inverse pairs.  apply_seq applies a sequence strictly, raising on a move
+that would push the blank off the board, or totally, where such a move
+leaves the grid unchanged.
 """
 
 from __future__ import annotations
@@ -40,13 +41,13 @@ class ValueOutOfRange(GridError):
 
 
 class IllegalMove(Exception):
-    """Strict-mode move would push the blank off the board."""
+    """Strict-mode move, at step index of its sequence, would push the
+    blank off the board."""
 
-    def __init__(self, move: "Move", index: int | None = None):
+    def __init__(self, move: "Move", index: int):
         self.move = move
         self.index = index
-        at = "" if index is None else f" at step {index}"
-        super().__init__(f"illegal move {move.letter}{at}")
+        super().__init__(f"illegal move {move.letter} at step {index}")
 
 
 class Move(Enum):
@@ -132,10 +133,6 @@ def grids_equal(a: TileGrid, b: TileGrid) -> bool:
     return a.n == b.n and a.cells == b.cells
 
 
-def is_goal(g: TileGrid) -> bool:
-    return grids_equal(g, goal(g.n))
-
-
 class _Targets(dict):
     """n -> targets, where targets[i][k] is the cell the blank at i reaches by
     MOVES[k], or -1 off the board: the one statement of the board's edges,
@@ -166,20 +163,6 @@ def _swap(g: TileGrid, j: int) -> TileGrid:
     lst = list(g.cells)
     lst[g.blank_index], lst[j] = lst[j], lst[g.blank_index]
     return TileGrid(g.n, tuple(lst), j)
-
-
-def apply_move(g: TileGrid, m: Move) -> TileGrid:
-    """Strict application: raises IllegalMove at the boundary."""
-    j = move_target(g, m)
-    if j is None:
-        raise IllegalMove(m)
-    return _swap(g, j)
-
-
-def apply_move_total(g: TileGrid, m: Move) -> TileGrid:
-    """Total application: a boundary move is the identity."""
-    j = move_target(g, m)
-    return g if j is None else _swap(g, j)
 
 
 def apply_seq(g: TileGrid, seq: Iterable[Move], total: bool = False) -> TileGrid:

@@ -104,16 +104,8 @@ def poly(coeffs: Sequence, kind: str | None = None) -> Poly:
     return Poly(_normalize([_coerce(kind, v) for v in values]), kind)
 
 
-def rational_poly(coeffs: Sequence) -> Poly:
-    return poly(coeffs, RATIONAL)
-
-
 def complex_poly(coeffs: Sequence) -> Poly:
     return poly(coeffs, COMPLEX)
-
-
-def zero(kind: str = RATIONAL) -> Poly:
-    return Poly((), kind)
 
 
 def _check_kinds(p: Poly, q: Poly) -> str:

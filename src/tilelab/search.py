@@ -7,9 +7,10 @@ bound is the Manhattan distance plus linear conflicts, updated move by
 move: the length-then-lexicographic first optimal witness, which any
 admissible bound yields, so a tighter bound changes only the node count.
 exhaust_sequences is the brute-force enumerator over raw move strings; it
-exists to be metered, so it compares every candidate, but it builds each
-length's candidates at once as packed codes, each from its prefix's code,
-instead of replaying the prefix.
+exists to be metered, so it compares every candidate and charges each one
+to the ledger it is always given, but it builds each length's candidates
+at once as packed codes, each from its prefix's code, instead of replaying
+the prefix.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .grid import _TARGETS, BLANK, MOVES, MoveSeq, TileGrid, goal
 from .limits import ResourceLimit, require_int
 
 DEFAULT_STATE_CAP = 2_000_000
-EXHAUST_CANDIDATE_CAP = 2 ** 24  # k_max <= 11; each further length costs ~4x
 EXHAUST_BYTE_CAP = 2 ** 26  # bytes the exhaust walk may hold; a 4x4 at k_max 11 needs ~23 MiB
 # uint64 prefixes the exhaust walk extends at once (2^16 candidates); as
 # many bytes of wider codes
@@ -485,38 +485,30 @@ def _exhaust_walk(g: TileGrid, k_max: int, block: int) -> MoveSeq | None:
     return None
 
 
-def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
+def exhaust_sequences(g: TileGrid, k_max: int, ledger: cost.CostLedger) -> MoveSeq:
     """First sequence (length-then-lex, U < D < R < L) whose total-mode
     application reaches goal; the empty sequence is checked first.
 
     Theta(4^k) probes; raises NotFound when no candidate works, and
-    ResourceLimit before the walk when there are more than
-    EXHAUST_CANDIDATE_CAP candidates of length 1..k_max, or when the walk
-    would hold more than EXHAUST_BYTE_CAP bytes, which bounds the side
-    too.  The walk goes a
-    length at a time over packed codes (uint64 for n <= 4, Python ints in
-    object arrays beyond): candidate 4 * i + k of length L is candidate i
-    of length L - 1 followed by move k, its code made from its prefix's by
-    one gather from _census_tables, where a move off the board changes
-    nothing.  So each length's array is in lexicographic order, and the
-    first index equal to the goal's code is the winner, its base-4 digits
-    its moves.  Prefixes are extended a block at a time (EXHAUST_BLOCK
-    uint64 codes, or as many bytes of wider ones), compared
-    block by block, and the walk stops at the block that holds the first
-    hit; the last length is never stored.  With a ledger, each candidate up
-    to the hit costs one probe decision (those computed after it in its
-    block are not charged) and the winning sequence is replayed through the
-    instrumented verifier, which keeps the whole run inside budget("search",
-    n, k_max).  k_max must be a nonnegative int (ValueError otherwise, bool
-    included).
+    ResourceLimit before the walk when it would hold more than
+    EXHAUST_BYTE_CAP bytes, which bounds both k_max (to at most 11 on any
+    side) and the side.  The walk goes a length at a time over packed
+    codes (uint64 for n <= 4, Python ints in object arrays beyond):
+    candidate 4 * i + k of length L is candidate i of length L - 1
+    followed by move k, its code made from its prefix's by one gather from
+    _census_tables, where a move off the board changes nothing.  So each
+    length's array is in lexicographic order, and the first index equal to
+    the goal's code is the winner, its base-4 digits its moves.  Prefixes
+    are extended a block at a time (EXHAUST_BLOCK uint64 codes, or as many
+    bytes of wider ones), compared block by block, and the walk stops at
+    the block that holds the first hit; the last length is never stored.
+    Each candidate up to the hit costs the ledger one probe decision
+    (those computed after it in its block are not charged) and the winning
+    sequence is replayed through the instrumented verifier, which keeps
+    the whole run inside budget("search", n, k_max).  k_max must be a
+    nonnegative int (ValueError otherwise, bool included).
     """
     require_int("k_max", k_max, 0)
-    candidates = 0
-    for length in range(1, k_max + 1):  # stops early, so a huge k_max is cheap
-        candidates += 4 ** length
-        if candidates > EXHAUST_CANDIDATE_CAP:
-            raise ResourceLimit(f"k_max {k_max} gives more than "
-                                f"{EXHAUST_CANDIDATE_CAP} candidate sequences")
     # a stored candidate is its code (a uint64, or a pointer to an exact int
     # of at most _bits(n)·n² bits) and its blank's cell; the walk holds
     # lengths k_max - 1 and k_max - 2 (5·4^k_max / 16 candidates) while it
@@ -524,19 +516,22 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger=None) -> MoveSeq:
     width = _bits(g.n) * g.n ** 2
     code = 8 if width <= 64 else 8 + sys.getsizeof(1 << width - 1)
     block = max(1, EXHAUST_BLOCK * 8 // code)
-    held = (5 * 4 ** k_max // 16 + 16 * block + 20 * g.n ** 2) * (code + 8)
+    # held grows with k_max, and at 4^k >= EXHAUST_BYTE_CAP it is over the
+    # cap on every side, so a larger k_max is sized as that k: a lower bound
+    k = min(k_max, EXHAUST_BYTE_CAP.bit_length() // 2)
+    held = (5 * 4 ** k // 16 + 16 * block + 20 * g.n ** 2) * (code + 8)
     if held > EXHAUST_BYTE_CAP:
-        raise ResourceLimit(f"k_max {k_max} at n = {g.n} needs {held >> 20} MiB, over the byte cap")
+        least = "at least " if k < k_max else ""
+        raise ResourceLimit(f"k_max {k_max} at n = {g.n} needs {least}{held >> 20} MiB, "
+                            "over the byte cap")
     seq = _exhaust_walk(g, k_max, block)
-    found = seq is not None
-    if ledger is not None:
-        # the walk stops at the first hit in length-lex order, so it has
-        # compared candidate_rank(seq) candidates, or all of them, plus
-        # the empty sequence
-        probed = candidate_rank(seq) if found else candidates
-        ledger.add("compare", 1 + probed)
-        if found and seq:
-            cost.instrumented_verify(g, seq, ledger)
-    if not found:
+    # the walk stops at the first hit in length-lex order, so it has
+    # compared candidate_rank(seq) candidates, or all (4^(k_max+1) - 4) / 3
+    # of them, plus the empty sequence
+    probed = (4 ** (k_max + 1) - 4) // 3 if seq is None else candidate_rank(seq)
+    ledger.add("compare", 1 + probed)
+    if seq is None:
         raise NotFound(f"no sequence of length <= {k_max} reaches goal")
+    if seq:
+        cost.instrumented_verify(g, seq, ledger)
     return seq

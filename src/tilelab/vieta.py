@@ -455,7 +455,6 @@ class CaseOutcome:
     pattern: MultiplicityPattern
     status: str
     roots: tuple = ()                 # (value, multiplicity) pairs when solved
-    leading: complex | float | None = None
     cofactor: tuple = ()              # monic cofactor coefficients, low to high
     residual: float | None = None     # max-norm coefficient residual
     reason: str | None = None
@@ -507,9 +506,7 @@ def _presolve(system: VietaSystem) -> CaseOutcome | None:
                 reason=f"cofactor must be root-free but has {count} real root(s)",
             )
         return CaseOutcome(
-            pat, SOLVED, roots=(),
-            leading=_native(c), cofactor=tuple(_native(v) for v in b),
-            residual=0.0,
+            pat, SOLVED, roots=(), cofactor=tuple(_native(v) for v in b), residual=0.0,
         )
 
     if pat.k == 1 and pat.cofactor_degree == 0:
@@ -550,7 +547,7 @@ def _presolve(system: VietaSystem) -> CaseOutcome | None:
         rv = system.dtype(r).item()  # a float in real mode, a complex in complex mode
         resid = max(abs(complex(w) - complex(g)) for w, g in zip(pred, a))
         return CaseOutcome(
-            pat, SOLVED, roots=((rv, m),), leading=_native(c), residual=float(resid),
+            pat, SOLVED, roots=((rv, m),), residual=float(resid),
         )
     return None
 
@@ -917,15 +914,14 @@ def _solve_case(system: VietaSystem, starts, work: _WorkMeter) -> CaseOutcome:
         if status == "converged":
             ok, why, merged = _check_constraints(system, u)
             if ok:
-                roots, c, b = system._split(u)
+                roots, _, b = system._split(u)
                 pairs = sorted(
                     ((_native(v), m) for v, m in zip(roots, system.pattern.mults)),
                     key=lambda t: (complex(t[0]).real, complex(t[0]).imag),
                 )
                 return CaseOutcome(
                     system.pattern, SOLVED,
-                    roots=tuple(pairs), leading=_native(c),
-                    cofactor=tuple(_native(v) for v in b),
+                    roots=tuple(pairs), cofactor=tuple(_native(v) for v in b),
                     residual=resid, iterations=total_iters, starts_used=starts_used,
                 )
             violations += 1
@@ -955,7 +951,8 @@ def _solve_case(system: VietaSystem, starts, work: _WorkMeter) -> CaseOutcome:
 
 @dataclass(frozen=True)
 class FindReport:
-    """find_roots plus the full per-case history behind the answer."""
+    """The roots with multiplicities from the first shape that solves, and
+    the per-case history behind the answer."""
 
     roots: RootSet
     outcomes: tuple[CaseOutcome, ...]  # the last one is the accepted case
@@ -1028,8 +1025,3 @@ def find_roots_report(p: Poly, mode: str = REAL_MODE, order: str | None = None) 
                 continue
             return FindReport(found, tuple(outcomes))
         raise NoPatternSolved(tuple(outcomes))
-
-
-def find_roots(p: Poly, mode: str = REAL_MODE, order: str | None = None) -> RootSet:
-    """Distinct roots with multiplicities via the first shape that solves."""
-    return find_roots_report(p, mode, order).roots

@@ -17,8 +17,8 @@ from tilelab import (
     Move,
     MOVES,
     NoPatternSolved,
+    RATIONAL,
     add,
-    apply_move_total,
     apply_seq,
     budget,
     claim_report,
@@ -29,7 +29,6 @@ from tilelab import (
     eval_horner,
     eval_naive,
     exhaust_sequences,
-    find_roots,
     find_roots_report,
     goal,
     grids_equal,
@@ -44,7 +43,7 @@ from tilelab import (
     oracle_real_roots,
     parse_moves,
     parse_poly_text,
-    rational_poly,
+    poly,
     reverse_seq,
     solvable_states_mobility_bound,
     solve_optimal,
@@ -124,7 +123,7 @@ def test_c05_decision_budgets():
         n = 3 if trial % 2 == 0 else 4
         g = goal(n)
         for _ in range(rng.randint(0, 20)):
-            g = apply_move_total(g, rng.choice(MOVES))
+            g = apply_seq(g, (rng.choice(MOVES),), total=True)
         seq = [rng.choice(MOVES) for _ in range(rng.randint(0, 12))]
         ledger = CostLedger()
         instrumented_verify(g, seq, ledger)
@@ -180,7 +179,7 @@ def test_c08_root_recovery_batch():
         for r in roots:
             target = mul(target, complex_poly([-r, 1]))
         try:
-            rs = find_roots(target, order="generic")
+            rs = find_roots_report(target, order="generic").roots
         except NoPatternSolved:
             continue
         good = rs.count == k and all(
@@ -202,10 +201,8 @@ def test_c09_norm_multiplicativity_and_axioms():
 
     rng = random.Random(17)
     for _ in range(10_000):
-        p = rational_poly([rng.randint(-9, 9)
-                           for _ in range(rng.randint(0, 7))])
-        q = rational_poly([rng.randint(-9, 9)
-                           for _ in range(rng.randint(0, 7))])
+        p = poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 7))], RATIONAL)
+        q = poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 7))], RATIONAL)
         np_, nq = max_norm(p), max_norm(q)
         assert np_ >= 0 and nq >= 0
         assert (np_ == 0) == (p.degree is None)

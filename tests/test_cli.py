@@ -461,6 +461,32 @@ class TestOutputPlumbing:
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    def test_large_document_is_written_in_pieces(self):
+        # the 1.1 MB document of 24 is hashed as it is written: a writer
+        # that built it as one string first would peak near 11 MiB here
+        class HashSink(io.TextIOBase):
+            def __init__(self):
+                self.sha, self.chars = hashlib.sha256(), 0
+
+            def write(self, text):
+                self.sha.update(text.encode())
+                self.chars += len(text)
+                return len(text)
+
+        sink = HashSink()
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                code = main(["roots", "cases", "--degree", "24"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.chars == 1_106_540
+        assert sink.sha.hexdigest() == \
+            "657065a8f8c8a50c8be260eb7d0fdc994f94fe4b351eb556d18bb5000cb66c28"
+        assert peak < 6 * 2 ** 20
+
     @pytest.mark.parametrize("argv", [
         ("puzzle", "solve", "--in", "-"),
         ("puzzle", "verify", "--in", "-", "--seq", "RDDRD"),

@@ -13,7 +13,7 @@ from tilelab import (
     CostLedger,
     Move,
     PRIMITIVES,
-    apply_move_total,
+    apply_seq,
     budget,
     decode,
     goal,
@@ -60,7 +60,7 @@ class TestInstrumentedApply:
             ledger = CostLedger()
             out = instrumented_apply(center, m, ledger)
             assert ledger.decisions == LEGAL_COST[m]
-            assert grids_equal(out, apply_move_total(center, m))
+            assert grids_equal(out, apply_seq(center, (m,), total=True))
 
     def test_illegal_move_costs(self):
         g = goal(2)  # D and R fall off the board
@@ -90,7 +90,7 @@ class TestInstrumentedApply:
         for _ in range(200):
             m = rng.choice(MOVES)
             out = instrumented_apply(g, m, ledger)
-            assert grids_equal(out, apply_move_total(g, m))
+            assert grids_equal(out, apply_seq(g, (m,), total=True))
             g = out
 
 

@@ -14,8 +14,6 @@ from tilelab import (
     MultipleBlanks,
     TileGrid,
     ValueOutOfRange,
-    apply_move,
-    apply_move_total,
     apply_seq,
     format_grid_text,
     format_moves,
@@ -24,7 +22,6 @@ from tilelab import (
     grid_to_json,
     grids_equal,
     inverse_move,
-    is_goal,
     legal_moves,
     load_grid,
     move_target,
@@ -47,7 +44,7 @@ class TestConstruction:
         assert g.cells == (1, 2, 3, 4, 5, 6, 7, 8, BLANK)
         assert g.blank_index == 8
         assert g.blank_pos == (3, 3)
-        assert is_goal(g)
+        assert grids_equal(g, new_grid(3, [1, 2, 3, 4, 5, 6, 7, 8, None]))
 
     def test_goal_rejects_small_side(self):
         with pytest.raises(ValueError):
@@ -140,18 +137,18 @@ class TestMoves:
         assert move_target(goal(2), Move.RIGHT) is None
 
     def test_apply_move_swaps_blank(self):
-        g = apply_move(goal(2), Move.UP)
+        g = apply_seq(goal(2), (Move.UP,))
         assert g.cells == (1, BLANK, 3, 2)
         assert g.blank_index == 1
 
     def test_strict_raises_at_boundary(self):
-        with pytest.raises(IllegalMove):
-            apply_move(goal(2), Move.DOWN)
+        with pytest.raises(IllegalMove, match="illegal move D at step 0"):
+            apply_seq(goal(2), (Move.DOWN,))
 
     def test_total_is_identity_at_boundary(self):
         g = goal(2)
-        assert apply_move_total(g, Move.DOWN) is g
-        assert apply_move_total(g, Move.RIGHT) is g
+        assert apply_seq(g, (Move.DOWN,), total=True) is g
+        assert apply_seq(g, (Move.RIGHT,), total=True) is g
 
     def test_apply_seq_reports_failing_index(self):
         with pytest.raises(IllegalMove) as err:
@@ -198,7 +195,7 @@ class TestSequences:
         cur = g
         for _ in range(steps):
             m = rng.choice(legal_moves(cur))
-            cur = apply_move(cur, m)
+            cur = apply_seq(cur, (m,))
             seq.append(m)
         assert grids_equal(apply_seq(cur, reverse_seq(seq)), g)
 

@@ -30,10 +30,8 @@ from tilelab import (
     poly,
     poly_from_json,
     poly_to_json,
-    rational_poly,
     synthetic_divide,
     verify_root,
-    zero,
 )
 from tilelab import sturm
 
@@ -51,7 +49,7 @@ class TestConstruction:
         assert poly([1j]).kind == COMPLEX
 
     def test_explicit_kind(self):
-        assert rational_poly([1, 2]).coeffs == (Fraction(1), Fraction(2))
+        assert poly([1, 2], RATIONAL).coeffs == (Fraction(1), Fraction(2))
         assert complex_poly([1, 2]).coeffs == (1 + 0j, 2 + 0j)
 
     def test_rational_kind_rejects_floats(self):
@@ -68,13 +66,13 @@ class TestConstruction:
         assert p.degree == 1
 
     def test_zero_polynomial(self):
-        z = zero()
+        z = poly([], RATIONAL)
         assert z.is_zero()
         assert z.degree is None
         assert z.coeffs == ()
         assert poly([0, 0]).is_zero()
         assert eval_horner(z, 7) == 0
-        assert eval_horner(zero(COMPLEX), 7) == 0j
+        assert eval_horner(poly([], COMPLEX), 7) == 0j
 
 
 class TestEvaluation:
@@ -108,7 +106,7 @@ class TestArithmetic:
         assert mul(poly([1, 1]), poly([1, -1])).coeffs == (1, 0, -1)
 
     def test_mul_by_zero(self):
-        assert mul(poly([1, 2]), zero()).is_zero()
+        assert mul(poly([1, 2]), poly([], RATIONAL)).is_zero()
 
     def test_operators(self):
         p, q = poly([1, 1]), poly([2])
@@ -131,7 +129,7 @@ class TestArithmetic:
 class TestMaxNorm:
     def test_values(self):
         assert max_norm(poly([1, -5, 3])) == 5
-        assert max_norm(zero()) == 0
+        assert max_norm(poly([], RATIONAL)) == 0
         assert max_norm(complex_poly([3 + 4j])) == 5.0
 
     @given(st.lists(rationals, max_size=8), st.lists(rationals, max_size=8))
@@ -183,7 +181,7 @@ class TestSyntheticDivision:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            synthetic_divide(zero(), 1)
+            synthetic_divide(poly([], RATIONAL), 1)
 
 
 class TestMultiplicity:
@@ -206,7 +204,7 @@ class TestMultiplicity:
 
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            multiplicity(zero(), 0)
+            multiplicity(poly([], RATIONAL), 0)
 
 
 class TestVerifyRoot:
@@ -230,7 +228,7 @@ class TestVerifyRoot:
         assert verify_root(poly([5]), 1) == (5.0, None)
 
     @pytest.mark.parametrize("p, r", [
-        (zero(), 0),
+        (poly([], RATIONAL), 0),
         (poly([-1, 1]), math.nan),
         (poly([-1, 1]), complex(1, math.inf)),
         (poly([-1, 1]), Fraction(2 ** 2000)),
@@ -264,7 +262,7 @@ class TestFloatCoeffs:
 
 class TestNicelyFactored:
     def test_zero_is_not(self):
-        assert not is_nicely_factored(zero())
+        assert not is_nicely_factored(poly([], RATIONAL))
 
     def test_complex_kind_always_is(self):
         assert is_nicely_factored(complex_poly([1, 0, 1]))
@@ -340,7 +338,7 @@ class TestSerialization:
         assert parse_poly_text(format_poly_text(p)).coeffs == p.coeffs
 
     def test_format_zero(self):
-        assert format_poly_text(zero()) == "0"
+        assert format_poly_text(poly([], RATIONAL)) == "0"
 
     def test_json_round_trip(self):
         for p in (poly([Fraction(1, 3), -2]), complex_poly([1.5, -2.25, 3])):

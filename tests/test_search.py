@@ -6,7 +6,6 @@ from itertools import permutations
 import pytest
 
 from tilelab import (
-    EXHAUST_CANDIDATE_CAP,
     CostLedger,
     MOVES,
     Move,
@@ -93,7 +92,7 @@ def assert_exhaust_matches_reference(sides):
                 got = outcome(exhaust_sequences, g, k_max, got_ledger)
                 assert got == want
                 assert got_ledger.snapshot() == want_ledger.snapshot()
-                assert outcome(exhaust_sequences, g, k_max, None) == got
+                assert outcome(exhaust_sequences, g, k_max, CostLedger()) == got
                 outcomes["found" if got is not None else "not_found"] += 1
     assert outcomes["found"] > 0 and outcomes["not_found"] > 0
 
@@ -509,11 +508,11 @@ class TestExhaust:
 
     def test_goal_needs_no_moves(self):
         from tilelab import exhaust_sequences
-        assert exhaust_sequences(goal(3), 2) == ()
+        assert exhaust_sequences(goal(3), 2, CostLedger()) == ()
 
     def test_finds_first_witness_at_frozen_position(self, example_grid):
         from tilelab import exhaust_sequences
-        seq = exhaust_sequences(example_grid, 5)
+        seq = exhaust_sequences(example_grid, 5, CostLedger())
         assert format_moves(seq) == "RDDRD"
         cands = list(candidate_sequences(5))
         assert cands.index(parse_moves("RDDRD")) == 941  # 942nd candidate probed
@@ -521,28 +520,42 @@ class TestExhaust:
     def test_not_found_below_psi(self, example_grid):
         from tilelab import exhaust_sequences
         with pytest.raises(NotFound):
-            exhaust_sequences(example_grid, 4)
+            exhaust_sequences(example_grid, 4, CostLedger())
 
     def test_k_max_validation(self):
         from tilelab import exhaust_sequences
         with pytest.raises(ValueError):
-            exhaust_sequences(goal(2), -1)
+            exhaust_sequences(goal(2), -1, CostLedger())
 
     @pytest.mark.parametrize("k_max", [True, False, 2.0, 1.5, "3"])
     def test_k_max_must_be_an_int(self, k_max):
         # a bool must not walk as 0 or 1, nor a float reach range()
         with pytest.raises(ValueError, match="k_max must be an int"):
-            exhaust_sequences(goal(2), k_max)
+            exhaust_sequences(goal(2), k_max, CostLedger())
 
     def test_candidate_cap(self):
-        # (4^(k+1) - 4) / 3 candidates of length 1..k: k_max 11 fits, 12 does not
-        assert (4 ** 12 - 4) // 3 <= EXHAUST_CANDIDATE_CAP < (4 ** 13 - 4) // 3
-        assert exhaust_sequences(goal(2), 11) == ()
-        ledger = CostLedger()
-        for k_max in (12, 10 ** 9):
-            with pytest.raises(ResourceLimit):
-                exhaust_sequences(goal(2), k_max, ledger)
-        assert ledger.decisions == 0  # raised before the walk
+        # the byte cap bounds the candidates on 2x2 to 4x4: k_max 11 walks
+        # all (4^12 - 4) / 3 of them, and 12 or a huge k_max is refused
+        # before the walk, sized cheaply and charging nothing
+        for n in (2, 3, 4):
+            g = goal(n)
+            cells = list(g.cells)
+            cells[0], cells[1] = cells[1], cells[0]  # off the goal's component
+            ledger = CostLedger()
+            with pytest.raises(NotFound):
+                exhaust_sequences(new_grid(n, cells), 11, ledger)
+            assert ledger.decisions == 1 + (4 ** 12 - 4) // 3 == 5_592_405
+            for k_max in (12, 10 ** 9):
+                ledger = CostLedger()
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ResourceLimit, match="over the byte cap"):
+                        exhaust_sequences(g, k_max, ledger)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert ledger.decisions == 0
+                assert peak < 2 ** 20
 
     def test_ledgered_run_stays_inside_budget(self, table2):
         from tilelab import exhaust_sequences
@@ -607,11 +620,11 @@ class TestExhaust:
         seq = parse_moves(witness)
         k_max = len(seq)
         with pytest.raises(ResourceLimit, match="over the byte cap"):
-            exhaust_sequences(goal(n), k_max + 1)
+            exhaust_sequences(goal(n), k_max + 1, CostLedger())
         g = apply_seq(goal(n), reverse_seq(seq))
         tracemalloc.start()
         try:
-            assert exhaust_sequences(g, k_max) == seq
+            assert exhaust_sequences(g, k_max, CostLedger()) == seq
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -622,4 +635,4 @@ class TestExhaust:
         # enumerator must return the length-1 witness
         g = apply_seq(goal(3), parse_moves("U"))
         from tilelab import exhaust_sequences
-        assert format_moves(exhaust_sequences(g, 3)) == "D"
+        assert format_moves(exhaust_sequences(g, 3, CostLedger())) == "D"

@@ -6,7 +6,8 @@ import pytest
 
 from tilelab import cli
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "tilelab").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "tilelab").glob("*.py"))
 
 
 def test_sources_are_found():
@@ -88,23 +89,34 @@ def _is_private(name):
     return name.startswith("_") and not name.endswith("__")
 
 
-def _private_definitions(tree):
-    """(name, node) for each private module-level function, class and
-    constant of a module, and each private method or property of its
-    classes."""
+def _bound_names(tree):
+    """Names a module binds at its top level, by import or definition,
+    each with the node that binds it."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _is_private(node.name):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for a in node.names:
+                yield (a.asname or a.name).split(".")[0], node
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
-        if isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, ast.FunctionDef) and _is_private(member.name):
-                    yield member.name, member
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 for name in ast.walk(target):
-                    if isinstance(name, ast.Name) and _is_private(name.id):
+                    if isinstance(name, ast.Name):
                         yield name.id, node
+
+
+def _private_definitions(tree):
+    """(name, node) for each private module-level function, class and
+    constant of a module, and each private method or property of its
+    classes."""
+    for name, node in _bound_names(tree):
+        if _is_private(name) and not isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and _is_private(member.name):
+                    yield member.name, member
 
 
 def test_every_private_name_is_read():
@@ -125,6 +137,61 @@ def test_every_private_name_is_read():
             if all(id(node) in own for node in reads.get(name, ())):
                 dead.append(f"{module}.{name}")
     assert dead == []
+
+
+# the programs outside the library that call it
+PROGRAMS = sorted([*(ROOT / "perfbench").glob("*.py"), *(ROOT / "demos").glob("*.py")])
+# exports that no program reads, only tests, each kept public for a reason
+TEST_ONLY_EXPORTS = {
+    "candidate_sequences": "the exhaust walk's order as a generator, its reference",
+    "decode": "the inverse of encode, which reads packed census codes back",
+    "eval_naive": "the power-sum fidelity oracle that Horner evaluation is held to",
+    "grid_to_json": "the writer that grid_from_json reads back",
+    "is_nicely_factored": "the oracle's split test over the working field",
+    "poly_to_json": "the writer that poly_from_json reads back",
+    "root_bound": "the Cauchy bound the oracle isolates roots within",
+    "solve_case": "one shape attacked alone, the step of find_roots_report's walk",
+}
+
+
+def _program_reads(path):
+    """The names a program reads: a load of a name its module binds, read
+    outside the binding itself, an attribute of a name the module imports
+    (cost.instrumented_verify), and in perfbench, whose PUBLIC table names
+    the functions it calls, any attribute and any string constant."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = dict(_bound_names(tree))
+    modules = {name for name, node in bound.items() if isinstance(node, (ast.Import, ast.ImportFrom))}
+    loose = path.parent.name == "perfbench"
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in bound:
+            if not any(node is n for n in ast.walk(bound[node.id])):
+                reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            if loose or isinstance(node.value, ast.Name) and node.value.id in modules:
+                reads.add(node.attr)
+        elif loose and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def test_every_export_is_called_by_a_program():
+    # a second public spelling of an operation is one more thing to keep in
+    # step: every name the package exports must be read by the library
+    # itself, by perfbench or by a demo, unless it is listed above
+    init = next(p for p in SOURCES if p.name == "__init__.py")
+    exports = {a.asname or a.name
+               for node in ast.parse(init.read_text()).body if isinstance(node, ast.ImportFrom)
+               for a in node.names}
+    assert len(exports) > 50
+    reads = set()
+    for path in [p for p in SOURCES if p != init] + PROGRAMS:
+        reads |= _program_reads(path)
+    assert sorted(exports - reads) == sorted(TEST_ONLY_EXPORTS)
+    tests = "".join(p.read_text() for p in (ROOT / "tests").glob("test_*.py")
+                    if p.name != "test_source.py")
+    assert all(name + "(" in tests for name in TEST_ONLY_EXPORTS)
 
 
 def _option_dests(parser):

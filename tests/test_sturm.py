@@ -21,7 +21,6 @@ from tilelab import (
     parse_poly_text,
     poly,
     root_bound,
-    zero,
 )
 
 
@@ -95,7 +94,7 @@ class TestKnownRootSets:
 class TestValidation:
     def test_zero_poly_rejected(self):
         with pytest.raises(ValueError):
-            oracle_real_roots(zero())
+            oracle_real_roots(poly([]))
 
     def test_imaginary_coefficients_rejected(self):
         with pytest.raises(ValueError):

@@ -32,7 +32,6 @@ from tilelab import (
     build_system,
     complex_poly,
     enumerate_patterns,
-    find_roots,
     find_roots_report,
     mul,
     oracle_real_roots,
@@ -317,14 +316,12 @@ class TestSolveCase:
         out = solve_case(build_system(MultiplicityPattern((3,)), target))
         assert out.status == SOLVED
         assert out.roots == ((1.0, 3),)
-        assert out.leading == 2.0
         assert out.residual == 0.0
 
     def test_exact_presolve_cofactor_only(self):
         target = poly([2, 0, 2])  # 2 (x^2 + 1)
         out = solve_case(build_system(MultiplicityPattern((), 2), target))
         assert out.status == SOLVED
-        assert out.leading == 2.0
         assert out.cofactor == (1.0, 0.0)
 
     def test_cofactor_with_real_roots_is_inconsistent(self):
@@ -422,7 +419,7 @@ class TestFindRoots:
                             ("q2", SOLVED)]
 
     def test_complex_mode_finds_imaginary_pair(self):
-        rs = find_roots(poly([1, 0, 1]), mode=COMPLEX_MODE)
+        rs = find_roots_report(poly([1, 0, 1]), mode=COMPLEX_MODE).roots
         assert rs.count == 2
         values = sorted(rs.values(), key=lambda z: complex(z).imag)
         assert complex(values[0]) == pytest.approx(-1j, abs=1e-8)
@@ -445,7 +442,7 @@ class TestFindRoots:
 
     def test_repeated_complex_root_via_merge(self):
         target = expand(MultiplicityPattern((2,)), [1 + 1j], 1.0)
-        rs = find_roots(target, mode=COMPLEX_MODE)
+        rs = find_roots_report(target, mode=COMPLEX_MODE).roots
         assert rs.count == 1
         value, m, _ = rs.roots[0]
         assert m == 2
@@ -464,7 +461,7 @@ class TestFindRoots:
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
-            find_roots(poly([3]))
+            find_roots_report(poly([3]))
 
     def test_report_json_shape(self):
         doc = find_roots_report(parse_poly_text(CUBIC)).to_json()
@@ -495,7 +492,8 @@ class TestIntegerRootSweep:
                 target = mul(target, poly([-r, 1]))
             want = sorted(Counter(roots).items())
             try:
-                got = [(complex(v), m) for v, m, _ in find_roots(target, mode=mode).roots]
+                got = [(complex(v), m) for v, m, _ in find_roots_report(
+                    target, mode=mode).roots.roots]
             except NoPatternSolved:
                 failed.append((roots, "NoPatternSolved"))
                 continue
@@ -527,7 +525,7 @@ class TestRoundTrips:
             roots.sort()
             c = rng.choice((-2, -1, 1, 2))
             target = expand(MultiplicityPattern((1,) * k), roots, float(c))
-            rs = find_roots(target, order="generic")
+            rs = find_roots_report(target, order="generic").roots
             assert rs.count == k
             for (got, m, _), want in zip(rs.roots, roots):
                 assert m == 1
@@ -1412,8 +1410,8 @@ def unanswered(domain, mode, spelling, factor=(1,)):
             want += [(z, 1) for z in QUADRATIC_ROOTS.get(factor, ())]
         want.sort(key=root_order)
         try:
-            got = [(complex(v), m) for v, m, _ in find_roots(
-                parse_poly_text(domain_text(roots, spelling, factor)), mode=mode).roots]
+            got = [(complex(v), m) for v, m, _ in find_roots_report(
+                parse_poly_text(domain_text(roots, spelling, factor)), mode=mode).roots.roots]
         except NoPatternSolved:
             bad.append((roots, "NoPatternSolved"))
             continue
