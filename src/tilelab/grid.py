@@ -166,15 +166,24 @@ def _swap(g: TileGrid, j: int) -> TileGrid:
 
 
 def apply_seq(g: TileGrid, seq: Iterable[Move], total: bool = False) -> TileGrid:
-    """Apply moves left to right; strict mode reports the failing step index."""
+    """Apply moves left to right; strict mode reports the failing step index.
+
+    The moves swap cells of one list, and one grid is built at the end; a
+    replay that leaves every cell where it was returns g itself.
+    """
+    targets = _TARGETS[g.n]
+    cells = list(g.cells)
+    bi = g.blank_index
     for i, m in enumerate(seq):
-        j = move_target(g, m)
-        if j is None:
+        j = targets[bi][m.arm - 1]
+        if j < 0:
             if total:
                 continue
             raise IllegalMove(m, index=i)
-        g = _swap(g, j)
-    return g
+        cells[bi], cells[j] = cells[j], BLANK
+        bi = j
+    out = tuple(cells)
+    return g if out == g.cells else TileGrid(g.n, out, bi)
 
 
 def inverse_move(m: Move) -> Move:

@@ -4,8 +4,10 @@ enumerate_reachable runs breadth-first search outward from the goal and is
 the ground truth every closed-form claim is checked against.  solve_optimal
 returns a provably minimal solution by iterative-deepening A* whose lower
 bound is the Manhattan distance plus linear conflicts, updated move by
-move: the length-then-lexicographic first optimal witness, which any
-admissible bound yields, so a tighter bound changes only the node count.
+move, and which never walks a move string that has a smaller twin of the
+same effect (Taylor & Korf 1993): the length-then-lexicographic first
+optimal witness, which any admissible bound yields and which holds no such
+string, so the bound and the pruning change only the node count.
 exhaust_sequences is the brute-force enumerator over raw move strings; it
 exists to be metered, so it compares every candidate and charges each one
 to the ledger it is always given, but it builds each length's candidates
@@ -246,6 +248,56 @@ def _lis(seq: list[int]) -> int:
     return len(tails)
 
 
+# The move strings of length <= 8 that IDA* never needs to walk.  Each has
+# a twin: a shorter string, or an equal-length lex-smaller one, with the
+# same effect on an open board, whose blank stays inside this string's
+# bounding box and so is legal wherever this string is.  The list keeps
+# only the minimal ones, with no such proper substring, in length-lex
+# order; tests/test_search.py rebuilds it by brute force.
+_TWINS = (
+    "RULDRU", "RDLURD", "LURDLU", "LDRULD",
+    "DRULULDR", "DLURURDL", "RUURDLDL", "RURULDDL", "RURDLLDR", "RULULDRR", "RULDDLUR", "RULLURDR",
+    "RDDRULUL", "RDRULLUR", "RDRDLUUL", "RDLUULDR", "RDLDLURR", "RDLLDRUR", "RRULDLDR", "RRDLULUR",
+    "LUULDRDR", "LURURDLL", "LURDDRUL", "LURDRDLU", "LURRULDL", "LULURDDR", "LULDRRDL", "LDDLURUR",
+    "LDRUURDL", "LDRURULD", "LDRDRULL", "LDRRDLUL", "LDLURRUL", "LDLDRUUR", "LLURDRDL", "LLDRURUL",
+)
+
+
+@cache
+def _pruner() -> list[tuple[int, ...]]:
+    """nxt, where nxt[a][k] is the state that move k leads to from state a
+    of an Aho-Corasick automaton over the four undo pairs and _TWINS, or
+    -1 where move k ends one of those words.  State 0 is the root, the
+    empty string; the states are the automaton's live ones, in the order
+    of a breadth-first walk of its trie.  No word holds another (none
+    backtracks, and _TWINS keeps only minimal strings), so a state ends a
+    word exactly when it is that word's last node."""
+    letters = "".join(m.letter for m in MOVES)
+    goto: list[dict[int, int]] = [{}]  # the trie of the words
+    ends = set()  # the last node of each word
+    for word in ("UD", "DU", "RL", "LR") + _TWINS:
+        a = 0
+        for k in map(letters.index, word):
+            if k not in goto[a]:
+                goto[a][k] = len(goto)
+                goto.append({})
+            a = goto[a][k]
+        ends.add(a)
+    fail = [0] * len(goto)
+    delta = [[0] * 4 for _ in goto]
+    order = [0]
+    for a in order:  # breadth first, so fail[a] and its row are done
+        for k in range(4):
+            if k in goto[a]:
+                b = delta[a][k] = goto[a][k]
+                fail[b] = delta[fail[a]][k] if a else 0
+                order.append(b)
+            else:
+                delta[a][k] = delta[fail[a]][k] if a else 0
+    live = {a: i for i, a in enumerate(a for a in order if a not in ends)}
+    return [tuple(live.get(b, -1) for b in delta[a]) for a in live]
+
+
 @cache
 def _ida_tables(n: int):
     """(steps, conflict2, width): the moves of IDA* on side n with their
@@ -264,10 +316,17 @@ def _ida_tables(n: int):
     all lines stays admissible (Hansson, Mayer & Yung 1992).  The 2n keys
     are packed into one integer, width bits per field; field 2n is 0.
 
-    steps[bi][back] lists the moves of the blank at bi that grid's
-    _TARGETS keeps on the board, less back (the move that would undo the
-    last one; back = -1 keeps all four), as (k, target j, inverse k ^ 1,
-    table).  table[v] is (dh, shift, dkeys) for tile v sliding from j to
+    steps[bi] is the move list of a search root with the blank at bi.  A
+    move list holds the moves that grid's _TARGETS keeps on the board and
+    that end no word of _pruner's automaton, as (k, target j, below,
+    table), where below is the move list of the node the move leads to.
+    So the automaton is folded into the tables: a move list stands for a
+    pair (blank cell, automaton state), a root's state is 0, and a pruned
+    move costs the search nothing.  Only the pairs reachable from a root
+    are built, 311 of 9 * 161 on 3x3 and 910 of 16 * 161 on 4x4.  A move
+    list may be empty: in a corner, after five steps the lex-larger way
+    round a 2x2 block, the sixth ends a word and the other move is the
+    undo.  table[v] is (dh, shift, dkeys) for tile v sliding from j to
     bi: h changes by dh[(keys >> shift) & mask], and the packed keys by
     dkeys.  The tile leaves one perpendicular line and enters another; at
     most one of them is its home line, the hot line at shift, whose
@@ -296,7 +355,7 @@ def _ida_tables(n: int):
     hot_dh = dict(zip(dks.tolist(), deltas.tolist()))
     flat_dh = {1: [1], -1: [-1]}  # read at field 2n, always 0
     homes = [divmod(v - 1, n) for v in range(1, n * n)]
-    steps = []
+    board = []  # per cell: (k, j, table) for the moves that stay on the board
     for bi, row in enumerate(_TARGETS[n]):
         rb, cb = divmod(bi, n)
         moves = []
@@ -320,10 +379,21 @@ def _ida_tables(n: int):
                         dkeys = (hc + 1) * (place[cb] - place[cj]) << rj * width
                 table.append((hot_dh[dk] if dk else flat_dh[dm], hot * width,
                               dkeys + (dk << hot * width)))
-            moves.append((k, j, k ^ 1, table))
-        steps.append([tuple(m for m in moves if m[0] != back) for back in range(4)]
-                     + [tuple(moves)])
-    return steps, conflict2, width
+            moves.append((k, j, table))
+        board.append(moves)
+    nxt = _pruner()
+    lists = {(bi, 0): [] for bi in range(n * n)}  # (cell, state) -> its move list
+    todo = list(lists)
+    for bi, a in todo:  # grows as new pairs are met
+        out = lists[bi, a]
+        for k, j, table in board[bi]:
+            b = nxt[a][k]
+            if b >= 0:
+                if (j, b) not in lists:
+                    lists[j, b] = []
+                    todo.append((j, b))
+                out.append((k, j, lists[j, b], table))
+    return [lists[bi, 0] for bi in range(n * n)], conflict2, width
 
 
 def _lower_bound(cells, n: int) -> tuple[int, int]:
@@ -355,17 +425,25 @@ _NO_CHILD = 1 << 62  # best f before any child is seen; larger than any f
 def _solve_ida(g: TileGrid) -> SearchResult:
     """Korf's IDA*: depth-first passes in U < D < R < L order under a rising
     f = g + h bound, where h is the Manhattan distance plus linear
-    conflicts (_ida_tables), kept up to date move by move.  h is
-    admissible and changes by exactly 1 on every move, so no node of an
-    optimal path is pruned at the optimal bound, and the pass at that
-    bound meets the length-lex first optimal witness first: the witness
-    of any admissible h, Manhattan alone included.
+    conflicts (_ida_tables), kept up to date move by move.  The passes
+    follow _ida_tables' move lists, so they never walk a string that ends
+    an undo pair or a word of _TWINS.
+
+    The witness survives the pruning.  Every segment of the length-lex
+    first optimal witness is the length-lex first shortest path between
+    its ends, or a twin put in its place would make a shorter or an
+    earlier witness, so the witness holds no pruned string.  h is
+    admissible, so f never exceeds the optimum along the witness: each
+    pass below the optimal bound meets a node of it over the bound and
+    raises the bound no further than the optimum, and the pass at the
+    optimal bound meets the witness first.
+    That is the witness of any admissible h, Manhattan alone included,
+    with the pruning or without it.
 
     A node counts as expanded when its f is within the bound and it is not
     the goal.  Children over the bound, and the goal child, are settled by
     the parent without a call.  g must be solvable (solve_optimal checks
-    parity first): every node has a child, so the bound rises forever on
-    the other component.
+    parity first): on the other component the passes never end.
     """
     steps, _, width = _ida_tables(g.n)
     mask = (1 << width) - 1
@@ -377,13 +455,13 @@ def _solve_ida(g: TileGrid) -> SearchResult:
     expanded = 0
     bound = h0
 
-    def dfs(bi: int, gcost: int, h: int, back: int, keys: int) -> int:
+    def dfs(bi: int, gcost: int, h: int, moves: list, keys: int) -> int:
         """_FOUND, or the smallest f over the bound below this node."""
         nonlocal expanded
         expanded += 1
         gcost += 1
         best = _NO_CHILD
-        for k, j, inv, table in steps[bi][back]:
+        for k, j, below, table in moves:
             v = cells[j]
             dh, shift, dkeys = table[v]  # tile v slides from j to bi
             hj = h + dh[keys >> shift & mask]
@@ -397,7 +475,7 @@ def _solve_ida(g: TileGrid) -> SearchResult:
                 return _FOUND
             cells[bi] = v
             cells[j] = BLANK
-            t = dfs(j, gcost, hj, inv, keys + dkeys)
+            t = dfs(j, gcost, hj, below, keys + dkeys)
             if t == _FOUND:
                 path.append(k)
                 return _FOUND
@@ -408,7 +486,7 @@ def _solve_ida(g: TileGrid) -> SearchResult:
         return best
 
     while True:
-        t = dfs(g.blank_index, 0, h0, -1, keys0)
+        t = dfs(g.blank_index, 0, h0, steps[g.blank_index], keys0)
         if t == _FOUND:
             return SearchResult(len(path), tuple(MOVES[k] for k in reversed(path)), expanded)
         bound = t
@@ -420,8 +498,10 @@ def solve_optimal(g: TileGrid) -> SearchResult:
     for n > 4.
 
     The witness is the first optimal sequence in length-then-lexicographic
-    (U < D < R < L) order, whatever the admissible bound; `expanded`
-    counts IDA* nodes, which is what the bound changes.
+    (U < D < R < L) order, whatever the admissible bound.  The search
+    skips every move string that has a smaller twin of the same effect,
+    which that witness never holds (_solve_ida); `expanded` counts IDA*
+    nodes, which is what the bound and the pruning change.
     """
     if g.n > 4:
         raise ValueError("optimal solving is supported for n <= 4")

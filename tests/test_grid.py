@@ -199,6 +199,28 @@ class TestSequences:
             seq.append(m)
         assert grids_equal(apply_seq(cur, reverse_seq(seq)), g)
 
+    @given(st.integers(0, 10 ** 9), st.integers(2, 4), st.integers(0, 40))
+    def test_replay_is_one_move_at_a_time(self, seed, n, steps):
+        # any moves, off-board ones included: a whole replay ends where
+        # one-move replays do, and strict mode fails at the first move off
+        rng = random.Random(seed)
+        g = random_grid(n, rng)
+        seq = [rng.choice(MOVES) for _ in range(steps)]
+        cur, first_off = g, None
+        for i, m in enumerate(seq):
+            if move_target(cur, m) is None:
+                first_off = i if first_off is None else first_off
+            else:
+                cur = apply_seq(cur, (m,))
+        got = apply_seq(g, seq, total=True)
+        assert (got.cells, got.blank_index) == (cur.cells, cur.blank_index)
+        if first_off is None:
+            assert apply_seq(g, seq) == got
+        else:
+            with pytest.raises(IllegalMove) as err:
+                apply_seq(g, seq)
+            assert (err.value.index, err.value.move) == (first_off, seq[first_off])
+
 
 class TestSerialization:
     def test_parse_grid_text(self, example_grid):

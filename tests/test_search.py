@@ -34,8 +34,8 @@ from tilelab import (
     verify_solution,
 )
 from tilelab import search
-from tilelab.grid import BLANK
-from tilelab.search import _bits, _census_tables, _ida_tables, _lower_bound
+from tilelab.grid import _TARGETS, BLANK
+from tilelab.search import _TWINS, _bits, _census_tables, _ida_tables, _lower_bound
 from conftest import code_depths
 
 # the 31-move 3x3 grid  6 4 7 / 8 5 _ / 3 2 1
@@ -193,6 +193,44 @@ def lower_bound_reference(cells, n):
                       [(v - 1) // n for v in col if v and (v - 1) % n == k]):
             h += 2 * (len(homes) - lis(homes))
     return h
+
+
+def twins_reference(k_max=8):
+    """The minimal prunable move strings of length <= k_max, length-lex.
+
+    Every non-backtracking string is replayed on an open board and grouped
+    by its effect: where the blank ends, and where each moved tile came
+    from.  A string is prunable when an earlier member of its group, in
+    length-lex order, kept the blank inside this string's bounding box;
+    the minimal ones have no prunable proper substring."""
+    step = {"U": (-1, 0), "D": (1, 0), "R": (0, 1), "L": (0, -1)}
+    undo = dict(zip("UDRL", "DULR"))
+    level = [("", (0, 0), {}, (0, 0, 0, 0))]  # string, blank, cell -> tile's start, box
+    boxes = {((0, 0), frozenset()): [(0, 0, 0, 0)]}  # effect -> boxes met so far
+    prunable = []
+    for _ in range(k_max):
+        longer = []
+        for s, (r, c), at, box in level:  # parents in lex order, so children too
+            for m in "UDRL":
+                if s and m == undo[s[-1]]:
+                    continue
+                to = (r + step[m][0], c + step[m][1])
+                moved = dict(at)
+                moved[r, c] = moved.pop(to, to)
+                lo_r, hi_r, lo_c, hi_c = box
+                box2 = (min(lo_r, to[0]), max(hi_r, to[0]), min(lo_c, to[1]), max(hi_c, to[1]))
+                effect = (to, frozenset((k, v) for k, v in moved.items() if k != v))
+                seen = boxes.setdefault(effect, [])
+                if any(box2[0] <= a and b <= box2[1] and box2[2] <= c and d <= box2[3]
+                       for a, b, c, d in seen):
+                    prunable.append(s + m)
+                seen.append(box2)
+                longer.append((s + m, to, moved, box2))
+        level = longer
+    found = set(prunable)
+    return [s for s in prunable
+            if not any(s[i:j] in found for i in range(len(s)) for j in range(i + 1, len(s) + 1)
+                       if j - i < len(s))]
 
 
 def walk(rng, n, length):
@@ -442,15 +480,33 @@ class TestSolveOptimal:
             res = solve_optimal(g)
             assert (res.psi, res.seq) == (len(want), want)
 
+    def test_deepest_3x3_states_give_lex_first_witness(self, table3):
+        # every state at depth 30 and 31 and a sample at 29: the pruning
+        # cuts deep paths most
+        by_depth = {29: [], 30: [], 31: []}
+        for code, depth in code_depths(table3):
+            if depth in by_depth:
+                by_depth[depth].append(code)
+        assert [len(by_depth[d]) for d in (30, 31)] == [221, 2]
+        codes = by_depth[30] + by_depth[31] + random.Random(29).sample(by_depth[29], 40)
+        for code in codes:
+            g = new_grid(3, decode(code, 3))
+            want = lex_first_optimal(g, table3)
+            res = solve_optimal(g)
+            assert (res.psi, res.seq) == (len(want), want)
+
     def test_expanded_counts_are_pinned(self, example_grid):
+        # the pruning of move strings with a smaller twin only removes
+        # nodes: 9196 and 11935 without it
         res = solve_optimal(new_grid(3, DEEPEST3))
         assert res.psi == 31
         assert format_moves(res.seq) == "ULDRDLULDRUURDDLULURRDLLURRDLDR"
-        assert res.expanded == 9196
+        assert res.expanded == 6612 < 9196
         assert solve_optimal(example_grid).expanded == 5
         witness = parse_moves("DLDLURDRRDLLLUUURRDRDDLUULULDDRRRD")
         res = solve_optimal(apply_seq(goal(4), reverse_seq(witness)))
-        assert (res.seq, res.expanded) == (witness, 11935)
+        assert (res.seq, res.expanded) == (witness, 9008)
+        assert res.expanded < 11935
 
     def test_4x4_witnesses_match_manhattan_ida(self):
         # 20 non-backtracking walks of 30..52 moves; the seed keeps the
@@ -468,6 +524,37 @@ class TestSolveOptimal:
             solve_optimal(goal(5))
 
 
+class TestPruning:
+    def test_twins_are_the_minimal_prunable_strings(self):
+        assert [len(w) for w in _TWINS] == [6] * 4 + [8] * 32
+        assert twins_reference() == list(_TWINS)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_move_lists_drop_exactly_the_strings_that_end_a_word(self, n):
+        # every string of up to 8 moves from every root that the move lists
+        # keep, against the on-board strings that hold no undo pair and no
+        # word of _TWINS
+        words = ("UD", "DU", "RL", "LR") + _TWINS
+        steps, _, _ = _ida_tables(n)
+        for root in range(n * n):
+            kept, want = set(), set()
+            todo = [("", steps[root])]
+            while todo:
+                s, moves = todo.pop()
+                kept.add(s)
+                if len(s) < 8:
+                    todo += [(s + MOVES[k].letter, below) for k, _, below, _ in moves]
+            todo = [("", root)]
+            while todo:
+                s, bi = todo.pop()
+                want.add(s)
+                if len(s) < 8:
+                    todo += [(t, j) for k, j in enumerate(_TARGETS[n][bi])
+                             if j >= 0 and not any((t := s + MOVES[k].letter).endswith(w)
+                                                   for w in words)]
+            assert kept == want
+
+
 class TestLowerBound:
     def test_admissible_on_the_whole_3x3_census(self, table3):
         # h changes by 1 on every move and is 0 at the goal, so it also
@@ -478,14 +565,17 @@ class TestLowerBound:
 
     @pytest.mark.parametrize("n, seed", [(2, 2), (3, 3), (4, 4)])
     def test_incremental_bound_matches_a_fresh_one_along_walks(self, n, seed):
+        # the walk follows the move lists; where one is empty, it starts
+        # again from the root's list of its cell, as a new search would
         steps, _, width = _ida_tables(n)
         rng = random.Random(seed)
         cells = list(goal(n).cells)
-        bi, back = n * n - 1, -1
+        bi = n * n - 1
+        moves = steps[bi]
         h, keys = _lower_bound(cells, n)
         assert h == 0
         for _ in range(600):
-            _, j, back, table = rng.choice(steps[bi][back])
+            _, j, moves, table = rng.choice(moves or steps[bi])
             v = cells[j]
             dh, shift, dkeys = table[v]  # one step of _solve_ida's dfs
             hj = h + dh[keys >> shift & (1 << width) - 1]
