@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 
 from .cost import MOVE_DECISION_CEILINGS, CostLedger, budget, instrumented_apply, instrumented_verify
 from .grid import format_moves, load_grid, parse_moves
@@ -54,6 +55,8 @@ RESOURCE_LIMIT = 3
 
 # puzzle solve --algo exhaust: the --kmax it walks to when none is given
 SOLVE_EXHAUST_KMAX = 8
+# JSON encoder chunks (a few characters each) that _emit joins into one write
+EMIT_CHUNKS = 4096
 
 
 def _read_text(path: str) -> str:
@@ -89,10 +92,18 @@ def _load_poly_arg(args) -> Poly:
 
 
 def _emit(doc: dict) -> None:
-    """Write doc to stdout as indented JSON; json.dump writes it chunk by
-    chunk, so a large document is never held as one string."""
-    json.dump(doc, sys.stdout, indent=2)
+    """Write doc to stdout as indented JSON, and flush it.
+
+    The encoder yields the document in small chunks, so a large document is
+    never held as one string; they are joined EMIT_CHUNKS at a time, so an
+    unbuffered stdout (PYTHONUNBUFFERED) still takes one write per block
+    and not one per chunk.
+    """
+    chunks = json.JSONEncoder(indent=2).iterencode(doc)
+    while block := "".join(islice(chunks, EMIT_CHUNKS)):
+        sys.stdout.write(block)
     sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 # ---------------------------------------------------------------------------

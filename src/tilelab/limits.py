@@ -12,7 +12,8 @@ from __future__ import annotations
 class ResourceLimit(Exception):
     """A configured cap was exceeded: the state cap of the census BFS
     (search.DEFAULT_STATE_CAP by default), search.EXHAUST_BYTE_CAP on the
-    bytes the exhaust walk holds (which bounds its k_max too),
+    bytes the exhaust walk holds (which bounds its k_max, and the side of
+    its grid: past 56x56 the move tables alone pass it),
     poly.EXACT_BITS_CAP on the size of an exact coefficient,
     sturm.ORACLE_DEGREE_CAP, vieta.GN_WORK_CAP or vieta.SHAPE_CAP."""
 

@@ -38,6 +38,18 @@ EXHAUST_BYTE_CAP = 2 ** 26  # bytes the exhaust walk may hold; a 4x4 at k_max 11
 EXHAUST_BLOCK = 2 ** 14
 
 
+# The census's bit-trick constants as 0-d uint64 arrays: numpy applies
+# them faster than scalars, and a uint64 array never meets an int64 one,
+# which numpy would promote to float64
+_NIBBLE, _BYTES, _ONES, _MAGIC, _1, _2, _4, _56, _60 = (np.array(x, dtype=np.uint64) for x in (
+    15,                      # cell 0, which a census key spends on its undo move
+    0x0F0F0F0F0F0F0F0F,      # the even cells
+    0x0101010101010101,      # times this, a word's byte sum lands in its top byte
+    sum(c << 4 * (15 - c) for c in range(16)),  # shifted left 4c, c is its top nibble
+    1, 2, 4, 56, 60))
+_HIGH = ~_NIBBLE
+
+
 class Unsolvable(Exception):
     """The grid is not in the goal's reachable component."""
 
@@ -57,15 +69,18 @@ class SearchResult:
 class ReachabilityTable:
     """Exact census of the goal's component, or of its first levels.
 
-    codes holds every packed state in discovery order: level by level, and
-    within a level by parent, then U < D < R < L; the depths follow from
-    depth_histogram.  depth_of reads a sorted index of the codes with their
-    depths, built only when first needed.  complete is true when the BFS
-    saw its frontier empty, so the census holds the whole component.
+    codes holds every packed state level by level, each level in ascending
+    code order, the order in which the frontier search's one sort per
+    level leaves it (enumerate_reachable: its keys carry the move back in
+    cell 0's nibble, and each state the mask of its used moves).  The
+    depths follow from depth_histogram.  depth_of reads a sorted index of
+    the codes with their depths, built only when first needed.  complete
+    is true when the BFS saw its frontier empty, so the census holds the
+    whole component.
     """
 
     n: int
-    codes: np.ndarray           # uint64 packed states, discovery order
+    codes: np.ndarray           # uint64 packed states, each level ascending
     depth_histogram: list[int]  # states per depth, from depth 0
     complete: bool              # the frontier emptied before any depth limit
 
@@ -117,35 +132,49 @@ def decode(code: int, n: int) -> tuple[int, ...]:
 
 @cache
 def _census_tables(n: int):
-    """(valid, shift, delta, child): the moves on side n, of the census BFS
-    and of the exhaust walk.
+    """(shift, delta, moved): the moves on side n, of the exhaust walk and
+    of the census BFS, indexed by blank * 4 + k, where blank is the blank's
+    cell and k the move (U, D, R, L).
 
-    Each is indexed by slot * 4 + k, where slot = blank * 5 + undo names
-    the blank's cell and the move that would undo the last one (undo = 4
-    at the root, which has none), and k is the move (U, D, R, L).
-    valid says the move stays on the board (grid's _TARGETS) and is not
-    the undo move; the tile it slides sits at bit shift; child = parent +
-    tile * delta, and child names the child's slot, whose undo move is
-    k ^ 1.  A move off the board is the identity, as in total mode: the
-    blank slides onto itself (delta 0) and keeps its cell.  shift and delta
-    are uint64, delta modulo 2^64, while codes fit in 64 bits (n <= 4), and
-    object arrays of exact Python ints beyond.
+    The tile the move slides sits at bit shift; child = parent + tile *
+    delta, and moved is the blank's cell in the child.  A move off the
+    board (grid's _TARGETS) is the identity, as in total mode: the blank
+    slides onto itself (delta 0) and keeps its cell, so moved == blank
+    marks it.  shift and delta are uint64, delta modulo 2^64, while codes
+    fit in 64 bits (n <= 4), and object arrays of exact Python ints beyond.
     """
     b = _bits(n)
     wide = b * n * n > 64
-    valid, shift, delta, child = [], [], [], []
+    shift, delta, moved = [], [], []
     for bi, row in enumerate(_TARGETS[n]):
-        for undo in range(5):
-            for k, j in enumerate(row):
-                valid.append(j >= 0 and k != undo)
-                j = bi if j < 0 else j  # off the board: the identity
-                shift.append(j * b)
-                d = (1 << bi * b) - (1 << j * b)
-                delta.append(d if wide else d % (1 << 64))
-                child.append(j * 5 + (k ^ 1))
+        for j in row:
+            j = bi if j < 0 else j  # off the board: the identity
+            shift.append(j * b)
+            d = (1 << bi * b) - (1 << j * b)
+            delta.append(d if wide else d % (1 << 64))
+            moved.append(j)
     dtype = object if wide else np.uint64
-    return (np.array(valid), np.array(shift, dtype=dtype),
-            np.array(delta, dtype=dtype), np.array(child))
+    return np.array(shift, dtype=dtype), np.array(delta, dtype=dtype), np.array(moved)
+
+
+@cache
+def _frontier_tables(n: int):
+    """(valid, shift, delta, undo): _census_tables widened to the census's
+    rows, (blank * 16 + used) * 4 + k, so that a child costs one gather.
+
+    used is the mask of the moves that lead from a state back to the level
+    before it, bit k for move k.  valid says move k stays on the board and
+    is not in used; it is viewed as one uint32 per row, four bools, so a
+    level's rows are one gather.  undo is 1 << (k ^ 1), the bit of the move
+    that leads back from the child.
+    """
+    shift, delta, moved = _census_tables(n)
+    k = np.arange(4)
+    on = (moved != np.arange(n * n).repeat(4)).reshape(-1, 1, 4)
+    valid = on & (np.arange(16)[:, None] >> k & 1 == 0)  # (blank, used, k)
+    wide = lambda t: np.broadcast_to(t.reshape(-1, 1, 4), valid.shape).ravel()
+    back = np.tile(np.left_shift(1, k ^ 1).astype(np.uint64), n * n)
+    return valid.view(np.uint32).ravel(), wide(shift), wide(delta), wide(back)
 
 
 def enumerate_reachable(n: int, depth_limit: int | None = None,
@@ -153,16 +182,20 @@ def enumerate_reachable(n: int, depth_limit: int | None = None,
     """BFS from goal(n) over legal moves; exact depths for every reachable state.
 
     The search runs a whole level at a time on uint64 packed states, which
-    fit for n <= 4 (ValueError beyond).  Every state of depth d is expanded
-    at once, except for the move straight back to its parent, by one gather
-    from _census_tables per child.  Each move flips the colour of the
-    blank's square on a chessboard, so a child of a depth-d state has depth
-    d - 1 or d + 1, and on this undirected graph only level d - 1 can hold
-    a repeat (Korf, Zhang, Thayer & Hohwald's frontier search).  So level
-    d - 1 and the children are argsorted together, once: a run of equal
-    codes is new exactly when its smallest index falls among the children,
-    and that index is the earliest-discovered copy.  Reading those indices
-    off in index order keeps discovery order (parent, then U < D < R < L).
+    fit for n <= 4 (ValueError beyond), as the frontier search of Korf,
+    Zhang, Thayer & Hohwald: a level is expanded without the one before it.
+    Each state of a level carries the mask of its used moves, those that
+    lead back to the level before it.  Each move flips the colour of the
+    blank's square on a chessboard, so a child of a depth-d state has
+    depth d - 1 or d + 1, and the moves to depth d - 1 are exactly the used
+    ones: every other child is new, and _frontier_tables gives each in one
+    gather.  The cells sum to n^2 (n^2 - 1) / 2, so cell 0 follows from the
+    others, and a child's key spends cell 0's nibble on the bit of its undo
+    move.  One plain sort of the keys then does all the deduplication: a run
+    of keys equal but for that nibble is one new state, and its used mask
+    is the OR of their nibbles.  Cell 0 comes back as the full sum less the
+    nibble sum of the rest, and the blank's cell is the one nibble that is
+    zero.  So every level comes out in ascending code order.
     Full enumeration is desk-scale for n in {2, 3}; n = 4 requires a
     depth_limit.  n and both limits must be ints (ValueError otherwise,
     bool included).  Raises ResourceLimit, at the depth that crosses it, when
@@ -180,37 +213,65 @@ def enumerate_reachable(n: int, depth_limit: int | None = None,
         raise ValueError("enumeration is supported for n <= 4")
     if n == 4 and depth_limit is None:
         raise ValueError("full enumeration beyond n = 3 needs an explicit depth_limit")
-    valid, shift, delta, child = _census_tables(n)
-    mask = np.uint64((1 << _bits(n)) - 1)
+    valid, shift, delta, undo = _frontier_tables(n)
+    full = np.array(n * n * (n * n - 1) // 2, dtype=np.uint64)  # the sum of every cell
+    low_bits = np.array(int("1" * n * n, 16), dtype=np.uint64)  # the lowest bit of each cell
     start = goal(n)
-    prev = np.array([], dtype=np.uint64)
     level = np.array([encode(start.cells, n)], dtype=np.uint64)
-    slot = np.array([start.blank_index * 5 + 4])
+    row = np.array([start.blank_index * 16])  # blank * 16 + used
     levels = [level]
     total = 1
     d = 0
     complete = False
     while depth_limit is None or d < depth_limit:
         d += 1
-        at = np.flatnonzero(valid.reshape(-1, 4)[slot])  # parent-major, U < D < R < L within
-        rows = at >> 2  # four moves per parent
-        e = slot[rows] * 4 + (at & 3)
-        parents = level[rows]
-        children = parents + ((parents >> shift[e]) & mask) * delta[e]
-        both = np.concatenate((prev, children))
-        order = np.argsort(both)
-        ranked = both[order]
-        starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
-        first = np.zeros(len(both), dtype=bool)
-        first[np.minimum.reduceat(order, starts)] = True  # smallest index of each run
-        new = np.flatnonzero(first[len(prev):])  # the children that are new, in order
-        if not len(new):
+        at = valid[row].view(bool).nonzero()[0]  # parent * 4 + k, for each valid move
+        parent = at >> 2
+        e = ((row - np.arange(len(row))) << 2)[parent]
+        e += at  # row * 4 + k
+        parents = level[parent]
+        keys = parents >> shift[e]
+        keys &= _NIBBLE  # the tile that slides
+        keys *= delta[e]
+        keys += parents
+        keys &= _HIGH
+        keys |= undo[e]
+        keys.sort()
+        same = np.empty(len(keys), dtype=bool)  # the key before is the same state
+        same[:1] = False
+        np.less_equal(keys[1:] ^ keys[:-1], _NIBBLE, out=same[1:])
+        heads = (~same).nonzero()[0]
+        if not len(heads):
             complete = True
             break
-        total += len(new)
+        total += len(heads)
         if total > max_states:
             raise ResourceLimit(f"state cap {max_states} exceeded at depth {d}")
-        prev, level, slot = level, children[new], child[e[new]]
+        level = keys[heads]
+        used = level & _NIBBLE
+        repeats = same.nonzero()[0]
+        if len(repeats):  # the i-th repeat belongs to state repeats[i] - i - 1
+            np.bitwise_or.at(used, repeats - np.arange(1, len(repeats) + 1),
+                             keys[repeats] & _NIBBLE)
+        level &= _HIGH
+        s = level >> _4  # the nibble sum of cells 1 to n^2 - 1, by bytes
+        s &= _BYTES
+        t = level & _BYTES
+        s += t
+        s *= _ONES
+        s >>= _56
+        np.subtract(full, s, out=s)
+        level |= s  # cell 0
+        np.right_shift(level, _1, out=t)  # the blank's nibble is the zero one
+        t |= level
+        t |= np.right_shift(t, _2, out=s)
+        t &= low_bits
+        t ^= low_bits
+        t *= _MAGIC
+        t >>= _60
+        t <<= _4
+        used |= t
+        row = used.view(np.int64)
         levels.append(level)
     return ReachabilityTable(n=n, codes=np.concatenate(levels),
                              depth_histogram=[len(lv) for lv in levels], complete=complete)
@@ -534,10 +595,7 @@ def _exhaust_walk(g: TileGrid, k_max: int, block: int) -> MoveSeq | None:
     """The first sequence of length 0..k_max (length-then-lex) whose
     total-mode application reaches goal, or None; see exhaust_sequences."""
     n = g.n
-    _, shift, delta, child = _census_tables(n)
-    # the root slots (undo = 4), where all four moves are on the table
-    shift, delta, child = (t.reshape(-1, 5, 4)[:, 4] for t in (shift, delta, child))
-    moved = child // 5  # the blank's cell after each move
+    shift, delta, moved = (t.reshape(-1, 4) for t in _census_tables(n))
     mask = delta.dtype.type((1 << _bits(n)) - 1)
     target = encode(goal(n).cells, n)
     codes = np.array([encode(g.cells, n)], dtype=delta.dtype)
@@ -572,7 +630,8 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger: cost.CostLedger) -> MoveS
     Theta(4^k) probes; raises NotFound when no candidate works, and
     ResourceLimit before the walk when it would hold more than
     EXHAUST_BYTE_CAP bytes, which bounds both k_max (to at most 11 on any
-    side) and the side.  The walk goes a length at a time over packed
+    side) and the side (to at most 56x56, past which _census_tables' 4 n^2
+    exact ints alone pass it).  The walk goes a length at a time over packed
     codes (uint64 for n <= 4, Python ints in object arrays beyond):
     candidate 4 * i + k of length L is candidate i of length L - 1
     followed by move k, its code made from its prefix's by one gather from
@@ -592,14 +651,14 @@ def exhaust_sequences(g: TileGrid, k_max: int, ledger: cost.CostLedger) -> MoveS
     # a stored candidate is its code (a uint64, or a pointer to an exact int
     # of at most _bits(n)·n² bits) and its blank's cell; the walk holds
     # lengths k_max - 1 and k_max - 2 (5·4^k_max / 16 candidates) while it
-    # builds the first, a block's temporaries, and _census_tables' 20 n² moves
+    # builds the first, a block's temporaries, and _census_tables' 4 n² moves
     width = _bits(g.n) * g.n ** 2
     code = 8 if width <= 64 else 8 + sys.getsizeof(1 << width - 1)
     block = max(1, EXHAUST_BLOCK * 8 // code)
     # held grows with k_max, and at 4^k >= EXHAUST_BYTE_CAP it is over the
     # cap on every side, so a larger k_max is sized as that k: a lower bound
     k = min(k_max, EXHAUST_BYTE_CAP.bit_length() // 2)
-    held = (5 * 4 ** k // 16 + 16 * block + 20 * g.n ** 2) * (code + 8)
+    held = (5 * 4 ** k // 16 + 16 * block + 4 * g.n ** 2) * (code + 8)
     if held > EXHAUST_BYTE_CAP:
         least = "at least " if k < k_max else ""
         raise ResourceLimit(f"k_max {k_max} at n = {g.n} needs {least}{held >> 20} MiB, "

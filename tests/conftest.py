@@ -9,7 +9,7 @@ EXAMPLE_CELLS = (1, 0, 2, 4, 5, 6, 3, 8, 9, 10, 7, 11, 13, 14, 15, 12)
 
 def code_depths(table):
     """(code, depth) of every state of a census, as Python ints, in the
-    table's discovery order."""
+    table's order: level by level, each level ascending."""
     depths = np.repeat(np.arange(len(table.depth_histogram)), table.depth_histogram)
     return list(zip(table.codes.tolist(), depths.tolist()))
 

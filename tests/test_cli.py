@@ -487,6 +487,28 @@ class TestOutputPlumbing:
             "657065a8f8c8a50c8be260eb7d0fdc994f94fe4b351eb556d18bb5000cb66c28"
         assert peak < 6 * 2 ** 20
 
+    def test_large_document_takes_few_writes(self):
+        # an unbuffered stdout (PYTHONUNBUFFERED) makes one system call per
+        # write: one per encoder chunk would be 148 371 writes here
+        class CountingSink(io.TextIOBase):
+            def __init__(self):
+                self.writes, self.flushes, self.text = 0, 0, []
+
+            def write(self, text):
+                self.writes += 1
+                self.text.append(text)
+                return len(text)
+
+            def flush(self):
+                self.flushes += 1
+
+        sink = CountingSink()
+        with redirect_stdout(sink):
+            assert main(["roots", "cases", "--degree", "24"]) == 0
+        assert len("".join(sink.text)) == 1_106_540
+        assert sink.writes <= 1 + 1_106_540 // 4096
+        assert sink.flushes >= 1
+
     @pytest.mark.parametrize("argv", [
         ("puzzle", "solve", "--in", "-"),
         ("puzzle", "verify", "--in", "-", "--seq", "RDDRD"),

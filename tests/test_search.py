@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 from collections import deque
@@ -35,7 +36,8 @@ from tilelab import (
 )
 from tilelab import search
 from tilelab.grid import _TARGETS, BLANK
-from tilelab.search import _TWINS, _bits, _census_tables, _ida_tables, _lower_bound
+from tilelab.search import (_TWINS, _bits, _census_tables, _frontier_tables, _ida_tables,
+                            _lower_bound)
 from conftest import code_depths
 
 # the 31-move 3x3 grid  6 4 7 / 8 5 _ / 3 2 1
@@ -310,8 +312,20 @@ class TestCensus:
     def test_matches_deque_reference(self, n, limit, table3):
         t = table3 if n == 3 else enumerate_reachable(n, depth_limit=limit)
         states, hist, diameter = enumerate_reference(n, depth_limit=limit)
-        assert code_depths(t) == list(states.items())  # discovery order too
+        got = code_depths(t)
+        # every level strictly ascending, and the reference's level sorted
+        assert all(a < b for (a, da), (b, db) in zip(got, got[1:]) if da == db)
+        assert got == sorted(states.items(), key=lambda item: (item[1], item[0]))
         assert (t.count, t.depth_histogram, t.diameter) == (len(states), hist, diameter)
+
+    @pytest.mark.parametrize("n, limit, digest", [
+        (3, None, "33a4fe70b831db31f88457b93c0d65955f60f4354e9c0678200ebd2a2efb58dc"),
+        (4, 15, "4d058013641fbe2fefd128a6ffc76430f059c5da907d733b0753833e46f23d57"),
+    ])
+    def test_codes_are_pinned(self, n, limit, digest, table3):
+        # the codes in the order the census returns them, little-endian
+        t = table3 if n == 3 else enumerate_reachable(n, depth_limit=limit)
+        assert hashlib.sha256(t.codes.astype("<u8").tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("n, limit", [(3, None), (4, 12)])
     @pytest.mark.parametrize("cap", [10, 1000])
@@ -367,9 +381,15 @@ class TestCensus:
 class TestCensusTables:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_every_slot_and_move(self, n):
-        """Each table entry against the grid layer: a random arrangement per
-        blank cell, moved by apply_seq, or by total mode off the board."""
-        valid, shift, delta, child = _census_tables(n)
+        """Each (blank cell, move) entry against the grid layer: a random
+        arrangement per blank cell, moved by apply_seq, or by total mode off
+        the board; and for n <= 4 each census row (cell, used mask, move)."""
+        shift, delta, moved = _census_tables(n)
+        assert len(shift) == len(delta) == len(moved) == 4 * n * n
+        if n <= 4:
+            valid, row_shift, row_delta, undo = _frontier_tables(n)
+            valid = valid.view(bool)
+            assert len(valid) == len(row_shift) == len(row_delta) == len(undo) == 64 * n * n
         mask = (1 << _bits(n)) - 1
         rng = random.Random(n)
         for bi in range(n * n):
@@ -378,18 +398,24 @@ class TestCensusTables:
             g = new_grid(n, tiles[:bi] + [None] + tiles[bi:])
             parent = encode(g.cells, n)
             legal = legal_moves(g)
-            for undo in range(5):
-                for k, m in enumerate(MOVES):
-                    e = (bi * 5 + undo) * 4 + k
-                    assert valid[e] == (m in legal and k != undo)
-                    nxt = apply_seq(g, (m,), total=True)
-                    tile = (parent >> int(shift[e])) & mask
-                    code = parent + tile * int(delta[e])
-                    if n <= 4:  # uint64 tables wrap modulo 2^64
-                        code %= 1 << 64
-                    assert code == encode(nxt.cells, n)
-                    assert child[e] == nxt.blank_index * 5 + (k ^ 1)
-                    assert MOVES[k ^ 1] == inverse_move(m)
+            for k, m in enumerate(MOVES):
+                e = bi * 4 + k
+                nxt = apply_seq(g, (m,), total=True)
+                tile = (parent >> int(shift[e])) & mask
+                code = parent + tile * int(delta[e])
+                if n <= 4:  # uint64 tables wrap modulo 2^64
+                    code %= 1 << 64
+                assert code == encode(nxt.cells, n)
+                assert moved[e] == nxt.blank_index
+                assert (moved[e] != bi) == (m in legal)
+                assert MOVES[k ^ 1] == inverse_move(m)
+                if n > 4:
+                    continue
+                for used in range(16):
+                    r = (bi * 16 + used) * 4 + k
+                    assert valid[r] == (m in legal and not used >> k & 1)
+                    assert (row_shift[r], row_delta[r]) == (shift[e], delta[e])
+                    assert undo[r] == 1 << (k ^ 1)
 
 
 class TestEncoding:
@@ -703,7 +729,7 @@ class TestExhaust:
         assert ledger.decisions == 0
         assert peak < 2 ** 20
 
-    @pytest.mark.parametrize("n, witness", [(8, "UUUULDDDDR"), (16, "UUUURDDDD")])
+    @pytest.mark.parametrize("n, witness", [(8, "UUUULDDDDR"), (16, "UUUURDDDD"), (48, "UUURDDD")])
     def test_wide_grid_at_the_byte_cap_edge(self, n, witness):
         # at the largest k_max the cap admits, the walk stores length
         # k_max - 1 whole before it meets the witness, early in length k_max
