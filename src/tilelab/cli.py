@@ -28,6 +28,7 @@ from .limits import ResourceLimit
 from .poly import (
     MULTIPLICITY_TOL,
     Poly,
+    _int_literal,
     complex_poly,
     json_scalar,
     norm_claim_check,
@@ -82,7 +83,7 @@ def _load_poly_arg(args) -> Poly:
     try:
         text = _read_text(args.infile)
         if text.lstrip().startswith("{"):
-            return poly_from_json(json.loads(text))
+            return poly_from_json(json.loads(text, parse_int=_int_literal))
         return parse_poly_text(text)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load polynomial from {args.infile}: {exc}") from exc

@@ -7,8 +7,9 @@ coefficient sequence and has no degree.  Mixing kinds raises KindMismatch:
 callers convert explicitly or not at all.
 
 Two rules live here so that every caller shares them.  verify_root decides
-a claimed root: exactly when polynomial and root are both exact, else in
-complex arithmetic under the one tolerance MULTIPLICITY_TOL.  float_coeffs
+a claimed root: exactly when polynomial and root are both exact, in
+integers on the kernel the Sturm oracle shares, else in complex
+arithmetic under the one tolerance MULTIPLICITY_TOL.  float_coeffs
 reads coefficients as machine numbers, and as reals under REAL_COEFF_TOL;
 the Sturm oracle and the real-mode finder both read float input by it.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -30,6 +32,13 @@ COMPLEX = "complex"
 # denominator: far past any float's range, yet cheap for the oracle's integer
 # arithmetic.  Powers are judged before they are computed.
 EXACT_BITS_CAP = 2 ** 16
+# an integer literal of at least this many significant digits is at least
+# 10^(digits - 1) >= 2^(EXACT_BITS_CAP - 1), past the cap by its length alone
+_CAP_DIGITS = math.ceil((EXACT_BITS_CAP - 1) / math.log2(10)) + 1
+# int() converts any shorter run of digits whatever the interpreter's limit
+# on integer strings (sys.get_int_max_str_digits), so only longer runs are
+# judged before they are read
+_LONG = sys.int_info.str_digits_check_threshold
 # a float-kind deflation stage divides evenly when its remainder is below
 # this, relative to max(1, max_norm): the one tolerance of verify_root
 MULTIPLICITY_TOL = 1e-9
@@ -231,25 +240,88 @@ def synthetic_divide(p: Poly, r) -> tuple[Poly, object]:
     return Poly(_normalize(out[1:]), p.kind), remainder
 
 
-def _deflations(p: Poly, r) -> int:
-    """Largest m with (x - r)^m dividing p, by repeated synthetic division;
-    0 when r is not a root.
+# ---------------------------------------------------------------------------
+# the integer kernel of every exact check: a rational polynomial is read
+# over the lcm of its denominators, and a point p/q through homogeneous
+# Horner sums, so no Fraction is built per step (the Sturm oracle shares it)
 
-    Exact in the rational kind; in the complex kind each stage's remainder
-    must stay below MULTIPLICITY_TOL * max(1, max_norm) of its dividend.
+
+def _over_lcm(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(a, unit): coeffs times the lcm unit of their denominators, in integers."""
+    unit = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (unit // c.denominator) for c in coeffs], unit
+
+
+def _q_powers(q: int, d: int) -> list[int]:
+    out = [1]
+    for _ in range(d):
+        out.append(out[-1] * q)
+    return out
+
+
+def _int_eval(coeffs: list[int], p: int, q_pow: list[int]) -> int:
+    """q^d * P(p/q) for d = len(coeffs) - 1: the sign of P(p/q), as q > 0."""
+    acc = 0
+    for c, qk in zip(reversed(coeffs), q_pow):
+        acc = acc * p + c * qk
+    return acc
+
+
+def _exact_residual(a: list[int], unit: int, num: int, q: int) -> float:
+    """|P(num/q)| rounded once, for P = a / unit with a from _over_lcm and
+    q > 0: one integer Horner sum, divided by int true division, which
+    rounds correctly as Fraction.__float__ does.  Raises OverflowError past
+    the float range."""
+    d = len(a) - 1
+    return abs(_int_eval(a, num, _q_powers(q, d))) / (unit * q ** d)
+
+
+def _int_deflations(a: list[int], num: int, den: int) -> int:
+    """Largest m with (den x - num)^m dividing the integer polynomial a (low
+    first, nonzero lead), num/den in lowest terms with den > 0.
+
+    den x - num is primitive, so by Gauss's lemma it divides a over the
+    rationals exactly when the quotient is integral.  Each stage is
+    synthetic division from the top, q_(i-1) = (a_i + num q_i) / den, and
+    divides exactly when every step divides evenly and the remainder
+    a_0 + num q_0 is 0.
     """
     m = 0
-    cur = p
-    while len(cur.coeffs) >= 2:
-        quotient, rem = synthetic_divide(cur, r)
-        if p.kind == RATIONAL:
-            divides = rem == 0
-        else:
-            divides = abs(rem) < MULTIPLICITY_TOL * max(1.0, float(max_norm(cur)))
-        if not divides:
+    while len(a) >= 2:
+        out = []
+        acc = 0
+        for c in a[:0:-1]:
+            acc, rem = divmod(c + num * acc, den)
+            if rem:
+                return m
+            out.append(acc)
+        if a[0] + num * acc:
+            return m
+        out.reverse()
+        a = out
+        m += 1
+    return m
+
+
+def _deflations(p: Poly, r) -> int:
+    """Largest m with (x - r)^m dividing p; 0 when r is not a root.
+
+    Exact in the rational kind, in integers (_int_deflations); in the
+    complex kind, by repeated synthetic division, each stage's remainder
+    must stay below MULTIPLICITY_TOL * max(1, max_norm) of its dividend.
+    """
+    if len(p.coeffs) < 2:  # a constant has no root, whatever r is
+        return 0
+    r = _coerce(p.kind, r)
+    if p.kind == RATIONAL:
+        return _int_deflations(_over_lcm(p.coeffs)[0], r.numerator, r.denominator)
+    m = 0
+    while len(p.coeffs) >= 2:
+        quotient, rem = synthetic_divide(p, r)
+        if not abs(rem) < MULTIPLICITY_TOL * max(1.0, float(max_norm(p))):
             break
         m += 1
-        cur = quotient
+        p = quotient
     return m
 
 
@@ -271,8 +343,9 @@ def verify_root(p: Poly, r) -> tuple[float, int | None]:
     of r, or None when r is not a root).
 
     An exact pair, p rational and r an int or a Fraction, is decided
-    exactly: r is a root when p(r) == 0, and the residual is exact before
-    it is rounded to a float.  Any other pair reads p in complex
+    exactly, in integers over the lcm of p's denominators: r is a root
+    when p(r) == 0, and the residual is one integer Horner sum, rounded
+    once to a float.  Any other pair reads p in complex
     arithmetic, where every deflation stage, the first included, must
     leave a remainder below MULTIPLICITY_TOL * max(1, max_norm) of its
     dividend.  Raises ValueError for the zero polynomial, a root that is
@@ -280,7 +353,7 @@ def verify_root(p: Poly, r) -> tuple[float, int | None]:
     """
     if p.is_zero():
         raise ValueError("every point is a root of the zero polynomial")
-    floats = complex_poly(float_coeffs(p))
+    values = float_coeffs(p)
     try:
         z = complex(r)
     except OverflowError:  # an exact root past the float range
@@ -288,17 +361,21 @@ def verify_root(p: Poly, r) -> tuple[float, int | None]:
     shown = z.real if z.imag == 0 else z
     if not cmath.isfinite(z):
         raise ValueError(f"root value {shown} is not finite")
-    if p.kind == RATIONAL and isinstance(r, (int, Fraction)):
-        work, x = p, Fraction(r)
+    exact = p.kind == RATIONAL and isinstance(r, (int, Fraction))
+    if exact:
+        a, unit = _over_lcm(p.coeffs)
+        mult = _int_deflations(a, r.numerator, r.denominator)
     else:
-        work, x = floats, z
+        floats = complex_poly(values)
+        mult = _deflations(floats, z)
     try:
-        residual = float(abs(eval_horner(work, x)))
+        residual = (_exact_residual(a, unit, r.numerator, r.denominator) if exact
+                    else float(abs(eval_horner(floats, z))))
     except OverflowError:  # an exact value past the float range
         residual = math.inf
     if not math.isfinite(residual):
         raise ValueError(f"the polynomial's value at {shown} lies past the float range")
-    return residual, _deflations(work, x) or None
+    return residual, mult or None
 
 
 @dataclass(frozen=True)
@@ -331,41 +408,76 @@ def json_scalar(v):
 # serialization: "pi/2, -pi^2, 0, 2" is 2x^3 - pi^2 x + pi/2
 
 _NUMBER = re.compile(r"^\d+(\.\d+)?$")
+_DIGIT_RUN = re.compile(r"\d[\d_]*")
+
+
+def _judge_literal(run: str) -> None:
+    """Refuse a run of digits (an optional sign, underscores between
+    digits) before int() reads it: ResourceLimit when its significant
+    digits alone put it past EXACT_BITS_CAP, and ValueError when it is
+    longer than the interpreter converts (sys.get_int_max_str_digits)."""
+    digits = run.lstrip("+-").replace("_", "")
+    if len(digits.lstrip("0")) >= _CAP_DIGITS:
+        raise ResourceLimit(f"a literal of {len(digits)} digits exceeds the "
+                            f"{EXACT_BITS_CAP}-bit cap on exact coefficients")
+    limit = sys.get_int_max_str_digits()
+    if limit and len(digits) > limit:
+        raise ValueError(f"a literal of {len(digits)} digits is longer than the "
+                         f"{limit} digits an integer literal may have")
+
+
+def _int_literal(run: str) -> int:
+    """int(run), for a run of digits that _judge_literal admits."""
+    if len(run) > _LONG:
+        _judge_literal(run)
+    return int(run)
 
 
 def _parse_atom(tok: str):
     if tok == "pi":
         return math.pi
     if _NUMBER.match(tok):
-        return Fraction(tok) if "." not in tok else float(tok)
+        return _int_literal(tok) if "." not in tok else float(tok)
     m = re.match(r"^pi\^(\d+)$", tok)
     if m:
-        return math.pi ** int(m.group(1))
+        return math.pi ** _int_literal(m.group(1))
     m = re.match(r"^(\d+(\.\d+)?)\^(\d+)$", tok)
     if m:
-        exponent = int(m.group(3))
+        exponent = _int_literal(m.group(3))
         if "." in m.group(1):
             return float(m.group(1)) ** exponent
-        base = int(m.group(1))
+        base = _int_literal(m.group(1))
         # base < 2^bits, so the power needs at most exponent * bits bits
         if exponent * base.bit_length() > EXACT_BITS_CAP:
             raise ResourceLimit(f"{tok!r} exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients")
-        return Fraction(base ** exponent)
+        return base ** exponent
     raise ValueError(f"bad coefficient factor {tok!r}")
 
 
 def _capped(text: str, x):
-    """x itself, or ResourceLimit when x is exact and over EXACT_BITS_CAP bits."""
-    if isinstance(x, Fraction) and x.numerator.bit_length() + x.denominator.bit_length() > EXACT_BITS_CAP:
+    """x itself, or ResourceLimit when x is exact (an int or a Fraction) and
+    over EXACT_BITS_CAP bits of numerator plus denominator."""
+    if not isinstance(x, float) and x.numerator.bit_length() + x.denominator.bit_length() > EXACT_BITS_CAP:
         raise ResourceLimit(f"{text!r} exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients")
     return x
+
+
+def _fraction(x):
+    """x as an operand wherever it does not meet another int: an int as a
+    Fraction, so it meets a Fraction, a float or a zero divisor as it did
+    when every exact atom was one, errors and their messages included."""
+    return Fraction(x) if type(x) is int else x
 
 
 def parse_scalar(text: str):
     """One coefficient: products/quotients of numbers and pi powers.
 
-    Raises ValueError on malformed text, a zero divisor or a float overflow,
-    and ResourceLimit on an exact power or product over EXACT_BITS_CAP bits.
+    An integer token is read as an int, and two ints combine as ints: a
+    product as their product, a quotient as one Fraction(p, q).  The value
+    is a Fraction when exact, else a float.  Raises ValueError on
+    malformed text, a zero divisor, a float overflow or a literal longer
+    than int() reads, and ResourceLimit on an exact literal, power,
+    product or quotient over EXACT_BITS_CAP bits.
     """
     s = text.strip().replace(" ", "")
     if not s:
@@ -383,13 +495,18 @@ def parse_scalar(text: str):
             pieces = part.split("/")
             v = _parse_atom(pieces[0])
             for den in pieces[1:]:
-                v = _capped(text, v / _parse_atom(den))
-            value = v if value is None else _capped(text, value * v)
+                d = _parse_atom(den)
+                v = _capped(text, Fraction(v, d) if type(v) is int is type(d) and d
+                            else _fraction(v) / _fraction(d))
+            if value is not None:
+                v = _capped(text, value * v if type(value) is int is type(v)
+                            else _fraction(value) * _fraction(v))
+            value = v
     except (OverflowError, ZeroDivisionError) as exc:
         raise ValueError(f"coefficient {text!r} has no finite value: {exc}") from None
-    if isinstance(value, Fraction):
+    if isinstance(value, float):
         return sign * value
-    return sign * float(value)
+    return _fraction(value if sign > 0 else -value)
 
 
 def parse_poly_text(text: str) -> Poly:
@@ -429,9 +546,13 @@ def poly_to_json(p: Poly) -> dict:
 def _json_fraction(c) -> Fraction:
     """An exact JSON coefficient such as 3, "3/4" or "1e3".
 
-    A zero divisor is a ValueError.  An exponent is judged before Fraction
-    computes 10^exponent, and the value is held to EXACT_BITS_CAP.
+    A zero divisor is a ValueError.  A long run of digits is judged
+    (_judge_literal) and an exponent is judged before Fraction computes
+    10^exponent, and the value is held to EXACT_BITS_CAP.
     """
+    if isinstance(c, str) and len(c) > _LONG:
+        for run in _DIGIT_RUN.findall(c):
+            _judge_literal(run)
     exponent = re.search(r"[eE]([-+]?[\d_]+)\s*$", c) if isinstance(c, str) else None
     if exponent and abs(int(exponent.group(1))) > EXACT_BITS_CAP:
         raise ResourceLimit(f"{c!r} exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients")

@@ -60,6 +60,10 @@ from .poly import (
     RATIONAL,
     Poly,
     RootSet,
+    _exact_residual,
+    _int_eval,
+    _over_lcm,
+    _q_powers,
     convolve,
     eval_horner,
     float_coeffs,
@@ -291,12 +295,6 @@ def _primitive(a: list[int]) -> list[int]:
     return [c // g for c in a]
 
 
-def _over_lcm(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    """(a, unit): coeffs times the lcm unit of their denominators, in integers."""
-    unit = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (unit // c.denominator) for c in coeffs], unit
-
-
 def _integer(coeffs: list[Fraction]) -> list[int]:
     """The primitive integer polynomial with a positive lead that is a
     rational multiple of coeffs."""
@@ -374,21 +372,6 @@ def square_free_split(coeffs: list[Fraction]) -> dict[int, list[int]]:
         b, c = _int_quo(b, s), _int_quo(d, s)
         m += 1
     return out
-
-
-def _q_powers(q: int, d: int) -> list[int]:
-    out = [1]
-    for _ in range(d):
-        out.append(out[-1] * q)
-    return out
-
-
-def _int_eval(coeffs: list[int], p: int, q_pow: list[int]) -> int:
-    """q^d * P(p/q) for d = len(coeffs) - 1: the sign of P(p/q), as q > 0."""
-    acc = 0
-    for c, qk in zip(reversed(coeffs), q_pow):
-        acc = acc * p + c * qk
-    return acc
 
 
 def _shift(a: list[int], k: int) -> list[int]:
@@ -542,15 +525,6 @@ def _pin_root(s: list[int], lo: int, hi: int, den: int, decide: bool) -> tuple[i
         lo, hi = (mid, 2 * hi) if sign_mid == sign_lo else (2 * lo, mid)
 
 
-def _exact_residual(coeffs: list[Fraction], x: float) -> float:
-    """|p(x)| rounded once, for the exact low-first coefficients of p: one
-    integer Horner sum over the lcm of their denominators."""
-    a, unit = _over_lcm(coeffs)
-    num, q = x.as_integer_ratio()
-    d = len(a) - 1
-    return abs(_int_eval(a, num, _q_powers(q, d))) / (unit * q ** d)
-
-
 def oracle_real_roots(p: Poly) -> RootSet:
     """All distinct real roots with multiplicities, ascending, deterministic.
 
@@ -565,12 +539,14 @@ def oracle_real_roots(p: Poly) -> RootSet:
     ResourceLimit above ORACLE_DEGREE_CAP.
     """
     coeffs, split = _real_reading(p)
+    cleared = _over_lcm(coeffs) if p.kind == RATIONAL else None
     roots = []
     for m, s in split.items():
         for a, b, den in _isolate(s, -_bound(s), _bound(s), 1):
             num, q = (a, den) if a == b else _pin_root(s, a, b, den, False)
             value = num / q
-            residual = _exact_residual(coeffs, value) if p.kind == RATIONAL else abs(eval_horner(p, value))
+            residual = (_exact_residual(*cleared, *value.as_integer_ratio()) if cleared
+                        else abs(eval_horner(p, value)))
             roots.append((value, m, residual))
     roots.sort()
     return RootSet(tuple(roots))

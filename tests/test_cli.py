@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from tilelab import (
-    ResourceLimit, format_grid_text, goal, load_grid, parse_poly_text, poly_from_json, vieta)
+    EXACT_BITS_CAP, ResourceLimit, format_grid_text, goal, load_grid, parse_poly_text, poly_from_json,
+    vieta)
 from tilelab.cli import main
 
 PKG_ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +197,37 @@ class TestPuzzleBounds:
         code, out, _ = run("puzzle", "bounds", "--n", "4")
         assert code == 2
         assert out == ""
+
+
+# (x + 7/3)^2 x^4 (x - 7/3)^4 (x - 3)^4, a degree-14 claims-report corpus line
+DEGREE_14 = ("0,0,0,0,117649/9,-773122/27,573839/27,-507640/243,-4161374/729,"
+             "770644/243,-28222/81,-6584/27,941/9,-50/3,1")
+
+
+class TestExactCheckBytes:
+    @pytest.mark.parametrize("argv, stdin, code, digest", [
+        (("roots", "verify", "--poly=1,-2,1", "--root=1"), "", 0,
+         "a348e3f2f5ef921b783c152677891af95dfd1b738774e42fa200ea8747a14049"),
+        (("roots", "verify", "--poly=1,-2,1", "--root=2"), "", 1,
+         "69a47f8af359733265cf4c2ceb579660e2afa8e51a32820fe6ca3035fafa3502"),
+        # 7/4 (x - 1/3)(x + 2)
+        (("roots", "verify", "--poly=-7/6,35/12,7/4", "--root=1/3"), "", 0,
+         "d4fc09eec3ad0d3ade24d97328f099e82d65c6f92f50658874764c502516e8d6"),
+        # an exact residual below the float range
+        (("roots", "verify", "--poly=-1/10^400,1", "--root", "0"), "", 1,
+         "b612a5023801509979dbc4681d848b2b6d6f702899c70b46c2bc1871683641f0"),
+        (("roots", "verify", "--poly=" + DEGREE_14, "--root=7/3"), "", 0,
+         "b0cd573741a1b83716492e2eb1e2debc27cd03630357387508cee6fff041316f"),
+        (("report", "--poly-corpus", "-"), DEGREE_14 + "\n", 0,
+         "7009943aa856e64fd39a0df98843ce51f0429fba9949a7e72d8546b892f4ed55"),
+    ], ids=["double-root", "non-root", "third-on-lead-7/4", "residual-below-float-range",
+            "degree-14-root", "degree-14-corpus"])
+    def test_document_bytes_are_pinned(self, argv, stdin, code, digest):
+        # the exact route decides in integers: its documents keep every byte
+        proc = subprocess.run([sys.executable, "-m", "tilelab.cli", *argv], input=stdin.encode(),
+                              capture_output=True, timeout=120, env=CHILD_ENV)
+        assert proc.returncode == code
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 class TestPuzzleCost:
@@ -388,6 +420,26 @@ class TestRootsVerify:
         code, out, _ = run_main(["roots", "verify", "--poly=0.000000000001", "--root", "1"], "")
         doc = json.loads(out)
         assert (code, doc["is_root"], doc["multiplicity"]) == (1, False, None)
+
+    @pytest.mark.parametrize("digits, code, says", [
+        (5000, 2, f"a literal of 5000 digits is longer than the {sys.get_int_max_str_digits()} digits"),
+        (20000, 3, f"a literal of 20000 digits exceeds the {EXACT_BITS_CAP}-bit cap"),
+    ], ids=["past-int-limit", "past-bit-cap"])
+    def test_over_long_literal(self, tmp_path, digits, code, says):
+        # judged by its digit count before int() reads it: past the
+        # interpreter's limit on integer strings a literal is malformed,
+        # and past the bit cap by its length alone it is too large
+        nines = "9" * digits
+        path = tmp_path / "p.json"
+        for argv, doc in ((["--poly=" + nines + ",1"], None),
+                          (["--poly=1,2^" + nines], None),
+                          (["--in", str(path)], '{"coeffs": ["%s", 1], "kind": "rational"}'),
+                          (["--in", str(path)], '{"coeffs": [-%s, 1], "kind": "rational"}')):
+            if doc:
+                path.write_text(doc % nines)
+            got, out, err = run_main(["roots", "verify", *argv, "--root=1"], "")
+            assert (got, out) == (code, "")
+            assert says in err and "set_int_max_str_digits" not in err
 
 
 class TestRootsCases:

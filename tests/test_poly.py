@@ -1,9 +1,11 @@
+import itertools
 import math
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tilelab import (
     COMPLEX,
@@ -34,6 +36,7 @@ from tilelab import (
     verify_root,
 )
 from tilelab import sturm
+from tilelab.poly import _deflations
 
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
@@ -242,6 +245,56 @@ class TestVerifyRoot:
             verify_root(p, r)
 
 
+# the small domain of the ROADMAP's sweeps, and a lead that is not monic
+SMALL_DOMAIN = (-2, -1, Fraction(-1, 2), 0, Fraction(1, 3), 1, Fraction(3, 2))
+LEAD = Fraction(-7, 4)
+
+
+def reference_deflations(p, r) -> int:
+    """The Fraction route the integer kernel replaced: repeated exact
+    synthetic division by x - r while the remainder is 0."""
+    m = 0
+    while len(p.coeffs) >= 2:
+        p, rem = synthetic_divide(p, r)
+        if rem != 0:
+            break
+        m += 1
+    return m
+
+
+class TestIntegerKernel:
+    def test_small_domain_products_match_the_fraction_route(self):
+        # every product of small-domain roots, with repetition, of degree
+        # 1 to 6, times LEAD, at every small-domain value and at 2/5
+        count = 0
+        for d in range(1, 7):
+            for roots in itertools.combinations_with_replacement(SMALL_DOMAIN, d):
+                p = poly([LEAD])
+                for r in roots:
+                    p = mul(p, poly([-r, 1]))
+                count += 1
+                for x in (*SMALL_DOMAIN, Fraction(2, 5)):
+                    m = reference_deflations(p, x)
+                    assert m == roots.count(x)
+                    assert _deflations(p, x) == m
+                    assert verify_root(p, x) == (float(abs(eval_horner(p, x))), m or None)
+                    if m:
+                        assert multiplicity(p, x) == m
+                    else:
+                        with pytest.raises(NotARoot):
+                            multiplicity(p, x)
+        assert count == 1715
+
+    def test_root_still_goes_through_coerce(self):
+        p = poly([-1, 1])
+        with pytest.raises(TypeError, match="rational coefficients must be exact"):
+            multiplicity(p, 1.0)
+        assert multiplicity(p, "1") == 1
+        # a constant has no root, whatever the point
+        with pytest.raises(NotARoot):
+            multiplicity(poly([5]), 1.0)
+
+
 class TestFloatCoeffs:
     def test_complex_and_real_reads(self):
         p = poly([Fraction(1, 2), 3])
@@ -389,6 +442,122 @@ class TestSerialization:
 
 
 SCALAR_TEXT = st.text(alphabet="0123456789.^*/+-pi ", max_size=30) | st.text()
+
+# parse_scalar as it read every exact atom as a Fraction: the reference its
+# int-reading grammar must agree with
+_REF_NUMBER = re.compile(r"^\d+(\.\d+)?$")
+
+
+def _reference_atom(tok: str):
+    if tok == "pi":
+        return math.pi
+    if _REF_NUMBER.match(tok):
+        return Fraction(tok) if "." not in tok else float(tok)
+    m = re.match(r"^pi\^(\d+)$", tok)
+    if m:
+        return math.pi ** int(m.group(1))
+    m = re.match(r"^(\d+(\.\d+)?)\^(\d+)$", tok)
+    if m:
+        exponent = int(m.group(3))
+        if "." in m.group(1):
+            return float(m.group(1)) ** exponent
+        base = int(m.group(1))
+        if exponent * base.bit_length() > EXACT_BITS_CAP:
+            raise ResourceLimit(f"{tok!r} exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients")
+        return Fraction(base ** exponent)
+    raise ValueError(f"bad coefficient factor {tok!r}")
+
+
+def _reference_capped(text: str, x):
+    if isinstance(x, Fraction) and x.numerator.bit_length() + x.denominator.bit_length() > EXACT_BITS_CAP:
+        raise ResourceLimit(f"{text!r} exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients")
+    return x
+
+
+def reference_parse_scalar(text: str):
+    s = text.strip().replace(" ", "")
+    if not s:
+        raise ValueError("empty coefficient")
+    sign = 1
+    while s and s[0] in "+-":
+        if s[0] == "-":
+            sign = -sign
+        s = s[1:]
+    if not s:
+        raise ValueError(f"bad coefficient {text!r}")
+    value = None
+    try:
+        for part in s.split("*"):
+            pieces = part.split("/")
+            v = _reference_atom(pieces[0])
+            for den in pieces[1:]:
+                v = _reference_capped(text, v / _reference_atom(den))
+            value = v if value is None else _reference_capped(text, value * v)
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"coefficient {text!r} has no finite value: {exc}") from None
+    if isinstance(value, Fraction):
+        return sign * value
+    return sign * float(value)
+
+
+def parse_outcome(parse, text):
+    """The type and exact value of the result (a float by its hex, so that
+    -0.0 and nan compare too), or the class and message of the exception."""
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value.hex() if isinstance(value, float) else value.as_integer_ratio()
+
+
+# scalar text from the grammar's pieces: sign runs, spaces, digit runs with
+# leading zeros, decimals, pi, ^k, / and *, as well-formed products of
+# quotients and joined freely
+_SIGNS = st.text("+-", max_size=3)
+_POWER = st.one_of(st.just(""), st.integers(0, 12).map("^{}".format),
+                   st.integers(0, 70000).map("^{}".format))
+_ATOM = st.tuples(st.one_of(
+    st.text("0123456789", min_size=1, max_size=20),
+    st.tuples(st.text("0123456789", min_size=1, max_size=6),
+              st.text("0123456789", min_size=1, max_size=6)).map(".".join),
+    st.just("pi")), _POWER).map("".join)
+_PRODUCT = st.tuples(_SIGNS, _ATOM, st.lists(st.tuples(st.sampled_from(["*", "/", " * ", " / "]), _ATOM),
+                                             max_size=4)).map(
+    lambda t: t[0] + t[1] + "".join(op + atom for op, atom in t[2]))
+_JOINED = st.lists(st.one_of(_SIGNS, st.just(" "), _ATOM, st.sampled_from(["/", "*", "^"])),
+                   min_size=1, max_size=8).map("".join)
+GRAMMAR_TEXT = _PRODUCT | _JOINED
+
+
+class TestParserEquivalence:
+    @settings(max_examples=400, deadline=None)
+    @given(GRAMMAR_TEXT)
+    @example("2^40000*2^40000")
+    @example("2^32768*2^32768")   # each factor at the cap, their product past it
+    @example("3^30000/2^30000")   # a quotient past the cap
+    @example("1/0")
+    @example("6/0")
+    @example("0/0")
+    @example("-3/4/0")
+    @example("007/0014")
+    @example("- 2 * 3/4 * pi")
+    @example("9^500*pi")          # exact past the float range, then a float
+    @example("2.5/9^500")
+    def test_same_value_and_type_or_same_error(self, text):
+        assert parse_outcome(parse_scalar, text) == parse_outcome(reference_parse_scalar, text)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("2^40000*2^40000", ResourceLimit,
+         f"'2^40000' exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients"),
+        # each factor within the cap, their product past it
+        ("2^32768*2^32768", ResourceLimit,
+         f"'2^32768*2^32768' exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients"),
+        ("3^30000/2^30000", ResourceLimit,
+         f"'3^30000/2^30000' exceeds the {EXACT_BITS_CAP}-bit cap on exact coefficients"),
+        ("1/0", ValueError, "coefficient '1/0' has no finite value: Fraction(1, 0)"),
+    ], ids=["power", "product", "quotient", "zero-divisor"])
+    def test_cap_and_zero_divisor(self, text, error, message):
+        assert parse_outcome(parse_scalar, text) == (error, message)
 
 
 def raises_only_value_error_or_limit(parse, text):
